@@ -33,7 +33,7 @@ from .fields import (
     topological_charges,
 )
 from .lax import SpectralPoint, build_U, build_U_hat, build_V, build_V_hat, spectral, zero_curvature_residual
-from .transition import appendix_equality_residual, jost, jost_minus, monodromy, propagate
+from .transition import appendix_equality_residual, jost, monodromy, propagate
 
 __all__ = [
     "ModelParams",
@@ -54,7 +54,6 @@ __all__ = [
     "propagate",
     "monodromy",
     "jost",
-    "jost_minus",
     "appendix_equality_residual",
 ]
 

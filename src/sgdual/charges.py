@@ -43,8 +43,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .fields import FieldEvaluator, GridWindow, hamiltonian_S, hamiltonian_T, simpson_uniform
-from .lax import build_U_hat, build_V_hat, spectral
+from .fields import FieldEvaluator, Line, hamiltonian_S, hamiltonian_T, simpson_uniform
+from .lax import spectral
 from .transition import default_nsteps, monodromy
 
 __all__ = [
@@ -53,7 +53,6 @@ __all__ = [
     "IdentityReport",
     "LnaFitReport",
     "UnwindingError",
-    "riccati_coeffs",
     "charges_infinity",
     "charges_zero",
     "build_ledger",
@@ -107,30 +106,27 @@ def _jet_const(value, npts, deg):
     return out
 
 
-def _phi_jets(field: FieldEvaluator, picture: str, fixed: float, svals: np.ndarray, deg: int):
-    """Jets of phi, phi_t + phi_x and phi_t - phi_x along the running axis."""
+def _phi_jets(line: Line, svals: np.ndarray, deg: int, flipped: bool):
+    """Jets of phi and of w along the line.
+
+    w is the cross derivative plus the next running derivative, phi_t + phi_x;
+    the flipped branch takes the cross minus the next running derivative,
+    which is phi_t - phi_x in space and phi_x - phi_t in time.
+    """
     npts = svals.size
     phi = np.zeros((npts, deg + 1), dtype=complex)
-    wp = np.zeros((npts, deg + 1), dtype=complex)
-    wm = np.zeros((npts, deg + 1), dtype=complex)
+    w = np.zeros((npts, deg + 1), dtype=complex)
+    run = np.asarray(line.partial(svals, 0))
     fact = 1.0
     for j in range(deg + 1):
         if j:
             fact *= j
-        if picture == "space":
-            base = field.derivative(svals, np.full_like(svals, fixed), j, 0)
-            d_t = field.derivative(svals, np.full_like(svals, fixed), j, 1)
-            d_x = field.derivative(svals, np.full_like(svals, fixed), j + 1, 0)
-        elif picture == "time":
-            base = field.derivative(np.full_like(svals, fixed), svals, 0, j)
-            d_t = field.derivative(np.full_like(svals, fixed), svals, 0, j + 1)
-            d_x = field.derivative(np.full_like(svals, fixed), svals, 1, j)
-        else:
-            raise ValueError(f"unknown picture {picture!r}")
-        phi[:, j] = np.asarray(base) / fact
-        wp[:, j] = (np.asarray(d_t) + np.asarray(d_x)) / fact
-        wm[:, j] = (np.asarray(d_t) - np.asarray(d_x)) / fact
-    return phi, wp, wm
+        cross = np.asarray(line.partial(svals, j, 1))
+        run_next = np.asarray(line.partial(svals, j + 1))
+        phi[:, j] = run / fact
+        w[:, j] = ((cross - run_next) if flipped else (cross + run_next)) / fact
+        run = run_next
+    return phi, w
 
 
 class RiccatiCoefficients:
@@ -148,22 +144,16 @@ class RiccatiCoefficients:
             raise ValueError(f"order {order} beyond supported maximum {MAX_ORDER}")
         self.field = field
         self.picture = picture
-        self.fixed = fixed
+        self.line = Line(field, picture, fixed)
         self.order = order
         self.flipped = flipped
 
     def _inputs(self, svals, deg):
         beta = self.field.params.beta
-        phi, wp, wm = _phi_jets(self.field, self.picture, self.fixed, svals, deg)
-        if not self.flipped:
-            w = wp
-            ep = _jet_exp(1j * beta * phi)
-            em = _jet_exp(-1j * beta * phi)
-        else:
-            w = wm if self.picture == "space" else -wm
-            ep = _jet_exp(-1j * beta * phi)
-            em = _jet_exp(1j * beta * phi)
-        return w, ep, em
+        phi, w = _phi_jets(self.line, svals, deg, self.flipped)
+        ep = _jet_exp(1j * beta * phi)
+        em = _jet_exp(-1j * beta * phi)
+        return (w, em, ep) if self.flipped else (w, ep, em)
 
     def _chain(self, svals, n_max, component):
         """Jets of the (2,1) chain q_n or the mirrored (1,2) chain p_n.
@@ -224,20 +214,13 @@ class RiccatiCoefficients:
             gamma[:, 0, 1] += p[n][:, 0] * lam ** (-n)
             gamma_s[:, 1, 0] += _jet_deriv(q[n])[:, 0] * lam ** (-n)
             gamma_s[:, 0, 1] += _jet_deriv(p[n])[:, 0] * lam ** (-n)
-        if self.picture == "space":
-            gen = build_U_hat(self.field, svals, np.full_like(svals, self.fixed), sp)
-        else:
-            gen = build_V_hat(self.field, np.full_like(svals, self.fixed), svals, sp)
+        gen = self.line.generator(svals, sp)
         gen_d = np.zeros_like(gen)
         gen_d[:, 0, 0] = gen[:, 0, 0]
         gen_d[:, 1, 1] = gen[:, 1, 1]
         gen_o = gen - gen_d
         rhs = gen_o + gen_d @ gamma - gamma @ gen_d - gamma @ gen_o @ gamma
         return float(np.max(np.abs(gamma_s - rhs)))
-
-
-def riccati_coeffs(field, picture, fixed, order, flipped=False) -> RiccatiCoefficients:
-    return RiccatiCoefficients(field, picture, fixed, order, flipped)
 
 
 @dataclass
@@ -285,25 +268,14 @@ class ChargeLedger:
                 )
 
 
-def _axis(window: GridWindow, picture: str):
-    return (window.xs() if picture == "space" else window.ts())
-
-
 def charges_infinity(field, picture, fixed, order, window) -> ChargeLedger:
     """Large-lambda charges n = 1..order by quadrature of the local densities."""
-    m = field.params.m
-    svals = _axis(window, picture)
+    m, beta = field.params.m, field.params.beta
+    rc = RiccatiCoefficients(field, picture, fixed, order)
+    svals = rc.line.axis(window)
     h = svals[1] - svals[0]
-    rc = riccati_coeffs(field, picture, fixed, order)
     q = rc.component_jets(svals, n_max=order + 1)
-    beta = field.params.beta
-    phi = q_phi = None  # phi enters only through e_-
-    phi_vals = (
-        field.derivative(svals, np.full_like(svals, fixed), 0, 0)
-        if picture == "space"
-        else field.derivative(np.full_like(svals, fixed), svals, 0, 0)
-    )
-    em = np.exp(-1j * beta * np.asarray(phi_vals))
+    em = np.exp(-1j * beta * np.asarray(rc.line.partial(svals, 0)))
     entries = {}
     sign = 1.0 if picture == "space" else -1.0
     for n in range(1, order + 1):
@@ -317,19 +289,13 @@ def charges_infinity(field, picture, fixed, order, window) -> ChargeLedger:
 def charges_zero(field, picture, fixed, order, window) -> ChargeLedger:
     """Small-lambda charges n = 0..-order from the flipped-branch recursion."""
     m, beta = field.params.m, field.params.beta
-    svals = _axis(window, picture)
+    rc = RiccatiCoefficients(field, picture, fixed, order, flipped=True)
+    svals = rc.line.axis(window)
     h = svals[1] - svals[0]
-    rc = riccati_coeffs(field, picture, fixed, order, flipped=True)
     q = rc.component_jets(svals, n_max=order + 1)
-    if picture == "space":
-        phi_x = field.derivative(svals, np.full_like(svals, fixed), 1, 0)
-        phi_vals = field.derivative(svals, np.full_like(svals, fixed), 0, 0)
-        zero_density = -0.5 * beta * np.asarray(phi_x)
-    else:
-        phi_t = field.derivative(np.full_like(svals, fixed), svals, 0, 1)
-        phi_vals = field.derivative(np.full_like(svals, fixed), svals, 0, 0)
-        zero_density = -0.5 * beta * np.asarray(phi_t)
-    ep = np.exp(1j * beta * np.asarray(phi_vals))
+    # order 0: -(beta/2) times phi_x (space) or phi_t (time), the running slope
+    zero_density = -0.5 * beta * np.asarray(rc.line.partial(svals, 1))
+    ep = np.exp(1j * beta * np.asarray(rc.line.partial(svals, 0)))
     entries = {0: complex(simpson_uniform(zero_density, h))}
     for n in range(1, order + 1):
         if picture == "space":
@@ -412,6 +378,16 @@ def _unwrap_log(values: np.ndarray) -> np.ndarray:
     return logs
 
 
+def _log_monodromy(field, picture, fixed, lambdas, half_width, step_density) -> np.ndarray:
+    """Unwrapped ln a (space) or ln fa (time) along an ascending real lambda ray."""
+    a_vals = []
+    for lam in lambdas:
+        sp = spectral(lam, field.params)
+        nsteps = default_nsteps(half_width, sp, density=step_density)
+        a_vals.append(monodromy(field, picture, fixed, half_width, sp, nsteps).a_entry)
+    return _unwrap_log(np.asarray(a_vals))
+
+
 def lna_asymptotic_fit(
     field,
     picture,
@@ -433,12 +409,7 @@ def lna_asymptotic_fit(
         raise ValueError("need at least two lambda values to fit a slope")
     if lambdas[0] < 10.0 or lambdas[-1] > 100.0:
         raise ValueError("fit window is the real ray between 10 and 100")
-    a_vals = []
-    for lam in lambdas:
-        sp = spectral(lam, field.params)
-        nsteps = default_nsteps(half_width, sp, density=step_density)
-        a_vals.append(monodromy(field, picture, fixed, half_width, sp, nsteps).a_entry)
-    log_mono = _unwrap_log(np.asarray(a_vals))
+    log_mono = _log_monodromy(field, picture, fixed, lambdas, half_width, step_density)
     series = np.asarray([ledger.series_large(lam, n_terms) for lam in lambdas])
     remainders = np.abs(log_mono - series)
     mask = remainders > 0
@@ -462,12 +433,7 @@ def fit_charges_from_monodromy(
     tail from biasing the low coefficients.
     """
     lambdas = np.asarray(sorted(float(l) for l in lambdas))
-    a_vals = []
-    for lam in lambdas:
-        sp = spectral(lam, field.params)
-        nsteps = default_nsteps(half_width, sp, density=step_density)
-        a_vals.append(monodromy(field, picture, fixed, half_width, sp, nsteps).a_entry)
-    log_mono = _unwrap_log(np.asarray(a_vals))
+    log_mono = _log_monodromy(field, picture, fixed, lambdas, half_width, step_density)
     design = np.column_stack([lambdas ** (-float(n)) for n in range(1, n_terms + 1)])
     coeffs, *_ = np.linalg.lstsq(design, (log_mono / 1j), rcond=None)
     entries = {n: complex(coeffs[n - 1]) for n in range(1, n_terms + 1)}

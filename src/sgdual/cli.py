@@ -20,22 +20,15 @@ from pathlib import Path
 import numpy as np
 
 from .fields import GridWindow, ModelParams
-from .suites import SUITES, run_suite, suite_descriptions
+from .suites import DEFAULT_TOLERANCES, SUITES, run_suite, suite_descriptions
 
 __all__ = ["ScenarioConfig", "ConfigError", "main", "run"]
 
 SCHEMA_VERSION = 1
 
 _SOLUTION_KEYS = {"kind", "v", "x0", "orientation", "sigma", "seed"}
-_NUMERIC_KEYS = {"half_width", "nsteps", "grid", "tolerances"}
+_NUMERIC_KEYS = {"half_width", "grid", "tolerances"}
 _TOP_KEYS = {"schema", "model", "solution", "spectral", "numerics", "suites"}
-_KNOWN_TOLERANCES = {
-    "lax_residual", "halving_order", "monodromy_drift", "charge_drift", "topological",
-    "riccati_scaling", "energy_gap_rel", "appendix_residual", "defect_residual",
-    "l_equation", "ms_drift", "splitting", "generating_gap", "ham_shift_gap",
-    "canonical", "ultralocal", "sign_control", "trig_form", "bracket_ratio_err",
-    "involution",
-}
 
 
 class ConfigError(ValueError):
@@ -54,7 +47,6 @@ class ScenarioConfig:
     solution: dict
     lambdas: list
     half_width: float
-    nsteps: int | None
     window: GridWindow
     tolerances: dict = dc_field(default_factory=dict)
     suites: list = dc_field(default_factory=list)
@@ -104,11 +96,6 @@ class ScenarioConfig:
         half_width = float(numerics.get("half_width", 30.0))
         if half_width <= 0:
             raise ConfigError("half_width must be positive")
-        nsteps = numerics.get("nsteps")
-        if nsteps is not None:
-            nsteps = int(nsteps)
-            if nsteps < 1:
-                raise ConfigError("nsteps must be positive")
         grid = numerics.get("grid", {})
         _require_keys(grid, {"nx", "nt"}, "numerics.grid")
         nx = int(grid.get("nx", 16001))
@@ -118,7 +105,7 @@ class ScenarioConfig:
         span = max(40.0, half_width)
         window = GridWindow(-span, span, -span, span, nx, nt)
         tolerances = dict(numerics.get("tolerances", {}))
-        unknown = set(tolerances) - _KNOWN_TOLERANCES
+        unknown = set(tolerances) - set(DEFAULT_TOLERANCES)
         if unknown:
             raise ConfigError(f"unknown tolerance names {sorted(unknown)}")
         for key, val in tolerances.items():
@@ -128,7 +115,7 @@ class ScenarioConfig:
         bad = [s for s in suites if s not in SUITES]
         if bad:
             raise ConfigError(f"unknown suites {bad}; available: {sorted(SUITES)}")
-        return cls(params, solution, lambdas, half_width, nsteps, window, tolerances, suites)
+        return cls(params, solution, lambdas, half_width, window, tolerances, suites)
 
     @classmethod
     def load(cls, path) -> "ScenarioConfig":

@@ -53,14 +53,16 @@ from .fields import (
     FieldEvaluator,
     GridField,
     GridWindow,
+    Line,
     ModelParams,
+    NonDecayingFieldError,
     hamiltonian_T,
     make_kink,
     make_vacuum,
     simpson_uniform,
     topological_charges,
 )
-from .lax import SpectralPoint, build_U_hat, build_V, e0
+from .lax import SpectralPoint, build_V
 from .matcore import frob, inv2
 from .transition import default_nsteps, jost, monodromy, propagate_trajectory
 
@@ -211,7 +213,7 @@ def backlund_integrate(
 
     # column sweep, vectorised over all x at once
     def t_slope(t, phi_vec):
-        return _bt_slopes(params, defect, phi_vec, seed.sample(xs, np.full_like(xs, t)))[1]
+        return _bt_slopes(params, defect, phi_vec, seed.sample(*Line(seed, "space", t).points(xs)))[1]
 
     values = np.empty((xs.size, ts.size))
     values[:, it0] = row
@@ -333,12 +335,13 @@ def defect_splitting_check(
         nsteps += 1  # Simpson below wants an even step count
 
     def half_line(fld, side):
+        line = Line(fld, "space", t)
         start = side * half_width
         grid, psi = propagate_trajectory(fld, "space", t, start, 0.0, sp, nsteps)
-        traj = psi @ e0(start, sp)
+        traj = psi @ line.normaliser(start, sp)
         q = traj[:, 1, 0] / traj[:, 0, 0]
         p = traj[:, 0, 1] / traj[:, 1, 1]
-        gen = build_U_hat(fld, grid, np.full_like(grid, t), sp)
+        gen = line.generator(grid, sp)
         int11 = gen[:, 0, 0] + gen[:, 0, 1] * q + 1j * sp.k1
         int22 = gen[:, 1, 1] + gen[:, 1, 0] * p - 1j * sp.k1
         h = grid[1] - grid[0]
@@ -537,8 +540,6 @@ class GeneratingFunctional:
     e_shift: float
     charge_shifts: dict
     limits: tuple[float, float]
-    b_density: object
-    lagrangian_density: object
 
 
 def _charge_shifts(defect: DefectParams, parities, order=4) -> dict:
@@ -573,21 +574,18 @@ def s_functional(pair: DefectPair, window: GridWindow) -> GeneratingFunctional:
     sig = pair.defect.sigma
     try:
         p_plus, p_minus = pair.parities()
+    except NonDecayingFieldError:  # no time winding to read (static kink)
+        e_shift = float("nan")
+        shifts = {}
+    else:
         jump = (-1.0) ** p_plus - (-1.0) ** p_minus
         e_shift = (2.0 * m / beta**2) * (1.0 / sig - sig) * jump
         shifts = _charge_shifts(pair.defect, (p_plus, p_minus))
-    except Exception:
-        e_shift = float("nan")
-        shifts = {}
     return GeneratingFunctional(
         s_value=float(left_part + right_part),
         e_shift=e_shift,
         charge_shifts=shifts,
         limits=(lim_minus, lim_plus),
-        b_density=lambda phi, phi_tilde: b_density(pair.params, pair.defect, phi, phi_tilde),
-        lagrangian_density=lambda phi, phi_tilde, phi_t, phi_tilde_t: 0.5
-        * (phi_tilde * phi_t - phi * phi_tilde_t)
-        - b_density(pair.params, pair.defect, phi, phi_tilde),
     )
 
 

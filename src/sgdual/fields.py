@@ -14,6 +14,9 @@ charge recursions downstream rely on (no nested finite differencing).
 Solutions provided here: the vacuum and the boosted kink
 phi = (4/beta) arctan(exp(eps * m * gamma * (x - v t - x0))), validated by a
 finite-difference residual oracle in the tests rather than trusted.
+
+Both pictures walk a line of spacetime -- x at fixed t, or t at fixed x --
+and ``Line`` is the one place that knows which coordinate runs.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ __all__ = [
     "VacuumField",
     "KinkField",
     "GridField",
+    "Line",
     "NonDecayingFieldError",
     "make_vacuum",
     "make_kink",
@@ -47,7 +51,7 @@ CHARGE_ROUNDING_FRACTION = 0.1  # of the vacuum spacing 2*pi/beta
 
 
 class NonDecayingFieldError(ValueError):
-    """Raised when a field asymptote is not close to any vacuum value."""
+    """Raised when the field at a line's end is not close to any vacuum value."""
 
 
 @dataclass(frozen=True)
@@ -181,14 +185,9 @@ class FieldEvaluator:
         """Mixed partial d^dx/dx^dx d^dt/dt^dt of phi; accepts arrays."""
         raise NotImplementedError
 
-    def asymptote(self, picture: str, sign: int, fixed: float) -> float:
-        """phi at large |x| (space picture, fixed t) or large |t| (time)."""
-        big = 1e3 / self.params.m
-        if picture == "space":
-            return float(np.asarray(self.derivative(sign * big, fixed, 0, 0)))
-        if picture == "time":
-            return float(np.asarray(self.derivative(fixed, sign * big, 0, 0)))
-        raise ValueError(f"unknown picture {picture!r}")
+    def edge(self, line: Line, sign: int) -> float:
+        """Running coordinate on the sign side of the line where phi is settled."""
+        return sign * 1e3 / self.params.m
 
 
 class VacuumField(FieldEvaluator):
@@ -276,12 +275,80 @@ class GridField(FieldEvaluator):
         out = self._spline(x, t, dx=dx, dy=dt, grid=False)
         return out if out.shape else float(out)
 
-    def asymptote(self, picture, sign, fixed):
-        if picture == "space":
-            edge = self.xs[-1] if sign > 0 else self.xs[0]
-            return float(self._spline(edge, fixed, grid=False))
-        edge = self.ts[-1] if sign > 0 else self.ts[0]
-        return float(self._spline(fixed, edge, grid=False))
+    def edge(self, line, sign):
+        axis = line.pick(self.xs, self.ts)
+        return axis[-1] if sign > 0 else axis[0]
+
+
+class Line:
+    """One line of spacetime: the x axis at fixed t (space) or the t axis at fixed x (time).
+
+    The only place that maps a running coordinate s to (x, t) and a
+    (running, cross) derivative order to (dx, dt).  It also picks the window
+    axis, the gauged generator U_hat / V_hat and the plane-wave normaliser
+    E0 / cE0 of its picture.  A line holds no samples: every call evaluates
+    the field afresh, on the fixed coordinate filled to the shape of s.
+    """
+
+    def __init__(self, field: FieldEvaluator, picture: str, fixed: float):
+        if picture not in ("space", "time"):
+            raise ValueError(f"unknown picture {picture!r}")
+        self.field = field
+        self.picture = picture
+        self.fixed = fixed
+
+    @classmethod
+    def through(cls, field: FieldEvaluator, picture: str, x: float, t: float):
+        """The line of the picture through (x, t), and the running coordinate there."""
+        line = cls(field, picture, t if picture == "space" else x)
+        return line, line.pick(x, t)
+
+    def pick(self, space, time):
+        """Whichever of the two per-picture alternatives belongs to this line."""
+        return space if self.picture == "space" else time
+
+    def points(self, s):
+        """(x, t) arrays of the points at running coordinates s."""
+        s = np.asarray(s, dtype=float)
+        other = np.full_like(s, self.fixed)
+        return self.pick((s, other), (other, s))
+
+    def partial(self, s, run: int, cross: int = 0):
+        """Partial of phi of order run along the line and cross across it."""
+        return self.field.derivative(*self.points(s), *self.pick((run, cross), (cross, run)))
+
+    def axis(self, window: GridWindow) -> np.ndarray:
+        """The window's running grid: xs (space) or ts (time)."""
+        return self.pick(window.xs, window.ts)()
+
+    def generator(self, s, sp) -> np.ndarray:
+        """Gauged generator U_hat (space) or V_hat (time) at running coordinates s."""
+        from .lax import build_U_hat, build_V_hat
+
+        return self.pick(build_U_hat, build_V_hat)(self.field, *self.points(s), sp)
+
+    def normaliser(self, s, sp) -> np.ndarray:
+        """Plane-wave normaliser E0 (space) or cE0 (time) at running coordinate s."""
+        from .lax import ce0, e0
+
+        return self.pick(e0, ce0)(s, sp)
+
+    def vacuum(self, s) -> tuple[int, float]:
+        """(q, offset): the vacuum 2 pi q / beta nearest to phi at s, and the distance to it.
+
+        Raises NonDecayingFieldError when phi sits farther than a tenth of the
+        vacuum spacing from every vacuum.
+        """
+        phi = float(np.asarray(self.partial(s, 0)))
+        spacing = 2.0 * math.pi / self.field.params.beta
+        q = round(phi / spacing)
+        offset = abs(phi - q * spacing)
+        if offset > CHARGE_ROUNDING_FRACTION * abs(spacing):
+            raise NonDecayingFieldError(
+                f"phi = {phi:.6g} at {self.picture} coordinate {float(s):+g} is {offset:.3g} "
+                f"away from every multiple of 2*pi/beta = {spacing:.6g}"
+            )
+        return int(q), offset
 
 
 def make_vacuum(params: ModelParams) -> VacuumField:
@@ -308,32 +375,24 @@ def _quad_over_axis(density: np.ndarray, h: float) -> QuadResult:
     return QuadResult(simpson_uniform(density, h), tail, tail > TAIL_TOL)
 
 
+def _energy(line: Line, window: GridWindow, kinetic_sign: float) -> QuadResult:
+    """Integral along the line of kinetic_sign (phi_t^2 + phi_x^2)/2 + potential."""
+    m, beta = line.field.params.m, line.field.params.beta
+    svals = line.axis(window)
+    s = line.field.sample(*line.points(svals))
+    kinetic = 0.5 * s.phi_t**2 + 0.5 * s.phi_x**2
+    density = kinetic_sign * kinetic + (m / beta) ** 2 * (1.0 - np.cos(beta * s.phi))
+    return _quad_over_axis(density, svals[1] - svals[0])
+
+
 def hamiltonian_S(field: FieldEvaluator, t: float, window: GridWindow) -> QuadResult:
     """Equal-time energy: integral over x of the H_S density at fixed t."""
-    m, beta = field.params.m, field.params.beta
-    xs = window.xs()
-    s = field.sample(xs, np.full_like(xs, t))
-    density = 0.5 * s.pi**2 + 0.5 * s.phi_x**2 + (m / beta) ** 2 * (1.0 - np.cos(beta * s.phi))
-    return _quad_over_axis(density, xs[1] - xs[0])
+    return _energy(Line(field, "space", t), window, 1.0)
 
 
 def hamiltonian_T(field: FieldEvaluator, x: float, window: GridWindow) -> QuadResult:
     """Equal-space energy: integral over t of the H_T density at fixed x."""
-    m, beta = field.params.m, field.params.beta
-    ts = window.ts()
-    s = field.sample(np.full_like(ts, x), ts)
-    density = -0.5 * s.Pi**2 - 0.5 * s.phi_t**2 + (m / beta) ** 2 * (1.0 - np.cos(beta * s.phi))
-    return _quad_over_axis(density, ts[1] - ts[0])
-
-
-def _round_charge(phi_limit: float, beta: float) -> int:
-    spacing = 2.0 * math.pi / beta
-    q = round(phi_limit / spacing)
-    if abs(phi_limit - q * spacing) > CHARGE_ROUNDING_FRACTION * abs(spacing):
-        raise NonDecayingFieldError(
-            f"asymptote {phi_limit:.6g} is not near a multiple of 2*pi/beta = {spacing:.6g}"
-        )
-    return int(q)
+    return _energy(Line(field, "time", x), window, -1.0)
 
 
 def topological_charges(field: FieldEvaluator, fixed: float, picture: str) -> tuple[int, int]:
@@ -343,7 +402,7 @@ def topological_charges(field: FieldEvaluator, fixed: float, picture: str) -> tu
     in t at fixed x.  Raises NonDecayingFieldError when an asymptote sits
     farther than a tenth of the vacuum spacing from every multiple.
     """
-    beta = field.params.beta
-    q_minus = _round_charge(field.asymptote(picture, -1, fixed), beta)
-    q_plus = _round_charge(field.asymptote(picture, +1, fixed), beta)
+    line = Line(field, picture, fixed)
+    q_minus = line.vacuum(field.edge(line, -1))[0]
+    q_plus = line.vacuum(field.edge(line, +1))[0]
     return q_minus, q_plus

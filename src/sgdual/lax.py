@@ -28,12 +28,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import FieldEvaluator, ModelParams
+from .fields import FieldEvaluator, FieldSample, ModelParams
 from .matcore import SIGMA1, SIGMA2, comm, frob
 
 __all__ = [
     "SpectralPoint",
     "spectral",
+    "lax_matrix",
     "build_U",
     "build_V",
     "build_U_hat",
@@ -88,28 +89,28 @@ def _stack22(a00, a01, a10, a11) -> np.ndarray:
     return out
 
 
-def _uv_entries(field: FieldEvaluator, x, t, sp: SpectralPoint, which: str) -> np.ndarray:
-    beta = field.params.beta
-    s = field.sample(x, t)
-    half = 0.5 * beta * np.asarray(s.phi)
+def lax_matrix(picture: str, sample: FieldSample, sp: SpectralPoint, params: ModelParams) -> np.ndarray:
+    """U (space picture) or V (time picture) from a field sample; traceless."""
+    beta = params.beta
+    half = 0.5 * beta * np.asarray(sample.phi)
     sin_h, cos_h = np.sin(half), np.cos(half)
-    if which == "U":
-        d = -0.25j * beta * np.asarray(s.pi)
+    if picture == "space":
+        d = -0.25j * beta * np.asarray(sample.pi)
         ks, kc = sp.k0, sp.k1
     else:
-        d = 0.25j * beta * np.asarray(s.Pi)
+        d = 0.25j * beta * np.asarray(sample.Pi)
         ks, kc = sp.k1, sp.k0
     return _stack22(d, -1j * ks * sin_h - kc * cos_h, -1j * ks * sin_h + kc * cos_h, -d)
 
 
 def build_U(field: FieldEvaluator, x, t, sp: SpectralPoint) -> np.ndarray:
     """Space Lax matrix U(x, t, lambda); traceless."""
-    return _uv_entries(field, x, t, sp, "U")
+    return lax_matrix("space", field.sample(x, t), sp, field.params)
 
 
 def build_V(field: FieldEvaluator, x, t, sp: SpectralPoint) -> np.ndarray:
     """Time Lax matrix V(x, t, lambda); traceless."""
-    return _uv_entries(field, x, t, sp, "V")
+    return lax_matrix("time", field.sample(x, t), sp, field.params)
 
 
 def _hat_entries(field: FieldEvaluator, x, t, sp: SpectralPoint, which: str) -> np.ndarray:

@@ -20,7 +20,6 @@ __all__ = [
     "pauli",
     "tensor",
     "comm",
-    "dagger",
     "det2",
     "inv2",
     "expm2",
@@ -55,10 +54,6 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def comm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Commutator a@b - b@a."""
     return a @ b - b @ a
-
-
-def dagger(a: np.ndarray) -> np.ndarray:
-    return np.conj(np.swapaxes(a, -1, -2))
 
 
 def det2(a: np.ndarray) -> np.ndarray:

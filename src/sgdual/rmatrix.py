@@ -24,12 +24,6 @@ Bracket functionals are assembled with analytic derivatives of the Lax
 entries with respect to the canonical pair at each site -- never by
 finite-differencing a functional -- and lattice sums reduce in a fixed
 order, so reports are bit-stable.
-
-The infinite-volume kernel r_pm, whose diagonal blocks involve principal
-values and delta distributions, is provided as tagged coefficient data only;
-its distributional bracket is deliberately not evaluated numerically.  The
-finite-lattice involution proxy tests the conclusion that matters --
-{fa(lam), fa(mu)}_T -> 0 -- without it.
 """
 
 from __future__ import annotations
@@ -39,16 +33,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import FieldEvaluator, FieldSample, ModelParams, topological_charges
-from .lax import SpectralPoint, build_V, ce_charged
+from .fields import FieldEvaluator, FieldSample, Line, ModelParams, topological_charges
+from .lax import SpectralPoint, build_V, ce_charged, lax_matrix
 from .matcore import ID2, ID4, SIGMA1, SIGMA2, SIGMA3, expm2, inv2, tensor
 
 __all__ = [
     "RMatrixValue",
-    "InfiniteVolumeKernel",
     "r_matrix",
     "r_matrix_trig",
-    "r_infinite_volume",
     "lax_derivatives",
     "ultralocal_check",
     "transition_bracket_check",
@@ -90,36 +82,6 @@ def r_matrix_trig(alpha: float, params: ModelParams) -> np.ndarray:
     return (2j * gamma / math.sin(alpha)) * core
 
 
-@dataclass(frozen=True)
-class InfiniteVolumeKernel:
-    """r_pm as tagged coefficient data: regular + p.v. + delta pieces.
-
-    ``regular`` is an honest 4x4 value; ``pv_coeff`` multiplies the formal
-    principal value of 1/(lam - mu); ``delta_coeff`` multiplies delta(lam - mu).
-    No numerical bracket is attempted against this object.
-    """
-
-    sign: int
-    regular: np.ndarray
-    pv_coeff: np.ndarray
-    delta_coeff: np.ndarray
-
-
-def r_infinite_volume(lam: float, mu: float, params: ModelParams, sign: int) -> InfiniteVolumeKernel:
-    if sign not in (+1, -1):
-        raise ValueError("sign selects the +/- kernel")
-    gamma = params.beta**2 / 16.0
-    pref = -0.5 * gamma
-    regular = np.zeros((4, 4), dtype=complex)
-    regular[0, 0] = regular[3, 3] = pref * (lam - mu) / (lam + mu)
-    pv = np.zeros((4, 4), dtype=complex)
-    pv[1, 1] = pv[2, 2] = pref * (lam + mu)
-    delta = np.zeros((4, 4), dtype=complex)
-    delta[1, 2] = pref * (-sign) * 1j * math.pi * (lam + mu)
-    delta[2, 1] = pref * (+sign) * 1j * math.pi * (lam + mu)
-    return InfiniteVolumeKernel(sign, regular, pv, delta)
-
-
 def lax_derivatives(picture: str, sample: FieldSample, sp: SpectralPoint, params: ModelParams):
     """Analytic partials of the Lax matrix wrt the canonical pair.
 
@@ -137,18 +99,6 @@ def lax_derivatives(picture: str, sample: FieldSample, sp: SpectralPoint, params
     else:
         raise ValueError(f"unknown picture {picture!r}")
     return d_phi, d_mom
-
-
-def _lax_matrix(picture: str, sample: FieldSample, sp: SpectralPoint, params: ModelParams):
-    beta = params.beta
-    half = 0.5 * beta * sample.phi
-    if picture == "space":
-        diag = -0.25j * beta * sample.pi * SIGMA3
-        ks, kc = sp.k0, sp.k1
-    else:
-        diag = 0.25j * beta * sample.Pi * SIGMA3
-        ks, kc = sp.k1, sp.k0
-    return diag - 1j * ks * math.sin(half) * SIGMA1 - 1j * kc * math.cos(half) * SIGMA2
 
 
 def ultralocal_check(
@@ -170,8 +120,8 @@ def ultralocal_check(
     d1_phi, d1_mom = lax_derivatives(picture, sample, sp1, params)
     d2_phi, d2_mom = lax_derivatives(picture, sample, sp2, params)
     lhs = (tensor(d1_phi, d2_mom) - tensor(d1_mom, d2_phi)) / delta
-    a1 = _lax_matrix(picture, sample, sp1, params)
-    a2 = _lax_matrix(picture, sample, sp2, params)
+    a1 = lax_matrix(picture, sample, sp1, params)
+    a2 = lax_matrix(picture, sample, sp2, params)
     r = r_matrix(sp1.lam, sp2.lam, params).matrix
     sign = 1.0 if picture == "space" else -1.0
     if flip_sign:
@@ -189,7 +139,7 @@ def _batched_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _site_products(field, fixed: float, t_sites, sp, delta):
     """Per-site transfer factors and their prefix/suffix partial products."""
     n = t_sites.size
-    v = build_V(field, np.full_like(t_sites, fixed), t_sites, sp)
+    v = build_V(field, *Line(field, "time", fixed).points(t_sites), sp)
     steps = expm2(delta * v)
     prefix = np.empty((n, 2, 2), dtype=complex)  # product of steps below site i
     suffix = np.empty((n, 2, 2), dtype=complex)  # product of steps above site i
@@ -282,7 +232,7 @@ def involution_check(
         v, steps, prefix, suffix, total = _site_products(field, x_probe, t_sites, sp, delta)
         left_cap = inv2(ce_charged(b, sp, qp))
         right_cap = ce_charged(a, sp, qm)
-        samples = field.sample(np.full_like(t_sites, x_probe), t_sites)
+        samples = field.sample(*Line(field, "time", x_probe).points(t_sites))
         d_phi = np.empty((n_sites, 2, 2), dtype=complex)
         d_mom = np.empty((n_sites, 2, 2), dtype=complex)
         for i in range(n_sites):

@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from .charges import build_ledger, riccati_coeffs
+from .charges import RiccatiCoefficients, build_ledger
 from .defect import (
     DefectPair,
     DefectParams,
@@ -30,7 +30,7 @@ from .report import Report
 from .rmatrix import involution_check, r_matrix, r_matrix_trig, transition_bracket_check, ultralocal_check
 from .transition import appendix_equality_residual, monodromy
 
-__all__ = ["SUITES", "run_suite", "suite_descriptions"]
+__all__ = ["SUITES", "DEFAULT_TOLERANCES", "run_suite", "suite_descriptions"]
 
 # one-line statement of the identity each suite verifies
 _DESCRIPTIONS = {
@@ -44,7 +44,7 @@ _DESCRIPTIONS = {
     "involution": "lattice proxy for {fa(lambda), fa(mu)} in the equal-space bracket",
 }
 
-_DEFAULT_TOLERANCES = {
+DEFAULT_TOLERANCES = {
     "lax_residual": 1e-5,
     "halving_order": 0.3,
     "monodromy_drift": 1e-6,
@@ -69,7 +69,7 @@ _DEFAULT_TOLERANCES = {
 
 
 def _tol(config, key):
-    return config.tolerances.get(key, _DEFAULT_TOLERANCES[key])
+    return config.tolerances.get(key, DEFAULT_TOLERANCES[key])
 
 
 def _bulk_field(config):
@@ -164,7 +164,7 @@ def _suite_charges(config) -> Report:
             rep.add(f"J-drift-n={n}", {"order": n, "positions": [0.0, 1.0]},
                     abs(j0.entries[n]), abs(j1.entries[n]), abs(j0.entries[n] - j1.entries[n]) / scale, tol)
     if not _is_vacuum(field):
-        rc = riccati_coeffs(field, "space", 0.0, 3)
+        rc = RiccatiCoefficients(field, "space", 0.0, 3)
         pts = np.linspace(-3.0, 3.0, 7)
         exponent = float(np.log2(rc.riccati_residual(25.0, pts) / rc.riccati_residual(50.0, pts)))
         rep.add("riccati-residual-scaling", {"orders": 3, "lambdas": [25.0, 50.0]},

@@ -28,29 +28,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import FieldEvaluator
-from .lax import SpectralPoint, build_U_hat, build_V_hat, ce0, e0
+from .fields import FieldEvaluator, Line
+from .lax import SpectralPoint
 from .matcore import expm2, frob, inv2
 
 __all__ = [
     "TransitionResult",
     "Monodromy",
-    "TruncationError",
     "default_nsteps",
     "propagate",
     "propagate_trajectory",
     "monodromy",
     "jost",
-    "jost_minus",
     "appendix_equality_residual",
 ]
 
 _GAUSS_OFFSETS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 _ASYMPTOTE_TOL = 1e-8
-
-
-class TruncationError(ValueError):
-    """The requested half-width does not reach the field asymptote."""
 
 
 @dataclass(frozen=True)
@@ -82,20 +76,12 @@ def default_nsteps(half_width: float, sp: SpectralPoint, density: float = 200.0)
     return max(64, int(math.ceil(density * half_width * rate / math.pi)))
 
 
-def _generator_batch(field, picture, fixed, svals, sp):
-    if picture == "space":
-        return build_U_hat(field, svals, np.full_like(svals, fixed), sp)
-    if picture == "time":
-        return build_V_hat(field, np.full_like(svals, fixed), svals, sp)
-    raise ValueError(f"unknown picture {picture!r}")
-
-
-def _magnus_steps(field, picture, fixed, start, stop, nsteps, sp):
+def _magnus_steps(line, start, stop, nsteps, sp):
     """Per-step transfer matrices E_k, k = 0..nsteps-1, in propagation order."""
     h = (stop - start) / nsteps
     base = start + h * np.arange(nsteps)
-    g1 = _generator_batch(field, picture, fixed, base + _GAUSS_OFFSETS[0] * h, sp)
-    g2 = _generator_batch(field, picture, fixed, base + _GAUSS_OFFSETS[1] * h, sp)
+    g1 = line.generator(base + _GAUSS_OFFSETS[0] * h, sp)
+    g2 = line.generator(base + _GAUSS_OFFSETS[1] * h, sp)
     exponent = (h / 2.0) * (g1 + g2) + (math.sqrt(3.0) * h * h / 12.0) * (g2 @ g1 - g1 @ g2)
     steps = expm2(exponent)
     if not np.all(np.isfinite(steps)):
@@ -126,39 +112,23 @@ def propagate(
     nsteps: int,
 ) -> TransitionResult:
     """Transition matrix Psi(stop) with Psi(start) = 1."""
+    line = Line(field, picture, fixed)
     if nsteps < 1:
         raise ValueError("nsteps must be >= 1")
     if stop == start:
         return TransitionResult(np.eye(2, dtype=complex), start, stop, picture, sp, 0)
-    steps = _magnus_steps(field, picture, fixed, start, stop, nsteps, sp)
+    steps = _magnus_steps(line, start, stop, nsteps, sp)
     return TransitionResult(_ordered_product(steps), start, stop, picture, sp, nsteps)
 
 
 def propagate_trajectory(field, picture, fixed, start, stop, sp, nsteps) -> tuple[np.ndarray, np.ndarray]:
     """Grid points and Psi at each of them (sequential accumulation)."""
-    steps = _magnus_steps(field, picture, fixed, start, stop, nsteps, sp)
+    steps = _magnus_steps(Line(field, picture, fixed), start, stop, nsteps, sp)
     out = np.empty((nsteps + 1, 2, 2), dtype=complex)
     out[0] = np.eye(2)
     for k in range(nsteps):
         out[k + 1] = steps[k] @ out[k]
     return np.linspace(start, stop, nsteps + 1), out
-
-
-def _asymptote_deviation(field, picture, fixed, half_width):
-    beta = field.params.beta
-    spacing = 2.0 * math.pi / beta
-    dev = 0.0
-    for sign in (-1, +1):
-        arg = sign * half_width
-        phi = field.derivative(arg, fixed, 0, 0) if picture == "space" else field.derivative(fixed, arg, 0, 0)
-        phi = float(np.asarray(phi))
-        off = abs(phi - round(phi / spacing) * spacing)
-        if off > 0.1 * spacing:
-            raise TruncationError(
-                f"field at {picture} argument {arg:+g} is {off:.3g} away from every vacuum"
-            )
-        dev = max(dev, off)
-    return dev
 
 
 def monodromy(
@@ -171,16 +141,16 @@ def monodromy(
 ) -> Monodromy:
     """Regularised whole-line monodromy over [-W, W] in x or t.
 
-    Raises TruncationError when no vacuum asymptote is identifiable at the
+    Raises NonDecayingFieldError when no vacuum is identifiable at the
     endpoints; a softer miss (beyond 1e-8 but identifiable) only flags the
     result as truncated.
     """
-    dev = _asymptote_deviation(field, picture, fixed, half_width)
+    line = Line(field, picture, fixed)
+    dev = max(line.vacuum(sign * half_width)[1] for sign in (-1, +1))
     if nsteps is None:
         nsteps = default_nsteps(half_width, sp)
     core = propagate(field, picture, fixed, -half_width, half_width, sp, nsteps).matrix
-    norm = e0 if picture == "space" else ce0
-    mat = inv2(norm(half_width, sp)) @ core @ norm(-half_width, sp)
+    mat = inv2(line.normaliser(half_width, sp)) @ core @ line.normaliser(-half_width, sp)
     return Monodromy(mat, picture, half_width, dev, dev > _ASYMPTOTE_TOL)
 
 
@@ -203,18 +173,10 @@ def jost(
         raise ValueError("side must be -1 or +1")
     if nsteps is None:
         nsteps = default_nsteps(half_width, sp)
-    if picture == "space":
-        start, stop, fixed = side * half_width, x, t
-        boundary = e0(start, sp)
-    else:
-        start, stop, fixed = side * half_width, t, x
-        boundary = ce0(start, sp)
-    res = propagate(field, picture, fixed, start, stop, sp, nsteps)
-    return res.matrix @ boundary
-
-
-def jost_minus(field, picture, x, t, sp, half_width, nsteps=None) -> np.ndarray:
-    return jost(field, picture, x, t, sp, half_width, nsteps, side=-1)
+    line, stop = Line.through(field, picture, x, t)
+    start = side * half_width
+    res = propagate(field, picture, line.fixed, start, stop, sp, nsteps)
+    return res.matrix @ line.normaliser(start, sp)
 
 
 def appendix_equality_residual(

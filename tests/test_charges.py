@@ -5,6 +5,7 @@ import pytest
 
 from sgdual.fields import GridWindow, ModelParams, make_kink, make_vacuum
 from sgdual.charges import (
+    RiccatiCoefficients,
     build_ledger,
     charges_infinity,
     charges_zero,
@@ -12,7 +13,6 @@ from sgdual.charges import (
     energy_identity_T,
     fit_charges_from_monodromy,
     lna_asymptotic_fit,
-    riccati_coeffs,
 )
 from sgdual.matcore import SIGMA1
 
@@ -43,13 +43,13 @@ def kink_time_ledger():
 def test_coefficient_zero_is_i_sigma1():
     kink = make_kink(P11, v=0.3)
     for picture in ("space", "time"):
-        rc = riccati_coeffs(kink, picture, 0.0, 3)
+        rc = RiccatiCoefficients(kink, picture, 0.0, 3)
         g0 = rc.gamma(0, np.array([-2.0, 0.0, 1.5]))
         assert np.allclose(g0, 1j * SIGMA1, atol=1e-14)
 
 
 def test_vacuum_coefficients_vanish():
-    rc = riccati_coeffs(make_vacuum(P11), "space", 0.0, 4)
+    rc = RiccatiCoefficients(make_vacuum(P11), "space", 0.0, 4)
     pts = np.array([-1.0, 0.0, 2.0])
     for n in range(1, 5):
         assert np.max(np.abs(rc.gamma(n, pts))) == 0.0
@@ -58,11 +58,11 @@ def test_vacuum_coefficients_vanish():
 def test_riccati_residual_scales_with_truncation_order():
     kink = make_kink(P11, v=0.4)
     pts = np.linspace(-3.0, 3.0, 7)
-    rc3 = riccati_coeffs(kink, "space", 0.0, 3)
+    rc3 = RiccatiCoefficients(kink, "space", 0.0, 3)
     r25, r50 = rc3.riccati_residual(25.0, pts), rc3.riccati_residual(50.0, pts)
     # truncation at order N leaves an O(lambda^-N) defect
     assert 2.3 <= math.log2(r25 / r50) <= 3.7
-    rc4 = riccati_coeffs(kink, "space", 0.0, 4)
+    rc4 = RiccatiCoefficients(kink, "space", 0.0, 4)
     ratio = rc3.riccati_residual(50.0, pts) / rc4.riccati_residual(50.0, pts)
     assert 50.0 / 3.0 < ratio < 3.0 * 50.0
 
@@ -70,13 +70,13 @@ def test_riccati_residual_scales_with_truncation_order():
 def test_riccati_residual_time_picture():
     kink = make_kink(P11, v=0.6)
     pts = np.linspace(-2.0, 2.0, 5)
-    rc = riccati_coeffs(kink, "time", 0.0, 3)
+    rc = RiccatiCoefficients(kink, "time", 0.0, 3)
     assert 2.3 <= math.log2(rc.riccati_residual(25.0, pts) / rc.riccati_residual(50.0, pts)) <= 3.7
 
 
 def test_order_cap():
     with pytest.raises(ValueError):
-        riccati_coeffs(make_vacuum(P11), "space", 0.0, 7)
+        RiccatiCoefficients(make_vacuum(P11), "space", 0.0, 7)
 
 
 def test_vacuum_ledger_is_zero():

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -151,3 +152,17 @@ def test_main_entrypoint(tmp_path, capsys):
     assert out.count("\n") == 8
     cfg = write_config(tmp_path, overrides={"suites": ["lax-residual"]})
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "rep")]) == 0
+
+
+def test_nsteps_knob_rejected(tmp_path):
+    cfg = write_config(tmp_path, nsteps=400)
+    assert run(cfg, tmp_path / "rep", "csv") == 2
+
+
+def test_negative_beta_kink_demo_passes(tmp_path):
+    data = json.loads((Path(__file__).resolve().parents[1] / "demos" / "scenario_kink.json").read_text())
+    data["model"]["beta"] = -1.0
+    data["suites"] = ["monodromy-conservation", "appendix"]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    assert run(path, tmp_path / "rep", "csv") == 0

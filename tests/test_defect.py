@@ -335,3 +335,23 @@ def test_canonical_residual_negative_control(pair_sigma2):
     bad = DefectPair(pair_sigma2.left, ScaledField(pair_sigma2.right, 1.01), P11, DefectParams(2.0))
     res_right, res_left = canonical_residual(bad, np.linspace(-6, 6, 61), 1e-4)
     assert max(res_right, res_left) > 1e-3
+
+
+def test_s_functional_without_time_winding():
+    # sigma = 1 makes the Backlund image a static kink: no winding in t at x = 0
+    static_pair = bt_kink_from_vacuum(P11, DefectParams(1.0))
+    sf = s_functional(static_pair, GridWindow(-20.0, 20.0, -20.0, 20.0, 2001, 2001))
+    assert math.isfinite(sf.s_value)
+    assert math.isnan(sf.e_shift)
+    assert sf.charge_shifts == {}
+
+
+def test_s_functional_propagates_other_errors(pair_sigma2, monkeypatch):
+    import sgdual.defect
+
+    def broken(*args, **kwargs):
+        raise ValueError("not a winding problem")
+
+    monkeypatch.setattr(sgdual.defect, "_charge_shifts", broken)
+    with pytest.raises(ValueError, match="not a winding problem"):
+        s_functional(pair_sigma2, GridWindow(-20.0, 20.0, -20.0, 20.0, 2001, 2001))

@@ -181,3 +181,52 @@ def test_grid_field_bounds_and_order_caps():
         grid.derivative(5.0, 0.0, 0, 0)
     with pytest.raises(ValueError):
         grid.derivative(0.0, 0.0, 6, 0)
+
+
+def _line_fields():
+    from sgdual.fields import GridField
+
+    xs = np.linspace(-2.0, 2.0, 41)
+    ts = np.linspace(-1.0, 1.0, 21)
+    values = np.sin(xs)[:, None] * np.cos(ts)[None, :]
+    kink = make_kink(P11, v=0.4, x0=0.2)
+    return [kink, make_vacuum(P11), GridField(P11, xs, ts, values)]
+
+
+@pytest.mark.parametrize("picture", ["space", "time"])
+def test_line_derivatives_match_field_bit_for_bit(picture):
+    from sgdual.fields import Line
+
+    s = np.linspace(-0.9, 0.9, 7)
+    fixed = 0.35
+    for field in _line_fields():
+        line = Line(field, picture, fixed)
+        other = np.full_like(s, fixed)
+        x, t = (s, other) if picture == "space" else (other, s)
+        for j in range(4):
+            for cross in (0, 1):
+                dx, dt = (j, cross) if picture == "space" else (cross, j)
+                want = np.asarray(field.derivative(x, t, dx, dt))
+                assert np.array_equal(np.asarray(line.partial(s, j, cross)), want)
+
+
+def test_line_generator_and_normaliser_follow_the_picture():
+    from sgdual.fields import Line
+    from sgdual.lax import build_U_hat, build_V_hat, ce0, e0, spectral
+
+    sp = spectral(1.3, P11)
+    s = np.linspace(-0.9, 0.9, 7)
+    other = np.full_like(s, 0.35)
+    for field in _line_fields():
+        space, time = Line(field, "space", 0.35), Line(field, "time", 0.35)
+        assert np.array_equal(space.generator(s, sp), build_U_hat(field, s, other, sp))
+        assert np.array_equal(time.generator(s, sp), build_V_hat(field, other, s, sp))
+        assert np.array_equal(space.normaliser(-0.7, sp), e0(-0.7, sp))
+        assert np.array_equal(time.normaliser(-0.7, sp), ce0(-0.7, sp))
+
+
+def test_line_rejects_unknown_picture_at_construction():
+    from sgdual.fields import Line
+
+    with pytest.raises(ValueError, match="unknown picture"):
+        Line(make_vacuum(P11), "spacetime", 0.0)

@@ -7,7 +7,6 @@ from sgdual.defect import DefectParams, bt_kink_from_vacuum
 from sgdual.rmatrix import (
     BracketReport,
     involution_check,
-    r_infinite_volume,
     r_matrix,
     r_matrix_trig,
     transition_bracket_check,
@@ -60,17 +59,6 @@ def test_trigonometric_equivalence():
             b += 0.2
         rational = r_matrix(np.exp(1j * a), np.exp(1j * b), P14).matrix
         assert np.max(np.abs(rational - r_matrix_trig(a - b, P14))) < 1e-12
-
-
-def test_infinite_volume_kernel_structure():
-    k = r_infinite_volume(1.4, 0.9, P14, +1)
-    assert k.regular[0, 0] == k.regular[3, 3]
-    assert k.pv_coeff[1, 1] == k.pv_coeff[2, 2]
-    assert k.delta_coeff[1, 2] == -k.delta_coeff[2, 1]
-    minus = r_infinite_volume(1.4, 0.9, P14, -1)
-    assert minus.delta_coeff[1, 2] == -k.delta_coeff[1, 2]
-    with pytest.raises(ValueError):
-        r_infinite_volume(1.0, 2.0, P14, 0)
 
 
 def test_ultralocal_is_algebraically_exact():

@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 
-from sgdual.fields import ModelParams, make_kink, make_vacuum
+from sgdual.fields import ModelParams, NonDecayingFieldError, make_kink, make_vacuum
 from sgdual.lax import ce0, e0, spectral, u_inf
 from sgdual.matcore import det2, expm2, frob
 from sgdual.transition import (
-    TruncationError,
     appendix_equality_residual,
     default_nsteps,
     jost,
-    jost_minus,
     monodromy,
     propagate,
     propagate_trajectory,
@@ -104,7 +102,7 @@ def test_kink_scattering_is_reflectionless_blaschke():
 
 def test_monodromy_truncation_error_when_asymptote_missing():
     static = make_kink(P11, v=0.0)
-    with pytest.raises(TruncationError):
+    with pytest.raises(NonDecayingFieldError):
         monodromy(static, "time", 0.2, 30.0, SP13)
 
 
@@ -116,14 +114,14 @@ def test_monodromy_truncation_flag_for_short_window():
 
 def test_jost_vacuum_is_plane_wave():
     vac = make_vacuum(P11)
-    assert frob(jost_minus(vac, "space", 0.7, 0.0, SP13, 20.0) - e0(0.7, SP13)) < 1e-12
-    assert frob(jost_minus(vac, "time", 0.0, -1.2, SP13, 20.0) - ce0(-1.2, SP13)) < 1e-12
+    assert frob(jost(vac, "space", 0.7, 0.0, SP13, 20.0) - e0(0.7, SP13)) < 1e-12
+    assert frob(jost(vac, "time", 0.0, -1.2, SP13, 20.0) - ce0(-1.2, SP13)) < 1e-12
 
 
 def test_jost_half_width_convergence():
     kink = make_kink(P11, v=0.4)
-    a = jost_minus(kink, "space", 0.5, 0.2, spectral(1.7, P11), 20.0)
-    b = jost_minus(kink, "space", 0.5, 0.2, spectral(1.7, P11), 30.0)
+    a = jost(kink, "space", 0.5, 0.2, spectral(1.7, P11), 20.0)
+    b = jost(kink, "space", 0.5, 0.2, spectral(1.7, P11), 30.0)
     assert frob(a - b) < 1e-7
 
 
@@ -179,3 +177,12 @@ def test_appendix_mismatch_for_right_mover_is_constant_transmission():
 
 def test_default_nsteps_scales_with_frequency():
     assert default_nsteps(30.0, spectral(4.0, P11)) > default_nsteps(30.0, spectral(1.0, P11))
+
+
+def test_vacuum_monodromy_is_identity_for_negative_beta():
+    params = ModelParams(1.0, -1.0)
+    vac = make_vacuum(params)
+    for picture in ("space", "time"):
+        mono = monodromy(vac, picture, 0.0, 20.0, spectral(1.3, params))
+        assert frob(mono.matrix - np.eye(2)) < 1e-10
+        assert not mono.truncated
