@@ -11,7 +11,7 @@ and checks every identity numerically at desk scale.
 
 Modules
 -------
-matcore     2x2 / 4x4 complex matrix helpers (Pauli basis, tensor, expm)
+matcore     2x2 / 4x4 complex matrix helpers and the entrywise 2x2 batch kernel
 fields      exact solutions, energies, topological charges
 lax         Lax matrices U, V and their gauged forms
 transition  Magnus propagation, monodromies, Jost solutions

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
@@ -143,8 +144,9 @@ def run(config_path, out_dir, fmt: str = "csv", jobs: int = 1) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     names = sorted(config.suites)
-    if jobs > 1 and len(names) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(names), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = dict(pool.map(_run_one, [(n, config_data) for n in names]))
     else:
         results = {n: run_suite(n, config) for n in names}

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import FieldEvaluator, FieldSample, ModelParams
-from .matcore import SIGMA1, SIGMA2, comm, frob
+from .matcore import SIGMA1, SIGMA2, _stack22, comm, frob
 
 __all__ = [
     "SpectralPoint",
@@ -71,22 +71,6 @@ def spectral(lam: complex, params: ModelParams) -> SpectralPoint:
         raise ValueError("lambda = 0 is excluded; use the small-lambda charge expansions")
     m = params.m
     return SpectralPoint(lam, m, (m / 4.0) * (lam + 1.0 / lam), (m / 4.0) * (lam - 1.0 / lam))
-
-
-def _stack22(a00, a01, a10, a11) -> np.ndarray:
-    """Assemble (..., 2, 2) from broadcastable entries."""
-    a00, a01, a10, a11 = np.broadcast_arrays(
-        np.asarray(a00, dtype=complex),
-        np.asarray(a01, dtype=complex),
-        np.asarray(a10, dtype=complex),
-        np.asarray(a11, dtype=complex),
-    )
-    out = np.empty(a00.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = a00
-    out[..., 0, 1] = a01
-    out[..., 1, 0] = a10
-    out[..., 1, 1] = a11
-    return out
 
 
 def lax_matrix(picture: str, sample: FieldSample, sp: SpectralPoint, params: ModelParams) -> np.ndarray:

@@ -35,7 +35,7 @@ import numpy as np
 
 from .fields import FieldEvaluator, FieldSample, Line, ModelParams, topological_charges
 from .lax import SpectralPoint, build_V, ce_charged, lax_matrix
-from .matcore import ID2, ID4, SIGMA1, SIGMA2, SIGMA3, expm2, inv2, tensor
+from .matcore import ID2, ID4, SIGMA1, SIGMA2, SIGMA3, _stack22, expm_sl2, inv2, scan, tensor
 
 __all__ = [
     "RMatrixValue",
@@ -86,19 +86,20 @@ def lax_derivatives(picture: str, sample: FieldSample, sp: SpectralPoint, params
     """Analytic partials of the Lax matrix wrt the canonical pair.
 
     Space picture: A = U, pair (phi, pi).  Time picture: A = V, pair
-    (phi, Pi).  Only phi enters nonlinearly.
+    (phi, Pi).  Only phi enters nonlinearly.  For an array of phi both
+    partials come back with shape phi.shape + (2, 2).
     """
     beta = params.beta
-    half = 0.5 * beta * sample.phi
+    half = 0.5 * beta * np.asarray(sample.phi, dtype=float)[..., None, None]
     if picture == "space":
-        d_phi = -0.5j * beta * (sp.k0 * math.cos(half) * SIGMA1 - sp.k1 * math.sin(half) * SIGMA2)
+        d_phi = -0.5j * beta * (sp.k0 * np.cos(half) * SIGMA1 - sp.k1 * np.sin(half) * SIGMA2)
         d_mom = -0.25j * beta * SIGMA3
     elif picture == "time":
-        d_phi = -0.5j * beta * (sp.k1 * math.cos(half) * SIGMA1 - sp.k0 * math.sin(half) * SIGMA2)
+        d_phi = -0.5j * beta * (sp.k1 * np.cos(half) * SIGMA1 - sp.k0 * np.sin(half) * SIGMA2)
         d_mom = 0.25j * beta * SIGMA3
     else:
         raise ValueError(f"unknown picture {picture!r}")
-    return d_phi, d_mom
+    return d_phi, np.broadcast_to(d_mom, d_phi.shape)
 
 
 def ultralocal_check(
@@ -137,22 +138,14 @@ def _batched_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _site_products(field, fixed: float, t_sites, sp, delta):
-    """Per-site transfer factors and their prefix/suffix partial products."""
-    n = t_sites.size
+    """Per-site V, and the transfer products below each site, above it and in total."""
     v = build_V(field, *Line(field, "time", fixed).points(t_sites), sp)
-    steps = expm2(delta * v)
-    prefix = np.empty((n, 2, 2), dtype=complex)  # product of steps below site i
-    suffix = np.empty((n, 2, 2), dtype=complex)  # product of steps above site i
-    acc = np.eye(2, dtype=complex)
-    for i in range(n):
-        prefix[i] = acc
-        acc = steps[i] @ acc
-    total = acc
-    acc = np.eye(2, dtype=complex)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = acc
-        acc = acc @ steps[i]
-    return v, steps, prefix, suffix, total
+    steps = expm_sl2(delta * v[:, 0, 0], delta * v[:, 0, 1], delta * v[:, 1, 0])
+    upto = _stack22(*scan(steps))  # steps[i] @ ... @ steps[0]
+    down_to = _stack22(*scan(steps, reverse=True))  # steps[n-1] @ ... @ steps[i]
+    prefix = np.concatenate([ID2[None], upto[:-1]])  # product of steps below site i
+    suffix = np.concatenate([down_to[1:], ID2[None]])  # product of steps above site i
+    return v, prefix, suffix, upto[-1]
 
 
 @dataclass(frozen=True)
@@ -183,8 +176,8 @@ def transition_bracket_check(
     a, b = interval
     delta = (b - a) / n_sites
     t_sites = a + (np.arange(n_sites) + 0.5) * delta
-    v1, _, pre1, suf1, tot1 = _site_products(field, fixed_x, t_sites, sp1, delta)
-    v2, _, pre2, suf2, tot2 = _site_products(field, fixed_x, t_sites, sp2, delta)
+    v1, pre1, suf1, tot1 = _site_products(field, fixed_x, t_sites, sp1, delta)
+    v2, pre2, suf2, tot2 = _site_products(field, fixed_x, t_sites, sp2, delta)
     r = r_matrix(sp1.lam, sp2.lam, params).matrix
     big = _batched_kron(v1, np.broadcast_to(ID2, v1.shape)) + _batched_kron(
         np.broadcast_to(ID2, v2.shape), v2
@@ -229,19 +222,11 @@ def involution_check(
     qm, qp = topological_charges(field, x_probe, "time")
     grads = []
     for sp in sp_pair:
-        v, steps, prefix, suffix, total = _site_products(field, x_probe, t_sites, sp, delta)
+        _, prefix, suffix, _ = _site_products(field, x_probe, t_sites, sp, delta)
         left_cap = inv2(ce_charged(b, sp, qp))
         right_cap = ce_charged(a, sp, qm)
         samples = field.sample(*Line(field, "time", x_probe).points(t_sites))
-        d_phi = np.empty((n_sites, 2, 2), dtype=complex)
-        d_mom = np.empty((n_sites, 2, 2), dtype=complex)
-        for i in range(n_sites):
-            si = FieldSample(
-                float(np.asarray(samples.phi)[i]),
-                float(np.asarray(samples.phi_x)[i]),
-                float(np.asarray(samples.phi_t)[i]),
-            )
-            d_phi[i], d_mom[i] = lax_derivatives("time", si, sp, field.params)
+        d_phi, d_mom = lax_derivatives("time", samples, sp, field.params)
         head = left_cap @ suffix
         tail = prefix @ right_cap
         da_dphi = delta * np.einsum("nab,nbc,ncd->nad", head, d_phi, tail)[:, 0, 0]

@@ -7,12 +7,20 @@ scheme on two Gauss nodes,
 
     Psi_{k+1} = exp( (h/2)(G1 + G2) + (sqrt(3) h^2 / 12) [G2, G1] ) Psi_k,
 
-with the closed-form 2x2 exponential.  The exponent is traceless whenever the
-generator is, so det Psi = 1 holds to roundoff, and the step is exact for
-constant generators -- vacuum monodromies come out as the identity at machine
-precision instead of accumulating local truncation error.  (A classical RK4
-update was tried first and could not reach the 1e-10 vacuum gate at sane step
-counts; the Magnus update costs the same two generator evaluations per step.)
+with the closed-form 2x2 exponential.  The exponent is assembled entry by
+entry as [[x0, x1], [x2, -x0]] from the three independent entries of the
+traceless generator, so it is traceless by construction and det Psi = 1
+holds to roundoff; the step is exact for constant generators -- vacuum
+monodromies come out as the identity at machine precision instead of
+accumulating local truncation error.  (A classical RK4 update was tried first
+and could not reach the 1e-10 vacuum gate at sane step counts; the Magnus
+update costs the same two generator evaluations per step.)
+
+Steps are held in matcore's entry layout, a tuple (e00, e01, e10, e11) of
+1-D arrays, and generated and reduced in chunks of at most 2^14 steps: the
+product folds chunk by chunk (a pairwise tree within a chunk), the
+trajectory by a log-depth scan, so memory stays bounded however small lambda
+makes the step size.
 
 Whole-line monodromies are regularised by the plane-wave normalisers:
 E0(W)^-1 T_hat(W, -W) E0(-W) in space, and the cE0 analogue in time.  Their
@@ -30,7 +38,7 @@ import numpy as np
 
 from .fields import FieldEvaluator, Line
 from .lax import SpectralPoint
-from .matcore import expm2, frob, inv2
+from .matcore import _mul, _stack22, expm_sl2, frob, inv2, scan
 
 __all__ = [
     "TransitionResult",
@@ -45,6 +53,8 @@ __all__ = [
 
 _GAUSS_OFFSETS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 _ASYMPTOTE_TOL = 1e-8
+_CHUNK = 2**14  # steps generated and reduced at once; bounds memory at small lambda
+_IDENTITY = tuple(np.array([v], dtype=complex) for v in (1.0, 0.0, 0.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -76,30 +86,44 @@ def default_nsteps(half_width: float, sp: SpectralPoint, density: float = 200.0)
     return max(64, int(math.ceil(density * half_width * rate / math.pi)))
 
 
-def _magnus_steps(line, start, stop, nsteps, sp):
-    """Per-step transfer matrices E_k, k = 0..nsteps-1, in propagation order."""
-    h = (stop - start) / nsteps
-    base = start + h * np.arange(nsteps)
+def _chunks(nsteps: int):
+    """Step indices in consecutive chunks of at most _CHUNK."""
+    for first in range(0, nsteps, _CHUNK):
+        yield np.arange(first, min(first + _CHUNK, nsteps))
+
+
+def _magnus_steps(line, start, h, ks, sp):
+    """Entries of the transfer matrices E_k for step indices ks, in propagation order."""
+    base = start + h * ks
     g1 = line.generator(base + _GAUSS_OFFSETS[0] * h, sp)
     g2 = line.generator(base + _GAUSS_OFFSETS[1] * h, sp)
-    exponent = (h / 2.0) * (g1 + g2) + (math.sqrt(3.0) * h * h / 12.0) * (g2 @ g1 - g1 @ g2)
-    steps = expm2(exponent)
-    if not np.all(np.isfinite(steps)):
+    p0, p1, p2 = g1[:, 0, 0], g1[:, 0, 1], g1[:, 1, 0]
+    q0, q1, q2 = g2[:, 0, 0], g2[:, 0, 1], g2[:, 1, 0]
+    # (h/2)(G1 + G2) + c [G2, G1], written out: for traceless A = [[a0, a1], [a2, -a0]]
+    # and B alike, [A, B] = [[a1 b2 - b1 a2, 2(a0 b1 - a1 b0)], [2(a2 b0 - a0 b2), -(a1 b2 - b1 a2)]]
+    c = math.sqrt(3.0) * h * h / 12.0
+    half = h / 2.0
+    x0 = half * (p0 + q0) + c * (q1 * p2 - p1 * q2)
+    x1 = half * (p1 + q1) + (2.0 * c) * (q0 * p1 - q1 * p0)
+    x2 = half * (p2 + q2) + (2.0 * c) * (q2 * p0 - q0 * p2)
+    steps = expm_sl2(x0, x1, x2)
+    if not all(np.isfinite(e).all() for e in steps):
         raise FloatingPointError(
             "propagation blew up; reduce the step size or keep lambda on the real ray"
         )
     return steps
 
 
-def _ordered_product(mats: np.ndarray) -> np.ndarray:
-    """Product mats[n-1] @ ... @ mats[0] by pairwise tree reduction."""
-    while mats.shape[0] > 1:
-        n = mats.shape[0]
-        paired = np.matmul(mats[1 : 2 * (n // 2) : 2], mats[0 : 2 * (n // 2) : 2])
+def _ordered_product(e):
+    """Product e[n-1] @ ... @ e[0] of an entry batch by pairwise tree reduction."""
+    while e[0].shape[0] > 1:
+        n = e[0].shape[0]
+        even = 2 * (n // 2)
+        paired = _mul(tuple(x[1:even:2] for x in e), tuple(x[0:even:2] for x in e))
         if n % 2:
-            paired = np.concatenate([paired, mats[-1:]], axis=0)
-        mats = paired
-    return mats[0]
+            paired = tuple(np.concatenate([p, x[-1:]]) for p, x in zip(paired, e))
+        e = paired
+    return e
 
 
 def propagate(
@@ -117,17 +141,24 @@ def propagate(
         raise ValueError("nsteps must be >= 1")
     if stop == start:
         return TransitionResult(np.eye(2, dtype=complex), start, stop, picture, sp, 0)
-    steps = _magnus_steps(line, start, stop, nsteps, sp)
-    return TransitionResult(_ordered_product(steps), start, stop, picture, sp, nsteps)
+    h = (stop - start) / nsteps
+    total = _IDENTITY
+    for ks in _chunks(nsteps):
+        total = _mul(_ordered_product(_magnus_steps(line, start, h, ks, sp)), total)
+    return TransitionResult(_stack22(*total)[0], start, stop, picture, sp, nsteps)
 
 
 def propagate_trajectory(field, picture, fixed, start, stop, sp, nsteps) -> tuple[np.ndarray, np.ndarray]:
-    """Grid points and Psi at each of them (sequential accumulation)."""
-    steps = _magnus_steps(Line(field, picture, fixed), start, stop, nsteps, sp)
+    """Grid points and Psi at each of them (inclusive scan of the steps)."""
+    line = Line(field, picture, fixed)
+    h = (stop - start) / nsteps
     out = np.empty((nsteps + 1, 2, 2), dtype=complex)
     out[0] = np.eye(2)
-    for k in range(nsteps):
-        out[k + 1] = steps[k] @ out[k]
+    total = _IDENTITY
+    for ks in _chunks(nsteps):
+        psi = _mul(scan(_magnus_steps(line, start, h, ks, sp)), total)
+        out[ks + 1] = _stack22(*psi)
+        total = tuple(x[-1:] for x in psi)
     return np.linspace(start, stop, nsteps + 1), out
 
 

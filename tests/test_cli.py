@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from sgdual import cli
 from sgdual.cli import ConfigError, ScenarioConfig, list_suites, main, run
 from sgdual.suites import SUITES, run_suite
 
@@ -69,6 +70,45 @@ def test_defect_pair_config_passes_with_json_and_jobs(tmp_path):
     payload = json.loads((tmp_path / "rep" / "defect.json").read_text())
     assert payload["passed"] is True
     assert payload["metadata"]["c-candidate"] == "ratio"
+
+
+@pytest.fixture
+def pool_requests(monkeypatch):
+    """Replace ProcessPoolExecutor by a serial fake; returns the max_workers it was given."""
+    requested = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    return requested
+
+
+@pytest.mark.parametrize("cpus", [3, 64])
+def test_jobs_clamped_to_suites_and_cpus(tmp_path, monkeypatch, pool_requests, cpus):
+    suites = ["energy-identities", "lax-residual"]
+    cfg = write_config(tmp_path, overrides={"suites": suites})
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    assert run(cfg, tmp_path / "rep", "csv", jobs=1000) == 0
+    assert pool_requests == [min(len(suites), cpus)]
+    assert sorted(p.name for p in (tmp_path / "rep").iterdir()) == [f"{s}.csv" for s in suites]
+
+
+def test_jobs_clamped_to_one_cpu_runs_serially(tmp_path, monkeypatch, pool_requests):
+    cfg = write_config(tmp_path, overrides={"suites": ["energy-identities", "lax-residual"]})
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert run(cfg, tmp_path / "rep", "csv", jobs=8) == 0
+    assert pool_requests == []
 
 
 def test_zero_tolerance_designed_failure(tmp_path):

@@ -1,7 +1,25 @@
 import numpy as np
 import pytest
 
-from sgdual.matcore import ID2, ID4, SIGMA3, comm, det2, expm2, frob, inv2, pauli, tensor
+from sgdual.matcore import (
+    ID2,
+    ID4,
+    SIGMA3,
+    _mul,
+    _stack22,
+    comm,
+    det2,
+    expm2,
+    expm_sl2,
+    frob,
+    inv2,
+    pauli,
+    scan,
+    tensor,
+)
+from sgdual.transition import _CHUNK
+
+SCAN_LENGTHS = [1, 2, 3, 7, _CHUNK - 1, _CHUNK, _CHUNK + 1]
 
 def random_mat2(n=1, traceless=False, seed=20260808):
     rng = np.random.default_rng(seed)
@@ -78,19 +96,29 @@ def test_expm_det_one_for_traceless():
     assert np.max(np.abs(dets - 1.0)) < 1e-12
 
 
-def test_expm_against_squared_taylor_oracle():
+def expm_oracle(a, squarings=10, terms=24):
     # scaling-and-squaring Taylor oracle, independent of the closed form
-    def expm_oracle(a, squarings=10, terms=24):
-        b = a / 2.0**squarings
-        acc = np.eye(2, dtype=complex)
-        term = np.eye(2, dtype=complex)
-        for k in range(1, terms):
-            term = term @ b / k
-            acc = acc + term
-        for _ in range(squarings):
-            acc = acc @ acc
-        return acc
+    b = a / 2.0**squarings
+    acc = np.eye(2, dtype=complex)
+    term = np.eye(2, dtype=complex)
+    for k in range(1, terms):
+        term = term @ b / k
+        acc = acc + term
+    for _ in range(squarings):
+        acc = acc @ acc
+    return acc
 
+
+def entries(a):
+    return a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
+
+
+def expm_traceless(a):
+    """The entrywise kernel on (..., 2, 2) traceless input, stacked back."""
+    return _stack22(*expm_sl2(a[..., 0, 0], a[..., 0, 1], a[..., 1, 0]))
+
+
+def test_expm_against_squared_taylor_oracle():
     for a in random_mat2(10, traceless=True):
         assert frob(expm2(a) - expm_oracle(a)) < 1e-12 * max(1.0, frob(expm_oracle(a)))
 
@@ -100,6 +128,77 @@ def test_expm_small_mu_branch():
     a = np.array([[0.0, 1e-8], [1e-8, 0.0]], dtype=complex)
     oracle = np.eye(2) + a + a @ a / 2.0
     assert frob(expm2(a) - oracle) < 1e-15
+
+
+def test_expm_sl2_against_squared_taylor_oracle():
+    mats = random_mat2(10, traceless=True)
+    got = expm_traceless(mats)
+    for k, a in enumerate(mats):
+        assert frob(got[k] - expm_oracle(a)) < 1e-12 * max(1.0, frob(expm_oracle(a)))
+
+
+def test_expm_sl2_small_mu_branch():
+    a = np.array([[0.0, 1e-8], [1e-8, 0.0]], dtype=complex)
+    oracle = np.eye(2) + a + a @ a / 2.0
+    assert frob(expm_traceless(a) - oracle) < 1e-15
+
+
+def test_expm_sl2_det_one():
+    dets = det2(expm_traceless(random_mat2(50, traceless=True)))
+    assert np.max(np.abs(dets - 1.0)) < 1e-12
+
+
+def test_expm_sl2_rejects_nonfinite_exponent():
+    finite = np.zeros(3, dtype=complex)
+    for bad in (np.inf, np.nan):
+        poisoned = finite.copy()
+        poisoned[1] = bad
+        for args in ((poisoned, finite, finite), (finite, poisoned, finite), (finite, finite, poisoned)):
+            with pytest.raises(FloatingPointError):
+                expm_sl2(*args)
+
+
+def test_entrywise_product_matches_matmul():
+    a, b = random_mat2(500, seed=1), random_mat2(500, seed=2)
+    ref = np.matmul(a, b)
+    got = _stack22(*_mul(entries(a), entries(b)))
+    rel = np.max(np.abs(got - ref), axis=(1, 2)) / np.max(np.abs(ref), axis=(1, 2))
+    assert np.max(rel) < 1e-15
+
+
+def unitary_steps(n, seed):
+    # exponentials of random su(2) elements: the products stay well conditioned
+    rng = np.random.default_rng(seed)
+    x0 = 1j * rng.normal(size=n)
+    x1 = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return _stack22(*expm_sl2(x0, x1, -np.conj(x1)))
+
+
+def assert_close_rel(got, ref, rtol):
+    rel = np.max(np.abs(got - ref), axis=(1, 2)) / np.max(np.abs(ref), axis=(1, 2))
+    assert np.max(rel) < rtol
+
+
+@pytest.mark.parametrize("n", SCAN_LENGTHS)
+def test_prefix_scan_matches_sequential_loop(n):
+    steps = unitary_steps(n, seed=n)
+    ref = np.empty_like(steps)
+    acc = ID2
+    for k in range(n):
+        acc = steps[k] @ acc
+        ref[k] = acc
+    assert_close_rel(_stack22(*scan(entries(steps))), ref, 1e-13)
+
+
+@pytest.mark.parametrize("n", SCAN_LENGTHS)
+def test_suffix_scan_matches_sequential_loop(n):
+    steps = unitary_steps(n, seed=n + 1)
+    ref = np.empty_like(steps)
+    acc = ID2
+    for k in range(n - 1, -1, -1):
+        acc = acc @ steps[k]
+        ref[k] = acc
+    assert_close_rel(_stack22(*scan(entries(steps), reverse=True)), ref, 1e-13)
 
 
 def test_expm_rejects_nonfinite():

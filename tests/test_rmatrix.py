@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
-from sgdual.fields import FieldSample, ModelParams, make_kink, make_vacuum
-from sgdual.lax import spectral
+from sgdual.fields import FieldSample, Line, ModelParams, make_kink, make_vacuum
+from sgdual.lax import build_V, spectral
+from sgdual.matcore import ID2, expm2
 from sgdual.defect import DefectParams, bt_kink_from_vacuum
 from sgdual.rmatrix import (
     BracketReport,
+    _site_products,
     involution_check,
+    lax_derivatives,
     r_matrix,
     r_matrix_trig,
     transition_bracket_check,
@@ -138,3 +141,35 @@ def test_involution_defect_pair_both_sides():
     # the vacuum side is identically in involution; the proxy sits at roundoff
     left = involution_check(pair, -0.5, sps, 800, (-14.0, 14.0))
     assert left < 1e-12
+
+
+@pytest.mark.parametrize("picture", ["space", "time"])
+def test_lax_derivatives_over_arrays_match_per_site_calls(picture):
+    kink = make_kink(P11, v=0.4, x0=0.3)
+    samples = kink.sample(*Line(kink, "time", 0.7).points(np.linspace(-10.0, 10.0, 401)))
+    sp = spectral(1.3, P11)
+    d_phi, d_mom = lax_derivatives(picture, samples, sp, P11)
+    per_site = [
+        lax_derivatives(picture, FieldSample(float(p), float(px), float(pt)), sp, P11)
+        for p, px, pt in zip(samples.phi, samples.phi_x, samples.phi_t)
+    ]
+    assert np.array_equal(d_phi, np.array([d[0] for d in per_site]))
+    assert np.array_equal(d_mom, np.array([d[1] for d in per_site]))
+
+
+def test_site_products_match_sequential_loop():
+    kink = make_kink(P11, v=0.4)
+    sp = spectral(1.3, P11)
+    n, delta = 101, 0.1
+    t_sites = -5.0 + (np.arange(n) + 0.5) * delta
+    v, prefix, suffix, total = _site_products(kink, 0.2, t_sites, sp, delta)
+    steps = expm2(delta * build_V(kink, *Line(kink, "time", 0.2).points(t_sites), sp))
+    acc = ID2
+    for i in range(n):
+        assert np.max(np.abs(prefix[i] - acc)) < 1e-13
+        acc = steps[i] @ acc
+    assert np.max(np.abs(total - acc)) < 1e-13
+    acc = ID2
+    for i in range(n - 1, -1, -1):
+        assert np.max(np.abs(suffix[i] - acc)) < 1e-13
+        acc = acc @ steps[i]

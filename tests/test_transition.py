@@ -1,10 +1,15 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from sgdual.fields import ModelParams, NonDecayingFieldError, make_kink, make_vacuum
+from sgdual.fields import FieldSample, Line, ModelParams, NonDecayingFieldError, VacuumField, make_kink, make_vacuum
 from sgdual.lax import ce0, e0, spectral, u_inf
-from sgdual.matcore import det2, expm2, frob
+from sgdual.matcore import _stack22, det2, expm2, frob
 from sgdual.transition import (
+    _CHUNK,
+    _magnus_steps,
     appendix_equality_residual,
     default_nsteps,
     jost,
@@ -51,6 +56,54 @@ def test_nonfinite_propagation_raises():
     kink = make_kink(P11, v=0.4)
     with pytest.raises(FloatingPointError):
         propagate(kink, "space", 0.0, -40.0, 40.0, bad, 16)
+
+
+class _NaNVacuum(VacuumField):
+    """A vacuum whose phi samples are NaN, so every Magnus exponent is non-finite."""
+
+    def sample(self, x, t):
+        s = super().sample(x, t)
+        return FieldSample(s.phi + np.nan, s.phi_x, s.phi_t)
+
+
+def test_nonfinite_exponent_raises():
+    with pytest.raises(FloatingPointError):
+        propagate(_NaNVacuum(P11), "space", 0.0, -5.0, 5.0, SP13, 16)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, _CHUNK - 1, _CHUNK, _CHUNK + 1])
+def test_trajectory_and_chunked_product_match_sequential_loop(n):
+    kink = make_kink(P11, v=0.4)
+    start, stop = -6.0, 6.0
+    # one unchunked batch of the same steps, multiplied up one at a time
+    steps = _stack22(*_magnus_steps(Line(kink, "time", 0.5), start, (stop - start) / n, np.arange(n), SP13))
+    ref = np.empty((n + 1, 2, 2), dtype=complex)
+    ref[0] = np.eye(2)
+    for k in range(n):
+        ref[k + 1] = steps[k] @ ref[k]
+    grid, psi = propagate_trajectory(kink, "time", 0.5, start, stop, SP13, n)
+    assert grid.shape == (n + 1,)
+    rel = np.max(np.abs(psi - ref), axis=(1, 2)) / np.max(np.abs(ref), axis=(1, 2))
+    assert np.max(rel) < 1e-13
+    total = propagate(kink, "time", 0.5, start, stop, SP13, n).matrix
+    assert np.max(np.abs(total - ref[-1])) < 1e-13 * np.max(np.abs(ref[-1]))
+
+
+def test_small_lambda_monodromy_memory_is_bounded():
+    # nsteps grows as 1/lambda (637k steps here); chunking keeps the peak flat
+    v = 0.4
+    mu = math.sqrt((1 - v) / (1 + v))
+    lam = 1e-3
+    kink = make_kink(P11, v=v)
+    tracemalloc.start()
+    try:
+        mono = monodromy(kink, "space", 0.0, 40.0, spectral(lam, P11))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
+    # fourth-order truncation of the default step density, which scales like lambda
+    assert abs(mono.a_entry - (lam - 1j * mu) / (lam + 1j * mu)) < 1e-9
 
 
 def test_vacuum_monodromy_is_identity():
