@@ -5,7 +5,8 @@
 
 Exit codes: 0 all cases pass, 1 at least one case fails, 2 unusable config.
 The JSON schema is strict: unknown keys anywhere are rejected, which catches
-misspelled tolerance names before they silently disable a gate.
+misspelled tolerance names before they silently disable a gate.  ``numerics``
+takes ``half_width`` and ``tolerances``; step and grid counts follow from the solution.
 """
 
 from __future__ import annotations
@@ -16,19 +17,20 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .fields import GridWindow, ModelParams
+from .fields import ModelParams
 from .suites import DEFAULT_TOLERANCES, SUITES, run_suite, suite_descriptions
 
 __all__ = ["ScenarioConfig", "ConfigError", "main", "run"]
 
 SCHEMA_VERSION = 1
 
-_SOLUTION_KEYS = {"kind", "v", "x0", "orientation", "sigma", "seed"}
-_NUMERIC_KEYS = {"half_width", "grid", "tolerances"}
+_SOLUTION_KEYS = {"kind", "v", "x0", "orientation", "sigma"}
+_NUMERIC_KEYS = {"half_width", "tolerances"}
 _TOP_KEYS = {"schema", "model", "solution", "spectral", "numerics", "suites"}
 
 
@@ -48,7 +50,6 @@ class ScenarioConfig:
     solution: dict
     lambdas: list
     half_width: float
-    window: GridWindow
     tolerances: dict = dc_field(default_factory=dict)
     suites: list = dc_field(default_factory=list)
 
@@ -78,8 +79,6 @@ class ScenarioConfig:
         if kind == "defect_pair":
             if float(solution.get("sigma", 0.0)) <= 0.0:
                 raise ConfigError("defect_pair needs sigma > 0")
-            if solution.get("seed", "vacuum") != "vacuum":
-                raise ConfigError("only the vacuum seed is supported in configs")
         spectral = data.get("spectral", {"lambda_list": [0.5, 1.0, 2.0, 4.0]})
         _require_keys(spectral, {"lambda_list", "sweep"}, "spectral")
         if "lambda_list" in spectral:
@@ -97,14 +96,6 @@ class ScenarioConfig:
         half_width = float(numerics.get("half_width", 30.0))
         if half_width <= 0:
             raise ConfigError("half_width must be positive")
-        grid = numerics.get("grid", {})
-        _require_keys(grid, {"nx", "nt"}, "numerics.grid")
-        nx = int(grid.get("nx", 16001))
-        nt = int(grid.get("nt", 16001))
-        if nx < 3 or nt < 3:
-            raise ConfigError("grid counts must be at least 3")
-        span = max(40.0, half_width)
-        window = GridWindow(-span, span, -span, span, nx, nt)
         tolerances = dict(numerics.get("tolerances", {}))
         unknown = set(tolerances) - set(DEFAULT_TOLERANCES)
         if unknown:
@@ -116,7 +107,7 @@ class ScenarioConfig:
         bad = [s for s in suites if s not in SUITES]
         if bad:
             raise ConfigError(f"unknown suites {bad}; available: {sorted(SUITES)}")
-        return cls(params, solution, lambdas, half_width, window, tolerances, suites)
+        return cls(params, solution, lambdas, half_width, tolerances, suites)
 
     @classmethod
     def load(cls, path) -> "ScenarioConfig":
@@ -127,17 +118,10 @@ class ScenarioConfig:
         return cls.from_dict(data)
 
 
-def _run_one(args):
-    name, config_data = args
-    config = ScenarioConfig.from_dict(config_data)
-    return name, run_suite(name, config)
-
-
 def run(config_path, out_dir, fmt: str = "csv", jobs: int = 1) -> int:
     """Execute the configured suites and write one report file per suite."""
     try:
         config = ScenarioConfig.load(config_path)
-        config_data = json.loads(Path(config_path).read_text())
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -145,14 +129,14 @@ def run(config_path, out_dir, fmt: str = "csv", jobs: int = 1) -> int:
     out.mkdir(parents=True, exist_ok=True)
     names = sorted(config.suites)
     workers = min(jobs, len(names), os.cpu_count() or 1)
+    suite = partial(run_suite, config=config)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = dict(pool.map(_run_one, [(n, config_data) for n in names]))
+            reports = list(pool.map(suite, names))
     else:
-        results = {n: run_suite(n, config) for n in names}
+        reports = [suite(n) for n in names]
     exit_code = 0
-    for name in names:
-        report = results[name]
+    for name, report in zip(names, reports):
         path = out / f"{name}.{fmt}"
         if fmt == "csv":
             report.write_csv(path)

@@ -176,6 +176,7 @@ class FieldEvaluator:
 
     params: ModelParams
     kind: str
+    gamma = 1.0  # Lorentz factor: the field varies on the length scale 1/(m gamma)
 
     def sample(self, x, t) -> FieldSample:
         phi = self.derivative(x, t, 0, 0)

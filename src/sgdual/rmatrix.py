@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import FieldEvaluator, FieldSample, Line, ModelParams, topological_charges
-from .lax import SpectralPoint, build_V, ce_charged, lax_matrix
+from .lax import SpectralPoint, ce_charged, lax_matrix
 from .matcore import ID2, ID4, SIGMA1, SIGMA2, SIGMA3, _stack22, expm_sl2, inv2, scan, tensor
 
 __all__ = [
@@ -137,9 +137,9 @@ def _batched_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("nij,nkl->nikjl", a, b).reshape(n, 4, 4)
 
 
-def _site_products(field, fixed: float, t_sites, sp, delta):
+def _site_products(sample: FieldSample, sp, params: ModelParams, delta):
     """Per-site V, and the transfer products below each site, above it and in total."""
-    v = build_V(field, *Line(field, "time", fixed).points(t_sites), sp)
+    v = lax_matrix("time", sample, sp, params)
     steps = expm_sl2(delta * v[:, 0, 0], delta * v[:, 0, 1], delta * v[:, 1, 0])
     upto = _stack22(*scan(steps))  # steps[i] @ ... @ steps[0]
     down_to = _stack22(*scan(steps, reverse=True))  # steps[n-1] @ ... @ steps[i]
@@ -176,8 +176,9 @@ def transition_bracket_check(
     a, b = interval
     delta = (b - a) / n_sites
     t_sites = a + (np.arange(n_sites) + 0.5) * delta
-    v1, pre1, suf1, tot1 = _site_products(field, fixed_x, t_sites, sp1, delta)
-    v2, pre2, suf2, tot2 = _site_products(field, fixed_x, t_sites, sp2, delta)
+    samples = field.sample(*Line(field, "time", fixed_x).points(t_sites))
+    v1, pre1, suf1, tot1 = _site_products(samples, sp1, params, delta)
+    v2, pre2, suf2, tot2 = _site_products(samples, sp2, params, delta)
     r = r_matrix(sp1.lam, sp2.lam, params).matrix
     big = _batched_kron(v1, np.broadcast_to(ID2, v1.shape)) + _batched_kron(
         np.broadcast_to(ID2, v2.shape), v2
@@ -220,12 +221,12 @@ def involution_check(
     delta = (b - a) / n_sites
     t_sites = a + (np.arange(n_sites) + 0.5) * delta
     qm, qp = topological_charges(field, x_probe, "time")
+    samples = field.sample(*Line(field, "time", x_probe).points(t_sites))
     grads = []
     for sp in sp_pair:
-        _, prefix, suffix, _ = _site_products(field, x_probe, t_sites, sp, delta)
+        _, prefix, suffix, _ = _site_products(samples, sp, field.params, delta)
         left_cap = inv2(ce_charged(b, sp, qp))
         right_cap = ce_charged(a, sp, qm)
-        samples = field.sample(*Line(field, "time", x_probe).points(t_sites))
         d_phi, d_mom = lax_derivatives("time", samples, sp, field.params)
         head = left_cap @ suffix
         tail = prefix @ right_cap

@@ -8,6 +8,7 @@ randomness, so reports are reproducible bit for bit.
 
 from __future__ import annotations
 
+import math
 import time
 
 import numpy as np
@@ -24,7 +25,7 @@ from .defect import (
     generating_relation_check,
     ham_shift_check,
 )
-from .fields import FieldSample, make_kink, make_vacuum, topological_charges
+from .fields import FieldSample, GridWindow, make_kink, make_vacuum, topological_charges
 from .lax import spectral, zero_curvature_residual
 from .report import Report
 from .rmatrix import involution_check, r_matrix, r_matrix_trig, transition_bracket_check, ultralocal_check
@@ -91,6 +92,17 @@ def _pair(config) -> DefectPair:
     return bt_kink_from_vacuum(params, sigma, sol.get("x0", 0.0))
 
 
+def _window(config, *fields) -> GridWindow:
+    """Window for integrals of the fields: odd count, spacing at most 0.1/(m gamma).
+
+    Simpson converges exponentially on analytic integrands that decay like sech(m gamma s).
+    """
+    span = max(40.0, config.half_width)
+    gamma = max(f.gamma for f in fields)
+    n = 2 * math.ceil(10.0 * span * config.params.m * gamma) + 1
+    return GridWindow(-span, span, -span, span, n, n)
+
+
 def _is_vacuum(field) -> bool:
     return field.kind == "vacuum"
 
@@ -144,7 +156,7 @@ def _suite_monodromy(config) -> Report:
 def _suite_charges(config) -> Report:
     rep = Report("charges")
     field = _bulk_field(config)
-    win = config.window
+    win = _window(config, field)
     tol = _tol(config, "charge_drift")
     l0 = build_ledger(field, "space", 0.0, 3, win)
     l1 = build_ledger(field, "space", 0.7, 3, win)
@@ -177,7 +189,7 @@ def _suite_energy(config) -> Report:
 
     rep = Report("energy-identities")
     field = _bulk_field(config)
-    win = config.window
+    win = _window(config, field)
     ledger = build_ledger(field, "space", 0.0, 1, win)
     s_rep = energy_identity_S(field, 0.0, win, ledger)
     scale = max(abs(s_rep.lhs), abs(s_rep.rhs), 1.0)
@@ -239,7 +251,7 @@ def _suite_defect(config) -> Report:
         rep.metadata["c-candidate"] = gen.winner or "none"
         gap = gen.max_gap["ratio"]
         rep.add("generating-relation", {"lambdas": config.lambdas}, gap, 0.0, gap, _tol(config, "generating_gap"))
-        hs = ham_shift_check(pair, config.window)
+        hs = ham_shift_check(pair, _window(config, pair.left, pair.right))
         rep.add("ham-shift", {"sigma": pair.defect.sigma}, hs.lhs, hs.rhs_ratio, hs.gap_ratio, _tol(config, "ham_shift_gap"))
     else:
         rep.metadata["time-picture"] = "skipped: pair has no time decay (static kink)"

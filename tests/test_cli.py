@@ -1,11 +1,15 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
 
-from sgdual import cli
+from sgdual import cli, suites
 from sgdual.cli import ConfigError, ScenarioConfig, list_suites, main, run
+from sgdual.fields import make_vacuum
 from sgdual.suites import SUITES, run_suite
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
 BASE = {
@@ -13,7 +17,7 @@ BASE = {
     "model": {"m": 1.0, "beta": 1.0},
     "solution": {"kind": "vacuum"},
     "spectral": {"lambda_list": [0.5, 2.0]},
-    "numerics": {"half_width": 30.0, "grid": {"nx": 8001, "nt": 8001}},
+    "numerics": {"half_width": 30.0},
 }
 
 
@@ -206,3 +210,58 @@ def test_negative_beta_kink_demo_passes(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(data))
     assert run(path, tmp_path / "rep", "csv") == 0
+
+
+def test_grid_knob_rejected(tmp_path):
+    cfg = write_config(tmp_path, grid={"nx": 801, "nt": 801})
+    assert run(cfg, tmp_path / "rep", "csv") == 2
+
+
+@pytest.mark.parametrize(
+    "solution",
+    [{"kind": "kink", "v": 0.4, "seed": "vacuum"}, {"kind": "defect_pair", "sigma": 2.0, "seed": "vacuum"}],
+    ids=["kink", "defect_pair"],
+)
+def test_seed_knob_rejected(tmp_path, solution):
+    cfg = write_config(tmp_path, overrides={"solution": solution, "suites": ["lax-residual"]})
+    assert run(cfg, tmp_path / "rep", "csv") == 2
+
+
+def test_quadrature_windows_follow_the_solution():
+    # spacing at most 0.1/(m gamma): 2 ceil(10 span m gamma) + 1 points, span = max(40, W)
+    for name, bulk, pair in (("kink", 875, 1001), ("defect", 1001, 1001)):
+        config = ScenarioConfig.load(DEMOS / f"scenario_{name}.json")
+        field, defect_pair = suites._bulk_field(config), suites._pair(config)
+        win = suites._window(config, field)
+        assert (win.nx, win.nt) == (bulk, bulk)
+        assert (win.x_min, win.x_max) == (-40.0, 40.0)
+        assert win.xs()[1] - win.xs()[0] <= 0.1 / field.gamma
+        assert suites._window(config, defect_pair.left, defect_pair.right).nt == pair
+    wide = ScenarioConfig.from_dict({**BASE, "numerics": {"half_width": 60.0}})
+    assert suites._window(wide, make_vacuum(wide.params)).nx == 1201
+
+
+@pytest.mark.parametrize("v", [0.0, 0.4, 0.95])
+def test_kink_energies_on_derived_window(v):
+    config = ScenarioConfig.from_dict({**BASE, "solution": {"kind": "kink", "v": v}})
+    gamma = 1.0 / math.sqrt(1.0 - v * v)
+    charges = run_suite("charges", config)
+    assert charges.passed
+    energies = run_suite("energy-identities", config)
+    assert energies.passed
+    # the report holds (beta^2/2m) H, which is H/2 at m = beta = 1
+    want = {"space": 8.0 * gamma, "time": -8.0 * gamma * abs(v)}
+    assert [c.case for c in energies.cases] == (["space"] if v == 0.0 else ["space", "time"])
+    for case in energies.cases:
+        assert abs(2.0 * case.lhs - want[case.case]) <= 1e-10 * abs(want[case.case])
+
+
+@pytest.mark.parametrize("name", ["kink", "defect"])
+def test_demo_scenario_passes_and_is_byte_stable(tmp_path, name):
+    config = DEMOS / f"scenario_{name}.json"
+    assert run(config, tmp_path / "a", "csv") == 0
+    assert run(config, tmp_path / "b", "csv") == 0
+    first = sorted((tmp_path / "a").iterdir())
+    assert [p.name for p in first] == sorted(f"{s}.csv" for s in ScenarioConfig.load(config).suites)
+    for path in first:
+        assert path.read_bytes() == (tmp_path / "b" / path.name).read_bytes()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sgdual.fields import FieldSample, Line, ModelParams, make_kink, make_vacuum
+from sgdual.fields import FieldSample, KinkField, Line, ModelParams, make_kink, make_vacuum
 from sgdual.lax import build_V, spectral
 from sgdual.matcore import ID2, expm2
 from sgdual.defect import DefectParams, bt_kink_from_vacuum
@@ -162,8 +162,9 @@ def test_site_products_match_sequential_loop():
     sp = spectral(1.3, P11)
     n, delta = 101, 0.1
     t_sites = -5.0 + (np.arange(n) + 0.5) * delta
-    v, prefix, suffix, total = _site_products(kink, 0.2, t_sites, sp, delta)
-    steps = expm2(delta * build_V(kink, *Line(kink, "time", 0.2).points(t_sites), sp))
+    points = Line(kink, "time", 0.2).points(t_sites)
+    v, prefix, suffix, total = _site_products(kink.sample(*points), sp, P11, delta)
+    steps = expm2(delta * build_V(kink, *points, sp))
     acc = ID2
     for i in range(n):
         assert np.max(np.abs(prefix[i] - acc)) < 1e-13
@@ -173,3 +174,21 @@ def test_site_products_match_sequential_loop():
     for i in range(n - 1, -1, -1):
         assert np.max(np.abs(suffix[i] - acc)) < 1e-13
         acc = acc @ steps[i]
+
+
+def test_each_check_samples_the_lattice_once(monkeypatch):
+    kink = make_kink(P11, v=0.4)
+    sizes = []
+    sample = KinkField.sample
+
+    def counting_sample(self, x, t):
+        sizes.append(np.size(x))
+        return sample(self, x, t)
+
+    monkeypatch.setattr(KinkField, "sample", counting_sample)
+    sps = (spectral(1.5, P11), spectral(0.8, P11))
+    involution_check(kink, 0.7, sps, 800, (-20.0, 20.0))
+    assert sizes == [800]
+    sizes.clear()
+    transition_bracket_check(kink, 0.0, (-5.0, 5.0), *sps, 400)
+    assert sizes == [400]
