@@ -45,7 +45,7 @@ import numpy as np
 
 from .fields import FieldEvaluator, Line, hamiltonian_S, hamiltonian_T, simpson_uniform
 from .lax import spectral
-from .transition import default_nsteps, monodromy
+from .transition import STEP_DENSITY, default_nsteps, monodromy
 
 __all__ = [
     "RiccatiCoefficients",
@@ -396,7 +396,7 @@ def lna_asymptotic_fit(
     ledger: ChargeLedger,
     half_width: float,
     n_terms: int = 3,
-    step_density: float = 200.0,
+    step_density: float = STEP_DENSITY,
 ) -> LnaFitReport:
     """Remainder exponent of ln a (or ln fa) minus the n_terms-term series.
 
@@ -424,7 +424,7 @@ def fit_charges_from_monodromy(
     lambdas,
     n_terms: int,
     half_width: float,
-    step_density: float = 200.0,
+    step_density: float = STEP_DENSITY,
 ) -> ChargeLedger:
     """Charges by least squares of ln a against the inverse-power series.
 

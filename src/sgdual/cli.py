@@ -7,12 +7,15 @@ Exit codes: 0 all cases pass, 1 at least one case fails, 2 unusable config.
 The JSON schema is strict: unknown keys anywhere are rejected, which catches
 misspelled tolerance names before they silently disable a gate.  ``numerics``
 takes ``half_width`` and ``tolerances``; step and grid counts follow from the solution.
+Every numeric value must be a finite JSON number: tolerances are at least 0
+and a sweep ``count`` is an integer from 1 to 10000.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -32,6 +35,7 @@ SCHEMA_VERSION = 1
 _SOLUTION_KEYS = {"kind", "v", "x0", "orientation", "sigma"}
 _NUMERIC_KEYS = {"half_width", "tolerances"}
 _TOP_KEYS = {"schema", "model", "solution", "spectral", "numerics", "suites"}
+_MAX_SWEEP = 10_000  # lambda values in a sweep; each one costs several monodromies per suite
 
 
 class ConfigError(ValueError):
@@ -39,9 +43,30 @@ class ConfigError(ValueError):
 
 
 def _require_keys(mapping, allowed, context):
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{context} must be a JSON object")
     unknown = set(mapping) - allowed
     if unknown:
         raise ConfigError(f"unknown keys {sorted(unknown)} in {context}")
+
+
+def _number(value, what, minimum=None, maximum=None, integer=False):
+    """A finite JSON number (an integer if asked) in [minimum, maximum]; ConfigError otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    try:
+        number = float(value)  # JSON integers may be too large for a float
+    except OverflowError:
+        raise ConfigError(f"{what} must be finite, got an integer of {len(str(value))} digits") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{what} must be finite, got {value!r}")
+    if integer and number != int(number):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    if minimum is not None and number < minimum:
+        raise ConfigError(f"{what} must be >= {minimum}, got {value!r}")
+    if maximum is not None and number > maximum:
+        raise ConfigError(f"{what} must be <= {maximum}, got {value!r}")
+    return int(number) if integer else number
 
 
 @dataclass
@@ -55,59 +80,64 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
-        if not isinstance(data, dict):
-            raise ConfigError("config must be a JSON object")
         _require_keys(data, _TOP_KEYS, "config")
         if data.get("schema") != SCHEMA_VERSION:
             raise ConfigError(f"unsupported schema {data.get('schema')!r}; expected {SCHEMA_VERSION}")
         model = data.get("model", {})
         _require_keys(model, {"m", "beta"}, "model")
         try:
-            params = ModelParams(float(model.get("m", 1.0)), float(model.get("beta", 1.0)))
+            params = ModelParams(*(_number(model.get(k, 1.0), f"model.{k}") for k in ("m", "beta")))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        solution = dict(data.get("solution", {"kind": "vacuum"}))
+        solution = data.get("solution", {"kind": "vacuum"})
         _require_keys(solution, _SOLUTION_KEYS, "solution")
+        solution = dict(solution)
         kind = solution.get("kind")
         if kind not in ("vacuum", "kink", "defect_pair"):
             raise ConfigError(f"solution kind must be vacuum|kink|defect_pair, got {kind!r}")
+        for key in ("v", "x0", "sigma", "orientation"):
+            if key in solution:
+                solution[key] = _number(solution[key], f"solution.{key}", integer=key == "orientation")
+        if solution.get("orientation", 1) not in (1, -1):
+            raise ConfigError(f"solution.orientation must be 1 or -1, got {solution['orientation']!r}")
         if kind == "kink":
             if "v" not in solution:
                 raise ConfigError("kink solution needs a velocity v")
-            if not abs(float(solution["v"])) < 1.0:
+            if not abs(solution["v"]) < 1.0:
                 raise ConfigError("kink velocity must satisfy |v| < 1")
-        if kind == "defect_pair":
-            if float(solution.get("sigma", 0.0)) <= 0.0:
-                raise ConfigError("defect_pair needs sigma > 0")
+        if kind == "defect_pair" and not solution.get("sigma", 0.0) > 0.0:
+            raise ConfigError("defect_pair needs sigma > 0")
         spectral = data.get("spectral", {"lambda_list": [0.5, 1.0, 2.0, 4.0]})
         _require_keys(spectral, {"lambda_list", "sweep"}, "spectral")
         if "lambda_list" in spectral:
-            lambdas = [float(l) for l in spectral["lambda_list"]]
+            if not isinstance(spectral["lambda_list"], list):
+                raise ConfigError("spectral.lambda_list must be a list")
+            lambdas = [_number(l, "spectral.lambda_list entry") for l in spectral["lambda_list"]]
         elif "sweep" in spectral:
             sweep = spectral["sweep"]
             _require_keys(sweep, {"min", "max", "count"}, "spectral.sweep")
-            lambdas = list(np.linspace(float(sweep["min"]), float(sweep["max"]), int(sweep["count"])))
+            bounds = [_number(sweep.get(k), f"spectral.sweep.{k}") for k in ("min", "max")]
+            count = _number(sweep.get("count"), "spectral.sweep.count", minimum=1, maximum=_MAX_SWEEP, integer=True)
+            lambdas = list(np.linspace(*bounds, count))
         else:
             raise ConfigError("spectral needs lambda_list or sweep")
         if not lambdas or any(l == 0.0 for l in lambdas):
             raise ConfigError("spectral values must be nonzero")
         numerics = data.get("numerics", {})
         _require_keys(numerics, _NUMERIC_KEYS, "numerics")
-        half_width = float(numerics.get("half_width", 30.0))
+        half_width = _number(numerics.get("half_width", 30.0), "numerics.half_width")
         if half_width <= 0:
             raise ConfigError("half_width must be positive")
-        tolerances = dict(numerics.get("tolerances", {}))
-        unknown = set(tolerances) - set(DEFAULT_TOLERANCES)
-        if unknown:
-            raise ConfigError(f"unknown tolerance names {sorted(unknown)}")
-        for key, val in tolerances.items():
-            if float(val) < 0:
-                raise ConfigError(f"tolerance {key} must be nonnegative")
-        suites = list(data.get("suites", sorted(SUITES)))
+        tolerances = numerics.get("tolerances", {})
+        _require_keys(tolerances, set(DEFAULT_TOLERANCES), "numerics.tolerances")
+        tolerances = {k: _number(v, f"tolerance {k}", minimum=0.0) for k, v in tolerances.items()}
+        suites = data.get("suites", sorted(SUITES))
+        if not isinstance(suites, list) or not all(isinstance(s, str) for s in suites):
+            raise ConfigError("suites must be a list of suite names")
         bad = [s for s in suites if s not in SUITES]
         if bad:
             raise ConfigError(f"unknown suites {bad}; available: {sorted(SUITES)}")
-        return cls(params, solution, lambdas, half_width, tolerances, suites)
+        return cls(params, solution, lambdas, half_width, tolerances, list(suites))
 
     @classmethod
     def load(cls, path) -> "ScenarioConfig":

@@ -64,7 +64,7 @@ from .fields import (
 )
 from .lax import SpectralPoint, build_V
 from .matcore import frob, inv2
-from .transition import default_nsteps, jost, monodromy, propagate_trajectory
+from .transition import STEP_DENSITY, default_nsteps, jost, monodromy, propagate_trajectory
 
 __all__ = [
     "DefectParams",
@@ -330,7 +330,8 @@ def defect_splitting_check(
     (1 - p q) normalisation rather than its large-lambda limit 1/2.
     """
     if nsteps is None:
-        nsteps = default_nsteps(half_width, sp)
+        # Simpson on the trajectory's own grid needs a finer spacing than the Magnus steps
+        nsteps = default_nsteps(half_width, sp, density=3.0 * STEP_DENSITY)
     if nsteps % 2:
         nsteps += 1  # Simpson below wants an even step count
 

@@ -322,6 +322,12 @@ class Line:
         """The window's running grid: xs (space) or ts (time)."""
         return self.pick(window.xs, window.ts)()
 
+    def generator_entries(self, s, sp):
+        """Entries (d, a01, a10) of the gauged generator [[d, a01], [a10, -d]] at running coordinates s."""
+        from .lax import _hat_entries
+
+        return _hat_entries(self.field, *self.points(s), sp, self.pick("U", "V"))
+
     def generator(self, s, sp) -> np.ndarray:
         """Gauged generator U_hat (space) or V_hat (time) at running coordinates s."""
         from .lax import build_U_hat, build_V_hat

@@ -97,33 +97,39 @@ def build_V(field: FieldEvaluator, x, t, sp: SpectralPoint) -> np.ndarray:
     return lax_matrix("time", field.sample(x, t), sp, field.params)
 
 
-def _hat_entries(field: FieldEvaluator, x, t, sp: SpectralPoint, which: str) -> np.ndarray:
+def _hat_entries(field: FieldEvaluator, x, t, sp: SpectralPoint, which: str):
+    """Entries (d, a01, a10) of the gauged generator [[d, a01], [a10, -d]]; which is "U" or "V"."""
     m, beta = field.params.m, field.params.beta
     lam = sp.lam
     s = field.sample(x, t)
-    phi = np.asarray(s.phi)
     if which == "U":
         d = -0.25j * beta * (np.asarray(s.phi_x) + np.asarray(s.pi))
         zeta = m / (4.0 * lam)  # coefficient of the s2 E term: +i zeta s2 E
     else:
         d = -0.25j * beta * (np.asarray(s.phi_t) - np.asarray(s.Pi))
         zeta = -m / (4.0 * lam)
-    # -i lam (m/4) s2 + i zeta s2 E, with (s2 E)[0,1] = -i e^{-i beta phi}
-    e_minus = np.exp(-1j * beta * phi)
-    e_plus = np.exp(1j * beta * phi)
-    a01 = -lam * (m / 4.0) + zeta * e_minus
+    # -i lam (m/4) s2 + i zeta s2 E, with (s2 E)[0,1] = -i e^{-i beta phi};
+    # phi is real, so e^{-i beta phi} is the conjugate of e^{i beta phi}
+    bphi = beta * np.asarray(s.phi)
+    e_plus = np.cos(bphi) + 1j * np.sin(bphi)
+    a01 = -lam * (m / 4.0) + zeta * e_plus.conj()
     a10 = lam * (m / 4.0) - zeta * e_plus
+    return d, a01, a10
+
+
+def _hat_matrix(field: FieldEvaluator, x, t, sp: SpectralPoint, which: str) -> np.ndarray:
+    d, a01, a10 = _hat_entries(field, x, t, sp, which)
     return _stack22(d, a01, a10, -d)
 
 
 def build_U_hat(field: FieldEvaluator, x, t, sp: SpectralPoint) -> np.ndarray:
     """Gauged space generator; tends to u_inf on decaying fields."""
-    return _hat_entries(field, x, t, sp, "U")
+    return _hat_matrix(field, x, t, sp, "U")
 
 
 def build_V_hat(field: FieldEvaluator, x, t, sp: SpectralPoint) -> np.ndarray:
     """Gauged time generator; tends to v_inf on decaying fields."""
-    return _hat_entries(field, x, t, sp, "V")
+    return _hat_matrix(field, x, t, sp, "V")
 
 
 def u_inf(sp: SpectralPoint) -> np.ndarray:

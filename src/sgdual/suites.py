@@ -135,17 +135,20 @@ def _suite_monodromy(config) -> Report:
     field = _bulk_field(config)
     w = config.half_width
     tol = _tol(config, "monodromy_drift")
+    steps = rep.metadata["step-counts"] = {}
     for lam in config.lambdas:
         sp = spectral(lam, config.params)
-        a0 = monodromy(field, "space", 0.0, w, sp).a_entry
-        a1 = monodromy(field, "space", 2.0, w, sp).a_entry
+        m0 = monodromy(field, "space", 0.0, w, sp)
+        a0, a1 = m0.a_entry, monodromy(field, "space", 2.0, w, sp).a_entry
+        steps[f"a-lam={lam:g}"] = m0.step_count
         rep.add(f"a-drift-lam={lam:g}", {"lambda": lam, "times": [0.0, 2.0]},
                 abs(a0), abs(a1), abs(a0 - a1), tol)
     if _time_decaying(field):
         for lam in config.lambdas:
             sp = spectral(lam, config.params)
-            f0 = monodromy(field, "time", 0.0, w, sp).a_entry
-            f1 = monodromy(field, "time", 1.0, w, sp).a_entry
+            m0 = monodromy(field, "time", 0.0, w, sp)
+            f0, f1 = m0.a_entry, monodromy(field, "time", 1.0, w, sp).a_entry
+            steps[f"fa-lam={lam:g}"] = m0.step_count
             rep.add(f"fa-drift-lam={lam:g}", {"lambda": lam, "positions": [0.0, 1.0]},
                     abs(f0), abs(f1), abs(f0 - f1), tol)
     else:

@@ -7,7 +7,9 @@ import pytest
 from sgdual import cli, suites
 from sgdual.cli import ConfigError, ScenarioConfig, list_suites, main, run
 from sgdual.fields import make_vacuum
+from sgdual.lax import spectral
 from sgdual.suites import SUITES, run_suite
+from sgdual.transition import default_nsteps
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
@@ -265,3 +267,54 @@ def test_demo_scenario_passes_and_is_byte_stable(tmp_path, name):
     assert [p.name for p in first] == sorted(f"{s}.csv" for s in ScenarioConfig.load(config).suites)
     for path in first:
         assert path.read_bytes() == (tmp_path / "b" / path.name).read_bytes()
+
+
+KINK = {**BASE, "solution": {"kind": "kink", "v": 0.4}, "suites": ["lax-residual"]}
+
+
+def _with(path, value):
+    data = json.loads(json.dumps(KINK))
+    *parents, key = path
+    node = data
+    for name in parents:
+        node = node.setdefault(name, {})
+    node[key] = value
+    return data
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        _with(("numerics", "half_width"), "abc"),
+        _with(("solution", "v"), "abc"),
+        _with(("spectral", "lambda_list"), ["x"]),
+        _with(("spectral",), {"sweep": {"min": 0.5, "max": 2.0, "count": -1}}),
+        _with(("numerics", "tolerances"), {"lax_residual": math.inf}),
+        _with(("numerics", "tolerances"), {"lax_residual": math.nan}),
+        _with(("numerics", "half_width"), math.nan),
+        _with(("spectral", "lambda_list"), [0.5, math.inf]),
+        _with(("numerics", "half_width"), 10**400),
+        _with(("spectral",), {"sweep": {"min": 0.5, "max": 2.0, "count": 1e20}}),
+    ],
+    ids=[
+        "half_width-str", "v-str", "lambda-str", "count-negative", "tol-inf", "tol-nan", "half_width-nan",
+        "lambda-inf", "half_width-huge-int", "count-huge",
+    ],
+)
+def test_unusable_numbers_exit_2_without_traceback(tmp_path, capsys, data):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))  # writes NaN and Infinity as the JSON extensions Python reads back
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "rep")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+
+
+def test_step_counts_reach_the_json_report_only(tmp_path):
+    cfg = write_config(tmp_path, overrides={"suites": ["monodromy-conservation"]})
+    assert run(cfg, tmp_path / "json", "json") == 0
+    config = ScenarioConfig.load(cfg)
+    report = json.loads((tmp_path / "json" / "monodromy-conservation.json").read_text())
+    want = {f"{k}={lam:g}": default_nsteps(30.0, spectral(lam, config.params)) for k in ("a-lam", "fa-lam") for lam in config.lambdas}
+    assert report["metadata"]["step-counts"] == want
+    assert run(cfg, tmp_path / "csv", "csv") == 0
+    assert "step" not in (tmp_path / "csv" / "monodromy-conservation.csv").read_text()

@@ -200,6 +200,13 @@ def test_defect_splitting(pair_sigma2):
     assert rep.gap() < 1e-5
 
 
+def test_defect_splitting_on_kink_demo_pair(pair_sigma2):
+    # the kink demo's pair at its half-width: the half-line Simpson rules keep
+    # their own fine grid, so the gap stays two digits below the 1e-5 gate
+    rep = defect_splitting_check(pair_sigma2, 0.7, spectral(1.5, P11), 40.0)
+    assert rep.gap() < 1e-7
+
+
 def test_b_factors_limits():
     sp = spectral(1e6, P11)
     bp, bm = b_factors(sp, DefectParams(2.0), (0, 1))

@@ -102,7 +102,7 @@ def test_small_lambda_monodromy_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 40e6
-    # fourth-order truncation of the default step density, which scales like lambda
+    # Magnus truncation at the default step density, which scales like lambda
     assert abs(mono.a_entry - (lam - 1j * mu) / (lam + 1j * mu)) < 1e-9
 
 
@@ -239,3 +239,34 @@ def test_vacuum_monodromy_is_identity_for_negative_beta():
         mono = monodromy(vac, picture, 0.0, 20.0, spectral(1.3, params))
         assert frob(mono.matrix - np.eye(2)) < 1e-10
         assert not mono.truncated
+
+
+KINK_V = 0.4
+KINK_MU = math.sqrt((1 - KINK_V) / (1 + KINK_V))
+
+
+def _blaschke_gap(lam, nsteps=None):
+    kink = make_kink(P11, v=KINK_V)
+    a = monodromy(kink, "space", 0.0, 40.0, spectral(lam, P11), nsteps).a_entry
+    return abs(a - (lam - 1j * KINK_MU) / (lam + 1j * KINK_MU))
+
+
+def test_magnus_step_is_sixth_order():
+    # each halving of h shrinks the Blaschke gap by 2^6 (2^4 for a fourth-order step)
+    ns = np.array([125, 250, 500, 1000])
+    gaps = np.array([_blaschke_gap(0.2, int(n)) for n in ns])
+    slope = -np.polyfit(np.log2(ns), np.log2(gaps), 1)[0]
+    assert abs(slope - 6.0) < 0.5
+
+
+def test_default_steps_reach_blaschke_oracle_over_lambda_range():
+    worst = max(_blaschke_gap(lam) for lam in np.geomspace(0.01, 5.0, 30))
+    assert worst <= 2e-8
+
+
+def test_monodromy_reports_its_step_count():
+    sp = spectral(1.3, P11)
+    mono = monodromy(make_vacuum(P11), "space", 0.0, 20.0, sp)
+    # (200/3) W max(|k0|, |k1|, m) / pi steps, and m = 1 is the largest rate at lambda = 1.3
+    assert mono.step_count == default_nsteps(20.0, sp) == math.ceil((200.0 / 3.0) * 20.0 / math.pi)
+    assert monodromy(make_vacuum(P11), "space", 0.0, 20.0, sp, 100).step_count == 100
