@@ -13,7 +13,7 @@ Modules
 -------
 matcore     2x2 / 4x4 complex matrix helpers and the entrywise 2x2 batch kernel
 fields      exact solutions, energies, topological charges
-lax         Lax matrices U, V and their gauged forms
+lax         Lax matrices U, V and the entries of their gauged forms
 transition  Magnus propagation, monodromies, Jost solutions
 charges     Riccati recursions and the charge ledgers I_n, J_n
 defect      frozen-Backlund defect: pairs, defect matrix, monodromies
@@ -32,7 +32,7 @@ from .fields import (
     make_vacuum,
     topological_charges,
 )
-from .lax import SpectralPoint, build_U, build_U_hat, build_V, build_V_hat, spectral, zero_curvature_residual
+from .lax import SpectralPoint, build_U, build_V, spectral, zero_curvature_residual
 from .transition import appendix_equality_residual, jost, monodromy, propagate
 
 __all__ = [
@@ -48,8 +48,6 @@ __all__ = [
     "spectral",
     "build_U",
     "build_V",
-    "build_U_hat",
-    "build_V_hat",
     "zero_curvature_residual",
     "propagate",
     "monodromy",

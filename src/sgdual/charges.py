@@ -37,7 +37,6 @@ differences anywhere.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -45,7 +44,7 @@ import numpy as np
 
 from .fields import FieldEvaluator, Line, hamiltonian_S, hamiltonian_T, simpson_uniform
 from .lax import spectral
-from .transition import STEP_DENSITY, default_nsteps, monodromy
+from .transition import monodromy
 
 __all__ = [
     "RiccatiCoefficients",
@@ -205,22 +204,20 @@ class RiccatiCoefficients:
         if self.flipped:
             raise ValueError("residual oracle applies to the large-lambda branch")
         sp = spectral(lam, self.field.params)
-        q = self._chain(svals, self.order, "q")
-        p = self._chain(svals, self.order, "p")
-        gamma = np.zeros((svals.size, 2, 2), dtype=complex)
-        gamma_s = np.zeros_like(gamma)
+        q_jets = self._chain(svals, self.order, "q")
+        p_jets = self._chain(svals, self.order, "p")
+        # Gamma = [[0, p], [q, 0]] and its running derivative, summed over the orders
+        q, p, q_s, p_s = (np.zeros(svals.size, dtype=complex) for _ in range(4))
         for n in range(self.order + 1):
-            gamma[:, 1, 0] += q[n][:, 0] * lam ** (-n)
-            gamma[:, 0, 1] += p[n][:, 0] * lam ** (-n)
-            gamma_s[:, 1, 0] += _jet_deriv(q[n])[:, 0] * lam ** (-n)
-            gamma_s[:, 0, 1] += _jet_deriv(p[n])[:, 0] * lam ** (-n)
-        gen = self.line.generator(svals, sp)
-        gen_d = np.zeros_like(gen)
-        gen_d[:, 0, 0] = gen[:, 0, 0]
-        gen_d[:, 1, 1] = gen[:, 1, 1]
-        gen_o = gen - gen_d
-        rhs = gen_o + gen_d @ gamma - gamma @ gen_d - gamma @ gen_o @ gamma
-        return float(np.max(np.abs(gamma_s - rhs)))
+            q += q_jets[n][:, 0] * lam ** (-n)
+            p += p_jets[n][:, 0] * lam ** (-n)
+            q_s += _jet_deriv(q_jets[n])[:, 0] * lam ** (-n)
+            p_s += _jet_deriv(p_jets[n])[:, 0] * lam ** (-n)
+        # off-diagonal entries of G_o + G_d Gamma - Gamma G_d - Gamma G_o Gamma; the diagonal vanishes
+        d, a01, a10 = self.line.generator_entries(svals, sp)
+        rhs01 = a01 + d * p - p * -d - p * a10 * p
+        rhs10 = a10 + -d * q - q * d - q * a01 * q
+        return float(max(np.max(np.abs(p_s - rhs01)), np.max(np.abs(q_s - rhs10))))
 
 
 @dataclass
@@ -234,7 +231,6 @@ class ChargeLedger:
     picture: str
     entries: dict = dc_field(default_factory=dict)
     provenance: str = "recursion"
-    drift: dict = dc_field(default_factory=dict)
 
     def value(self, n: int) -> complex:
         return self.entries[n]
@@ -243,29 +239,12 @@ class ChargeLedger:
         """i * sum_{n=1..n_terms} entry_n / lam^n."""
         return 1j * sum(self.entries[n] * lam ** (-n) for n in range(1, n_terms + 1))
 
-    def series_small(self, lam: complex, n_terms: int) -> complex:
-        """i * sum_{n=0..n_terms} entry_{-n} lam^n."""
-        return 1j * sum(self.entries[-n] * lam**n for n in range(0, n_terms + 1))
-
     def merged_with(self, other: "ChargeLedger") -> "ChargeLedger":
         if other.picture != self.picture:
             raise ValueError("cannot merge ledgers from different pictures")
         entries = dict(self.entries)
         entries.update(other.entries)
-        drift = dict(self.drift)
-        drift.update(other.drift)
-        return ChargeLedger(self.picture, entries, self.provenance, drift)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["picture", "n", "value_re", "value_im", "provenance", "drift"])
-            for n in sorted(self.entries):
-                val = complex(self.entries[n])
-                writer.writerow(
-                    [self.picture, n, f"{val.real:.15g}", f"{val.imag:.15g}",
-                     self.provenance, f"{self.drift.get(n, float('nan')):.6g}"]
-                )
+        return ChargeLedger(self.picture, entries, self.provenance)
 
 
 def charges_infinity(field, picture, fixed, order, window) -> ChargeLedger:
@@ -378,13 +357,9 @@ def _unwrap_log(values: np.ndarray) -> np.ndarray:
     return logs
 
 
-def _log_monodromy(field, picture, fixed, lambdas, half_width, step_density) -> np.ndarray:
+def _log_monodromy(field, picture, fixed, lambdas, half_width) -> np.ndarray:
     """Unwrapped ln a (space) or ln fa (time) along an ascending real lambda ray."""
-    a_vals = []
-    for lam in lambdas:
-        sp = spectral(lam, field.params)
-        nsteps = default_nsteps(half_width, sp, density=step_density)
-        a_vals.append(monodromy(field, picture, fixed, half_width, sp, nsteps).a_entry)
+    a_vals = [monodromy(field, picture, fixed, half_width, spectral(lam, field.params)).a_entry for lam in lambdas]
     return _unwrap_log(np.asarray(a_vals))
 
 
@@ -396,7 +371,6 @@ def lna_asymptotic_fit(
     ledger: ChargeLedger,
     half_width: float,
     n_terms: int = 3,
-    step_density: float = STEP_DENSITY,
 ) -> LnaFitReport:
     """Remainder exponent of ln a (or ln fa) minus the n_terms-term series.
 
@@ -409,7 +383,7 @@ def lna_asymptotic_fit(
         raise ValueError("need at least two lambda values to fit a slope")
     if lambdas[0] < 10.0 or lambdas[-1] > 100.0:
         raise ValueError("fit window is the real ray between 10 and 100")
-    log_mono = _log_monodromy(field, picture, fixed, lambdas, half_width, step_density)
+    log_mono = _log_monodromy(field, picture, fixed, lambdas, half_width)
     series = np.asarray([ledger.series_large(lam, n_terms) for lam in lambdas])
     remainders = np.abs(log_mono - series)
     mask = remainders > 0
@@ -424,7 +398,6 @@ def fit_charges_from_monodromy(
     lambdas,
     n_terms: int,
     half_width: float,
-    step_density: float = STEP_DENSITY,
 ) -> ChargeLedger:
     """Charges by least squares of ln a against the inverse-power series.
 
@@ -433,7 +406,7 @@ def fit_charges_from_monodromy(
     tail from biasing the low coefficients.
     """
     lambdas = np.asarray(sorted(float(l) for l in lambdas))
-    log_mono = _log_monodromy(field, picture, fixed, lambdas, half_width, step_density)
+    log_mono = _log_monodromy(field, picture, fixed, lambdas, half_width)
     design = np.column_stack([lambdas ** (-float(n)) for n in range(1, n_terms + 1)])
     coeffs, *_ = np.linalg.lstsq(design, (log_mono / 1j), rcond=None)
     entries = {n: complex(coeffs[n - 1]) for n in range(1, n_terms + 1)}

@@ -4,6 +4,8 @@
     sgdual list-suites
 
 Exit codes: 0 all cases pass, 1 at least one case fails, 2 unusable config.
+A suite that raises on a usable config (no vacuum at the window edge, more
+than ``transition.MAX_STEPS`` Magnus steps) reports one failing ``error`` case.
 The JSON schema is strict: unknown keys anywhere are rejected, which catches
 misspelled tolerance names before they silently disable a gate.  ``numerics``
 takes ``half_width`` and ``tolerances``; step and grid counts follow from the solution.

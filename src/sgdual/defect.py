@@ -163,6 +163,25 @@ def _bt_slopes(params: ModelParams, defect: DefectParams, phi, seed_sample):
     return phi_x, phi_t
 
 
+def _rk4(y, s, h, deriv):
+    k1 = deriv(s, y)
+    k2 = deriv(s + 0.5 * h, y + 0.5 * h * k1)
+    k3 = deriv(s + 0.5 * h, y + 0.5 * h * k2)
+    k4 = deriv(s + h, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _march(out, coords, anchor, slope, nsteps):
+    """Fill out[j] from out[anchor] along coords, forwards then backwards, nsteps RK4 substeps per cell."""
+    for step, stop in ((1, coords.size - 1), (-1, 0)):
+        for j in range(anchor, stop, step):
+            h = (coords[j + step] - coords[j]) / nsteps
+            val = out[j]
+            for k in range(nsteps):
+                val = _rk4(val, coords[j] + k * h, h, slope)
+            out[j + step] = val
+
+
 def backlund_integrate(
     seed: FieldEvaluator,
     defect: DefectParams,
@@ -183,52 +202,20 @@ def backlund_integrate(
     xs, ts = window.xs(), window.ts()
     ix0 = int(np.argmin(np.abs(xs - corner[0])))
     it0 = int(np.argmin(np.abs(ts - corner[1])))
-    x_anchor, t_anchor = xs[ix0], ts[it0]
-
-    def rk4(y, s, h, deriv):
-        k1 = deriv(s, y)
-        k2 = deriv(s + 0.5 * h, y + 0.5 * h * k1)
-        k3 = deriv(s + 0.5 * h, y + 0.5 * h * k2)
-        k4 = deriv(s + h, y + h * k3)
-        return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    t_anchor = ts[it0]
 
     # row sweep: d phi / dx at t = t_anchor
     def x_slope(x, phi):
         return _bt_slopes(params, defect, phi, seed.sample(x, t_anchor))[0]
-
-    row = np.empty(xs.size)
-    row[ix0] = phi0
-    for j in range(ix0, xs.size - 1):
-        h = (xs[j + 1] - xs[j]) / nsteps
-        val = row[j]
-        for k in range(nsteps):
-            val = rk4(val, xs[j] + k * h, h, x_slope)
-        row[j + 1] = val
-    for j in range(ix0, 0, -1):
-        h = (xs[j - 1] - xs[j]) / nsteps
-        val = row[j]
-        for k in range(nsteps):
-            val = rk4(val, xs[j] + k * h, h, x_slope)
-        row[j - 1] = val
 
     # column sweep, vectorised over all x at once
     def t_slope(t, phi_vec):
         return _bt_slopes(params, defect, phi_vec, seed.sample(*Line(seed, "space", t).points(xs)))[1]
 
     values = np.empty((xs.size, ts.size))
-    values[:, it0] = row
-    for j in range(it0, ts.size - 1):
-        h = (ts[j + 1] - ts[j]) / nsteps
-        col = values[:, j]
-        for k in range(nsteps):
-            col = rk4(col, ts[j] + k * h, h, t_slope)
-        values[:, j + 1] = col
-    for j in range(it0, 0, -1):
-        h = (ts[j - 1] - ts[j]) / nsteps
-        col = values[:, j]
-        for k in range(nsteps):
-            col = rk4(col, ts[j] + k * h, h, t_slope)
-        values[:, j - 1] = col
+    values[ix0, it0] = phi0
+    _march(values[:, it0], xs, ix0, x_slope, nsteps)
+    _march(values.T, ts, it0, t_slope, nsteps)  # values.T[j] is the column at ts[j]
 
     out = GridField(params, xs, ts, values)
     xg, tg = np.meshgrid(xs[2:-2], ts[2:-2], indexing="ij")
@@ -342,9 +329,9 @@ def defect_splitting_check(
         traj = psi @ line.normaliser(start, sp)
         q = traj[:, 1, 0] / traj[:, 0, 0]
         p = traj[:, 0, 1] / traj[:, 1, 1]
-        gen = line.generator(grid, sp)
-        int11 = gen[:, 0, 0] + gen[:, 0, 1] * q + 1j * sp.k1
-        int22 = gen[:, 1, 1] + gen[:, 1, 0] * p - 1j * sp.k1
+        d, a01, a10 = line.generator_entries(grid, sp)
+        int11 = d + a01 * q + 1j * sp.k1
+        int22 = -d + a10 * p - 1j * sp.k1
         h = grid[1] - grid[0]
         # the + trajectory runs from the far end towards 0; flip so h > 0
         if h < 0:

@@ -324,15 +324,9 @@ class Line:
 
     def generator_entries(self, s, sp):
         """Entries (d, a01, a10) of the gauged generator [[d, a01], [a10, -d]] at running coordinates s."""
-        from .lax import _hat_entries
+        from .lax import hat_entries
 
-        return _hat_entries(self.field, *self.points(s), sp, self.pick("U", "V"))
-
-    def generator(self, s, sp) -> np.ndarray:
-        """Gauged generator U_hat (space) or V_hat (time) at running coordinates s."""
-        from .lax import build_U_hat, build_V_hat
-
-        return self.pick(build_U_hat, build_V_hat)(self.field, *self.points(s), sp)
+        return hat_entries(self.picture, self.field.sample(*self.points(s)), sp, self.field.params)
 
     def normaliser(self, s, sp) -> np.ndarray:
         """Plane-wave normaliser E0 (space) or cE0 (time) at running coordinate s."""

@@ -17,8 +17,9 @@ diagonalises s2 (N^-1 s2 N = s3), which is what makes the plane-wave
 normalisers E0(x) = N exp(-i k1 x s3), cE0(t) = N exp(-i k0 t s3) solve the
 asymptotic problems.
 
-The gauged matrices are built from the explicit formulas above; the gauge
-consistency U_hat = Om^-1 U Om - Om^-1 Om_x is a test, not the construction.
+The gauged generators are built entrywise from the explicit formulas above
+(``hat_entries``); the gauge consistency U_hat = Om^-1 U Om - Om^-1 Om_x is a
+test, not the construction.
 """
 
 from __future__ import annotations
@@ -37,8 +38,7 @@ __all__ = [
     "lax_matrix",
     "build_U",
     "build_V",
-    "build_U_hat",
-    "build_V_hat",
+    "hat_entries",
     "u_inf",
     "v_inf",
     "n_matrix",
@@ -97,39 +97,26 @@ def build_V(field: FieldEvaluator, x, t, sp: SpectralPoint) -> np.ndarray:
     return lax_matrix("time", field.sample(x, t), sp, field.params)
 
 
-def _hat_entries(field: FieldEvaluator, x, t, sp: SpectralPoint, which: str):
-    """Entries (d, a01, a10) of the gauged generator [[d, a01], [a10, -d]]; which is "U" or "V"."""
-    m, beta = field.params.m, field.params.beta
+def hat_entries(picture: str, sample: FieldSample, sp: SpectralPoint, params: ModelParams):
+    """Entries (d, a01, a10) of the gauged generator [[d, a01], [a10, -d]] from a field sample.
+
+    U_hat (space picture) or V_hat (time picture); tends to u_inf, v_inf on decaying fields.
+    """
+    m, beta = params.m, params.beta
     lam = sp.lam
-    s = field.sample(x, t)
-    if which == "U":
-        d = -0.25j * beta * (np.asarray(s.phi_x) + np.asarray(s.pi))
+    if picture == "space":
+        d = -0.25j * beta * (np.asarray(sample.phi_x) + np.asarray(sample.pi))
         zeta = m / (4.0 * lam)  # coefficient of the s2 E term: +i zeta s2 E
     else:
-        d = -0.25j * beta * (np.asarray(s.phi_t) - np.asarray(s.Pi))
+        d = -0.25j * beta * (np.asarray(sample.phi_t) - np.asarray(sample.Pi))
         zeta = -m / (4.0 * lam)
     # -i lam (m/4) s2 + i zeta s2 E, with (s2 E)[0,1] = -i e^{-i beta phi};
     # phi is real, so e^{-i beta phi} is the conjugate of e^{i beta phi}
-    bphi = beta * np.asarray(s.phi)
+    bphi = beta * np.asarray(sample.phi)
     e_plus = np.cos(bphi) + 1j * np.sin(bphi)
     a01 = -lam * (m / 4.0) + zeta * e_plus.conj()
     a10 = lam * (m / 4.0) - zeta * e_plus
     return d, a01, a10
-
-
-def _hat_matrix(field: FieldEvaluator, x, t, sp: SpectralPoint, which: str) -> np.ndarray:
-    d, a01, a10 = _hat_entries(field, x, t, sp, which)
-    return _stack22(d, a01, a10, -d)
-
-
-def build_U_hat(field: FieldEvaluator, x, t, sp: SpectralPoint) -> np.ndarray:
-    """Gauged space generator; tends to u_inf on decaying fields."""
-    return _hat_matrix(field, x, t, sp, "U")
-
-
-def build_V_hat(field: FieldEvaluator, x, t, sp: SpectralPoint) -> np.ndarray:
-    """Gauged time generator; tends to v_inf on decaying fields."""
-    return _hat_matrix(field, x, t, sp, "V")
 
 
 def u_inf(sp: SpectralPoint) -> np.ndarray:

@@ -25,12 +25,10 @@ __all__ = [
     "SIGMA1",
     "SIGMA2",
     "SIGMA3",
-    "pauli",
     "tensor",
     "comm",
     "det2",
     "inv2",
-    "expm2",
     "expm_sl2",
     "scan",
     "frob",
@@ -42,18 +40,9 @@ SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 ID2 = np.eye(2, dtype=complex)
 ID4 = np.eye(4, dtype=complex)
 
-_PAULI = (SIGMA1, SIGMA2, SIGMA3)
-
 # Series fallback for the closed-form exponential; below this the
 # sinh(mu)/mu quotient loses digits to cancellation.
 _MU_SMALL = 1e-6
-
-
-def pauli(k: int) -> np.ndarray:
-    """Return the k-th Pauli matrix, k in {1, 2, 3}."""
-    if k not in (1, 2, 3):
-        raise ValueError(f"Pauli index must be 1, 2 or 3, got {k!r}")
-    return _PAULI[k - 1].copy()
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -134,20 +123,6 @@ def expm_sl2(x0, x1, x2):
         )
         diag = sinhc_mu * x0
         return cosh_mu + diag, sinhc_mu * x1, sinhc_mu * x2, cosh_mu - diag
-
-
-def expm2(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential of (..., 2, 2) complex arrays.
-
-    exp(a) = exp(tr a / 2) exp(b) with b the traceless part, exponentiated by
-    ``expm_sl2``; exact (to roundoff) for every input, so det(expm2(a)) =
-    exp(tr a).  Raises FloatingPointError on non-finite entries.
-    """
-    a = np.asarray(a, dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        half_tr = 0.5 * (a[..., 0, 0] + a[..., 1, 1])
-        out = _stack22(*expm_sl2(a[..., 0, 0] - half_tr, a[..., 0, 1], a[..., 1, 0]))
-        return np.exp(half_tr)[..., None, None] * out
 
 
 def _pick(e, sl):

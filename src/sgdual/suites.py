@@ -346,10 +346,15 @@ def suite_descriptions() -> dict:
 
 
 def run_suite(name: str, config) -> Report:
+    """Run one suite; a ValueError or ArithmeticError inside it becomes a single failing ``error`` case."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
     start = time.perf_counter()
-    report = SUITES[name](config)
+    try:
+        report = SUITES[name](config)
+    except (ValueError, ArithmeticError) as exc:
+        report = Report(name)
+        report.add("error", {"error": f"{type(exc).__name__}: {exc}"}, math.nan, math.nan, math.inf, 0.0)
     report.timing = time.perf_counter() - start
     report.metadata.setdefault("verifies", _DESCRIPTIONS[name])
     return report

@@ -53,6 +53,7 @@ from .matcore import _mul, _stack22, expm_sl2, frob, inv2, scan
 __all__ = [
     "TransitionResult",
     "Monodromy",
+    "MAX_STEPS",
     "default_nsteps",
     "propagate",
     "propagate_trajectory",
@@ -65,6 +66,7 @@ _NODES = (0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0)  # Ga
 STEP_DENSITY = 200.0 / 3.0  # steps per period 2 pi / max(|k0|, |k1|, m) of the generator
 _ASYMPTOTE_TOL = 1e-8
 _CHUNK = 2**14  # steps generated and reduced at once; bounds memory at small lambda
+MAX_STEPS = 2**22  # default step counts beyond this are refused: extreme lambda or W
 _IDENTITY = tuple(np.array([v], dtype=complex) for v in (1.0, 0.0, 0.0, 1.0))
 
 
@@ -93,9 +95,17 @@ class Monodromy:
 
 
 def default_nsteps(half_width: float, sp: SpectralPoint, density: float = STEP_DENSITY) -> int:
-    """Step count scaled with the generator frequency, density W max(|k0|,|k1|,m)/pi."""
+    """Step count scaled with the generator frequency, density W max(|k0|,|k1|,m)/pi.
+
+    Raises ValueError when that count exceeds MAX_STEPS (or is not finite).
+    """
     rate = max(abs(sp.k0), abs(sp.k1), sp.m)
-    return max(64, int(math.ceil(density * half_width * rate / math.pi)))
+    count = density * half_width * rate / math.pi
+    if not count <= MAX_STEPS:
+        raise ValueError(
+            f"{count:.3g} Magnus steps needed at lambda = {sp.lam:g}, W = {half_width:g}; the cap is {MAX_STEPS}"
+        )
+    return max(64, int(math.ceil(count)))
 
 
 def _chunks(nsteps: int):

@@ -216,15 +216,6 @@ def test_recursion_vs_monodromy_fit_time(kink_time_ledger):
         assert abs(fitted.value(n) - ledger.value(n)) < 1e-4 * scale
 
 
-def test_ledger_csv(tmp_path, kink_space_ledger):
-    _, ledger = kink_space_ledger
-    path = tmp_path / "ledger.csv"
-    ledger.to_csv(path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "picture,n,value_re,value_im,provenance,drift"
-    assert len(lines) == 1 + len(ledger.entries)
-
-
 def test_ledger_merge_guards_picture():
     a = charges_infinity(make_vacuum(P11), "space", 0.0, 1, WIDE)
     b = charges_zero(make_vacuum(P11), "time", 0.0, 1, WIDE)

@@ -318,3 +318,30 @@ def test_step_counts_reach_the_json_report_only(tmp_path):
     assert report["metadata"]["step-counts"] == want
     assert run(cfg, tmp_path / "csv", "csv") == 0
     assert "step" not in (tmp_path / "csv" / "monodromy-conservation.csv").read_text()
+
+
+def _error_rows(path):
+    rows = [line.split(",", 1) for line in path.read_text().splitlines()[1:]]
+    return [rest for case, rest in rows if case == "error"]
+
+
+def test_suite_that_raises_becomes_a_failing_error_case(tmp_path, capsys):
+    data = {**_with(("numerics", "half_width"), 5.0), "suites": ["lax-residual", "monodromy-conservation"]}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "rep")]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    (row,) = _error_rows(tmp_path / "rep" / "monodromy-conservation.csv")
+    assert "NonDecayingFieldError" in row and row.endswith(",nan,nan,inf,0,fail")
+    assert "[pass] lax-residual: 3 cases" in captured.out  # the other suite still ran
+
+
+@pytest.mark.parametrize("lam", [1e-300, 1e20])
+def test_extreme_lambda_ends_quickly_in_an_error_case(tmp_path, lam):
+    data = {**_with(("spectral", "lambda_list"), [lam]), "suites": ["monodromy-conservation"]}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    assert run(path, tmp_path / "rep", "csv") == 1
+    (row,) = _error_rows(tmp_path / "rep" / "monodromy-conservation.csv")
+    assert "ValueError" in row and "Magnus steps" in row

@@ -17,7 +17,7 @@ KINK = {
     "solution": {"kind": "kink", "v": 0.4, "x0": 0.0, "orientation": 1},
     "spectral": {"lambda_list": [0.5, 2.0]},
     "numerics": {"half_width": 30.0, "tolerances": {"lax_residual": 1e-5}},
-    "suites": ["lax-residual"],
+    "suites": ["lax-residual", "monodromy-conservation"],
 }
 
 # every place a mutation may land: a section and a key in it, or a whole section

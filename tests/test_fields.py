@@ -212,15 +212,17 @@ def test_line_derivatives_match_field_bit_for_bit(picture):
 
 def test_line_generator_and_normaliser_follow_the_picture():
     from sgdual.fields import Line
-    from sgdual.lax import build_U_hat, build_V_hat, ce0, e0, spectral
+    from sgdual.lax import ce0, e0, hat_entries, spectral
 
     sp = spectral(1.3, P11)
     s = np.linspace(-0.9, 0.9, 7)
     other = np.full_like(s, 0.35)
     for field in _line_fields():
         space, time = Line(field, "space", 0.35), Line(field, "time", 0.35)
-        assert np.array_equal(space.generator(s, sp), build_U_hat(field, s, other, sp))
-        assert np.array_equal(time.generator(s, sp), build_V_hat(field, other, s, sp))
+        for line, picture, x, t in ((space, "space", s, other), (time, "time", other, s)):
+            want = hat_entries(picture, field.sample(x, t), sp, field.params)
+            for got_entry, want_entry in zip(line.generator_entries(s, sp), want, strict=True):
+                assert np.array_equal(got_entry, want_entry)
         assert np.array_equal(space.normaliser(-0.7, sp), e0(-0.7, sp))
         assert np.array_equal(time.normaliser(-0.7, sp), ce0(-0.7, sp))
 

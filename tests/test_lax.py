@@ -6,11 +6,10 @@ import pytest
 from sgdual.fields import FieldEvaluator, ModelParams, make_kink, make_vacuum
 from sgdual.lax import (
     build_U,
-    build_U_hat,
     build_V,
-    build_V_hat,
     ce0,
     e0,
+    hat_entries,
     n_matrix,
     omega,
     spectral,
@@ -18,9 +17,15 @@ from sgdual.lax import (
     v_inf,
     zero_curvature_residual,
 )
-from sgdual.matcore import SIGMA1, SIGMA2, SIGMA3, frob, inv2
+from sgdual.matcore import SIGMA1, SIGMA2, SIGMA3, _stack22, frob, inv2
 
 P11 = ModelParams(1.0, 1.0)
+
+
+def hat(picture, field, x, t, sp):
+    """U_hat (space) or V_hat (time), stacked from the entries of hat_entries."""
+    d, a01, a10 = hat_entries(picture, field.sample(x, t), sp, field.params)
+    return _stack22(d, a01, a10, -d)
 
 
 class NotASolution(FieldEvaluator):
@@ -69,8 +74,9 @@ def test_V_vacuum():
 def test_lax_builders_traceless():
     kink = make_kink(P11, v=0.35, x0=0.1)
     sp = spectral(1.4 + 0.2j, P11)
-    for build in (build_U, build_V, build_U_hat, build_V_hat):
-        mat = build(kink, 0.5, -0.7, sp)
+    mats = [build(kink, 0.5, -0.7, sp) for build in (build_U, build_V)]
+    mats += [hat(picture, kink, 0.5, -0.7, sp) for picture in ("space", "time")]
+    for mat in mats:
         assert abs(mat[0, 0] + mat[1, 1]) < 1e-15
 
 
@@ -103,8 +109,8 @@ def test_V_is_U_with_swapped_roles():
 def test_hat_matrices_vacuum_are_asymptotic():
     vac = make_vacuum(P11)
     sp = spectral(1.3, P11)
-    assert frob(build_U_hat(vac, 1.0, 2.0, sp) - u_inf(sp)) < 1e-15
-    assert frob(build_V_hat(vac, 1.0, 2.0, sp) - v_inf(sp)) < 1e-15
+    assert frob(hat("space", vac, 1.0, 2.0, sp) - u_inf(sp)) < 1e-15
+    assert frob(hat("time", vac, 1.0, 2.0, sp) - v_inf(sp)) < 1e-15
 
 
 def test_gauge_consistency_by_finite_differences():
@@ -117,19 +123,19 @@ def test_gauge_consistency_by_finite_differences():
     om_p = omega(beta, kink.sample(x + h, t).phi)
     om_m = omega(beta, kink.sample(x - h, t).phi)
     gauge = inv2(om) @ build_U(kink, x, t, sp) @ om - inv2(om) @ ((om_p - om_m) / (2 * h))
-    assert frob(gauge - build_U_hat(kink, x, t, sp)) < 1e-8
+    assert frob(gauge - hat("space", kink, x, t, sp)) < 1e-8
 
     om_tp = omega(beta, kink.sample(x, t + h).phi)
     om_tm = omega(beta, kink.sample(x, t - h).phi)
     gauge_t = inv2(om) @ build_V(kink, x, t, sp) @ om - inv2(om) @ ((om_tp - om_tm) / (2 * h))
-    assert frob(gauge_t - build_V_hat(kink, x, t, sp)) < 1e-8
+    assert frob(gauge_t - hat("time", kink, x, t, sp)) < 1e-8
 
 
 def test_hat_matrices_large_lambda_dominated_by_sigma2():
     kink = make_kink(P11, v=0.2)
     lam = 1e6
     sp = spectral(lam, P11)
-    got = build_U_hat(kink, 0.3, 0.1, sp)
+    got = hat("space", kink, 0.3, 0.1, sp)
     assert frob(got - (-1j * lam * 0.25 * SIGMA2)) / lam < 1e-6
 
 
@@ -137,10 +143,10 @@ def test_hat_matrices_decay_to_constants():
     kink = make_kink(P11, v=0.5, x0=0.0)
     sp = spectral(1.1, P11)
     for x in (-30.0, 30.0):
-        assert frob(build_U_hat(kink, x, 0.0, sp) - u_inf(sp)) < 1e-10
-        assert frob(build_V_hat(kink, x, 0.0, sp) - v_inf(sp)) < 1e-10
+        assert frob(hat("space", kink, x, 0.0, sp) - u_inf(sp)) < 1e-10
+        assert frob(hat("time", kink, x, 0.0, sp) - v_inf(sp)) < 1e-10
     for t in (-60.0, 60.0):
-        assert frob(build_U_hat(kink, 0.0, t, sp) - u_inf(sp)) < 1e-10
+        assert frob(hat("space", kink, 0.0, t, sp) - u_inf(sp)) < 1e-10
 
 
 def test_normalisers_solve_asymptotic_problems():

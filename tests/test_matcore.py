@@ -4,16 +4,16 @@ import pytest
 from sgdual.matcore import (
     ID2,
     ID4,
+    SIGMA1,
+    SIGMA2,
     SIGMA3,
     _mul,
     _stack22,
     comm,
     det2,
-    expm2,
     expm_sl2,
     frob,
     inv2,
-    pauli,
     scan,
     tensor,
 )
@@ -32,7 +32,7 @@ def random_mat2(n=1, traceless=False, seed=20260808):
 
 
 def test_pauli_algebra():
-    s1, s2, s3 = pauli(1), pauli(2), pauli(3)
+    s1, s2, s3 = SIGMA1, SIGMA2, SIGMA3
     for s in (s1, s2, s3):
         assert np.allclose(s @ s, ID2)
         assert abs(np.trace(s)) == 0.0
@@ -42,26 +42,13 @@ def test_pauli_algebra():
     assert np.allclose(s3 @ s1, 1j * s2)
 
 
-def test_pauli_entries():
-    assert np.allclose(pauli(3), np.diag([1.0, -1.0]))
-    assert np.allclose(pauli(1), np.array([[0, 1], [1, 0]]))
-    assert np.allclose(pauli(2), np.array([[0, -1j], [1j, 0]]))
-
-
-def test_pauli_bad_index():
-    with pytest.raises(ValueError):
-        pauli(0)
-    with pytest.raises(ValueError):
-        pauli(4)
-
-
 def test_tensor_diag_and_identity():
     assert np.allclose(tensor(SIGMA3, SIGMA3), np.diag([1.0, -1.0, -1.0, 1.0]))
     assert np.allclose(tensor(ID2, ID2), ID4)
 
 
 def test_tensor_antidiagonal_combination():
-    combo = tensor(pauli(1), pauli(1)) + tensor(pauli(2), pauli(2))
+    combo = tensor(SIGMA1, SIGMA1) + tensor(SIGMA2, SIGMA2)
     expected = np.zeros((4, 4), dtype=complex)
     expected[1, 2] = expected[2, 1] = 2.0
     assert np.allclose(combo, expected)
@@ -79,21 +66,6 @@ def test_tensor_bilinear():
     a, b, c = (random_mat2(seed=200 + j)[0] for j in range(3))
     assert np.allclose(tensor(a + c, b), tensor(a, b) + tensor(c, b))
     assert np.allclose(tensor(a, 2.5 * b), 2.5 * tensor(a, b))
-
-
-def test_expm_diagonal_phase():
-    got = expm2(0.5j * np.pi * SIGMA3)
-    assert np.allclose(got, np.diag([1j, -1j]), atol=1e-14)
-
-
-def test_expm_zero():
-    assert np.allclose(expm2(np.zeros((2, 2))), ID2)
-
-
-def test_expm_det_one_for_traceless():
-    mats = random_mat2(50, traceless=True)
-    dets = det2(expm2(mats))
-    assert np.max(np.abs(dets - 1.0)) < 1e-12
 
 
 def expm_oracle(a, squarings=10, terms=24):
@@ -118,16 +90,47 @@ def expm_traceless(a):
     return _stack22(*expm_sl2(a[..., 0, 0], a[..., 0, 1], a[..., 1, 0]))
 
 
+# exponentials of single (2, 2) matrices, 0-d entries through the kernel;
+# the expm_sl2 tests below take batches
+
+
+def test_expm_diagonal_phase():
+    got = expm_traceless(0.5j * np.pi * SIGMA3)
+    assert np.allclose(got, np.diag([1j, -1j]), atol=1e-14)
+
+
+def test_expm_zero():
+    assert np.allclose(expm_traceless(np.zeros((2, 2))), ID2)
+
+
+def test_expm_det_one_for_traceless():
+    dets = [det2(expm_traceless(a)) for a in random_mat2(50, traceless=True)]
+    assert np.max(np.abs(np.asarray(dets) - 1.0)) < 1e-12
+
+
 def test_expm_against_squared_taylor_oracle():
     for a in random_mat2(10, traceless=True):
-        assert frob(expm2(a) - expm_oracle(a)) < 1e-12 * max(1.0, frob(expm_oracle(a)))
+        assert frob(expm_traceless(a) - expm_oracle(a)) < 1e-12 * max(1.0, frob(expm_oracle(a)))
 
 
 def test_expm_small_mu_branch():
-    # near-nilpotent exponent exercises the series fallback
-    a = np.array([[0.0, 1e-8], [1e-8, 0.0]], dtype=complex)
+    # near-nilpotent exponent with a diagonal part exercises the series fallback
+    a = np.array([[1e-8, 2e-8], [0.0, -1e-8]], dtype=complex)
     oracle = np.eye(2) + a + a @ a / 2.0
-    assert frob(expm2(a) - oracle) < 1e-15
+    assert frob(expm_traceless(a) - oracle) < 1e-15
+
+
+def test_expm_rejects_nonfinite():
+    bad = np.array([[np.inf, 0.0], [0.0, -np.inf]], dtype=complex)
+    with pytest.raises(FloatingPointError):
+        expm_traceless(bad)
+
+
+def test_expm_batched_matches_loop():
+    mats = random_mat2(7, traceless=True)
+    batch = expm_traceless(mats)
+    for k in range(7):
+        assert np.allclose(batch[k], expm_traceless(mats[k]))
 
 
 def test_expm_sl2_against_squared_taylor_oracle():
@@ -199,19 +202,6 @@ def test_suffix_scan_matches_sequential_loop(n):
         acc = acc @ steps[k]
         ref[k] = acc
     assert_close_rel(_stack22(*scan(entries(steps), reverse=True)), ref, 1e-13)
-
-
-def test_expm_rejects_nonfinite():
-    bad = np.array([[np.inf, 0.0], [0.0, 0.0]], dtype=complex)
-    with pytest.raises(FloatingPointError):
-        expm2(bad)
-
-
-def test_expm_batched_matches_loop():
-    mats = random_mat2(7)
-    batch = expm2(mats)
-    for k in range(7):
-        assert np.allclose(batch[k], expm2(mats[k]))
 
 
 def test_comm_antisymmetric_and_jacobi():

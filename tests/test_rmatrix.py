@@ -3,7 +3,7 @@ import pytest
 
 from sgdual.fields import FieldSample, KinkField, Line, ModelParams, make_kink, make_vacuum
 from sgdual.lax import build_V, spectral
-from sgdual.matcore import ID2, expm2
+from sgdual.matcore import ID2, _stack22, expm_sl2
 from sgdual.defect import DefectParams, bt_kink_from_vacuum
 from sgdual.rmatrix import (
     BracketReport,
@@ -164,7 +164,8 @@ def test_site_products_match_sequential_loop():
     t_sites = -5.0 + (np.arange(n) + 0.5) * delta
     points = Line(kink, "time", 0.2).points(t_sites)
     v, prefix, suffix, total = _site_products(kink.sample(*points), sp, P11, delta)
-    steps = expm2(delta * build_V(kink, *points, sp))
+    gen = delta * build_V(kink, *points, sp)
+    steps = _stack22(*expm_sl2(gen[:, 0, 0], gen[:, 0, 1], gen[:, 1, 0]))
     acc = ID2
     for i in range(n):
         assert np.max(np.abs(prefix[i] - acc)) < 1e-13

@@ -6,8 +6,9 @@ import pytest
 
 from sgdual.fields import FieldSample, Line, ModelParams, NonDecayingFieldError, VacuumField, make_kink, make_vacuum
 from sgdual.lax import ce0, e0, spectral, u_inf
-from sgdual.matcore import _stack22, det2, expm2, frob
+from sgdual.matcore import _stack22, det2, expm_sl2, frob
 from sgdual.transition import (
+    MAX_STEPS,
     _CHUNK,
     _magnus_steps,
     appendix_equality_residual,
@@ -25,7 +26,8 @@ SP13 = spectral(1.3, P11)
 def test_vacuum_propagation_is_constant_exponential():
     vac = make_vacuum(P11)
     res = propagate(vac, "space", 0.0, -10.0, 7.0, SP13, 2000)
-    assert frob(res.matrix - expm2(17.0 * u_inf(SP13))) < 1e-10
+    gen = 17.0 * u_inf(SP13)
+    assert frob(res.matrix - _stack22(*expm_sl2(gen[0, 0], gen[0, 1], gen[1, 0]))) < 1e-10
 
 
 def test_composition_on_kink():
@@ -230,6 +232,15 @@ def test_appendix_mismatch_for_right_mover_is_constant_transmission():
 
 def test_default_nsteps_scales_with_frequency():
     assert default_nsteps(30.0, spectral(4.0, P11)) > default_nsteps(30.0, spectral(1.0, P11))
+
+
+def test_default_nsteps_refuses_counts_past_the_cap():
+    # the count is W max(|k0|, |k1|, m) STEP_DENSITY / pi, about 4.2 W / lambda at small lambda
+    lam_cap = 30.0 * (200.0 / 3.0) / (4.0 * math.pi * MAX_STEPS)
+    assert default_nsteps(30.0, spectral(1.01 * lam_cap, P11)) <= MAX_STEPS
+    for lam in (0.99 * lam_cap, 1e-300, 1e20, 1e-320):
+        with pytest.raises(ValueError, match="Magnus steps"):
+            default_nsteps(30.0, spectral(lam, P11))
 
 
 def test_vacuum_monodromy_is_identity_for_negative_beta():
