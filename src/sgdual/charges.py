@@ -32,7 +32,10 @@ I_{-1} - I_1 = (beta^2/2m) H_S and J_1 + J_{-1} = (beta^2/2m) H_T.
 
 Field dependence enters through truncated Taylor jets along the running
 coordinate, so the q_n' derivatives are exact to roundoff; no nested finite
-differences anywhere.
+differences anywhere.  ``build_ledger`` takes one pass over the derivative
+orders along its line -- each field partial once -- for the jets of w, w'
+and e_pm, then runs the large-lambda chain and the flipped chain from them,
+one after the other.
 """
 
 from __future__ import annotations
@@ -52,8 +55,6 @@ __all__ = [
     "IdentityReport",
     "LnaFitReport",
     "UnwindingError",
-    "charges_infinity",
-    "charges_zero",
     "build_ledger",
     "energy_identity_S",
     "energy_identity_T",
@@ -105,16 +106,18 @@ def _jet_const(value, npts, deg):
     return out
 
 
-def _phi_jets(line: Line, svals: np.ndarray, deg: int, flipped: bool):
-    """Jets of phi and of w along the line.
+def _line_jets(line: Line, svals: np.ndarray, deg: int):
+    """One pass over the derivative orders along the line: (w, w', e_+, e_-, slope).
 
     w is the cross derivative plus the next running derivative, phi_t + phi_x;
-    the flipped branch takes the cross minus the next running derivative,
-    which is phi_t - phi_x in space and phi_x - phi_t in time.
+    the flipped w' takes the cross minus the next running derivative, which
+    is phi_t - phi_x in space and phi_x - phi_t in time.  slope is the plain
+    running derivative phi_x (space) or phi_t (time).  Each field partial is
+    evaluated once.
     """
+    beta = line.field.params.beta
     npts = svals.size
-    phi = np.zeros((npts, deg + 1), dtype=complex)
-    w = np.zeros((npts, deg + 1), dtype=complex)
+    phi, w, w_flip = (np.zeros((npts, deg + 1), dtype=complex) for _ in range(3))
     run = np.asarray(line.partial(svals, 0))
     fact = 1.0
     for j in range(deg + 1):
@@ -122,73 +125,68 @@ def _phi_jets(line: Line, svals: np.ndarray, deg: int, flipped: bool):
             fact *= j
         cross = np.asarray(line.partial(svals, j, 1))
         run_next = np.asarray(line.partial(svals, j + 1))
+        if j == 0:
+            slope = run_next
         phi[:, j] = run / fact
-        w[:, j] = ((cross - run_next) if flipped else (cross + run_next)) / fact
+        w[:, j] = (cross + run_next) / fact
+        w_flip[:, j] = (cross - run_next) / fact
         run = run_next
-    return phi, w
+    return w, w_flip, _jet_exp(1j * beta * phi), _jet_exp(-1j * beta * phi), slope
+
+
+def _riccati_chain(w, e_delta, e_sum, d_sign, sign_b, n_max, params):
+    """Jets of one off-diagonal chain, n = 0 .. n_max, from jets of w and e_pm.
+
+    The (2,1) chain q_n takes d_sign = -1 and (e_delta, e_sum) = (e_+, e_-);
+    the mirrored (1,2) chain p_n takes d_sign = +1 with the two factors
+    swapped, and the flipped branch swaps them once more with w -> w'.
+    sign_b is s of the recursion: -1 in the space picture, +1 in time.
+    """
+    m, beta = params.m, params.beta
+    out = [_jet_const(1j, w.shape[0], w.shape[1] - 1)]
+    for n in range(n_max):
+        nxt = d_sign * (2j / m) * _jet_deriv(out[n]) - (beta / m) * _jet_mul(w, out[n])
+        if n == 1:
+            nxt = nxt + sign_b * 0.5j * e_delta
+        for p in range(1, n + 1):
+            nxt = nxt + 0.5j * _jet_mul(out[p], out[n + 1 - p])
+        for p in range(0, n):
+            nxt = nxt + sign_b * 0.5j * _jet_mul(e_sum, _jet_mul(out[p], out[n - 1 - p]))
+        out.append(nxt)
+    return out
+
+
+def _check_order(order: int) -> None:
+    if order > MAX_ORDER:
+        raise ValueError(f"order {order} beyond supported maximum {MAX_ORDER}")
 
 
 class RiccatiCoefficients:
-    """Off-diagonal dressing coefficients along one line of the spacetime.
+    """Large-lambda off-diagonal dressing coefficients along one line of the spacetime.
 
-    ``flipped=True`` selects the substituted branch used by the small-lambda
-    expansions (phi -> -phi with the momentum kept).  Coefficient 0 is
-    i*sigma1 everywhere; for order n the jets stay exact to degree
-    (requested degree) - n, which the constructor sizes so that values and
-    first derivatives of every requested order are exact.
+    Coefficient 0 is i*sigma1 everywhere; for order n the jets stay exact to
+    degree (requested degree) - n, which is sized so that values and first
+    derivatives of every requested order are exact.
     """
 
-    def __init__(self, field: FieldEvaluator, picture: str, fixed: float, order: int, flipped: bool = False):
-        if order > MAX_ORDER:
-            raise ValueError(f"order {order} beyond supported maximum {MAX_ORDER}")
+    def __init__(self, field: FieldEvaluator, picture: str, fixed: float, order: int):
+        _check_order(order)
         self.field = field
-        self.picture = picture
         self.line = Line(field, picture, fixed)
         self.order = order
-        self.flipped = flipped
 
-    def _inputs(self, svals, deg):
-        beta = self.field.params.beta
-        phi, w = _phi_jets(self.line, svals, deg, self.flipped)
-        ep = _jet_exp(1j * beta * phi)
-        em = _jet_exp(-1j * beta * phi)
-        return (w, em, ep) if self.flipped else (w, ep, em)
-
-    def _chain(self, svals, n_max, component):
-        """Jets of the (2,1) chain q_n or the mirrored (1,2) chain p_n.
-
-        The two components decouple; p obeys the same recursion with the
-        derivative sign and the two exponential factors swapped.
-        """
-        m, beta = self.field.params.m, self.field.params.beta
-        deg = n_max + 2
-        w, ep, em = self._inputs(svals, deg)
-        sign_b = -1.0 if self.picture == "space" else 1.0
-        d_sign = -1.0 if component == "q" else 1.0
-        e_delta, e_sum = (ep, em) if component == "q" else (em, ep)
-        out = [_jet_const(1j, svals.size, deg)]
-        for n in range(n_max):
-            nxt = d_sign * (2j / m) * _jet_deriv(out[n]) - (beta / m) * _jet_mul(w, out[n])
-            if n == 1:
-                nxt = nxt + sign_b * 0.5j * e_delta
-            for p in range(1, n + 1):
-                nxt = nxt + 0.5j * _jet_mul(out[p], out[n + 1 - p])
-            for p in range(0, n):
-                nxt = nxt + sign_b * 0.5j * _jet_mul(e_sum, _jet_mul(out[p], out[n - 1 - p]))
-            out.append(nxt)
-        return out
-
-    def component_jets(self, svals: np.ndarray, n_max: int | None = None):
-        """q_n jets at the given points, n = 0 .. n_max (default order+1)."""
-        if n_max is None:
-            n_max = self.order + 1
-        return self._chain(np.asarray(svals, dtype=float), n_max, "q")
+    def _chains(self, svals, n_max):
+        """Jets of the q_n and p_n chains, n = 0 .. n_max, from one jet pass."""
+        w, _, ep, em, _ = _line_jets(self.line, svals, n_max + 2)
+        sign_b = self.line.pick(-1.0, 1.0)
+        params = self.field.params
+        return (_riccati_chain(w, ep, em, -1.0, sign_b, n_max, params),
+                _riccati_chain(w, em, ep, 1.0, sign_b, n_max, params))
 
     def gamma(self, n: int, svals) -> np.ndarray:
         """Gamma_n values as (npts, 2, 2) off-diagonal matrices."""
         svals = np.atleast_1d(np.asarray(svals, dtype=float))
-        q = self._chain(svals, n, "q")
-        p = self._chain(svals, n, "p")
+        q, p = self._chains(svals, n)
         out = np.zeros((svals.size, 2, 2), dtype=complex)
         out[:, 1, 0] = q[n][:, 0]
         out[:, 0, 1] = p[n][:, 0]
@@ -201,11 +199,8 @@ class RiccatiCoefficients:
         transcription error in the recursion cannot pass.
         """
         svals = np.atleast_1d(np.asarray(svals, dtype=float))
-        if self.flipped:
-            raise ValueError("residual oracle applies to the large-lambda branch")
         sp = spectral(lam, self.field.params)
-        q_jets = self._chain(svals, self.order, "q")
-        p_jets = self._chain(svals, self.order, "p")
+        q_jets, p_jets = self._chains(svals, self.order)
         # Gamma = [[0, p], [q, 0]] and its running derivative, summed over the orders
         q, p, q_s, p_s = (np.zeros(svals.size, dtype=complex) for _ in range(4))
         for n in range(self.order + 1):
@@ -239,58 +234,42 @@ class ChargeLedger:
         """i * sum_{n=1..n_terms} entry_n / lam^n."""
         return 1j * sum(self.entries[n] * lam ** (-n) for n in range(1, n_terms + 1))
 
-    def merged_with(self, other: "ChargeLedger") -> "ChargeLedger":
-        if other.picture != self.picture:
-            raise ValueError("cannot merge ledgers from different pictures")
-        entries = dict(self.entries)
-        entries.update(other.entries)
-        return ChargeLedger(self.picture, entries, self.provenance)
 
+def build_ledger(field, picture, fixed, order, window) -> ChargeLedger:
+    """Charges n = -order .. order along one line, by quadrature of the local densities.
 
-def charges_infinity(field, picture, fixed, order, window) -> ChargeLedger:
-    """Large-lambda charges n = 1..order by quadrature of the local densities."""
+    One jet pass feeds both branches: the large-lambda chain gives n >= 1,
+    the running slope gives n = 0, and the flipped chain (w -> w',
+    e_+ <-> e_-) gives n <= -1.  The two chains are built one after the other
+    so that only one is held at a time.
+    """
+    _check_order(order)
     m, beta = field.params.m, field.params.beta
-    rc = RiccatiCoefficients(field, picture, fixed, order)
-    svals = rc.line.axis(window)
+    line = Line(field, picture, fixed)
+    svals = line.axis(window)
     h = svals[1] - svals[0]
-    q = rc.component_jets(svals, n_max=order + 1)
-    em = np.exp(-1j * beta * np.asarray(rc.line.partial(svals, 0)))
+    w, w_flip, ep, em, slope = _line_jets(line, svals, order + 3)
+    sign = line.pick(1.0, -1.0)
     entries = {}
-    sign = 1.0 if picture == "space" else -1.0
+    q = _riccati_chain(w, ep, em, -1.0, -sign, order + 1, field.params)
     for n in range(1, order + 1):
-        density = q[n + 1][:, 0] - sign * em * q[n - 1][:, 0]
+        density = q[n + 1][:, 0] - sign * em[:, 0] * q[n - 1][:, 0]
         if n == 1:
             density = density + sign * 1j
         entries[n] = (0.25j * m) * simpson_uniform(density, h)
-    return ChargeLedger(picture, entries)
-
-
-def charges_zero(field, picture, fixed, order, window) -> ChargeLedger:
-    """Small-lambda charges n = 0..-order from the flipped-branch recursion."""
-    m, beta = field.params.m, field.params.beta
-    rc = RiccatiCoefficients(field, picture, fixed, order, flipped=True)
-    svals = rc.line.axis(window)
-    h = svals[1] - svals[0]
-    q = rc.component_jets(svals, n_max=order + 1)
+    del q
     # order 0: -(beta/2) times phi_x (space) or phi_t (time), the running slope
-    zero_density = -0.5 * beta * np.asarray(rc.line.partial(svals, 1))
-    ep = np.exp(1j * beta * np.asarray(rc.line.partial(svals, 0)))
-    entries = {0: complex(simpson_uniform(zero_density, h))}
+    entries[0] = complex(simpson_uniform(-0.5 * beta * slope, h))
+    q = _riccati_chain(w_flip, em, ep, -1.0, -sign, order + 1, field.params)
     for n in range(1, order + 1):
         if picture == "space":
-            density = (-1.0) ** (n + 1) * (ep * q[n - 1][:, 0] - q[n + 1][:, 0])
+            density = (-1.0) ** (n + 1) * (ep[:, 0] * q[n - 1][:, 0] - q[n + 1][:, 0])
         else:
-            density = ep * q[n - 1][:, 0] + q[n + 1][:, 0]
+            density = ep[:, 0] * q[n - 1][:, 0] + q[n + 1][:, 0]
         if n == 1:
             density = density - 1j
         entries[-n] = (0.25j * m) * simpson_uniform(density, h)
     return ChargeLedger(picture, entries)
-
-
-def build_ledger(field, picture, fixed, order, window) -> ChargeLedger:
-    return charges_infinity(field, picture, fixed, order, window).merged_with(
-        charges_zero(field, picture, fixed, order, window)
-    )
 
 
 @dataclass(frozen=True)

@@ -177,7 +177,8 @@ def run(config_path, out_dir, fmt: str = "csv", jobs: int = 1) -> int:
         status = "pass" if report.passed else "FAIL"
         print(f"[{status}] {name}: {len(report.cases)} cases -> {path}")
         for case in report.failing():
-            print(f"    failing case {case.case}: gap={case.gap:.3e} tolerance={case.tolerance:.3e}")
+            detail = f"; {json.loads(case.inputs)['error']}" if case.case == "error" else ""
+            print(f"    failing case {case.case}: gap={case.gap:.3e} tolerance={case.tolerance:.3e}{detail}")
             exit_code = 1
     return exit_code
 

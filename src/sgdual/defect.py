@@ -112,16 +112,13 @@ class DefectPair:
 
     def condition_residual(self, t_grid) -> float:
         """Max violation of both defect conditions at x = 0 over the grid."""
-        m, beta = self.params.m, self.params.beta
-        sig = self.defect.sigma
         t = np.asarray(t_grid, dtype=float)
         x0 = np.zeros_like(t)
         sl = self.left.sample(x0, t)
         sr = self.right.sample(x0, t)
-        s_plus = np.sin(0.5 * beta * (sl.phi + sr.phi))
-        s_minus = np.sin(0.5 * beta * (sl.phi - sr.phi))
-        r1 = sl.phi_x - sr.phi_t - (m / beta) * (sig * s_plus + s_minus / sig)
-        r2 = sl.phi_t - sr.phi_x - (m / beta) * (sig * s_plus - s_minus / sig)
+        b_phi, b_phi_tilde = _b_gradient(self.params, self.defect, sr.phi, sl.phi)
+        r1 = sl.phi_x - sr.phi_t + b_phi_tilde
+        r2 = sl.phi_t - sr.phi_x + b_phi
         return float(max(np.max(np.abs(r1)), np.max(np.abs(r2))))
 
     def validate(self, t_grid=None) -> "DefectPair":
@@ -154,13 +151,8 @@ def bt_kink_from_vacuum(params: ModelParams, defect: DefectParams, x0: float = 0
 
 def _bt_slopes(params: ModelParams, defect: DefectParams, phi, seed_sample):
     """(phi_x, phi_t) of the new field given the seed's sample at the point."""
-    m, beta = params.m, params.beta
-    sig = defect.sigma
-    s_plus = np.sin(0.5 * beta * (seed_sample.phi + phi))
-    s_minus = np.sin(0.5 * beta * (seed_sample.phi - phi))
-    phi_x = seed_sample.phi_t - (m / beta) * (sig * s_plus - s_minus / sig)
-    phi_t = seed_sample.phi_x - (m / beta) * (sig * s_plus + s_minus / sig)
-    return phi_x, phi_t
+    b_phi, b_phi_tilde = _b_gradient(params, defect, phi, seed_sample.phi)
+    return seed_sample.phi_t + b_phi, seed_sample.phi_x + b_phi_tilde
 
 
 def _rk4(y, s, h, deriv):
@@ -511,6 +503,19 @@ def b_density(params: ModelParams, defect: DefectParams, phi, phi_tilde):
     )
 
 
+def _b_gradient(params: ModelParams, defect: DefectParams, phi, phi_tilde):
+    """(dB/dphi, dB/dphi~) of the defect potential ``b_density``.
+
+    The defect conditions read phi~_x - phi_t + dB/dphi~ = 0 and
+    phi~_t - phi_x + dB/dphi = 0: the canonical transformation generated by B.
+    """
+    m, beta = params.m, params.beta
+    sig = defect.sigma
+    s_plus = np.sin(0.5 * beta * (phi_tilde + phi))
+    s_minus = np.sin(0.5 * beta * (phi_tilde - phi))
+    return (m / beta) * (-sig * s_plus + s_minus / sig), (m / beta) * (-sig * s_plus - s_minus / sig)
+
+
 def defect_lagrangian(pair: DefectPair, t) -> float:
     """L_defect(t) = (phi~ phi_t - phi phi~_t)/2 - B at x = 0."""
     t = np.asarray(t, dtype=float)
@@ -584,8 +589,6 @@ def canonical_residual(pair: DefectPair, t_grid, h: float) -> tuple[float, float
     the opposite overall sign for the left field; partials of L_defect are
     analytic, the total time derivative is a central difference of step h.
     """
-    m, beta = pair.params.m, pair.params.beta
-    sig = pair.defect.sigma
     t = np.asarray(t_grid, dtype=float)
 
     def samples(tv):
@@ -593,10 +596,7 @@ def canonical_residual(pair: DefectPair, t_grid, h: float) -> tuple[float, float
         return pair.left.sample(z, tv), pair.right.sample(z, tv)
 
     sl, sr = samples(t)
-    s_plus = np.sin(0.5 * beta * (sl.phi + sr.phi))
-    s_minus = np.sin(0.5 * beta * (sl.phi - sr.phi))
-    dB_dphi = (m / beta) * (-sig * s_plus + s_minus / sig)
-    dB_dphi_tilde = (m / beta) * (-sig * s_plus - s_minus / sig)
+    dB_dphi, dB_dphi_tilde = _b_gradient(pair.params, pair.defect, sr.phi, sl.phi)
     # d/dt of dL/d(phi_t) = phi~/2 and of dL/d(phi~_t) = -phi/2
     sl_p, sr_p = samples(t + h)
     sl_m, sr_m = samples(t - h)

@@ -3,12 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from sgdual.fields import GridWindow, ModelParams, make_kink, make_vacuum
+from sgdual.fields import FieldEvaluator, GridWindow, ModelParams, make_kink, make_vacuum
 from sgdual.charges import (
     RiccatiCoefficients,
     build_ledger,
-    charges_infinity,
-    charges_zero,
     energy_identity_S,
     energy_identity_T,
     fit_charges_from_monodromy,
@@ -77,6 +75,8 @@ def test_riccati_residual_time_picture():
 def test_order_cap():
     with pytest.raises(ValueError):
         RiccatiCoefficients(make_vacuum(P11), "space", 0.0, 7)
+    with pytest.raises(ValueError):
+        build_ledger(make_vacuum(P11), "space", 0.0, 7, WIDE)
 
 
 def test_vacuum_ledger_is_zero():
@@ -216,11 +216,26 @@ def test_recursion_vs_monodromy_fit_time(kink_time_ledger):
         assert abs(fitted.value(n) - ledger.value(n)) < 1e-4 * scale
 
 
-def test_ledger_merge_guards_picture():
-    a = charges_infinity(make_vacuum(P11), "space", 0.0, 1, WIDE)
-    b = charges_zero(make_vacuum(P11), "time", 0.0, 1, WIDE)
-    with pytest.raises(ValueError):
-        a.merged_with(b)
+class CountingField(FieldEvaluator):
+    """Delegates to a wrapped solution and records every requested (dx, dt) order."""
+
+    def __init__(self, inner):
+        self.inner, self.params = inner, inner.params
+        self.orders = []
+
+    def derivative(self, x, t, dx, dt):
+        self.orders.append((dx, dt))
+        return self.inner.derivative(x, t, dx, dt)
+
+
+@pytest.mark.parametrize("picture", ["space", "time"])
+def test_build_ledger_takes_each_partial_once(picture):
+    field = CountingField(make_kink(P11, v=0.4))
+    order = 3
+    ledger = build_ledger(field, picture, 0.0, order, GridWindow(-10.0, 10.0, -10.0, 10.0, 201, 201))
+    assert sorted(ledger.entries) == list(range(-order, order + 1))
+    deg = order + 3  # jets of w reach running order deg + 1 and cross order 1
+    assert len(field.orders) == len(set(field.orders)) == 2 * deg + 3
 
 
 def test_unwrap_log_raises_on_branch_jump():

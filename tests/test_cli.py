@@ -334,6 +334,7 @@ def test_suite_that_raises_becomes_a_failing_error_case(tmp_path, capsys):
     assert "Traceback" not in captured.out + captured.err
     (row,) = _error_rows(tmp_path / "rep" / "monodromy-conservation.csv")
     assert "NonDecayingFieldError" in row and row.endswith(",nan,nan,inf,0,fail")
+    assert "NonDecayingFieldError" in captured.out  # the failing-case line names the exception
     assert "[pass] lax-residual: 3 cases" in captured.out  # the other suite still ran
 
 
