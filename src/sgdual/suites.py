@@ -136,11 +136,12 @@ def _suite_monodromy(config) -> Report:
     w = config.half_width
     tol = _tol(config, "monodromy_drift")
     steps = rep.metadata["step-counts"] = {}
+    sizes = rep.metadata["step-sizes"] = {}  # [smallest, largest] |h| of each mesh
     for lam in config.lambdas:
         sp = spectral(lam, config.params)
         m0 = monodromy(field, "space", 0.0, w, sp)
         a0, a1 = m0.a_entry, monodromy(field, "space", 2.0, w, sp).a_entry
-        steps[f"a-lam={lam:g}"] = m0.step_count
+        steps[f"a-lam={lam:g}"], sizes[f"a-lam={lam:g}"] = m0.step_count, list(m0.step_range)
         rep.add(f"a-drift-lam={lam:g}", {"lambda": lam, "times": [0.0, 2.0]},
                 abs(a0), abs(a1), abs(a0 - a1), tol)
     if _time_decaying(field):
@@ -148,7 +149,7 @@ def _suite_monodromy(config) -> Report:
             sp = spectral(lam, config.params)
             m0 = monodromy(field, "time", 0.0, w, sp)
             f0, f1 = m0.a_entry, monodromy(field, "time", 1.0, w, sp).a_entry
-            steps[f"fa-lam={lam:g}"] = m0.step_count
+            steps[f"fa-lam={lam:g}"], sizes[f"fa-lam={lam:g}"] = m0.step_count, list(m0.step_range)
             rep.add(f"fa-drift-lam={lam:g}", {"lambda": lam, "positions": [0.0, 1.0]},
                     abs(f0), abs(f1), abs(f0 - f1), tol)
     else:

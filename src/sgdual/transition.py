@@ -17,14 +17,38 @@ with the closed-form 2x2 exponential.  Omega is assembled entry by entry as
 generator, so it is traceless by construction and det Psi = 1 holds to
 roundoff; the step is exact for constant generators -- vacuum monodromies
 come out as the identity at machine precision instead of accumulating local
-truncation error.  The default count over [-W, W] is
-STEP_DENSITY * W * max(|k0|, |k1|, m) / pi with STEP_DENSITY = 200/3, a
-third of what the fourth-order two-node scheme needed for the same gates.
-Measured on the v = 0.4 kink at lambda = 0.2, W = 40: each halving of h
+truncation error.
+
+The step edges follow the solution (de Boor's equidistribution, 1973).  The
+global error is a sum of h_k^7 times the local deviation of the generator
+from a constant, so for a fixed count it is smallest with h proportional to
+dev^(-1/7).  The monitor is
+
+    dev(s) = |d| + |a01 - a01(start)| + |a10 - a10(start)|,
+
+from the entries [[d, a01], [a10, -d]] of the gauged generator probed at
+spacing 1/(m gamma), gamma the field's Lorentz factor.  The weight is
+w = max(dev / max dev, 1e-16)^(1/7), and the edges invert the cumulative
+trapezoid integral of w.  The default count is
+1.3 STEP_DENSITY W_eff max(|k0|, |k1|, m) / pi with W_eff = (1/2) int w ds,
+STEP_DENSITY = 200/3 steps per period of the generator and a floor of 64.
+A settled tail has w near 0.005, so it adds almost nothing to W_eff: the
+count follows the width of the solution, not of the window (on the v = 0.4
+kink, W = 80 takes 1% more steps than W = 40).  On a vacuum dev = 0: the
+mesh is uniform and W_eff is the half-width, at the density STEP_DENSITY.
+propagate_trajectory always steps uniformly, since Simpson rules run on
+its grid.
+
+Measured on the v = 0.4 kink: at lambda = 0.2, W = 40, each halving of h
 shrinks the Blaschke gap |a - (lambda - i mu)/(lambda + i mu)| by 2^6.0
-(3.7e-3 at 125 steps, 1.4e-8 at 1000); at the default density the gap stays
-at or below 1.1e-8 for lambda in [0.01, 5].  (A classical RK4 update was
-tried first and could not reach the 1e-10 vacuum gate at sane step counts.)
+(1.4e-7 at 125 steps, 5.4e-13 at 1000; the uniform mesh gave 3.7e-3 and
+1.4e-8).  With the default counts, the worst gap over 30 log-spaced lambda
+in [0.01, 5] is 2.8e-9 in the space picture (W = 40; the uniform mesh gave
+1.2e-8 at 4.3 times the steps) and 4.1e-10 in the time picture (x = 0.3,
+W = 50; uniform: 1.5e-9 at 2.3 times the steps).  The factor 1.3 was set
+by measurement: at 1.0 the space gap grows to 1.35e-8.  (A classical RK4
+update was tried first and could not reach the 1e-10 vacuum gate at sane
+step counts.)
 
 Steps are held in matcore's entry layout, a tuple (e00, e01, e10, e11) of
 1-D arrays, and generated and reduced in chunks of at most 2^14 steps: the
@@ -64,6 +88,8 @@ __all__ = [
 
 _NODES = (0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0)  # Gauss-Legendre
 STEP_DENSITY = 200.0 / 3.0  # steps per period 2 pi / max(|k0|, |k1|, m) of the generator
+_GRADED_DENSITY = 1.3 * STEP_DENSITY  # calibrated on the graded mesh; see the module docstring
+_WEIGHT_FLOOR = 1e-16  # floor of the normalised monitor, so that the settled tails still get steps
 _ASYMPTOTE_TOL = 1e-8
 _CHUNK = 2**14  # steps generated and reduced at once; bounds memory at small lambda
 MAX_STEPS = 2**22  # default step counts beyond this are refused: extreme lambda or W
@@ -78,6 +104,7 @@ class TransitionResult:
     picture: str
     sp: SpectralPoint
     step_count: int
+    step_range: tuple[float, float]  # smallest and largest |h| of the mesh
 
 
 @dataclass(frozen=True)
@@ -88,6 +115,7 @@ class Monodromy:
     tail_deviation: float
     truncated: bool
     step_count: int
+    step_range: tuple[float, float]  # smallest and largest |h| of the mesh
 
     @property
     def a_entry(self) -> complex:
@@ -97,21 +125,62 @@ class Monodromy:
 def default_nsteps(half_width: float, sp: SpectralPoint, density: float = STEP_DENSITY) -> int:
     """Step count scaled with the generator frequency, density W max(|k0|,|k1|,m)/pi.
 
+    W is the half-width of a uniform mesh, or (1/2) int w ds of a graded one.
     Raises ValueError when that count exceeds MAX_STEPS (or is not finite).
     """
     rate = max(abs(sp.k0), abs(sp.k1), sp.m)
     count = density * half_width * rate / math.pi
     if not count <= MAX_STEPS:
         raise ValueError(
-            f"{count:.3g} Magnus steps needed at lambda = {sp.lam:g}, W = {half_width:g}; the cap is {MAX_STEPS}"
+            f"{count:.3g} Magnus steps needed at lambda = {sp.lam:g}, half-width {half_width:g}; the cap is {MAX_STEPS}"
         )
     return max(64, int(math.ceil(count)))
 
 
-def _chunks(nsteps: int):
-    """Step indices in consecutive chunks of at most _CHUNK."""
+def _mesh(line, start, stop, sp, nsteps=None, graded=True):
+    """(nsteps, steps): the step count and a map from consecutive step indices to their bases and sizes.
+
+    Graded, the edges invert the cumulative trapezoid integral of the weight
+    w = max(dev / max dev, 1e-16)^(1/7), probed at spacing 1/(m gamma), and
+    nsteps=None takes the default count for the half-width (1/2) int w ds.
+    On a vacuum (dev = 0), or with graded=False, the mesh is uniform and
+    the size is one scalar h.
+    """
+    if nsteps is not None and nsteps < 1:
+        raise ValueError("nsteps must be >= 1")
+    weight = None
+    if graded and stop != start:
+        field = line.field
+        probe = np.linspace(start, stop, math.ceil(abs(stop - start) * field.params.m * field.gamma) + 2)
+        d, a01, a10 = line.generator_entries(probe, sp)
+        dev = np.abs(d) + np.abs(a01 - a01[0]) + np.abs(a10 - a10[0])
+        if dev.max() > 0.0:
+            weight = np.maximum(dev / dev.max(), _WEIGHT_FLOOR) ** (1.0 / 7.0)
+    if weight is None:
+        if nsteps is None:
+            nsteps = default_nsteps(0.5 * abs(stop - start), sp)
+        h = (stop - start) / nsteps  # one scalar h, not differenced edges: the uniform steps keep their roundoff
+        return nsteps, lambda ks: (start + h * ks, h)
+    cum = np.concatenate(([0.0], np.cumsum(weight[1:] + weight[:-1]))) * (0.5 * abs(probe[1] - probe[0]))
+    if nsteps is None:
+        nsteps = default_nsteps(0.5 * cum[-1], sp, _GRADED_DENSITY)
+    cum *= nsteps / cum[-1]
+    cum[-1] = nsteps  # the last edge is stop exactly
+
+    def steps(ks):
+        edges = np.interp(np.append(ks, ks[-1] + 1), cum, probe)
+        return edges[:-1], np.diff(edges)
+
+    return nsteps, steps
+
+
+def _step_chunks(line, mesh, sp):
+    """(ks, h, E) for consecutive chunks of at most _CHUNK steps: indices, signed sizes, transfer entries."""
+    nsteps, steps = mesh
     for first in range(0, nsteps, _CHUNK):
-        yield np.arange(first, min(first + _CHUNK, nsteps))
+        ks = np.arange(first, min(first + _CHUNK, nsteps))
+        base, h = steps(ks)
+        yield ks, h, _magnus_steps(line, base, h, sp)
 
 
 def _add_comm(out, a, b, c):
@@ -121,13 +190,12 @@ def _add_comm(out, a, b, c):
     out[2] += (2.0 * c) * (a[2] * b[0] - a[0] * b[2])
 
 
-def _magnus_steps(line, start, h, ks, sp):
-    """Entries of the transfer matrices E_k for step indices ks, in propagation order.
+def _magnus_steps(line, base, h, sp):
+    """Entries of the transfer matrices E_k of the steps [base, base + h], in propagation order.
 
     The node entries are combined in place and dropped once used, so a chunk
     holds at most four entry triples at a time.
     """
-    base = start + h * ks
     a3 = list(line.generator_entries(base + _NODES[0] * h, sp))  # G1, then G1 + G3
     a2 = list(line.generator_entries(base + _NODES[2] * h, sp))  # G3, then G3 - G1
     for k in range(3):
@@ -135,7 +203,6 @@ def _magnus_steps(line, start, h, ks, sp):
         a2[k] *= 2.0
         a2[k] -= a3[k]
     a1 = list(line.generator_entries(base + _NODES[1] * h, sp))
-    del base
     for k in range(3):
         a3[k] -= 2.0 * a1[k]
         a1[k] *= h  # alpha1 = h G2
@@ -179,30 +246,37 @@ def propagate(
     start: float,
     stop: float,
     sp: SpectralPoint,
-    nsteps: int,
+    nsteps: int | None = None,
 ) -> TransitionResult:
-    """Transition matrix Psi(stop) with Psi(start) = 1."""
+    """Transition matrix Psi(stop) with Psi(start) = 1, stepped on the graded mesh of the line.
+
+    nsteps is the step count on that mesh; None takes the default count.
+    """
     line = Line(field, picture, fixed)
-    if nsteps < 1:
-        raise ValueError("nsteps must be >= 1")
+    mesh = _mesh(line, start, stop, sp, nsteps)
     if stop == start:
-        return TransitionResult(np.eye(2, dtype=complex), start, stop, picture, sp, 0)
-    h = (stop - start) / nsteps
-    total = _IDENTITY
-    for ks in _chunks(nsteps):
-        total = _mul(_ordered_product(_magnus_steps(line, start, h, ks, sp)), total)
-    return TransitionResult(_stack22(*total)[0], start, stop, picture, sp, nsteps)
+        return TransitionResult(np.eye(2, dtype=complex), start, stop, picture, sp, 0, (0.0, 0.0))
+    total, smallest, largest = _IDENTITY, math.inf, 0.0
+    for _, h, steps in _step_chunks(line, mesh, sp):
+        total = _mul(_ordered_product(steps), total)
+        smallest, largest = min(smallest, np.abs(h).min()), max(largest, np.abs(h).max())
+    return TransitionResult(
+        _stack22(*total)[0], start, stop, picture, sp, mesh[0], (float(smallest), float(largest))
+    )
 
 
 def propagate_trajectory(field, picture, fixed, start, stop, sp, nsteps) -> tuple[np.ndarray, np.ndarray]:
-    """Grid points and Psi at each of them (inclusive scan of the steps)."""
+    """Grid points and Psi at each of them (inclusive scan of the steps).
+
+    The grid is uniform, unlike propagate's mesh, so that Simpson rules can run on it.
+    """
     line = Line(field, picture, fixed)
-    h = (stop - start) / nsteps
+    mesh = _mesh(line, start, stop, sp, nsteps, graded=False)
     out = np.empty((nsteps + 1, 2, 2), dtype=complex)
     out[0] = np.eye(2)
     total = _IDENTITY
-    for ks in _chunks(nsteps):
-        psi = _mul(scan(_magnus_steps(line, start, h, ks, sp)), total)
+    for ks, _, steps in _step_chunks(line, mesh, sp):
+        psi = _mul(scan(steps), total)
         out[ks + 1] = _stack22(*psi)
         total = tuple(x[-1:] for x in psi)
     return np.linspace(start, stop, nsteps + 1), out
@@ -224,11 +298,9 @@ def monodromy(
     """
     line = Line(field, picture, fixed)
     dev = max(line.vacuum(sign * half_width)[1] for sign in (-1, +1))
-    if nsteps is None:
-        nsteps = default_nsteps(half_width, sp)
     core = propagate(field, picture, fixed, -half_width, half_width, sp, nsteps)
     mat = inv2(line.normaliser(half_width, sp)) @ core.matrix @ line.normaliser(-half_width, sp)
-    return Monodromy(mat, picture, half_width, dev, dev > _ASYMPTOTE_TOL, core.step_count)
+    return Monodromy(mat, picture, half_width, dev, dev > _ASYMPTOTE_TOL, core.step_count, core.step_range)
 
 
 def jost(
@@ -248,8 +320,6 @@ def jost(
     """
     if side not in (-1, +1):
         raise ValueError("side must be -1 or +1")
-    if nsteps is None:
-        nsteps = default_nsteps(half_width, sp)
     line, stop = Line.through(field, picture, x, t)
     start = side * half_width
     res = propagate(field, picture, line.fixed, start, stop, sp, nsteps)

@@ -316,6 +316,11 @@ def test_step_counts_reach_the_json_report_only(tmp_path):
     report = json.loads((tmp_path / "json" / "monodromy-conservation.json").read_text())
     want = {f"{k}={lam:g}": default_nsteps(30.0, spectral(lam, config.params)) for k in ("a-lam", "fa-lam") for lam in config.lambdas}
     assert report["metadata"]["step-counts"] == want
+    # the vacuum keeps the uniform mesh: every step is 2W/n
+    sizes = report["metadata"]["step-sizes"]
+    assert sizes.keys() == want.keys()
+    for key, n in want.items():
+        assert sizes[key] == pytest.approx([60.0 / n] * 2, rel=1e-12)
     assert run(cfg, tmp_path / "csv", "csv") == 0
     assert "step" not in (tmp_path / "csv" / "monodromy-conservation.csv").read_text()
 

@@ -11,6 +11,7 @@ from sgdual.transition import (
     MAX_STEPS,
     _CHUNK,
     _magnus_steps,
+    _mesh,
     appendix_equality_residual,
     default_nsteps,
     jost,
@@ -73,26 +74,40 @@ def test_nonfinite_exponent_raises():
         propagate(_NaNVacuum(P11), "space", 0.0, -5.0, 5.0, SP13, 16)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 7, _CHUNK - 1, _CHUNK, _CHUNK + 1])
-def test_trajectory_and_chunked_product_match_sequential_loop(n):
-    kink = make_kink(P11, v=0.4)
-    start, stop = -6.0, 6.0
-    # one unchunked batch of the same steps, multiplied up one at a time
-    steps = _stack22(*_magnus_steps(Line(kink, "time", 0.5), start, (stop - start) / n, np.arange(n), SP13))
+def _sequential_loop(line, start, stop, n, graded):
+    """Psi at every edge of the mesh, from one unchunked batch of its steps multiplied up one at a time."""
+    base, h = _mesh(line, start, stop, SP13, n, graded)[1](np.arange(n))
+    steps = _stack22(*_magnus_steps(line, base, h, SP13))
     ref = np.empty((n + 1, 2, 2), dtype=complex)
     ref[0] = np.eye(2)
     for k in range(n):
         ref[k + 1] = steps[k] @ ref[k]
+    return ref
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, _CHUNK - 1, _CHUNK, _CHUNK + 1])
+def test_trajectory_and_chunked_product_match_sequential_loop(n):
+    kink = make_kink(P11, v=0.4)
+    line, start, stop = Line(kink, "time", 0.5), -6.0, 6.0
+    ref = _sequential_loop(line, start, stop, n, graded=False)
     grid, psi = propagate_trajectory(kink, "time", 0.5, start, stop, SP13, n)
-    assert grid.shape == (n + 1,)
+    assert np.array_equal(grid, np.linspace(start, stop, n + 1))
     rel = np.max(np.abs(psi - ref), axis=(1, 2)) / np.max(np.abs(ref), axis=(1, 2))
     assert np.max(rel) < 1e-13
+    ref_total = _sequential_loop(line, start, stop, n, graded=True)[-1]
     total = propagate(kink, "time", 0.5, start, stop, SP13, n).matrix
-    assert np.max(np.abs(total - ref[-1])) < 1e-13 * np.max(np.abs(ref[-1]))
+    assert np.max(np.abs(total - ref_total)) < 1e-13 * np.max(np.abs(ref_total))
+
+
+@pytest.mark.parametrize("nsteps", [0, -3])
+@pytest.mark.parametrize("stepper", [propagate, propagate_trajectory])
+def test_step_counts_below_one_are_refused(stepper, nsteps):
+    with pytest.raises(ValueError, match="nsteps"):
+        stepper(make_kink(P11, v=0.4), "space", 0.0, -5.0, 5.0, SP13, nsteps)
 
 
 def test_small_lambda_monodromy_memory_is_bounded():
-    # nsteps grows as 1/lambda (637k steps here); chunking keeps the peak flat
+    # nsteps grows as 1/lambda (about 49k steps here); chunking keeps the peak flat
     v = 0.4
     mu = math.sqrt((1 - v) / (1 + v))
     lam = 1e-3
@@ -256,10 +271,12 @@ KINK_V = 0.4
 KINK_MU = math.sqrt((1 - KINK_V) / (1 + KINK_V))
 
 
-def _blaschke_gap(lam, nsteps=None):
+def _blaschke_gap(lam, nsteps=None, picture="space", half_width=40.0):
+    """Gap of a (space, t = 0) or fa (time, x = 0.3) to its Blaschke factor; fa is the reciprocal."""
     kink = make_kink(P11, v=KINK_V)
-    a = monodromy(kink, "space", 0.0, 40.0, spectral(lam, P11), nsteps).a_entry
-    return abs(a - (lam - 1j * KINK_MU) / (lam + 1j * KINK_MU))
+    fixed, sign = (0.0, 1.0) if picture == "space" else (0.3, -1.0)
+    a = monodromy(kink, picture, fixed, half_width, spectral(lam, P11), nsteps).a_entry
+    return abs(a - (lam - sign * 1j * KINK_MU) / (lam + sign * 1j * KINK_MU))
 
 
 def test_magnus_step_is_sixth_order():
@@ -271,8 +288,21 @@ def test_magnus_step_is_sixth_order():
 
 
 def test_default_steps_reach_blaschke_oracle_over_lambda_range():
-    worst = max(_blaschke_gap(lam) for lam in np.geomspace(0.01, 5.0, 30))
-    assert worst <= 2e-8
+    for picture, half_width in (("space", 40.0), ("time", 50.0)):
+        worst = max(_blaschke_gap(lam, None, picture, half_width) for lam in np.geomspace(0.01, 5.0, 30))
+        assert worst <= 2e-8, picture
+
+
+@pytest.mark.parametrize("lam", [0.2, 1.0, 50.0])
+def test_graded_count_ignores_settled_tails(lam):
+    # the count follows the integral of the step weight, which the settled tails barely add to;
+    # a uniform mesh doubles its count with the window
+    kink, sp = make_kink(P11, v=KINK_V), spectral(lam, P11)
+    m40, m80 = (monodromy(kink, "space", 0.0, w, sp) for w in (40.0, 80.0))
+    assert m80.step_count <= 1.1 * m40.step_count
+    smallest, largest = m80.step_range
+    assert largest > 10.0 * smallest  # short steps across the kink, long ones in the tails
+    assert _blaschke_gap(lam, None, "space", 80.0) <= 2e-8
 
 
 def test_monodromy_reports_its_step_count():
