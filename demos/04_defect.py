@@ -55,7 +55,7 @@ sp = spectral(1.5, params)
 print("\n== integrating the Backlund system directly reproduces the kink ==")
 win = GridWindow(-8.0, 8.0, -6.0, 6.0, 161, 121)
 phi0 = float(np.asarray(pair.right.derivative(0.0, 0.0, 0, 0)))
-grid = backlund_integrate(make_vacuum(params), DefectParams(2.0), (0.0, 0.0), phi0, win, nsteps=4)
+grid = backlund_integrate(make_vacuum(params), DefectParams(2.0), (0.0, 0.0), phi0, win)
 probe = np.linspace(-5, 5, 11)
 diff = np.max(np.abs(np.asarray(grid.derivative(probe, np.zeros_like(probe), 0, 0))
                      - np.asarray(pair.right.derivative(probe, np.zeros_like(probe), 0, 0))))

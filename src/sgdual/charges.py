@@ -63,6 +63,7 @@ __all__ = [
 ]
 
 MAX_ORDER = 6  # higher coefficients are numerically noisy and out of scope
+_LNA_TERMS = 3  # series terms lna_asymptotic_fit subtracts, so the remainder starts at lambda^-4
 
 
 class UnwindingError(ValueError):
@@ -315,7 +316,6 @@ class LnaFitReport:
     series: np.ndarray
     remainders: np.ndarray
     slope: float
-    n_terms: int
 
 
 def _unwrap_log(values: np.ndarray) -> np.ndarray:
@@ -349,9 +349,8 @@ def lna_asymptotic_fit(
     lambdas,
     ledger: ChargeLedger,
     half_width: float,
-    n_terms: int = 3,
 ) -> LnaFitReport:
-    """Remainder exponent of ln a (or ln fa) minus the n_terms-term series.
+    """Remainder exponent of ln a (or ln fa) minus the three-term series.
 
     Lambda must be a real ascending ray inside [10, 100] so the branch anchor
     at the far end is trustworthy.  The slope is the least-squares exponent
@@ -363,11 +362,11 @@ def lna_asymptotic_fit(
     if lambdas[0] < 10.0 or lambdas[-1] > 100.0:
         raise ValueError("fit window is the real ray between 10 and 100")
     log_mono = _log_monodromy(field, picture, fixed, lambdas, half_width)
-    series = np.asarray([ledger.series_large(lam, n_terms) for lam in lambdas])
+    series = np.asarray([ledger.series_large(lam, _LNA_TERMS) for lam in lambdas])
     remainders = np.abs(log_mono - series)
     mask = remainders > 0
     slope = float(-np.polyfit(np.log10(lambdas[mask]), np.log10(remainders[mask]), 1)[0])
-    return LnaFitReport(picture, lambdas, log_mono, series, remainders, slope, n_terms)
+    return LnaFitReport(picture, lambdas, log_mono, series, remainders, slope)
 
 
 def fit_charges_from_monodromy(

@@ -6,8 +6,12 @@
 Exit codes: 0 all cases pass, 1 at least one case fails, 2 unusable config.
 A suite that raises on a usable config (no vacuum at the window edge, more
 than ``transition.MAX_STEPS`` Magnus steps) reports one failing ``error`` case.
-The JSON schema is strict: unknown keys anywhere are rejected, which catches
-misspelled tolerance names before they silently disable a gate.  ``numerics``
+The JSON schema is strict: a key that would change nothing is rejected, which
+catches misspelled tolerance names before they silently disable a gate.
+``solution`` takes only the keys its kind reads: vacuum {kind, sigma},
+defect_pair {kind, sigma, x0}, kink {kind, v, x0, orientation, sigma}.
+``spectral`` takes exactly one of ``lambda_list`` and ``sweep``, ``suites``
+names each suite at most once, and ``--jobs`` is at least 1.  ``numerics``
 takes ``half_width`` and ``tolerances``; step and grid counts follow from the solution.
 Every numeric value must be a finite JSON number: tolerances are at least 0
 and a sweep ``count`` is an integer from 1 to 10000.
@@ -34,7 +38,12 @@ __all__ = ["ScenarioConfig", "ConfigError", "main", "run"]
 
 SCHEMA_VERSION = 1
 
-_SOLUTION_KEYS = {"kind", "v", "x0", "orientation", "sigma"}
+# the keys each solution kind reads; a key its kind would ignore is refused
+_SOLUTION_KEYS = {
+    "vacuum": {"kind", "sigma"},
+    "defect_pair": {"kind", "sigma", "x0"},
+    "kink": {"kind", "v", "x0", "orientation", "sigma"},
+}
 _NUMERIC_KEYS = {"half_width", "tolerances"}
 _TOP_KEYS = {"schema", "model", "solution", "spectral", "numerics", "suites"}
 _MAX_SWEEP = 10_000  # lambda values in a sweep; each one costs several monodromies per suite
@@ -92,11 +101,12 @@ class ScenarioConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         solution = data.get("solution", {"kind": "vacuum"})
-        _require_keys(solution, _SOLUTION_KEYS, "solution")
+        _require_keys(solution, set().union(*_SOLUTION_KEYS.values()), "solution")
         solution = dict(solution)
         kind = solution.get("kind")
-        if kind not in ("vacuum", "kink", "defect_pair"):
+        if not isinstance(kind, str) or kind not in _SOLUTION_KEYS:
             raise ConfigError(f"solution kind must be vacuum|kink|defect_pair, got {kind!r}")
+        _require_keys(solution, _SOLUTION_KEYS[kind], f"a {kind} solution")
         for key in ("v", "x0", "sigma", "orientation"):
             if key in solution:
                 solution[key] = _number(solution[key], f"solution.{key}", integer=key == "orientation")
@@ -111,18 +121,18 @@ class ScenarioConfig:
             raise ConfigError("defect_pair needs sigma > 0")
         spectral = data.get("spectral", {"lambda_list": [0.5, 1.0, 2.0, 4.0]})
         _require_keys(spectral, {"lambda_list", "sweep"}, "spectral")
+        if len(spectral) != 1:
+            raise ConfigError("spectral needs exactly one of lambda_list and sweep")
         if "lambda_list" in spectral:
             if not isinstance(spectral["lambda_list"], list):
                 raise ConfigError("spectral.lambda_list must be a list")
             lambdas = [_number(l, "spectral.lambda_list entry") for l in spectral["lambda_list"]]
-        elif "sweep" in spectral:
+        else:
             sweep = spectral["sweep"]
             _require_keys(sweep, {"min", "max", "count"}, "spectral.sweep")
             bounds = [_number(sweep.get(k), f"spectral.sweep.{k}") for k in ("min", "max")]
             count = _number(sweep.get("count"), "spectral.sweep.count", minimum=1, maximum=_MAX_SWEEP, integer=True)
             lambdas = list(np.linspace(*bounds, count))
-        else:
-            raise ConfigError("spectral needs lambda_list or sweep")
         if not lambdas or any(l == 0.0 for l in lambdas):
             raise ConfigError("spectral values must be nonzero")
         numerics = data.get("numerics", {})
@@ -139,6 +149,8 @@ class ScenarioConfig:
         bad = [s for s in suites if s not in SUITES]
         if bad:
             raise ConfigError(f"unknown suites {bad}; available: {sorted(SUITES)}")
+        if len(set(suites)) != len(suites):
+            raise ConfigError(f"suites lists a suite twice: {suites}")
         return cls(params, solution, lambdas, half_width, tolerances, list(suites))
 
     @classmethod
@@ -151,8 +163,10 @@ class ScenarioConfig:
 
 
 def run(config_path, out_dir, fmt: str = "csv", jobs: int = 1) -> int:
-    """Execute the configured suites and write one report file per suite."""
+    """Execute the configured suites and write one report file per suite; jobs must be at least 1."""
     try:
+        if jobs < 1:
+            raise ConfigError(f"--jobs must be >= 1, got {jobs}")
         config = ScenarioConfig.load(config_path)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -64,7 +64,7 @@ from .fields import (
 )
 from .lax import SpectralPoint, build_V
 from .matcore import frob, inv2
-from .transition import STEP_DENSITY, default_nsteps, jost, monodromy, propagate_trajectory
+from .transition import STEP_DENSITY, default_nsteps, jost, monodromy, propagate, propagate_trajectory
 
 __all__ = [
     "DefectParams",
@@ -88,6 +88,7 @@ __all__ = [
 ]
 
 PAIR_GATE = 1e-8
+_RK4_SUBSTEPS = 4  # per grid cell of backlund_integrate
 
 
 class InconsistentSeedError(ValueError):
@@ -121,10 +122,8 @@ class DefectPair:
         r2 = sl.phi_t - sr.phi_x + b_phi
         return float(max(np.max(np.abs(r1)), np.max(np.abs(r2))))
 
-    def validate(self, t_grid=None) -> "DefectPair":
-        if t_grid is None:
-            t_grid = np.linspace(-8.0, 8.0, 33)
-        res = self.condition_residual(t_grid)
+    def validate(self) -> "DefectPair":
+        res = self.condition_residual(np.linspace(-8.0, 8.0, 33))
         if res > PAIR_GATE:
             raise ValueError(f"defect-condition residual {res:.3e} exceeds gate {PAIR_GATE}")
         return self
@@ -163,13 +162,13 @@ def _rk4(y, s, h, deriv):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _march(out, coords, anchor, slope, nsteps):
-    """Fill out[j] from out[anchor] along coords, forwards then backwards, nsteps RK4 substeps per cell."""
+def _march(out, coords, anchor, slope):
+    """Fill out[j] from out[anchor] along coords, forwards then backwards, in RK4 substeps."""
     for step, stop in ((1, coords.size - 1), (-1, 0)):
         for j in range(anchor, stop, step):
-            h = (coords[j + step] - coords[j]) / nsteps
+            h = (coords[j + step] - coords[j]) / _RK4_SUBSTEPS
             val = out[j]
-            for k in range(nsteps):
+            for k in range(_RK4_SUBSTEPS):
                 val = _rk4(val, coords[j] + k * h, h, slope)
             out[j + step] = val
 
@@ -180,12 +179,11 @@ def backlund_integrate(
     corner: tuple[float, float],
     phi0: float,
     window: GridWindow,
-    nsteps: int = 4,
 ) -> GridField:
     """New solution from the Backlund first-order system, seeded at a corner.
 
     Integrates the x-slope equation along the corner row, then the t-slope
-    equation along every column, with ``nsteps`` RK4 substeps per grid cell.
+    equation along every column, with four RK4 substeps per grid cell.
     The x-equation away from the seeded row is not enforced by construction;
     its residual is the cross-derivative compatibility measure, stored as
     ``bt_residual`` and gated at 1e-4.
@@ -206,8 +204,8 @@ def backlund_integrate(
 
     values = np.empty((xs.size, ts.size))
     values[ix0, it0] = phi0
-    _march(values[:, it0], xs, ix0, x_slope, nsteps)
-    _march(values.T, ts, it0, t_slope, nsteps)  # values.T[j] is the column at ts[j]
+    _march(values[:, it0], xs, ix0, x_slope)
+    _march(values.T, ts, it0, t_slope)  # values.T[j] is the column at ts[j]
 
     out = GridField(params, xs, ts, values)
     xg, tg = np.meshgrid(xs[2:-2], ts[2:-2], indexing="ij")
@@ -265,16 +263,14 @@ def L_equation_residual(pair: DefectPair, t: float, sp: SpectralPoint, h: float)
     return frob(l_dot - (v_right @ ell - ell @ v_left))
 
 
-def defect_monodromy_S(
-    pair: DefectPair, t: float, sp: SpectralPoint, half_width: float, nsteps: int | None = None
-) -> np.ndarray:
+def defect_monodromy_S(pair: DefectPair, t: float, sp: SpectralPoint, half_width: float) -> np.ndarray:
     """M_S(t, lambda) = T_hat_+^-1(0, t) L_hat(t) T~_hat_-(0, t).
 
     Time evolution rotates only the off-diagonal entries, so diag(M_S) is a
     conserved generating function for the system with the defect.
     """
-    plus = jost(pair.right, "space", 0.0, t, sp, half_width, nsteps, side=+1)
-    minus = jost(pair.left, "space", 0.0, t, sp, half_width, nsteps, side=-1)
+    plus = jost(pair.right, "space", 0.0, t, sp, half_width, side=+1)
+    minus = jost(pair.left, "space", 0.0, t, sp, half_width, side=-1)
     return inv2(plus) @ defect_matrix_L_hat(pair, t, sp) @ minus
 
 
@@ -296,9 +292,7 @@ class SplittingReport:
         return out
 
 
-def defect_splitting_check(
-    pair: DefectPair, t: float, sp: SpectralPoint, half_width: float, nsteps: int | None = None
-) -> SplittingReport:
+def defect_splitting_check(pair: DefectPair, t: float, sp: SpectralPoint, half_width: float) -> SplittingReport:
     """Split ln diag(M_S) into bulk integrals plus the defect generating term.
 
     The half-line pieces are quadratures of the (1,1)/(2,2) components of
@@ -306,13 +300,12 @@ def defect_splitting_check(
     propagated half-line solutions (Gamma_+ normalised at +infinity on the
     right field, Gamma~_- at -infinity on the left).  The defect term is
     ln diag[(1 + Gamma_+)^-1 L_hat (1 + Gamma~_-)] at x = 0, with the exact
-    (1 - p q) normalisation rather than its large-lambda limit 1/2.
+    (1 - p q) normalisation rather than its large-lambda limit 1/2.  The
+    direct side M_S is propagated at the same count on the graded mesh.
     """
-    if nsteps is None:
-        # Simpson on the trajectory's own grid needs a finer spacing than the Magnus steps
-        nsteps = default_nsteps(half_width, sp, density=3.0 * STEP_DENSITY)
-    if nsteps % 2:
-        nsteps += 1  # Simpson below wants an even step count
+    # Simpson on the trajectory's own grid needs a finer spacing than the Magnus steps
+    nsteps = default_nsteps(half_width, sp, density=3.0 * STEP_DENSITY)
+    nsteps += nsteps % 2  # Simpson below wants an even step count
 
     def half_line(fld, side):
         line = Line(fld, "space", t)
@@ -332,14 +325,16 @@ def defect_splitting_check(
         val11 = simpson_uniform(int11, h)
         val22 = simpson_uniform(int22, h)
         gamma0 = np.array([[0.0, p[-1]], [q[-1], 0.0]], dtype=complex)
-        return (val11, val22), gamma0
+        # the half-line Jost solution on the graded mesh, as jost builds it, for the direct side
+        jost_hat = propagate(fld, "space", t, start, 0.0, sp, nsteps).matrix @ line.normaliser(start, sp)
+        return (val11, val22), gamma0, jost_hat
 
-    (ip11, ip22), gamma_plus = half_line(pair.right, +1)
-    (im11, im22), gamma_minus = half_line(pair.left, -1)
+    (ip11, ip22), gamma_plus, plus = half_line(pair.right, +1)
+    (im11, im22), gamma_minus, minus = half_line(pair.left, -1)
     lhat = defect_matrix_L_hat(pair, t, sp)
     core = inv2(np.eye(2) + gamma_plus) @ lhat @ (np.eye(2) + gamma_minus)
     defect_term = (np.log(core[0, 0]), np.log(core[1, 1]))
-    mono = defect_monodromy_S(pair, t, sp, half_width, nsteps)
+    mono = inv2(plus) @ lhat @ minus  # M_S, as defect_monodromy_S builds it
     direct = (np.log(mono[0, 0]), np.log(mono[1, 1]))
     return SplittingReport(direct, (ip11, ip22), (im11, im22), defect_term)
 
@@ -426,7 +421,6 @@ def generating_relation_check(
     x_left: float,
     sp_list,
     half_width: float,
-    nsteps: int | None = None,
 ) -> GeneratingRelationReport:
     """Measure ln fa - ln fa~ and compare against both C(lambda) candidates.
 
@@ -438,8 +432,8 @@ def generating_relation_check(
     parities = pair.parities()
     report = GeneratingRelationReport(pair.defect.sigma, parities)
     for sp in sp_list:
-        fa = monodromy(pair.right, "time", x_right, half_width, sp, nsteps).a_entry
-        fa_tilde = monodromy(pair.left, "time", x_left, half_width, sp, nsteps).a_entry
+        fa = monodromy(pair.right, "time", x_right, half_width, sp).a_entry
+        fa_tilde = monodromy(pair.left, "time", x_left, half_width, sp).a_entry
         ln_a, ln_a_tilde = np.log(fa), np.log(fa_tilde)
         row = {
             "lambda": float(sp.lam.real),
@@ -470,20 +464,18 @@ class HamShiftReport:
         return abs(self.lhs - self.rhs_product)
 
 
-def ham_shift_check(pair: DefectPair, window: GridWindow, x_right: float = 0.0, x_left: float = 0.0) -> HamShiftReport:
+def ham_shift_check(pair: DefectPair, window: GridWindow) -> HamShiftReport:
     """Equal-space Hamiltonian shift across the defect, both closed forms.
 
-    lhs = H_T - H~_T from quadrature; rhs_ratio carries the (1/s - s)
-    prefactor that expanding the ratio-form ln C produces, rhs_product the
-    (s + 1/s) variant.
+    lhs = H_T - H~_T from quadrature at x = 0 on both sides; rhs_ratio
+    carries the (1/s - s) prefactor that expanding the ratio-form ln C
+    produces, rhs_product the (s + 1/s) variant.
     """
     m, beta = pair.params.m, pair.params.beta
     sig = pair.defect.sigma
     p_plus, p_minus = pair.parities()
     jump = (-1.0) ** p_plus - (-1.0) ** p_minus
-    lhs = float(hamiltonian_T(pair.right, x_right, window)) - float(
-        hamiltonian_T(pair.left, x_left, window)
-    )
+    lhs = float(hamiltonian_T(pair.right, 0.0, window)) - float(hamiltonian_T(pair.left, 0.0, window))
     rhs_ratio = (2.0 * m / beta**2) * (1.0 / sig - sig) * jump
     rhs_product = (2.0 * m / beta**2) * (sig + 1.0 / sig) * jump
     return HamShiftReport(lhs, rhs_ratio, rhs_product)

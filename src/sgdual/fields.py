@@ -256,19 +256,18 @@ class GridField(FieldEvaluator):
 
     kind = "grid"
 
-    def __init__(self, params: ModelParams, xs, ts, values, kx: int = 5, kt: int = 5):
+    def __init__(self, params: ModelParams, xs, ts, values):
         from scipy.interpolate import RectBivariateSpline
 
         self.params = params
         self.xs = np.asarray(xs, dtype=float)
         self.ts = np.asarray(ts, dtype=float)
-        self._spline = RectBivariateSpline(self.xs, self.ts, np.asarray(values), kx=kx, ky=kt)
-        self._kx, self._kt = kx, kt
+        self._spline = RectBivariateSpline(self.xs, self.ts, np.asarray(values), kx=5, ky=5)
         self._values = np.asarray(values)
 
     def derivative(self, x, t, dx, dt):
-        if dx >= self._kx or dt >= self._kt:
-            raise ValueError(f"grid field supports derivatives below order ({self._kx}, {self._kt})")
+        if dx >= 5 or dt >= 5:
+            raise ValueError("grid field supports derivatives below order (5, 5)")
         x = np.asarray(x, dtype=float)
         t = np.asarray(t, dtype=float)
         if np.any(x < self.xs[0]) or np.any(x > self.xs[-1]) or np.any(t < self.ts[0]) or np.any(t > self.ts[-1]):

@@ -50,6 +50,7 @@ __all__ = [
 
 _PROJ = ID4 - tensor(SIGMA3, SIGMA3)
 _SWAP = tensor(SIGMA1, SIGMA1) + tensor(SIGMA2, SIGMA2)
+_ULTRALOCAL_SPACING = 0.1  # lattice spacing of ultralocal_check
 
 
 @dataclass(frozen=True)
@@ -108,19 +109,18 @@ def ultralocal_check(
     sp1: SpectralPoint,
     sp2: SpectralPoint,
     params: ModelParams,
-    delta: float = 0.1,
     flip_sign: bool = False,
 ) -> float:
     """Same-site lattice bracket against the r-matrix commutator; max-abs gap.
 
-    The identity is exact, so the gap is machine zero when the transcription
-    is right.  ``flip_sign`` applies the wrong overall sign on purpose (the
-    two pictures differ by exactly that sign, so the flipped check must fail
-    at order one).
+    The identity is exact at any lattice spacing, so the gap is machine zero
+    when the transcription is right.  ``flip_sign`` applies the wrong overall
+    sign on purpose (the two pictures differ by exactly that sign, so the
+    flipped check must fail at order one).
     """
     d1_phi, d1_mom = lax_derivatives(picture, sample, sp1, params)
     d2_phi, d2_mom = lax_derivatives(picture, sample, sp2, params)
-    lhs = (tensor(d1_phi, d2_mom) - tensor(d1_mom, d2_phi)) / delta
+    lhs = (tensor(d1_phi, d2_mom) - tensor(d1_mom, d2_phi)) / _ULTRALOCAL_SPACING
     a1 = lax_matrix(picture, sample, sp1, params)
     a2 = lax_matrix(picture, sample, sp2, params)
     r = r_matrix(sp1.lam, sp2.lam, params).matrix
@@ -128,7 +128,7 @@ def ultralocal_check(
     if flip_sign:
         sign = -sign
     big = tensor(a1, ID2) + tensor(ID2, a2)
-    rhs = (sign / delta) * (r @ big - big @ r)
+    rhs = (sign / _ULTRALOCAL_SPACING) * (r @ big - big @ r)
     return float(np.max(np.abs(lhs - rhs)))
 
 

@@ -99,10 +99,6 @@ _IDENTITY = tuple(np.array([v], dtype=complex) for v in (1.0, 0.0, 0.0, 1.0))
 @dataclass(frozen=True)
 class TransitionResult:
     matrix: np.ndarray
-    start: float
-    stop: float
-    picture: str
-    sp: SpectralPoint
     step_count: int
     step_range: tuple[float, float]  # smallest and largest |h| of the mesh
 
@@ -111,7 +107,6 @@ class TransitionResult:
 class Monodromy:
     matrix: np.ndarray
     picture: str
-    truncation: float
     tail_deviation: float
     truncated: bool
     step_count: int
@@ -251,18 +246,20 @@ def propagate(
     """Transition matrix Psi(stop) with Psi(start) = 1, stepped on the graded mesh of the line.
 
     nsteps is the step count on that mesh; None takes the default count.
+    This and propagate_trajectory are the only public functions that take a
+    count: monodromy, jost and the defect checks always step at the default,
+    and an explicit count is for refinement studies and for
+    defect_splitting_check, whose half-lines share its Simpson count.
     """
     line = Line(field, picture, fixed)
     mesh = _mesh(line, start, stop, sp, nsteps)
     if stop == start:
-        return TransitionResult(np.eye(2, dtype=complex), start, stop, picture, sp, 0, (0.0, 0.0))
+        return TransitionResult(np.eye(2, dtype=complex), 0, (0.0, 0.0))
     total, smallest, largest = _IDENTITY, math.inf, 0.0
     for _, h, steps in _step_chunks(line, mesh, sp):
         total = _mul(_ordered_product(steps), total)
         smallest, largest = min(smallest, np.abs(h).min()), max(largest, np.abs(h).max())
-    return TransitionResult(
-        _stack22(*total)[0], start, stop, picture, sp, mesh[0], (float(smallest), float(largest))
-    )
+    return TransitionResult(_stack22(*total)[0], mesh[0], (float(smallest), float(largest)))
 
 
 def propagate_trajectory(field, picture, fixed, start, stop, sp, nsteps) -> tuple[np.ndarray, np.ndarray]:
@@ -288,7 +285,6 @@ def monodromy(
     fixed: float,
     half_width: float,
     sp: SpectralPoint,
-    nsteps: int | None = None,
 ) -> Monodromy:
     """Regularised whole-line monodromy over [-W, W] in x or t.
 
@@ -298,9 +294,9 @@ def monodromy(
     """
     line = Line(field, picture, fixed)
     dev = max(line.vacuum(sign * half_width)[1] for sign in (-1, +1))
-    core = propagate(field, picture, fixed, -half_width, half_width, sp, nsteps)
+    core = propagate(field, picture, fixed, -half_width, half_width, sp)
     mat = inv2(line.normaliser(half_width, sp)) @ core.matrix @ line.normaliser(-half_width, sp)
-    return Monodromy(mat, picture, half_width, dev, dev > _ASYMPTOTE_TOL, core.step_count, core.step_range)
+    return Monodromy(mat, picture, dev, dev > _ASYMPTOTE_TOL, core.step_count, core.step_range)
 
 
 def jost(
@@ -310,7 +306,6 @@ def jost(
     t: float,
     sp: SpectralPoint,
     half_width: float,
-    nsteps: int | None = None,
     side: int = -1,
 ) -> np.ndarray:
     """Half-line solution normalised to the plane wave at side*infinity.
@@ -322,7 +317,7 @@ def jost(
         raise ValueError("side must be -1 or +1")
     line, stop = Line.through(field, picture, x, t)
     start = side * half_width
-    res = propagate(field, picture, line.fixed, start, stop, sp, nsteps)
+    res = propagate(field, picture, line.fixed, start, stop, sp)
     return res.matrix @ line.normaliser(start, sp)
 
 
@@ -332,15 +327,14 @@ def appendix_equality_residual(
     t: float,
     sp: SpectralPoint,
     half_width: float,
-    nsteps: int | None = None,
 ) -> float:
     """Norm of T_hat_-(x,t) e^{-i k0 t s3} - cT_hat_-(x,t) e^{-i k1 x s3}.
 
     Both sides solve the same pair of equations with the same boundary data
     at -infinity in x and in t, so the residual is truncation-limited.
     """
-    space_side = jost(field, "space", x, t, sp, half_width, nsteps, side=-1)
-    time_side = jost(field, "time", x, t, sp, half_width, nsteps, side=-1)
+    space_side = jost(field, "space", x, t, sp, half_width)
+    time_side = jost(field, "time", x, t, sp, half_width)
     ph_t = np.diag([np.exp(-1j * sp.k0 * t), np.exp(1j * sp.k0 * t)])
     ph_x = np.diag([np.exp(-1j * sp.k1 * x), np.exp(1j * sp.k1 * x)])
     return frob(space_side @ ph_t - time_side @ ph_x)

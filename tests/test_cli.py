@@ -351,3 +351,59 @@ def test_extreme_lambda_ends_quickly_in_an_error_case(tmp_path, lam):
     assert run(path, tmp_path / "rep", "csv") == 1
     (row,) = _error_rows(tmp_path / "rep" / "monodromy-conservation.csv")
     assert "ValueError" in row and "Magnus steps" in row
+
+
+@pytest.mark.parametrize(
+    "solution",
+    [
+        {"kind": "defect_pair", "sigma": 2.0, "v": 0.9, "orientation": -1},
+        {"kind": "defect_pair", "sigma": 2.0, "v": 0.9},
+        {"kind": "vacuum", "v": 0.4},
+        {"kind": "vacuum", "x0": 1.0},
+        {"kind": "vacuum", "orientation": -1},
+    ],
+    ids=["defect_pair-v-orientation", "defect_pair-v", "vacuum-v", "vacuum-x0", "vacuum-orientation"],
+)
+def test_solution_keys_the_kind_ignores_exit_2(tmp_path, capsys, solution):
+    cfg = write_config(tmp_path, overrides={"solution": solution, "suites": ["lax-residual"]})
+    assert run(cfg, tmp_path / "rep", "csv") == 2
+    assert "unknown keys" in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()
+
+
+@pytest.mark.parametrize(
+    "solution",
+    [
+        {"kind": "vacuum", "sigma": 0.5},
+        {"kind": "defect_pair", "sigma": 2.0, "x0": 0.3},
+        {"kind": "kink", "v": 0.4, "x0": 0.3, "orientation": -1, "sigma": 0.5},
+    ],
+    ids=["vacuum", "defect_pair", "kink"],
+)
+def test_solution_keys_the_kind_reads_are_accepted(solution):
+    config = ScenarioConfig.from_dict({**BASE, "solution": solution})
+    assert config.solution == solution
+
+
+def test_lambda_list_and_sweep_together_exit_2(tmp_path):
+    spectral_both = {"lambda_list": [0.5], "sweep": {"min": 0.5, "max": 2.0, "count": 50}}
+    cfg = write_config(tmp_path, overrides={"spectral": spectral_both, "suites": ["lax-residual"]})
+    assert run(cfg, tmp_path / "rep", "csv") == 2
+    with pytest.raises(ConfigError, match="exactly one"):
+        ScenarioConfig.from_dict({**BASE, "spectral": {}})
+
+
+def test_suite_listed_twice_exits_2(tmp_path):
+    cfg = write_config(tmp_path, overrides={"suites": ["lax-residual", "lax-residual"]})
+    assert run(cfg, tmp_path / "rep", "csv") == 2
+    assert not (tmp_path / "rep").exists()
+
+
+@pytest.mark.parametrize("jobs", [0, -4])
+def test_jobs_below_one_exit_2(tmp_path, capsys, jobs):
+    cfg = write_config(tmp_path, overrides={"suites": ["lax-residual"]})
+    assert run(cfg, tmp_path / "rep", "csv", jobs) == 2
+    args = ["run", "--config", str(cfg), "--out", str(tmp_path / "rep"), "--jobs", str(jobs)]
+    assert main(args) == 2
+    assert capsys.readouterr().err.count("--jobs must be >= 1") == 2
+    assert not (tmp_path / "rep").exists()

@@ -92,7 +92,7 @@ def test_parities(pair_sigma2):
 def test_backlund_integrate_matches_closed_form(pair_sigma2):
     win = GridWindow(-8.0, 8.0, -6.0, 6.0, 161, 121)
     phi0 = float(np.asarray(pair_sigma2.right.derivative(0.0, 0.0, 0, 0)))
-    grid = backlund_integrate(make_vacuum(P11), DefectParams(2.0), (0.0, 0.0), phi0, win, nsteps=4)
+    grid = backlund_integrate(make_vacuum(P11), DefectParams(2.0), (0.0, 0.0), phi0, win)
     xs, ts = np.meshgrid(np.linspace(-6, 6, 25), np.linspace(-4, 4, 17), indexing="ij")
     got = np.asarray(grid.derivative(xs.ravel(), ts.ravel(), 0, 0))
     want = np.asarray(pair_sigma2.right.derivative(xs.ravel(), ts.ravel(), 0, 0))
@@ -103,7 +103,7 @@ def test_backlund_integrate_output_solves_equation():
     win = GridWindow(-8.0, 8.0, -6.0, 6.0, 161, 121)
     pair = bt_kink_from_vacuum(P11, DefectParams(2.0))
     phi0 = float(np.asarray(pair.right.derivative(0.0, 0.0, 0, 0)))
-    grid = backlund_integrate(make_vacuum(P11), DefectParams(2.0), (0.0, 0.0), phi0, win, nsteps=4)
+    grid = backlund_integrate(make_vacuum(P11), DefectParams(2.0), (0.0, 0.0), phi0, win)
 
     def residual(x, t, h=1e-3):
         phi = lambda a, b: float(np.asarray(grid.derivative(a, b, 0, 0)))
@@ -118,14 +118,14 @@ def test_backlund_integrate_output_solves_equation():
 
 def test_backlund_integrate_fixed_point():
     win = GridWindow(-6.0, 6.0, -4.0, 4.0, 121, 81)
-    grid = backlund_integrate(make_vacuum(P11), DefectParams(2.0), (0.0, 0.0), 0.0, win, nsteps=2)
+    grid = backlund_integrate(make_vacuum(P11), DefectParams(2.0), (0.0, 0.0), 0.0, win)
     assert np.max(np.abs(grid._values)) == 0.0
 
 
 def test_backlund_integrate_rejects_non_solution_seed():
     win = GridWindow(-6.0, 6.0, -4.0, 4.0, 121, 81)
     with pytest.raises(InconsistentSeedError):
-        backlund_integrate(NotASolution(), DefectParams(2.0), (0.0, 0.0), 1.0, win, nsteps=2)
+        backlund_integrate(NotASolution(), DefectParams(2.0), (0.0, 0.0), 1.0, win)
 
 
 def test_defect_matrix_vacuum_limit(vacuum_pair):

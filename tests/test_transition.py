@@ -1,12 +1,14 @@
+import inspect
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from sgdual import defect, transition
 from sgdual.fields import FieldSample, Line, ModelParams, NonDecayingFieldError, VacuumField, make_kink, make_vacuum
 from sgdual.lax import ce0, e0, spectral, u_inf
-from sgdual.matcore import _stack22, det2, expm_sl2, frob
+from sgdual.matcore import _stack22, det2, expm_sl2, frob, inv2
 from sgdual.transition import (
     MAX_STEPS,
     _CHUNK,
@@ -272,10 +274,20 @@ KINK_MU = math.sqrt((1 - KINK_V) / (1 + KINK_V))
 
 
 def _blaschke_gap(lam, nsteps=None, picture="space", half_width=40.0):
-    """Gap of a (space, t = 0) or fa (time, x = 0.3) to its Blaschke factor; fa is the reciprocal."""
+    """Gap of a (space, t = 0) or fa (time, x = 0.3) to its Blaschke factor; fa is the reciprocal.
+
+    nsteps=None is the monodromy at its default count; a forced count is
+    propagated and regularised by the line's plane-wave normalisers.
+    """
     kink = make_kink(P11, v=KINK_V)
     fixed, sign = (0.0, 1.0) if picture == "space" else (0.3, -1.0)
-    a = monodromy(kink, picture, fixed, half_width, spectral(lam, P11), nsteps).a_entry
+    sp = spectral(lam, P11)
+    if nsteps is None:
+        a = monodromy(kink, picture, fixed, half_width, sp).a_entry
+    else:
+        line = Line(kink, picture, fixed)
+        core = propagate(kink, picture, fixed, -half_width, half_width, sp, nsteps).matrix
+        a = (inv2(line.normaliser(half_width, sp)) @ core @ line.normaliser(-half_width, sp))[0, 0]
     return abs(a - (lam - sign * 1j * KINK_MU) / (lam + sign * 1j * KINK_MU))
 
 
@@ -310,4 +322,20 @@ def test_monodromy_reports_its_step_count():
     mono = monodromy(make_vacuum(P11), "space", 0.0, 20.0, sp)
     # (200/3) W max(|k0|, |k1|, m) / pi steps, and m = 1 is the largest rate at lambda = 1.3
     assert mono.step_count == default_nsteps(20.0, sp) == math.ceil((200.0 / 3.0) * 20.0 / math.pi)
-    assert monodromy(make_vacuum(P11), "space", 0.0, 20.0, sp, 100).step_count == 100
+    assert propagate(make_vacuum(P11), "space", 0.0, -20.0, 20.0, sp, 100).step_count == 100
+
+
+def test_only_the_kernels_take_a_step_count():
+    # every other public function and class steps at the count derived from the solution
+    def takes_a_count(obj):
+        if not (inspect.isfunction(obj) or inspect.isclass(obj) and not issubclass(obj, BaseException)):
+            return False
+        return "nsteps" in inspect.signature(obj).parameters
+
+    takers = {
+        f"{module.__name__}.{name}"
+        for module in (transition, defect)
+        for name in module.__all__
+        if takes_a_count(getattr(module, name))
+    }
+    assert takers == {"sgdual.transition.propagate", "sgdual.transition.propagate_trajectory"}
