@@ -11,10 +11,11 @@ catches misspelled tolerance names before they silently disable a gate.
 ``solution`` takes only the keys its kind reads: vacuum {kind, sigma},
 defect_pair {kind, sigma, x0}, kink {kind, v, x0, orientation, sigma}.
 ``spectral`` takes exactly one of ``lambda_list`` and ``sweep``, ``suites``
-names each suite at most once, and ``--jobs`` is at least 1.  ``numerics``
-takes ``half_width`` and ``tolerances``; step and grid counts follow from the solution.
-Every numeric value must be a finite JSON number: tolerances are at least 0
-and a sweep ``count`` is an integer from 1 to 10000.
+names each suite at most once, ``--jobs`` is at least 1 and ``--format`` is
+csv or json.  ``numerics`` takes ``half_width`` and ``tolerances``; step and
+grid counts follow from the solution.
+Every numeric value must be a finite JSON number: tolerances are at least 0,
+``sigma`` is positive on every kind, and a sweep ``count`` is an integer from 1 to 10000.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ _SOLUTION_KEYS = {
 _NUMERIC_KEYS = {"half_width", "tolerances"}
 _TOP_KEYS = {"schema", "model", "solution", "spectral", "numerics", "suites"}
 _MAX_SWEEP = 10_000  # lambda values in a sweep; each one costs several monodromies per suite
+_FORMATS = ("csv", "json")
 
 
 class ConfigError(ValueError):
@@ -117,8 +119,10 @@ class ScenarioConfig:
                 raise ConfigError("kink solution needs a velocity v")
             if not abs(solution["v"]) < 1.0:
                 raise ConfigError("kink velocity must satisfy |v| < 1")
-        if kind == "defect_pair" and not solution.get("sigma", 0.0) > 0.0:
+        if kind == "defect_pair" and "sigma" not in solution:
             raise ConfigError("defect_pair needs sigma > 0")
+        if not solution.get("sigma", 1.0) > 0.0:  # the defect suite reads sigma on every kind
+            raise ConfigError(f"solution.sigma must be > 0, got {solution['sigma']!r}")
         spectral = data.get("spectral", {"lambda_list": [0.5, 1.0, 2.0, 4.0]})
         _require_keys(spectral, {"lambda_list", "sweep"}, "spectral")
         if len(spectral) != 1:
@@ -163,10 +167,15 @@ class ScenarioConfig:
 
 
 def run(config_path, out_dir, fmt: str = "csv", jobs: int = 1) -> int:
-    """Execute the configured suites and write one report file per suite; jobs must be at least 1."""
+    """Execute the configured suites and write one report file per suite.
+
+    fmt is csv or json and jobs is at least 1; anything else exits 2 before the output directory is made.
+    """
     try:
         if jobs < 1:
             raise ConfigError(f"--jobs must be >= 1, got {jobs}")
+        if fmt not in _FORMATS:
+            raise ConfigError(f"format must be csv or json, got {fmt!r}")
         config = ScenarioConfig.load(config_path)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -210,7 +219,7 @@ def main(argv=None) -> int:
     runp = sub.add_parser("run", help="run verification suites from a JSON config")
     runp.add_argument("--config", required=True)
     runp.add_argument("--out", required=True)
-    runp.add_argument("--format", choices=("csv", "json"), default="csv")
+    runp.add_argument("--format", choices=_FORMATS, default="csv")
     runp.add_argument("--jobs", type=int, default=1)
     sub.add_parser("list-suites", help="print the suite catalogue")
     args = parser.parse_args(argv)

@@ -161,14 +161,9 @@ def _sech(u):
 def _arctan_exp(u):
     """arctan(exp(u)), stable against overflow for large |u|."""
     u = np.asarray(u, dtype=float)
-    out = np.empty_like(u)
-    big = u > 30.0
-    small = u < -30.0
-    mid = ~(big | small)
-    out[big] = 0.5 * math.pi - np.exp(-u[big])
-    out[small] = np.exp(u[small])
-    out[mid] = np.arctan(np.exp(u[mid]))
-    return out
+    with np.errstate(over="ignore"):  # the overflowing branch is never selected
+        e = np.exp(u)
+        return np.where(u > 30.0, 0.5 * math.pi - np.exp(-u), np.where(u < -30.0, e, np.arctan(e)))
 
 
 class FieldEvaluator:
@@ -322,7 +317,10 @@ class Line:
         return self.pick(window.xs, window.ts)()
 
     def generator_entries(self, s, sp):
-        """Entries (d, a01, a10) of the gauged generator [[d, a01], [a10, -d]] at running coordinates s."""
+        """Entries (d, a01, a10) of the gauged generator [[d, a01], [a10, -d]] at running coordinates s.
+
+        One array of shape (3,) + s.shape, as lax.hat_entries returns it.
+        """
         from .lax import hat_entries
 
         return hat_entries(self.picture, self.field.sample(*self.points(s)), sp, self.field.params)

@@ -97,26 +97,43 @@ def build_V(field: FieldEvaluator, x, t, sp: SpectralPoint) -> np.ndarray:
     return lax_matrix("time", field.sample(x, t), sp, field.params)
 
 
-def hat_entries(picture: str, sample: FieldSample, sp: SpectralPoint, params: ModelParams):
+def hat_entries(picture: str, sample: FieldSample, sp: SpectralPoint, params: ModelParams) -> np.ndarray:
     """Entries (d, a01, a10) of the gauged generator [[d, a01], [a10, -d]] from a field sample.
 
-    U_hat (space picture) or V_hat (time picture); tends to u_inf, v_inf on decaying fields.
+    U_hat (space picture) or V_hat (time picture); tends to u_inf, v_inf on
+    decaying fields.  The entries come back stacked in one complex array of
+    shape (3,) + the sample's shape.  Every intermediate lives in the real or
+    imaginary part of an entry not yet written, and a real array enters
+    complex arithmetic as an entry with a zero imaginary part, so a batch of
+    samples allocates its output and nothing else, not even a casting buffer.
     """
     m, beta = params.m, params.beta
     lam = sp.lam
+    out = np.empty((3,) + np.shape(sample.phi), dtype=complex)
+    d, a01, a10 = out[0, ...], out[1, ...], out[2, ...]
     if picture == "space":
-        d = -0.25j * beta * (np.asarray(sample.phi_x) + np.asarray(sample.pi))
+        np.add(sample.phi_x, sample.pi, out=d.real)
         zeta = m / (4.0 * lam)  # coefficient of the s2 E term: +i zeta s2 E
     else:
-        d = -0.25j * beta * (np.asarray(sample.phi_t) - np.asarray(sample.Pi))
+        np.subtract(sample.phi_t, sample.Pi, out=d.real)
         zeta = -m / (4.0 * lam)
+    d.imag[...] = 0.0
+    np.multiply(-0.25j * beta, d, out=d)
     # -i lam (m/4) s2 + i zeta s2 E, with (s2 E)[0,1] = -i e^{-i beta phi};
     # phi is real, so e^{-i beta phi} is the conjugate of e^{i beta phi}
-    bphi = beta * np.asarray(sample.phi)
-    e_plus = np.cos(bphi) + 1j * np.sin(bphi)
-    a01 = -lam * (m / 4.0) + zeta * e_plus.conj()
-    a10 = lam * (m / 4.0) - zeta * e_plus
-    return d, a01, a10
+    bphi = np.multiply(beta, sample.phi, out=a01.imag)
+    np.sin(bphi, out=a10.real)
+    a10.imag[...] = 0.0
+    np.multiply(1j, a10, out=a10)
+    np.cos(bphi, out=a01.real)
+    a01.imag[...] = 0.0
+    np.add(a01, a10, out=a10)  # e^{i beta phi}
+    np.conjugate(a10, out=a01)
+    np.multiply(zeta, a01, out=a01)
+    np.add(-lam * (m / 4.0), a01, out=a01)
+    np.multiply(zeta, a10, out=a10)
+    np.subtract(lam * (m / 4.0), a10, out=a10)
+    return out
 
 
 def u_inf(sp: SpectralPoint) -> np.ndarray:
@@ -127,8 +144,11 @@ def v_inf(sp: SpectralPoint) -> np.ndarray:
     return -1j * sp.k0 * SIGMA2
 
 
+_N = (np.eye(2) + 1j * SIGMA1) / math.sqrt(2.0)  # N = (1 + i s1)/sqrt 2, built once for e0 and ce0
+
+
 def n_matrix() -> np.ndarray:
-    return (np.eye(2) + 1j * SIGMA1) / math.sqrt(2.0)
+    return _N.copy()
 
 
 def _phase_diag(z) -> np.ndarray:
@@ -137,12 +157,12 @@ def _phase_diag(z) -> np.ndarray:
 
 def e0(x, sp: SpectralPoint) -> np.ndarray:
     """Plane-wave normaliser N exp(-i k1 x s3) for the space problem."""
-    return n_matrix() @ _phase_diag(-1j * sp.k1 * np.asarray(x, dtype=complex))
+    return _N @ _phase_diag(-1j * sp.k1 * np.asarray(x, dtype=complex))
 
 
 def ce0(t, sp: SpectralPoint) -> np.ndarray:
     """Plane-wave normaliser N exp(-i k0 t s3) for the time problem."""
-    return n_matrix() @ _phase_diag(-1j * sp.k0 * np.asarray(t, dtype=complex))
+    return _N @ _phase_diag(-1j * sp.k0 * np.asarray(t, dtype=complex))
 
 
 def e_charged(x, sp: SpectralPoint, q: int) -> np.ndarray:

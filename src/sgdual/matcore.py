@@ -6,13 +6,17 @@ single matrices and stacks alike.  The Kronecker convention is row-major and fix
 2j+l] = a[i, j] * b[k, l]``.  All 4x4 identities elsewhere rely on it.
 
 Long batches of 2x2 matrices (propagation steps, lattice transfer factors)
-are held entrywise instead: a batch of n matrices is the tuple ``(e00, e01,
-e10, e11)`` of four 1-D complex arrays of length n.  On that layout the
-kernel multiplies two batches (``_mul``), exponentiates traceless exponents
-``[[x0, x1], [x2, -x0]]`` in closed form (``expm_sl2``) and forms ordered
-products by a log-depth scan (``scan``), many times faster than
-``np.matmul`` on ``(n, 2, 2)`` stacks.  Helpers called once per tree level
-are private, so call-level instrumentation wraps only once-per-batch calls.
+are held entrywise instead: a batch of n matrices is one complex array of
+shape ``(2, 2, n)``, with ``e[i, j]`` the contiguous row of (i, j) entries.
+On that layout the kernel multiplies two batches (``_mul``), exponentiates
+traceless exponents ``[[x0, x1], [x2, -x0]]`` in closed form (``expm_sl2``)
+and forms ordered products by a log-depth scan (``scan``), many times faster
+than ``np.matmul`` on ``(n, 2, 2)`` stacks.  A batch product costs two
+broadcast multiplications and one addition however long the batch, so each
+level of a product tree or scan is O(1) numpy calls; ``np.moveaxis(e, -1,
+0)`` views a batch as an ``(n, 2, 2)`` stack.  Helpers called once per tree
+level are private, so call-level instrumentation wraps only once-per-batch
+calls.
 """
 
 from __future__ import annotations
@@ -90,23 +94,19 @@ def _stack22(a00, a01, a10, a11) -> np.ndarray:
 
 
 def _mul(a, b):
-    """Entrywise batch product a @ b of two (e00, e01, e10, e11) batches."""
-    a00, a01, a10, a11 = a
-    b00, b01, b10, b11 = b
-    return (
-        a00 * b00 + a01 * b10,
-        a00 * b01 + a01 * b11,
-        a10 * b00 + a11 * b10,
-        a10 * b01 + a11 * b11,
-    )
+    """Batch product a @ b of two (2, 2, n) batches; a length-1 batch broadcasts."""
+    out = a[:, :1] * b[:1]  # out[i, j] = a[i, 0] b[0, j]
+    out += a[:, 1:] * b[1:]  # + a[i, 1] b[1, j]
+    return out
 
 
-def expm_sl2(x0, x1, x2):
-    """Entries of exp([[x0, x1], [x2, -x0]]) for arrays x0, x1, x2.
+def expm_sl2(x0, x1, x2) -> np.ndarray:
+    """exp([[x0, x1], [x2, -x0]]) for arrays x0, x1, x2 of one shape s, as a (2, 2) + s array.
 
     exp(X) = cosh(mu) 1 + sinh(mu)/mu X with mu^2 = x0^2 + x1 x2 = -det X.
-    For |mu| < 1e-6 the cosh/sinhc factors are evaluated by series to avoid
-    cancellation.  The exponent is traceless, so det exp(X) = 1 to roundoff.
+    Where |mu| < 1e-6 the cosh/sinhc factors are evaluated by series to avoid
+    cancellation; the series are only formed when some entry needs them.
+    The exponent is traceless, so det exp(X) = 1 to roundoff.
     Raises FloatingPointError on non-finite exponents; overflow of a finite
     exponent surfaces as non-finite output, which callers gate on.
     """
@@ -116,50 +116,52 @@ def expm_sl2(x0, x1, x2):
     mu2 = x0 * x0 + x1 * x2
     mu = np.sqrt(mu2)
     small = np.abs(mu) < _MU_SMALL
+    out = np.empty((2, 2) + x0.shape, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        cosh_mu = np.where(small, 1.0 + mu2 / 2.0 + mu2 * mu2 / 24.0, np.cosh(mu))
-        sinhc_mu = np.where(
-            small, 1.0 + mu2 / 6.0 + mu2 * mu2 / 120.0, np.sinh(mu) / np.where(small, 1.0, mu)
-        )
+        cosh_mu = np.cosh(mu)
+        sinhc_mu = np.sinh(mu)
+        if small.any():
+            cosh_mu = np.where(small, 1.0 + mu2 / 2.0 + mu2 * mu2 / 24.0, cosh_mu)
+            sinhc_mu = np.where(small, 1.0 + mu2 / 6.0 + mu2 * mu2 / 120.0, sinhc_mu / np.where(small, 1.0, mu))
+        else:
+            sinhc_mu /= mu
         diag = sinhc_mu * x0
-        return cosh_mu + diag, sinhc_mu * x1, sinhc_mu * x2, cosh_mu - diag
-
-
-def _pick(e, sl):
-    return tuple(x[sl] for x in e)
+        np.add(cosh_mu, diag, out=out[0, 0, ...])
+        np.multiply(sinhc_mu, x1, out=out[0, 1, ...])
+        np.multiply(sinhc_mu, x2, out=out[1, 0, ...])
+        np.subtract(cosh_mu, diag, out=out[1, 1, ...])
+    return out
 
 
 def _scan(e):
-    """Inclusive ordered products out[k] = e[k] @ ... @ e[0] of an entry batch.
+    """Inclusive ordered products out[..., k] = e[..., k] @ ... @ e[..., 0] of a (2, 2, n) batch.
 
     Pairwise recursion (Blelloch, "Prefix sums and their applications"): the
     products of adjacent pairs are scanned recursively, which gives the odd
     positions; each even position is its entry times the odd one below it.
     """
-    n = e[0].shape[0]
+    n = e.shape[-1]
     if n == 1:
         return e
     paired = 2 * (n // 2)
-    odd = _scan(_mul(_pick(e, slice(1, paired, 2)), _pick(e, slice(0, paired, 2))))
-    even = _mul(_pick(e, slice(2, None, 2)), _pick(odd, slice(0, (n - 1) // 2)))
-    out = tuple(np.empty(n, dtype=complex) for _ in range(4))
-    for o, first, odd_part, even_part in zip(out, e, odd, even):
-        o[0] = first[0]
-        o[1::2] = odd_part
-        o[2::2] = even_part
+    odd = _scan(_mul(e[..., 1:paired:2], e[..., 0:paired:2]))
+    out = np.empty_like(e)
+    out[..., 0] = e[..., 0]
+    out[..., 1::2] = odd
+    out[..., 2::2] = _mul(e[..., 2::2], odd[..., : (n - 1) // 2])
     return out
 
 
-def scan(e, reverse: bool = False):
-    """Inclusive ordered products of an (e00, e01, e10, e11) batch, log depth.
+def scan(e, reverse: bool = False) -> np.ndarray:
+    """Inclusive ordered products of a (2, 2, n) batch, log depth.
 
-    out[k] = e[k] @ ... @ e[0]; with ``reverse``, out[k] = e[n-1] @ ... @ e[k],
-    the transpose of a forward scan of the reversed transposes.
+    out[..., k] = e[..., k] @ ... @ e[..., 0]; with ``reverse``, out[..., k] =
+    e[..., n-1] @ ... @ e[..., k], the transpose of a forward scan of the
+    reversed transposes.
     """
     if not reverse:
         return _scan(e)
-    e00, e01, e10, e11 = _scan(_pick((e[0], e[2], e[1], e[3]), slice(None, None, -1)))
-    return _pick((e00, e10, e01, e11), slice(None, None, -1))
+    return _scan(e.transpose(1, 0, 2)[..., ::-1]).transpose(1, 0, 2)[..., ::-1]
 
 
 def frob(a: np.ndarray) -> float:

@@ -35,7 +35,7 @@ import numpy as np
 
 from .fields import FieldEvaluator, FieldSample, Line, ModelParams, topological_charges
 from .lax import SpectralPoint, ce_charged, lax_matrix
-from .matcore import ID2, ID4, SIGMA1, SIGMA2, SIGMA3, _stack22, expm_sl2, inv2, scan, tensor
+from .matcore import ID2, ID4, SIGMA1, SIGMA2, SIGMA3, expm_sl2, inv2, scan, tensor
 
 __all__ = [
     "RMatrixValue",
@@ -141,8 +141,9 @@ def _site_products(sample: FieldSample, sp, params: ModelParams, delta):
     """Per-site V, and the transfer products below each site, above it and in total."""
     v = lax_matrix("time", sample, sp, params)
     steps = expm_sl2(delta * v[:, 0, 0], delta * v[:, 0, 1], delta * v[:, 1, 0])
-    upto = _stack22(*scan(steps))  # steps[i] @ ... @ steps[0]
-    down_to = _stack22(*scan(steps, reverse=True))  # steps[n-1] @ ... @ steps[i]
+    # as C-ordered (n, 2, 2) stacks: the einsum sums downstream follow the memory layout
+    upto = np.ascontiguousarray(np.moveaxis(scan(steps), -1, 0))  # steps[i] @ ... @ steps[0]
+    down_to = np.ascontiguousarray(np.moveaxis(scan(steps, reverse=True), -1, 0))  # steps[n-1] @ ... @ steps[i]
     prefix = np.concatenate([ID2[None], upto[:-1]])  # product of steps below site i
     suffix = np.concatenate([down_to[1:], ID2[None]])  # product of steps above site i
     return v, prefix, suffix, upto[-1]

@@ -50,11 +50,21 @@ by measurement: at 1.0 the space gap grows to 1.35e-8.  (A classical RK4
 update was tried first and could not reach the 1e-10 vacuum gate at sane
 step counts.)
 
-Steps are held in matcore's entry layout, a tuple (e00, e01, e10, e11) of
-1-D arrays, and generated and reduced in chunks of at most 2^14 steps: the
-product folds chunk by chunk (a pairwise tree within a chunk), the
-trajectory by a log-depth scan, so memory stays bounded however small lambda
-makes the step size.
+Steps are generated and reduced in chunks of at most 2^14 steps: the product
+folds chunk by chunk (a pairwise tree within a chunk), the trajectory by a
+log-depth scan, so memory stays bounded however small lambda makes the step
+size.  A chunk samples the field at the three nodes of all its steps in one
+Line.generator_entries call on a (3, n) array of points, combines the node
+rows into Omega in place, and holds its transfer matrices in matcore's
+(2, 2, n) batch layout, so the numpy calls per chunk do not grow with n.
+
+The work on a line that does not depend on lambda -- the probe points of the
+mesh with the field sampled there, and the vacuum offsets at +-W of a
+monodromy -- is memoised for the _MEMO_SIZE most recent keys (field,
+picture, fixed coordinate, interval); only the generator entries and the
+mesh are recomputed per lambda.  Fields are immutable, so a memo hit
+returns the bits of a cold call.  The memo holds fields by weak reference,
+never keeps a raised error, and does not keep probes longer than a chunk.
 
 Whole-line monodromies are regularised by the plane-wave normalisers:
 E0(W)^-1 T_hat(W, -W) E0(-W) in space, and the cE0 analogue in time.  Their
@@ -66,13 +76,15 @@ E0 boundary data at the far end instead.
 from __future__ import annotations
 
 import math
+import weakref
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fields import FieldEvaluator, Line
-from .lax import SpectralPoint
-from .matcore import _mul, _stack22, expm_sl2, frob, inv2, scan
+from .lax import SpectralPoint, hat_entries
+from .matcore import _mul, expm_sl2, frob, inv2, scan
 
 __all__ = [
     "TransitionResult",
@@ -86,14 +98,16 @@ __all__ = [
     "appendix_equality_residual",
 ]
 
-_NODES = (0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0)  # Gauss-Legendre
+_NODES = np.array([[0.5 - math.sqrt(15.0) / 10.0], [0.5], [0.5 + math.sqrt(15.0) / 10.0]])  # Gauss-Legendre, a column
 STEP_DENSITY = 200.0 / 3.0  # steps per period 2 pi / max(|k0|, |k1|, m) of the generator
 _GRADED_DENSITY = 1.3 * STEP_DENSITY  # calibrated on the graded mesh; see the module docstring
 _WEIGHT_FLOOR = 1e-16  # floor of the normalised monitor, so that the settled tails still get steps
 _ASYMPTOTE_TOL = 1e-8
 _CHUNK = 2**14  # steps generated and reduced at once; bounds memory at small lambda
 MAX_STEPS = 2**22  # default step counts beyond this are refused: extreme lambda or W
-_IDENTITY = tuple(np.array([v], dtype=complex) for v in (1.0, 0.0, 0.0, 1.0))
+_IDENTITY = np.eye(2, dtype=complex)[:, :, None]  # a batch of one
+_MEMO_SIZE = 8  # lines whose lambda-independent work is kept; a lambda sweep walks one line at a time
+_memo = OrderedDict()  # (what, weak field, picture, fixed, start, stop) -> lambda-independent work
 
 
 @dataclass(frozen=True)
@@ -132,8 +146,32 @@ def default_nsteps(half_width: float, sp: SpectralPoint, density: float = STEP_D
     return max(64, int(math.ceil(count)))
 
 
+def _line_work(what, line, start, stop, compute):
+    """compute(), kept for the _MEMO_SIZE most recent (what, line, interval) keys.
+
+    A field is immutable, so work that does not depend on lambda depends only
+    on the key.  The key holds the field by weak reference, so the memo keeps
+    no field alive and a new field never matches a dead one.  A raised error
+    is not kept: the next call raises it again.
+    """
+    key = (what, weakref.ref(line.field), line.picture, line.fixed, start, stop)
+    if key in _memo:
+        _memo.move_to_end(key)
+        return _memo[key]
+    work = _memo[key] = compute()
+    if len(_memo) > _MEMO_SIZE:
+        _memo.popitem(last=False)
+    return work
+
+
+def _probe(line, start, stop, count):
+    """(probe, sample): count probe points of the monitor, at spacing at most 1/(m gamma), and the field there."""
+    probe = np.linspace(start, stop, count)
+    return probe, line.field.sample(*line.points(probe))
+
+
 def _mesh(line, start, stop, sp, nsteps=None, graded=True):
-    """(nsteps, steps): the step count and a map from consecutive step indices to their bases and sizes.
+    """(nsteps, steps): the step count, and a map steps(first, last) to the bases and sizes of steps first..last-1.
 
     Graded, the edges invert the cumulative trapezoid integral of the weight
     w = max(dev / max dev, 1e-16)^(1/7), probed at spacing 1/(m gamma), and
@@ -146,8 +184,14 @@ def _mesh(line, start, stop, sp, nsteps=None, graded=True):
     weight = None
     if graded and stop != start:
         field = line.field
-        probe = np.linspace(start, stop, math.ceil(abs(stop - start) * field.params.m * field.gamma) + 2)
-        d, a01, a10 = line.generator_entries(probe, sp)
+        count = math.ceil(abs(stop - start) * field.params.m * field.gamma) + 2
+        # a probe longer than a chunk (thousands of field widths) is resampled per call rather than held
+        probe, sample = (
+            _line_work("probe", line, start, stop, lambda: _probe(line, start, stop, count))
+            if count <= _CHUNK
+            else _probe(line, start, stop, count)
+        )
+        d, a01, a10 = hat_entries(line.picture, sample, sp, field.params)
         dev = np.abs(d) + np.abs(a01 - a01[0]) + np.abs(a10 - a10[0])
         if dev.max() > 0.0:
             weight = np.maximum(dev / dev.max(), _WEIGHT_FLOOR) ** (1.0 / 7.0)
@@ -155,27 +199,26 @@ def _mesh(line, start, stop, sp, nsteps=None, graded=True):
         if nsteps is None:
             nsteps = default_nsteps(0.5 * abs(stop - start), sp)
         h = (stop - start) / nsteps  # one scalar h, not differenced edges: the uniform steps keep their roundoff
-        return nsteps, lambda ks: (start + h * ks, h)
+        return nsteps, lambda first, last: (start + h * np.arange(first, last), h)
     cum = np.concatenate(([0.0], np.cumsum(weight[1:] + weight[:-1]))) * (0.5 * abs(probe[1] - probe[0]))
     if nsteps is None:
         nsteps = default_nsteps(0.5 * cum[-1], sp, _GRADED_DENSITY)
     cum *= nsteps / cum[-1]
     cum[-1] = nsteps  # the last edge is stop exactly
 
-    def steps(ks):
-        edges = np.interp(np.append(ks, ks[-1] + 1), cum, probe)
+    def steps(first, last):
+        edges = np.interp(np.arange(first, last + 1), cum, probe)
         return edges[:-1], np.diff(edges)
 
     return nsteps, steps
 
 
 def _step_chunks(line, mesh, sp):
-    """(ks, h, E) for consecutive chunks of at most _CHUNK steps: indices, signed sizes, transfer entries."""
+    """(first, h, E) for consecutive chunks of at most _CHUNK steps: first index, signed sizes, transfer matrices."""
     nsteps, steps = mesh
     for first in range(0, nsteps, _CHUNK):
-        ks = np.arange(first, min(first + _CHUNK, nsteps))
-        base, h = steps(ks)
-        yield ks, h, _magnus_steps(line, base, h, sp)
+        base, h = steps(first, min(first + _CHUNK, nsteps))
+        yield first, h, _magnus_steps(line, base, h, sp)
 
 
 def _add_comm(out, a, b, c):
@@ -186,36 +229,34 @@ def _add_comm(out, a, b, c):
 
 
 def _magnus_steps(line, base, h, sp):
-    """Entries of the transfer matrices E_k of the steps [base, base + h], in propagation order.
+    """Transfer matrices E_k = exp(Omega_k) of the steps [base, base + h] as a (2, 2, n) batch, in propagation order.
 
-    The node entries are combined in place and dropped once used, so a chunk
-    holds at most four entry triples at a time.
+    One generator_entries call samples the three nodes of every step, as g[e, i]
+    for entry e of [[d, a01], [a10, -d]] at node i.  The node rows are combined
+    in place into alpha1..alpha3 and Omega, and Omega is copied out so that
+    the nodes are freed before the exponential.
     """
-    a3 = list(line.generator_entries(base + _NODES[0] * h, sp))  # G1, then G1 + G3
-    a2 = list(line.generator_entries(base + _NODES[2] * h, sp))  # G3, then G3 - G1
-    for k in range(3):
-        a3[k] += a2[k]
-        a2[k] *= 2.0
-        a2[k] -= a3[k]
-    a1 = list(line.generator_entries(base + _NODES[1] * h, sp))
-    for k in range(3):
-        a3[k] -= 2.0 * a1[k]
-        a1[k] *= h  # alpha1 = h G2
-        a2[k] *= (math.sqrt(15.0) / 3.0) * h  # alpha2 = (sqrt 15/3) h (G3 - G1)
-        a3[k] *= (10.0 / 3.0) * h  # alpha3 = (10/3) h (G3 - 2 G2 + G1)
-    z = [2.0 * x for x in a3]
+    g = line.generator_entries(base + _NODES * h, sp)
+    a3, a1, a2 = g[:, 0], g[:, 1], g[:, 2]  # G1, G2, G3 until combined
+    a3 += a2  # G1 + G3
+    a2 *= 2.0
+    a2 -= a3  # G3 - G1
+    a3 -= 2.0 * a1  # G3 - 2 G2 + G1
+    a1 *= h  # alpha1 = h G2
+    a2 *= (math.sqrt(15.0) / 3.0) * h  # alpha2 = (sqrt 15/3) h (G3 - G1)
+    a3 *= (10.0 / 3.0) * h  # alpha3 = (10/3) h (G3 - 2 G2 + G1)
+    z = 2.0 * a3
     _add_comm(z, a1, a2, 1.0)  # 2 alpha3 + C1, C1 = [alpha1, alpha2]
     _add_comm(a2, a1, z, -1.0 / 60.0)  # alpha2 + C2, C2 = -(1/60)[alpha1, 2 alpha3 + C1]
-    for k in range(3):
-        z[k] -= 3.0 * a3[k]  # -20 alpha1 - alpha3 + C1
-        z[k] -= 20.0 * a1[k]
-        a1[k] += a3[k] / 12.0  # alpha1 + alpha3/12
-    del a3
+    z -= 3.0 * a3  # -20 alpha1 - alpha3 + C1
+    z -= 20.0 * a1
+    a1 += a3 / 12.0  # alpha1 + alpha3/12
     # Omega = alpha1 + alpha3/12 + (1/240)[-20 alpha1 - alpha3 + C1, alpha2 + C2]
     _add_comm(a1, z, a2, 1.0 / 240.0)
-    del z, a2
-    steps = expm_sl2(*a1)
-    if not all(np.isfinite(e).all() for e in steps):
+    omega = a1.copy()
+    del g, a1, a2, a3, z
+    steps = expm_sl2(*omega)
+    if not np.isfinite(steps).all():
         raise FloatingPointError(
             "propagation blew up; reduce the step size or keep lambda on the real ray"
         )
@@ -223,14 +264,12 @@ def _magnus_steps(line, base, h, sp):
 
 
 def _ordered_product(e):
-    """Product e[n-1] @ ... @ e[0] of an entry batch by pairwise tree reduction."""
-    while e[0].shape[0] > 1:
-        n = e[0].shape[0]
+    """Product e[..., n-1] @ ... @ e[..., 0] of a (2, 2, n) batch by pairwise tree reduction, as a batch of one."""
+    while e.shape[-1] > 1:
+        n = e.shape[-1]
         even = 2 * (n // 2)
-        paired = _mul(tuple(x[1:even:2] for x in e), tuple(x[0:even:2] for x in e))
-        if n % 2:
-            paired = tuple(np.concatenate([p, x[-1:]]) for p, x in zip(paired, e))
-        e = paired
+        paired = _mul(e[..., 1:even:2], e[..., 0:even:2])
+        e = np.concatenate([paired, e[..., -1:]], axis=-1) if n % 2 else paired
     return e
 
 
@@ -259,7 +298,7 @@ def propagate(
     for _, h, steps in _step_chunks(line, mesh, sp):
         total = _mul(_ordered_product(steps), total)
         smallest, largest = min(smallest, np.abs(h).min()), max(largest, np.abs(h).max())
-    return TransitionResult(_stack22(*total)[0], mesh[0], (float(smallest), float(largest)))
+    return TransitionResult(total[:, :, 0], mesh[0], (float(smallest), float(largest)))
 
 
 def propagate_trajectory(field, picture, fixed, start, stop, sp, nsteps) -> tuple[np.ndarray, np.ndarray]:
@@ -272,10 +311,10 @@ def propagate_trajectory(field, picture, fixed, start, stop, sp, nsteps) -> tupl
     out = np.empty((nsteps + 1, 2, 2), dtype=complex)
     out[0] = np.eye(2)
     total = _IDENTITY
-    for ks, _, steps in _step_chunks(line, mesh, sp):
+    for first, _, steps in _step_chunks(line, mesh, sp):
         psi = _mul(scan(steps), total)
-        out[ks + 1] = _stack22(*psi)
-        total = tuple(x[-1:] for x in psi)
+        out[first + 1 : first + 1 + psi.shape[-1]] = np.moveaxis(psi, -1, 0)
+        total = psi[..., -1:]
     return np.linspace(start, stop, nsteps + 1), out
 
 
@@ -293,7 +332,10 @@ def monodromy(
     result as truncated.
     """
     line = Line(field, picture, fixed)
-    dev = max(line.vacuum(sign * half_width)[1] for sign in (-1, +1))
+    dev = _line_work(
+        "vacuum", line, -half_width, half_width,
+        lambda: max(line.vacuum(sign * half_width)[1] for sign in (-1, +1)),
+    )
     core = propagate(field, picture, fixed, -half_width, half_width, sp)
     mat = inv2(line.normaliser(half_width, sp)) @ core.matrix @ line.normaliser(-half_width, sp)
     return Monodromy(mat, picture, dev, dev > _ASYMPTOTE_TOL, core.step_count, core.step_range)

@@ -407,3 +407,22 @@ def test_jobs_below_one_exit_2(tmp_path, capsys, jobs):
     assert main(args) == 2
     assert capsys.readouterr().err.count("--jobs must be >= 1") == 2
     assert not (tmp_path / "rep").exists()
+
+
+@pytest.mark.parametrize(
+    "solution",
+    [{"kind": "vacuum", "sigma": -1}, {"kind": "kink", "v": 0.4, "sigma": 0.0}, {"kind": "defect_pair", "sigma": -2.0}],
+    ids=["vacuum", "kink", "defect_pair"],
+)
+def test_sigma_not_positive_exits_2(tmp_path, capsys, solution):
+    cfg = write_config(tmp_path, overrides={"solution": solution, "suites": ["defect"]})
+    assert run(cfg, tmp_path / "rep", "csv") == 2
+    assert "sigma must be > 0" in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()
+
+
+def test_unknown_format_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, overrides={"suites": ["lax-residual"]})
+    assert run(cfg, tmp_path / "rep", "xml", 1) == 2
+    assert "format must be csv or json" in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()

@@ -227,6 +227,35 @@ def test_line_generator_and_normaliser_follow_the_picture():
         assert np.array_equal(time.normaliser(-0.7, sp), ce0(-0.7, sp))
 
 
+@pytest.mark.parametrize("picture", ["space", "time"])
+@pytest.mark.parametrize("lam", [0.37, 1.3 + 0.2j])
+def test_generator_entries_of_three_node_rows_equal_three_row_calls(picture, lam):
+    # the Magnus stepper samples its three Gauss nodes in one call on a (3, n) array
+    from sgdual.fields import Line
+    from sgdual.lax import spectral
+
+    line = Line(make_kink(P11, v=-0.6, x0=0.3), picture, 0.2)
+    sp = spectral(lam, P11)
+    nodes = np.linspace(-35.0, 35.0, 3 * 1001).reshape(3, 1001)
+    got = line.generator_entries(nodes, sp)
+    assert got.shape == (3, 3, 1001)
+    for i in range(3):
+        assert np.array_equal(got[:, i], line.generator_entries(nodes[i], sp))
+
+
+def test_arctan_exp_matches_the_masked_branches_bitwise():
+    from sgdual.fields import _arctan_exp
+
+    u = np.random.default_rng(5).uniform(-800.0, 800.0, 100_000)
+    u[:6] = [-30.0, 30.0, 0.0, -29.9, 30.1, -800.0]
+    want = np.arctan(np.exp(np.clip(u, -30.0, 30.0)))
+    want[u > 30.0] = 0.5 * math.pi - np.exp(-u[u > 30.0])
+    want[u < -30.0] = np.exp(u[u < -30.0])
+    assert np.array_equal(_arctan_exp(u), want)
+    assert np.array_equal(_arctan_exp(u.reshape(100, 1000)), want.reshape(100, 1000))
+    assert _arctan_exp(3.0) == np.arctan(np.exp(3.0))
+
+
 def test_line_rejects_unknown_picture_at_construction():
     from sgdual.fields import Line
 

@@ -41,6 +41,30 @@ class NotASolution(FieldEvaluator):
         return fx * ft * 2.0**dt
 
 
+@pytest.mark.parametrize("picture", ["space", "time"])
+@pytest.mark.parametrize("lam", [0.37, 2.5, 1.3 + 0.2j, -0.8j])
+def test_hat_entries_equal_the_plain_formulas_bitwise(picture, lam):
+    # hat_entries works in place in its output; the entries must be the formulas' own roundings
+    lam = complex(lam)
+    kink = make_kink(ModelParams(1.3, -0.7), v=0.5, x0=0.2)
+    x = np.linspace(-20.0, 20.0, 2001).reshape(3, 667)
+    sample = kink.sample(x, 0.4)
+    sp = spectral(lam, kink.params)
+    m, beta = kink.params.m, kink.params.beta
+    if picture == "space":
+        d = -0.25j * beta * (sample.phi_x + sample.pi)
+        zeta = m / (4.0 * lam)
+    else:
+        d = -0.25j * beta * (sample.phi_t - sample.Pi)
+        zeta = -m / (4.0 * lam)
+    e_plus = np.cos(beta * sample.phi) + 1j * np.sin(beta * sample.phi)
+    got = hat_entries(picture, sample, sp, kink.params)
+    assert got.shape == (3, 3, 667)
+    assert np.array_equal(got[0], d)
+    assert np.array_equal(got[1], -lam * (m / 4.0) + zeta * e_plus.conj())
+    assert np.array_equal(got[2], lam * (m / 4.0) - zeta * e_plus)
+
+
 def test_spectral_values():
     sp = spectral(1.0, P11)
     assert sp.k0 == 0.5 and sp.k1 == 0.0

@@ -8,7 +8,6 @@ from sgdual.matcore import (
     SIGMA2,
     SIGMA3,
     _mul,
-    _stack22,
     comm,
     det2,
     expm_sl2,
@@ -81,13 +80,19 @@ def expm_oracle(a, squarings=10, terms=24):
     return acc
 
 
-def entries(a):
-    return a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
+def batch(a):
+    """The (2, 2, n) batch of an (n, 2, 2) stack."""
+    return np.moveaxis(a, 0, -1)
+
+
+def stacked(e):
+    """The (..., 2, 2) stack of a (2, 2, ...) batch."""
+    return np.moveaxis(e, (0, 1), (-2, -1))
 
 
 def expm_traceless(a):
     """The entrywise kernel on (..., 2, 2) traceless input, stacked back."""
-    return _stack22(*expm_sl2(a[..., 0, 0], a[..., 0, 1], a[..., 1, 0]))
+    return stacked(expm_sl2(a[..., 0, 0], a[..., 0, 1], a[..., 1, 0]))
 
 
 # exponentials of single (2, 2) matrices, 0-d entries through the kernel;
@@ -146,6 +151,17 @@ def test_expm_sl2_small_mu_branch():
     assert frob(expm_traceless(a) - oracle) < 1e-15
 
 
+def test_expm_sl2_mixed_batch_matches_single_matrices():
+    # the series branch is formed only when some |mu| is small; a batch that mixes both branches
+    # must give each matrix the bits it gets alone
+    mats = random_mat2(6, traceless=True)
+    mats[2] = [[1e-8, 2e-8], [0.0, -1e-8]]
+    mats[4] = 0.0
+    got = expm_traceless(mats)
+    for k in range(6):
+        assert np.array_equal(got[k], expm_traceless(mats[k]))
+
+
 def test_expm_sl2_det_one():
     dets = det2(expm_traceless(random_mat2(50, traceless=True)))
     assert np.max(np.abs(dets - 1.0)) < 1e-12
@@ -164,7 +180,7 @@ def test_expm_sl2_rejects_nonfinite_exponent():
 def test_entrywise_product_matches_matmul():
     a, b = random_mat2(500, seed=1), random_mat2(500, seed=2)
     ref = np.matmul(a, b)
-    got = _stack22(*_mul(entries(a), entries(b)))
+    got = stacked(_mul(batch(a), batch(b)))
     rel = np.max(np.abs(got - ref), axis=(1, 2)) / np.max(np.abs(ref), axis=(1, 2))
     assert np.max(rel) < 1e-15
 
@@ -174,7 +190,7 @@ def unitary_steps(n, seed):
     rng = np.random.default_rng(seed)
     x0 = 1j * rng.normal(size=n)
     x1 = rng.normal(size=n) + 1j * rng.normal(size=n)
-    return _stack22(*expm_sl2(x0, x1, -np.conj(x1)))
+    return stacked(expm_sl2(x0, x1, -np.conj(x1)))
 
 
 def assert_close_rel(got, ref, rtol):
@@ -190,7 +206,7 @@ def test_prefix_scan_matches_sequential_loop(n):
     for k in range(n):
         acc = steps[k] @ acc
         ref[k] = acc
-    assert_close_rel(_stack22(*scan(entries(steps))), ref, 1e-13)
+    assert_close_rel(stacked(scan(batch(steps))), ref, 1e-13)
 
 
 @pytest.mark.parametrize("n", SCAN_LENGTHS)
@@ -201,7 +217,7 @@ def test_suffix_scan_matches_sequential_loop(n):
     for k in range(n - 1, -1, -1):
         acc = acc @ steps[k]
         ref[k] = acc
-    assert_close_rel(_stack22(*scan(entries(steps), reverse=True)), ref, 1e-13)
+    assert_close_rel(stacked(scan(batch(steps), reverse=True)), ref, 1e-13)
 
 
 def test_comm_antisymmetric_and_jacobi():

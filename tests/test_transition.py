@@ -1,14 +1,16 @@
+import gc
 import inspect
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from sgdual import defect, transition
-from sgdual.fields import FieldSample, Line, ModelParams, NonDecayingFieldError, VacuumField, make_kink, make_vacuum
+from sgdual.fields import FieldSample, KinkField, Line, ModelParams, NonDecayingFieldError, VacuumField, make_kink, make_vacuum
 from sgdual.lax import ce0, e0, spectral, u_inf
-from sgdual.matcore import _stack22, det2, expm_sl2, frob, inv2
+from sgdual.matcore import det2, expm_sl2, frob, inv2
 from sgdual.transition import (
     MAX_STEPS,
     _CHUNK,
@@ -30,7 +32,7 @@ def test_vacuum_propagation_is_constant_exponential():
     vac = make_vacuum(P11)
     res = propagate(vac, "space", 0.0, -10.0, 7.0, SP13, 2000)
     gen = 17.0 * u_inf(SP13)
-    assert frob(res.matrix - _stack22(*expm_sl2(gen[0, 0], gen[0, 1], gen[1, 0]))) < 1e-10
+    assert frob(res.matrix - expm_sl2(gen[0, 0], gen[0, 1], gen[1, 0])) < 1e-10
 
 
 def test_composition_on_kink():
@@ -78,8 +80,8 @@ def test_nonfinite_exponent_raises():
 
 def _sequential_loop(line, start, stop, n, graded):
     """Psi at every edge of the mesh, from one unchunked batch of its steps multiplied up one at a time."""
-    base, h = _mesh(line, start, stop, SP13, n, graded)[1](np.arange(n))
-    steps = _stack22(*_magnus_steps(line, base, h, SP13))
+    base, h = _mesh(line, start, stop, SP13, n, graded)[1](0, n)
+    steps = np.moveaxis(_magnus_steps(line, base, h, SP13), -1, 0)
     ref = np.empty((n + 1, 2, 2), dtype=complex)
     ref[0] = np.eye(2)
     for k in range(n):
@@ -339,3 +341,73 @@ def test_only_the_kernels_take_a_step_count():
         if takes_a_count(getattr(module, name))
     }
     assert takers == {"sgdual.transition.propagate", "sgdual.transition.propagate_trajectory"}
+
+
+class _CountingKink(KinkField):
+    """A kink that records the shape of every sample it is asked for."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.sampled = []
+
+    def sample(self, x, t):
+        self.sampled.append(np.shape(x))
+        return super().sample(x, t)
+
+
+def test_line_memo_hit_equals_a_cold_call_on_a_fresh_field():
+    warm = _CountingKink(P11, KINK_V, 0.2, 1)
+    for lam in np.geomspace(0.3, 3.0, 12):
+        monodromy(warm, "space", 0.0, 40.0, spectral(lam, P11))
+        jost(warm, "space", 0.5, 0.0, spectral(lam, P11), 40.0)
+    sp = spectral(0.7, P11)
+    warm.sampled.clear()
+    hits = monodromy(warm, "space", 0.0, 40.0, sp), jost(warm, "space", 0.5, 0.0, sp, 40.0)
+    # a hit samples only the Gauss nodes of its steps, all three in one call
+    assert [len(shape) for shape in warm.sampled] == [2, 2]
+    cold = _CountingKink(P11, KINK_V, 0.2, 1)
+    colds = monodromy(cold, "space", 0.0, 40.0, sp), jost(cold, "space", 0.5, 0.0, sp, 40.0)
+    assert [len(shape) for shape in cold.sampled] == [1, 2, 1, 2]  # probe and nodes, twice
+    hit, miss = hits[0], colds[0]
+    assert np.array_equal(hit.matrix, miss.matrix)
+    assert (hit.tail_deviation, hit.truncated, hit.step_count, hit.step_range) == (
+        miss.tail_deviation, miss.truncated, miss.step_count, miss.step_range
+    )
+    assert np.array_equal(hits[1], colds[1])
+
+
+def test_line_memo_keeps_no_error():
+    # at W = 5 the kink still sits on the time line at x = 1: no vacuum at t = 5
+    kink = make_kink(P11, v=KINK_V)
+    for lam in (0.5, 0.5, 2.0):
+        with pytest.raises(NonDecayingFieldError):
+            monodromy(kink, "time", 1.0, 5.0, spectral(lam, P11))
+
+
+def test_line_memo_is_bounded_and_keeps_no_field_alive():
+    kinks = [make_kink(P11, v=KINK_V, x0=0.01 * k) for k in range(100)]
+    for kink in kinks:
+        monodromy(kink, "space", 0.0, 20.0, SP13)
+        assert len(transition._memo) <= transition._MEMO_SIZE
+    ref = weakref.ref(kinks[-1])
+    del kink, kinks
+    gc.collect()
+    assert ref() is None
+    # a probe longer than a chunk is not held
+    transition._memo.clear()
+    propagate(make_kink(P11, v=KINK_V), "space", 0.0, -2e4, 2e4, SP13, 64)
+    assert not transition._memo
+
+
+def test_monodromy_peak_memory_at_small_lambda():
+    # lambda = 0.01 takes about 4900 steps, all in one chunk: the largest batch of a lambda sweep
+    sp = spectral(0.01, P11)
+    monodromy(make_kink(P11, v=KINK_V), "space", 0.0, 40.0, sp)  # imports and cached tables
+    kink = make_kink(P11, v=KINK_V)
+    tracemalloc.start()
+    try:
+        monodromy(kink, "space", 0.0, 40.0, sp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.4e6
