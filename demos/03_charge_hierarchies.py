@@ -22,8 +22,7 @@ import numpy as np
 from sgdual import GridWindow, ModelParams, make_kink
 from sgdual.charges import (
     build_ledger,
-    energy_identity_S,
-    energy_identity_T,
+    energy_identity,
     fit_charges_from_monodromy,
     lna_asymptotic_fit,
 )
@@ -43,7 +42,7 @@ for n in sorted(l0.entries, reverse=True):
     extra = f"  closed form {ref:+.9f}" if ref is not None else ""
     print(f"  I_{n:+d} = {l0.entries[n].real:+.9f}  (drift in t: {drift:.1e}){extra}")
 
-rep = energy_identity_S(kink, 0.0, window, l0)
+rep = energy_identity(kink, 0.0, window, l0)
 print(f"  I_-1 - I_1 = {rep.lhs:.9f}  vs (beta^2/2m) H_S = {rep.rhs:.9f}")
 
 print("\n== time-picture ledger (kink, v = 0.6) ==")
@@ -52,7 +51,7 @@ j0 = build_ledger(kink6, "time", 0.0, 4, window)
 j1 = build_ledger(kink6, "time", 1.0, 4, window)
 for n in sorted(j0.entries, reverse=True):
     print(f"  J_{n:+d} = {j0.entries[n].real:+.9f}  (drift in x: {abs(j0.entries[n] - j1.entries[n]):.1e})")
-rep_t = energy_identity_T(kink6, 0.0, window, j0)
+rep_t = energy_identity(kink6, 0.0, window, j0)
 print(f"  J_1 + J_-1 = {rep_t.lhs:.9f}  vs (beta^2/2m) H_T = {rep_t.rhs:.9f}")
 
 print("\n== cross-check against the monodromy logarithm ==")

@@ -78,7 +78,7 @@ for row in rel.rows:
         f"  lam={row['lambda']:4g}: gap[ratio form]={row['gap_ratio']:.2e}, "
         f"gap[product form]={row['gap_product']:.2e}"
     )
-print(f"  selected candidate: {rel.winner}")
+print(f"  selected candidate: {rel.winner(1e-4)}")
 
 print("\n== equal-space Hamiltonian shift across the defect ==")
 hs = ham_shift_check(pair, window)

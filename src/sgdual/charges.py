@@ -56,8 +56,7 @@ __all__ = [
     "LnaFitReport",
     "UnwindingError",
     "build_ledger",
-    "energy_identity_S",
-    "energy_identity_T",
+    "energy_identity",
     "lna_asymptotic_fit",
     "fit_charges_from_monodromy",
 ]
@@ -288,23 +287,19 @@ class IdentityReport:
         return self.gap / scale
 
 
-def energy_identity_S(field, t, window, ledger: ChargeLedger) -> IdentityReport:
-    """I_{-1} - I_1 against (beta^2 / 2m) H_S."""
-    m, beta = field.params.m, field.params.beta
-    lhs = ledger.value(-1) - ledger.value(1)
-    rhs = (beta * beta / (2.0 * m)) * float(hamiltonian_S(field, t, window))
-    return IdentityReport(float(lhs.real), rhs)
+def energy_identity(field, fixed, window, ledger: ChargeLedger) -> IdentityReport:
+    """I_{-1} - I_1 against (beta^2 / 2m) H_S, or J_1 + J_{-1} against (beta^2 / 2m) H_T.
 
-
-def energy_identity_T(field, x, window, ledger: ChargeLedger) -> IdentityReport:
-    """J_1 + J_{-1} against (beta^2 / 2m) H_T.
-
+    The ledger's picture picks the identity; fixed is t (space) or x (time).
     The time-picture identity integrates over t; conservation in x is what
     the drift checks probe.
     """
     m, beta = field.params.m, field.params.beta
-    lhs = ledger.value(1) + ledger.value(-1)
-    rhs = (beta * beta / (2.0 * m)) * float(hamiltonian_T(field, x, window))
+    if ledger.picture == "space":
+        lhs, energy = ledger.value(-1) - ledger.value(1), hamiltonian_S(field, fixed, window)
+    else:
+        lhs, energy = ledger.value(1) + ledger.value(-1), hamiltonian_T(field, fixed, window)
+    rhs = (beta * beta / (2.0 * m)) * float(energy)
     return IdentityReport(float(lhs.real), rhs)
 
 

@@ -43,7 +43,6 @@ form of that statement directly.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -51,6 +50,7 @@ import numpy as np
 
 from .fields import (
     FieldEvaluator,
+    FieldSample,
     GridField,
     GridWindow,
     Line,
@@ -111,12 +111,13 @@ class DefectPair:
     params: ModelParams
     defect: DefectParams
 
+    def boundary(self, t) -> tuple[FieldSample, FieldSample]:
+        """(left, right) samples at x = 0 and times t: the one sampler of the defect line."""
+        return tuple(f.sample(*Line(f, "time", 0.0).points(t)) for f in (self.left, self.right))
+
     def condition_residual(self, t_grid) -> float:
         """Max violation of both defect conditions at x = 0 over the grid."""
-        t = np.asarray(t_grid, dtype=float)
-        x0 = np.zeros_like(t)
-        sl = self.left.sample(x0, t)
-        sr = self.right.sample(x0, t)
+        sl, sr = self.boundary(t_grid)
         b_phi, b_phi_tilde = _b_gradient(self.params, self.defect, sr.phi, sl.phi)
         r1 = sl.phi_x - sr.phi_t + b_phi_tilde
         r2 = sl.phi_t - sr.phi_x + b_phi
@@ -232,8 +233,9 @@ def defect_matrix_L(pair: DefectPair, t: float, sp: SpectralPoint) -> np.ndarray
     """L(t, lambda) built from the boundary values of both fields at x = 0."""
     beta = pair.params.beta
     sig = pair.defect.sigma
-    w = np.exp(0.25j * beta * np.asarray(pair.right.sample(0.0, t).phi))
-    nu = np.exp(0.25j * beta * np.asarray(pair.left.sample(0.0, t).phi))
+    left, right = pair.boundary(t)
+    w = np.exp(0.25j * beta * np.asarray(right.phi))
+    nu = np.exp(0.25j * beta * np.asarray(left.phi))
     lam = sp.lam
     return np.array(
         [[w / nu, -sig / (lam * nu * w)], [sig * nu * w / lam, nu / w]], dtype=complex
@@ -244,7 +246,8 @@ def defect_matrix_L_hat(pair: DefectPair, t: float, sp: SpectralPoint) -> np.nda
     """Gauged defect matrix Om^-1 L Om~ = 1 - (i s/lambda) sigma2 e^{i beta(phi+phi~) s3/2}."""
     beta = pair.params.beta
     sig = pair.defect.sigma
-    theta = 0.5 * beta * (pair.right.sample(0.0, t).phi + pair.left.sample(0.0, t).phi)
+    left, right = pair.boundary(t)
+    theta = 0.5 * beta * (right.phi + left.phi)
     lam = sp.lam
     return np.array(
         [[1.0, -(sig / lam) * np.exp(-1j * theta)], [(sig / lam) * np.exp(1j * theta), 1.0]],
@@ -387,7 +390,6 @@ def c_function(sp: SpectralPoint, defect: DefectParams, parities: tuple[int, int
 
 @dataclass
 class GeneratingRelationReport:
-    sigma: float
     parities: tuple[int, int]
     rows: list = dc_field(default_factory=list)
 
@@ -397,22 +399,11 @@ class GeneratingRelationReport:
             form: max(row[f"gap_{form}"] for row in self.rows) for form in ("ratio", "product")
         }
 
-    @property
-    def winner(self) -> str | None:
+    def winner(self, gate: float) -> str | None:
+        """The one C(lambda) form whose worst gap is within the gate, or None."""
         gaps = self.max_gap
-        ok = [form for form in ("ratio", "product") if gaps[form] < 1e-4]
+        ok = [form for form in ("ratio", "product") if gaps[form] <= gate]
         return ok[0] if len(ok) == 1 else None
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "sigma": self.sigma,
-                "parities": list(self.parities),
-                "rows": self.rows,
-                "winner": self.winner,
-            },
-            indent=2,
-        )
 
 
 def generating_relation_check(
@@ -430,7 +421,7 @@ def generating_relation_check(
     if not (x_right > 0.0 > x_left):
         raise ValueError("probes must sit on their respective sides of the defect")
     parities = pair.parities()
-    report = GeneratingRelationReport(pair.defect.sigma, parities)
+    report = GeneratingRelationReport(parities)
     for sp in sp_list:
         fa = monodromy(pair.right, "time", x_right, half_width, sp).a_entry
         fa_tilde = monodromy(pair.left, "time", x_left, half_width, sp).a_entry
@@ -471,14 +462,18 @@ def ham_shift_check(pair: DefectPair, window: GridWindow) -> HamShiftReport:
     carries the (1/s - s) prefactor that expanding the ratio-form ln C
     produces, rhs_product the (s + 1/s) variant.
     """
+    parities = pair.parities()
+    lhs = float(hamiltonian_T(pair.right, 0.0, window)) - float(hamiltonian_T(pair.left, 0.0, window))
+    return HamShiftReport(lhs, *_energy_shifts(pair, parities))
+
+
+def _energy_shifts(pair: DefectPair, parities) -> tuple[float, float]:
+    """(2m/beta^2) f(s) ((-1)^{p+} - (-1)^{p-}) with f = 1/s - s (ratio form) and s + 1/s (product form)."""
     m, beta = pair.params.m, pair.params.beta
     sig = pair.defect.sigma
-    p_plus, p_minus = pair.parities()
-    jump = (-1.0) ** p_plus - (-1.0) ** p_minus
-    lhs = float(hamiltonian_T(pair.right, 0.0, window)) - float(hamiltonian_T(pair.left, 0.0, window))
-    rhs_ratio = (2.0 * m / beta**2) * (1.0 / sig - sig) * jump
-    rhs_product = (2.0 * m / beta**2) * (sig + 1.0 / sig) * jump
-    return HamShiftReport(lhs, rhs_ratio, rhs_product)
+    jump = (-1.0) ** parities[0] - (-1.0) ** parities[1]
+    scale = 2.0 * m / beta**2
+    return scale * (1.0 / sig - sig) * jump, scale * (sig + 1.0 / sig) * jump
 
 
 # ---------------------------------------------------------------------------
@@ -510,9 +505,7 @@ def _b_gradient(params: ModelParams, defect: DefectParams, phi, phi_tilde):
 
 def defect_lagrangian(pair: DefectPair, t) -> float:
     """L_defect(t) = (phi~ phi_t - phi phi~_t)/2 - B at x = 0."""
-    t = np.asarray(t, dtype=float)
-    sl = pair.left.sample(np.zeros_like(t), t)
-    sr = pair.right.sample(np.zeros_like(t), t)
+    sl, sr = pair.boundary(t)
     val = 0.5 * (sl.phi * sr.phi_t - sr.phi * sl.phi_t) - b_density(
         pair.params, pair.defect, sr.phi, sl.phi
     )
@@ -555,17 +548,14 @@ def s_functional(pair: DefectPair, window: GridWindow) -> GeneratingFunctional:
     h = ts[1] - ts[0]
     left_part = simpson_uniform(vals[: mid + 1] - lim_minus, h)
     right_part = simpson_uniform(vals[mid:] - lim_plus, h)
-    m, beta = pair.params.m, pair.params.beta
-    sig = pair.defect.sigma
     try:
-        p_plus, p_minus = pair.parities()
+        parities = pair.parities()
     except NonDecayingFieldError:  # no time winding to read (static kink)
         e_shift = float("nan")
         shifts = {}
     else:
-        jump = (-1.0) ** p_plus - (-1.0) ** p_minus
-        e_shift = (2.0 * m / beta**2) * (1.0 / sig - sig) * jump
-        shifts = _charge_shifts(pair.defect, (p_plus, p_minus))
+        e_shift = _energy_shifts(pair, parities)[0]
+        shifts = _charge_shifts(pair.defect, parities)
     return GeneratingFunctional(
         s_value=float(left_part + right_part),
         e_shift=e_shift,
@@ -582,16 +572,11 @@ def canonical_residual(pair: DefectPair, t_grid, h: float) -> tuple[float, float
     analytic, the total time derivative is a central difference of step h.
     """
     t = np.asarray(t_grid, dtype=float)
-
-    def samples(tv):
-        z = np.zeros_like(tv)
-        return pair.left.sample(z, tv), pair.right.sample(z, tv)
-
-    sl, sr = samples(t)
+    sl, sr = pair.boundary(t)
     dB_dphi, dB_dphi_tilde = _b_gradient(pair.params, pair.defect, sr.phi, sl.phi)
     # d/dt of dL/d(phi_t) = phi~/2 and of dL/d(phi~_t) = -phi/2
-    sl_p, sr_p = samples(t + h)
-    sl_m, sr_m = samples(t - h)
+    sl_p, sr_p = pair.boundary(t + h)
+    sl_m, sr_m = pair.boundary(t - h)
     ddt_half_tilde = (sl_p.phi - sl_m.phi) / (4.0 * h)
     ddt_half = (sr_p.phi - sr_m.phi) / (4.0 * h)
     rhs_right = (-0.5 * sl.phi_t - dB_dphi) - ddt_half_tilde

@@ -282,7 +282,7 @@ class Line:
     (running, cross) derivative order to (dx, dt).  It also picks the window
     axis, the gauged generator U_hat / V_hat and the plane-wave normaliser
     E0 / cE0 of its picture.  A line holds no samples: every call evaluates
-    the field afresh, on the fixed coordinate filled to the shape of s.
+    the field afresh, on the fixed coordinate broadcast to the shape of s.
     """
 
     def __init__(self, field: FieldEvaluator, picture: str, fixed: float):
@@ -305,7 +305,7 @@ class Line:
     def points(self, s):
         """(x, t) arrays of the points at running coordinates s."""
         s = np.asarray(s, dtype=float)
-        other = np.full_like(s, self.fixed)
+        other = np.broadcast_to(np.float64(self.fixed), s.shape)  # a read-only view, no copy
         return self.pick((s, other), (other, s))
 
     def partial(self, s, run: int, cross: int = 0):

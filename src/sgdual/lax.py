@@ -60,10 +60,6 @@ class SpectralPoint:
     k0: complex
     k1: complex
 
-    @property
-    def is_real(self) -> bool:
-        return abs(complex(self.lam).imag) == 0.0
-
 
 def spectral(lam: complex, params: ModelParams) -> SpectralPoint:
     lam = complex(lam)

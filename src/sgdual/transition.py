@@ -120,7 +120,6 @@ class TransitionResult:
 @dataclass(frozen=True)
 class Monodromy:
     matrix: np.ndarray
-    picture: str
     tail_deviation: float
     truncated: bool
     step_count: int
@@ -338,7 +337,7 @@ def monodromy(
     )
     core = propagate(field, picture, fixed, -half_width, half_width, sp)
     mat = inv2(line.normaliser(half_width, sp)) @ core.matrix @ line.normaliser(-half_width, sp)
-    return Monodromy(mat, picture, dev, dev > _ASYMPTOTE_TOL, core.step_count, core.step_range)
+    return Monodromy(mat, dev, dev > _ASYMPTOTE_TOL, core.step_count, core.step_range)
 
 
 def jost(

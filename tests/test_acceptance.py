@@ -24,8 +24,7 @@ import pytest
 
 from sgdual.charges import (
     build_ledger,
-    energy_identity_S,
-    energy_identity_T,
+    energy_identity,
     fit_charges_from_monodromy,
     lna_asymptotic_fit,
 )
@@ -102,9 +101,9 @@ def test_c03_energy_identity_space():
         static = make_kink(P11, v=0.0)
         h_s = float(hamiltonian_S(static, 0.0, WIDE))
         ledger = build_ledger(static, "space", 0.0, 1, WIDE)
-        rep = energy_identity_S(static, 0.0, WIDE, ledger)
+        rep = energy_identity(static, 0.0, WIDE, ledger)
         moving = make_kink(P11, v=0.4)
-        rep_moving = energy_identity_S(moving, 0.0, WIDE, build_ledger(moving, "space", 0.0, 1, WIDE))
+        rep_moving = energy_identity(moving, 0.0, WIDE, build_ledger(moving, "space", 0.0, 1, WIDE))
     ok = (
         abs(h_s - 8.0) < 1e-5
         and abs(rep.rhs - 4.0) < 1e-5
@@ -127,7 +126,7 @@ def test_c04_energy_identity_time():
     with _Timer() as t:
         kink = make_kink(P11, v=0.6)
         ledger = build_ledger(kink, "time", 0.0, 1, WIDE)
-        rep = energy_identity_T(kink, 0.0, WIDE, ledger)
+        rep = energy_identity(kink, 0.0, WIDE, ledger)
     ok = rep.relative_gap < 1e-4 and t.elapsed < 5.0
     _report("C04 energy-identity-T", ok, f"lhs={rep.lhs:.8f}, rhs={rep.rhs:.8f}, relgap={rep.relative_gap:.2e}", t.elapsed)
     assert rep.relative_gap < 1e-4
@@ -264,7 +263,7 @@ def test_c10_generating_relation():
         hs = ham_shift_check(pair, WIDE)
     exactly_one = (rep.max_gap["ratio"] < 1e-4) != (rep.max_gap["product"] < 1e-4)
     ok = (
-        rep.winner == "ratio"
+        rep.winner(1e-4) == "ratio"
         and exactly_one
         and abs(winner_limit - 1.0) < 1e-5
         and hs.gap_ratio < 1e-4
@@ -272,10 +271,10 @@ def test_c10_generating_relation():
     )
     _report(
         "C10 generating-relation", ok,
-        f"winner={rep.winner}, gaps={{ratio: {rep.max_gap['ratio']:.2e}, product: {rep.max_gap['product']:.2e}}}, "
+        f"winner={rep.winner(1e-4)}, gaps={{ratio: {rep.max_gap['ratio']:.2e}, product: {rep.max_gap['product']:.2e}}}, "
         f"shift gap={hs.gap_ratio:.2e}", t.elapsed,
     )
-    assert rep.winner == "ratio"
+    assert rep.winner(1e-4) == "ratio"
     assert exactly_one
     assert abs(winner_limit - 1.0) < 1e-5
     assert hs.gap_ratio < 1e-4

@@ -7,8 +7,7 @@ from sgdual.fields import FieldEvaluator, GridWindow, ModelParams, make_kink, ma
 from sgdual.charges import (
     RiccatiCoefficients,
     build_ledger,
-    energy_identity_S,
-    energy_identity_T,
+    energy_identity,
     fit_charges_from_monodromy,
     lna_asymptotic_fit,
 )
@@ -134,7 +133,7 @@ def test_topological_charge_from_zero_side(kink_space_ledger):
 def test_energy_identity_S_static_kink():
     kink = make_kink(P11, v=0.0)
     ledger = build_ledger(kink, "space", 0.0, 1, WIDE)
-    rep = energy_identity_S(kink, 0.0, WIDE, ledger)
+    rep = energy_identity(kink, 0.0, WIDE, ledger)
     assert abs(rep.rhs - 4.0) < 1e-5
     assert rep.relative_gap < 1e-5
 
@@ -142,20 +141,20 @@ def test_energy_identity_S_static_kink():
 def test_energy_identity_S_boosted_kink():
     kink = make_kink(P11, v=0.6)
     ledger = build_ledger(kink, "space", 0.0, 1, WIDE)
-    rep = energy_identity_S(kink, 0.0, WIDE, ledger)
+    rep = energy_identity(kink, 0.0, WIDE, ledger)
     assert abs(rep.rhs - 5.0) < 1e-5
     assert rep.relative_gap < 1e-5
 
 
 def test_energy_identity_S_vacuum():
     vac = make_vacuum(P11)
-    rep = energy_identity_S(vac, 0.0, WIDE, build_ledger(vac, "space", 0.0, 1, WIDE))
+    rep = energy_identity(vac, 0.0, WIDE, build_ledger(vac, "space", 0.0, 1, WIDE))
     assert rep.lhs == rep.rhs == 0.0
 
 
 def test_energy_identity_T(kink_time_ledger):
     kink, ledger = kink_time_ledger
-    rep = energy_identity_T(kink, 0.0, WIDE, ledger)
+    rep = energy_identity(kink, 0.0, WIDE, ledger)
     assert abs(rep.rhs - (-3.0)) < 1e-5  # (1/2) H_T = -(1/2) 8 gamma |v|
     assert rep.relative_gap < 1e-5
 
@@ -164,7 +163,7 @@ def test_energy_identity_T_two_positions():
     kink = make_kink(P11, v=0.6)
     for x in (0.0, 1.0):
         ledger = build_ledger(kink, "time", x, 1, WIDE)
-        rep = energy_identity_T(kink, x, WIDE, ledger)
+        rep = energy_identity(kink, x, WIDE, ledger)
         assert rep.relative_gap < 1e-5
 
 

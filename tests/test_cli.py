@@ -12,6 +12,7 @@ from sgdual.suites import SUITES, run_suite
 from sgdual.transition import default_nsteps
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
+REPORTS = Path(__file__).resolve().parent / "data" / "reports"  # CSV reports of the demo scenarios
 
 
 BASE = {
@@ -267,6 +268,46 @@ def test_demo_scenario_passes_and_is_byte_stable(tmp_path, name):
     assert [p.name for p in first] == sorted(f"{s}.csv" for s in ScenarioConfig.load(config).suites)
     for path in first:
         assert path.read_bytes() == (tmp_path / "b" / path.name).read_bytes()
+
+
+@pytest.mark.parametrize("name", ["kink", "defect"])
+def test_demo_scenario_reproduces_the_committed_reports(tmp_path, name):
+    """Refactors must keep every report byte for byte; a change of numbers on purpose regenerates these files."""
+    assert run(DEMOS / f"scenario_{name}.json", tmp_path, "csv") == 0
+    want = sorted((REPORTS / name).iterdir())
+    assert [p.name for p in sorted(tmp_path.iterdir())] == [p.name for p in want]
+    for path in want:
+        assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+_TIME_PICTURE_SUITES = {"monodromy-conservation", "charges", "energy-identities", "appendix", "involution"}
+
+
+@pytest.mark.parametrize(
+    "solution, skipping",
+    [
+        # the defect suite's own pair (sigma = 2) moves, so only the bulk static kink lacks a time picture
+        ({"kind": "kink", "v": 0.0, "x0": 0.3}, _TIME_PICTURE_SUITES),
+        # sigma = 1 makes the pair's kink static, so the defect suite skips its time-picture block too
+        ({"kind": "defect_pair", "sigma": 1.0}, _TIME_PICTURE_SUITES | {"defect"}),
+    ],
+    ids=["static_kink", "static_pair"],
+)
+def test_static_kink_skips_the_time_picture_and_passes(tmp_path, solution, skipping):
+    data = {"schema": 1, "solution": solution, "spectral": {"lambda_list": [0.7, 1.9]}, "numerics": {"half_width": 40.0}}
+    cfg = tmp_path / "static.json"
+    cfg.write_text(json.dumps(data))
+    assert run(cfg, tmp_path / "rep", "json") == 0
+    noted = {s for s in SUITES if "time-picture" in json.loads((tmp_path / "rep" / f"{s}.json").read_text())["metadata"]}
+    assert noted == skipping
+
+
+def test_c_candidate_follows_the_generating_gate():
+    data = json.loads((DEMOS / "scenario_defect.json").read_text())
+    data["numerics"]["tolerances"] = {"generating_gap": 1e-12}
+    rep = run_suite("defect", ScenarioConfig.from_dict(data))
+    assert not next(c for c in rep.cases if c.case == "generating-relation").passed
+    assert rep.metadata["c-candidate"] == "none"
 
 
 KINK = {**BASE, "solution": {"kind": "kink", "v": 0.4}, "suites": ["lax-residual"]}

@@ -241,7 +241,7 @@ def test_c_function_ratio_consistent_with_b_factors():
 def test_generating_relation_selects_ratio_form(pair_sigma2):
     sps = [spectral(l, P11) for l in (0.5, 1.0, 2.0, 4.0)]
     rep = generating_relation_check(pair_sigma2, 0.7, -1.3, sps, 40.0)
-    assert rep.winner == "ratio"
+    assert rep.winner(1e-4) == "ratio"
     assert rep.max_gap["ratio"] < 1e-4
     assert rep.max_gap["product"] > 1e-2
 
@@ -264,17 +264,6 @@ def test_generating_relation_large_lambda_limit(pair_sigma2):
 def test_generating_relation_probe_placement(pair_sigma2):
     with pytest.raises(ValueError):
         generating_relation_check(pair_sigma2, -0.5, -1.0, [spectral(1.0, P11)], 20.0)
-
-
-def test_generating_relation_json(pair_sigma2):
-    import json
-
-    rep = generating_relation_check(pair_sigma2, 0.7, -1.3, [spectral(1.0, P11)], 40.0)
-    data = json.loads(rep.to_json())
-    assert data["sigma"] == 2.0
-    assert data["parities"] == [0, 1]
-    assert data["winner"] == "ratio"
-    assert set(data["rows"][0]) >= {"lambda", "ln_a", "ln_a_tilde", "lnC_ratio", "lnC_product", "gap_ratio", "gap_product"}
 
 
 def test_ham_shift(pair_sigma2):
