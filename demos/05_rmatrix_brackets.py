@@ -61,6 +61,6 @@ for n in (400, 800, 1600):
     print(f"  kink, n={n:5d}: {involution_check(kink, 0.7, sps, n, (-20.0, 20.0)):.4e}")
 pair = bt_kink_from_vacuum(params, DefectParams(2.0))
 for n in (400, 800, 1600):
-    left = involution_check(pair, -0.5, sps, n, (-14.0, 14.0))
-    right = involution_check(pair, 0.5, sps, n, (-14.0, 14.0))
+    left = involution_check(pair.left, -0.5, sps, n, (-14.0, 14.0))
+    right = involution_check(pair.right, 0.5, sps, n, (-14.0, 14.0))
     print(f"  defect pair, n={n:5d}: left {left:.1e}, right {right:.4e}")

@@ -197,7 +197,7 @@ def run(config_path, out_dir, fmt: str = "csv", jobs: int = 1) -> int:
             report.write_csv(path)
         else:
             report.write_json(path)
-        status = "pass" if report.passed else "FAIL"
+        status = "skip" if not report.cases else "pass" if report.passed else "FAIL"
         print(f"[{status}] {name}: {len(report.cases)} cases -> {path}")
         for case in report.failing():
             detail = f"; {json.loads(case.inputs)['error']}" if case.case == "error" else ""

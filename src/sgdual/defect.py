@@ -113,7 +113,7 @@ class DefectPair:
 
     def boundary(self, t) -> tuple[FieldSample, FieldSample]:
         """(left, right) samples at x = 0 and times t: the one sampler of the defect line."""
-        return tuple(f.sample(*Line(f, "time", 0.0).points(t)) for f in (self.left, self.right))
+        return tuple(Line(f, "time", 0.0).at(t) for f in (self.left, self.right))
 
     def condition_residual(self, t_grid) -> float:
         """Max violation of both defect conditions at x = 0 over the grid."""
@@ -201,7 +201,7 @@ def backlund_integrate(
 
     # column sweep, vectorised over all x at once
     def t_slope(t, phi_vec):
-        return _bt_slopes(params, defect, phi_vec, seed.sample(*Line(seed, "space", t).points(xs)))[1]
+        return _bt_slopes(params, defect, phi_vec, Line(seed, "space", t).at(xs))[1]
 
     values = np.empty((xs.size, ts.size))
     values[ix0, it0] = phi0

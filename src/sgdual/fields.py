@@ -281,8 +281,8 @@ class Line:
     The only place that maps a running coordinate s to (x, t) and a
     (running, cross) derivative order to (dx, dt).  It also picks the window
     axis, the gauged generator U_hat / V_hat and the plane-wave normaliser
-    E0 / cE0 of its picture.  A line holds no samples: every call evaluates
-    the field afresh, on the fixed coordinate broadcast to the shape of s.
+    E0 / cE0 of its picture.  ``at`` is the one sampler of a line.  A line
+    holds no samples: every call evaluates the field afresh.
     """
 
     def __init__(self, field: FieldEvaluator, picture: str, fixed: float):
@@ -305,8 +305,12 @@ class Line:
     def points(self, s):
         """(x, t) arrays of the points at running coordinates s."""
         s = np.asarray(s, dtype=float)
-        other = np.broadcast_to(np.float64(self.fixed), s.shape)  # a read-only view, no copy
+        other = np.full_like(s, self.fixed)
         return self.pick((s, other), (other, s))
+
+    def at(self, s) -> FieldSample:
+        """The field sample at running coordinates s."""
+        return self.field.sample(*self.points(s))
 
     def partial(self, s, run: int, cross: int = 0):
         """Partial of phi of order run along the line and cross across it."""
@@ -323,7 +327,7 @@ class Line:
         """
         from .lax import hat_entries
 
-        return hat_entries(self.picture, self.field.sample(*self.points(s)), sp, self.field.params)
+        return hat_entries(self.picture, self.at(s), sp, self.field.params)
 
     def normaliser(self, s, sp) -> np.ndarray:
         """Plane-wave normaliser E0 (space) or cE0 (time) at running coordinate s."""
@@ -331,13 +335,13 @@ class Line:
 
         return self.pick(e0, ce0)(s, sp)
 
-    def vacuum(self, s) -> tuple[int, float]:
-        """(q, offset): the vacuum 2 pi q / beta nearest to phi at s, and the distance to it.
+    def vacuum(self, s, phi) -> tuple[int, float]:
+        """(q, offset): the vacuum 2 pi q / beta nearest to the value phi taken at s, and the distance to it.
 
         Raises NonDecayingFieldError when phi sits farther than a tenth of the
         vacuum spacing from every vacuum.
         """
-        phi = float(np.asarray(self.partial(s, 0)))
+        phi = float(phi)
         spacing = 2.0 * math.pi / self.field.params.beta
         q = round(phi / spacing)
         offset = abs(phi - q * spacing)
@@ -377,7 +381,7 @@ def _energy(line: Line, window: GridWindow, kinetic_sign: float) -> QuadResult:
     """Integral along the line of kinetic_sign (phi_t^2 + phi_x^2)/2 + potential."""
     m, beta = line.field.params.m, line.field.params.beta
     svals = line.axis(window)
-    s = line.field.sample(*line.points(svals))
+    s = line.at(svals)
     kinetic = 0.5 * s.phi_t**2 + 0.5 * s.phi_x**2
     density = kinetic_sign * kinetic + (m / beta) ** 2 * (1.0 - np.cos(beta * s.phi))
     return _quad_over_axis(density, svals[1] - svals[0])
@@ -401,6 +405,5 @@ def topological_charges(field: FieldEvaluator, fixed: float, picture: str) -> tu
     farther than a tenth of the vacuum spacing from every multiple.
     """
     line = Line(field, picture, fixed)
-    q_minus = line.vacuum(field.edge(line, -1))[0]
-    q_plus = line.vacuum(field.edge(line, +1))[0]
-    return q_minus, q_plus
+    edges = field.edge(line, -1), field.edge(line, +1)
+    return tuple(line.vacuum(s, line.partial(s, 0))[0] for s in edges)

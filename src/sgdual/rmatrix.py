@@ -149,6 +149,13 @@ def _site_products(sample: FieldSample, sp, params: ModelParams, delta):
     return v, prefix, suffix, upto[-1]
 
 
+def _time_lattice(field: FieldEvaluator, x: float, interval: tuple[float, float], n_sites: int):
+    """(delta, sample): the spacing of n_sites sites across interval at fixed x, and the field at their midpoints."""
+    a, b = interval
+    delta = (b - a) / n_sites
+    return delta, Line(field, "time", x).at(a + (np.arange(n_sites) + 0.5) * delta)
+
+
 @dataclass(frozen=True)
 class BracketReport:
     gap: float
@@ -174,10 +181,7 @@ def transition_bracket_check(
     if n_sites < 100:
         raise ValueError("the lattice needs at least 100 sites")
     params = field.params
-    a, b = interval
-    delta = (b - a) / n_sites
-    t_sites = a + (np.arange(n_sites) + 0.5) * delta
-    samples = field.sample(*Line(field, "time", fixed_x).points(t_sites))
+    delta, samples = _time_lattice(field, fixed_x, interval, n_sites)
     v1, pre1, suf1, tot1 = _site_products(samples, sp1, params, delta)
     v2, pre2, suf2, tot2 = _site_products(samples, sp2, params, delta)
     r = r_matrix(sp1.lam, sp2.lam, params).matrix
@@ -199,7 +203,7 @@ def transition_bracket_check(
 
 
 def involution_check(
-    field_or_pair,
+    field: FieldEvaluator,
     x_probe: float,
     sp_pair: tuple[SpectralPoint, SpectralPoint],
     n_sites: int,
@@ -211,28 +215,24 @@ def involution_check(
     product; its functional derivatives with respect to the site variables
     (phi_i, Pi_i) are assembled analytically and summed in site order.  The
     proxy vanishes identically on the vacuum and tends to zero under lattice
-    refinement on decaying fields.  For a defect pair the probe side selects
-    the bulk field; the constant connection factors are field-independent
-    and drop out of the bracket.
+    refinement on decaying fields.  field is a bulk field: on a defect pair,
+    pass the side the probe sits on (pair.left or pair.right); the constant
+    connection factors are field-independent and drop out of the bracket.
+    Only the (0, 0) entries of the triple products are formed.
     """
-    field = field_or_pair
-    if hasattr(field_or_pair, "left") and hasattr(field_or_pair, "right"):
-        field = field_or_pair.right if x_probe > 0 else field_or_pair.left
     a, b = interval
-    delta = (b - a) / n_sites
-    t_sites = a + (np.arange(n_sites) + 0.5) * delta
     qm, qp = topological_charges(field, x_probe, "time")
-    samples = field.sample(*Line(field, "time", x_probe).points(t_sites))
+    delta, samples = _time_lattice(field, x_probe, interval, n_sites)
     grads = []
     for sp in sp_pair:
         _, prefix, suffix, _ = _site_products(samples, sp, field.params, delta)
         left_cap = inv2(ce_charged(b, sp, qp))
         right_cap = ce_charged(a, sp, qm)
         d_phi, d_mom = lax_derivatives("time", samples, sp, field.params)
-        head = left_cap @ suffix
-        tail = prefix @ right_cap
-        da_dphi = delta * np.einsum("nab,nbc,ncd->nad", head, d_phi, tail)[:, 0, 0]
-        da_dmom = delta * np.einsum("nab,nbc,ncd->nad", head, d_mom, tail)[:, 0, 0]
+        head = (left_cap @ suffix)[:, 0]
+        tail = (prefix @ right_cap)[..., 0]
+        da_dphi = delta * np.einsum("nb,nbc,nc->n", head, d_phi, tail)
+        da_dmom = delta * np.einsum("nb,nbc,nc->n", head, d_mom, tail)
         grads.append((da_dphi, da_dmom))
     (dphi1, dmom1), (dphi2, dmom2) = grads
     bracket = np.sum(dphi1 * dmom2 - dmom1 * dphi2) / delta

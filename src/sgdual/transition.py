@@ -58,13 +58,14 @@ Line.generator_entries call on a (3, n) array of points, combines the node
 rows into Omega in place, and holds its transfer matrices in matcore's
 (2, 2, n) batch layout, so the numpy calls per chunk do not grow with n.
 
-The work on a line that does not depend on lambda -- the probe points of the
-mesh with the field sampled there, and the vacuum offsets at +-W of a
-monodromy -- is memoised for the _MEMO_SIZE most recent keys (field,
-picture, fixed coordinate, interval); only the generator entries and the
-mesh are recomputed per lambda.  Fields are immutable, so a memo hit
-returns the bits of a cold call.  The memo holds fields by weak reference,
-never keeps a raised error, and does not keep probes longer than a chunk.
+The probe of a line -- the points of the mesh monitor with the field
+sampled there -- does not depend on lambda.  It is memoised for the
+_MEMO_SIZE most recent keys (field, picture, fixed coordinate, interval);
+only the generator entries and the mesh are recomputed per lambda.  A
+monodromy reads its vacuum ends off the same probe, whose end points are
++-W exactly.  Fields are immutable, so a memo hit returns the bits of a
+cold call.  The memo holds fields by weak reference, never keeps a raised
+error, and does not keep probes longer than a chunk.
 
 Whole-line monodromies are regularised by the plane-wave normalisers:
 E0(W)^-1 T_hat(W, -W) E0(-W) in space, and the cE0 analogue in time.  Their
@@ -106,8 +107,8 @@ _ASYMPTOTE_TOL = 1e-8
 _CHUNK = 2**14  # steps generated and reduced at once; bounds memory at small lambda
 MAX_STEPS = 2**22  # default step counts beyond this are refused: extreme lambda or W
 _IDENTITY = np.eye(2, dtype=complex)[:, :, None]  # a batch of one
-_MEMO_SIZE = 8  # lines whose lambda-independent work is kept; a lambda sweep walks one line at a time
-_memo = OrderedDict()  # (what, weak field, picture, fixed, start, stop) -> lambda-independent work
+_MEMO_SIZE = 8  # lines whose probe is kept; a lambda sweep walks one line at a time
+_memo = OrderedDict()  # (weak field, picture, fixed, start, stop) -> (probe, sample)
 
 
 @dataclass(frozen=True)
@@ -145,28 +146,28 @@ def default_nsteps(half_width: float, sp: SpectralPoint, density: float = STEP_D
     return max(64, int(math.ceil(count)))
 
 
-def _line_work(what, line, start, stop, compute):
-    """compute(), kept for the _MEMO_SIZE most recent (what, line, interval) keys.
+def _probe(line, start, stop):
+    """(probe, sample): the points of the monitor from start to stop, at spacing at most 1/(m gamma), and the field there.
 
-    A field is immutable, so work that does not depend on lambda depends only
-    on the key.  The key holds the field by weak reference, so the memo keeps
-    no field alive and a new field never matches a dead one.  A raised error
-    is not kept: the next call raises it again.
+    Kept for the _MEMO_SIZE most recent (line, interval) keys: a field is
+    immutable, so the pair depends only on the key.  The key holds the field
+    by weak reference, so the memo keeps no field alive and a new field never
+    matches a dead one.  A raised error is not kept, and a probe longer than
+    a chunk (thousands of field widths) is resampled per call rather than held.
     """
-    key = (what, weakref.ref(line.field), line.picture, line.fixed, start, stop)
+    field = line.field
+    key = (weakref.ref(field), line.picture, line.fixed, start, stop)
     if key in _memo:
         _memo.move_to_end(key)
         return _memo[key]
-    work = _memo[key] = compute()
-    if len(_memo) > _MEMO_SIZE:
-        _memo.popitem(last=False)
-    return work
-
-
-def _probe(line, start, stop, count):
-    """(probe, sample): count probe points of the monitor, at spacing at most 1/(m gamma), and the field there."""
+    count = math.ceil(abs(stop - start) * field.params.m * field.gamma) + 2
     probe = np.linspace(start, stop, count)
-    return probe, line.field.sample(*line.points(probe))
+    probed = probe, line.at(probe)
+    if count <= _CHUNK:
+        _memo[key] = probed
+        if len(_memo) > _MEMO_SIZE:
+            _memo.popitem(last=False)
+    return probed
 
 
 def _mesh(line, start, stop, sp, nsteps=None, graded=True):
@@ -182,15 +183,8 @@ def _mesh(line, start, stop, sp, nsteps=None, graded=True):
         raise ValueError("nsteps must be >= 1")
     weight = None
     if graded and stop != start:
-        field = line.field
-        count = math.ceil(abs(stop - start) * field.params.m * field.gamma) + 2
-        # a probe longer than a chunk (thousands of field widths) is resampled per call rather than held
-        probe, sample = (
-            _line_work("probe", line, start, stop, lambda: _probe(line, start, stop, count))
-            if count <= _CHUNK
-            else _probe(line, start, stop, count)
-        )
-        d, a01, a10 = hat_entries(line.picture, sample, sp, field.params)
+        probe, sample = _probe(line, start, stop)
+        d, a01, a10 = hat_entries(line.picture, sample, sp, line.field.params)
         dev = np.abs(d) + np.abs(a01 - a01[0]) + np.abs(a10 - a10[0])
         if dev.max() > 0.0:
             weight = np.maximum(dev / dev.max(), _WEIGHT_FLOOR) ** (1.0 / 7.0)
@@ -327,14 +321,12 @@ def monodromy(
     """Regularised whole-line monodromy over [-W, W] in x or t.
 
     Raises NonDecayingFieldError when no vacuum is identifiable at the
-    endpoints; a softer miss (beyond 1e-8 but identifiable) only flags the
-    result as truncated.
+    endpoints, read off the ends of the mesh probe, before any step; a softer
+    miss (beyond 1e-8 but identifiable) only flags the result as truncated.
     """
     line = Line(field, picture, fixed)
-    dev = _line_work(
-        "vacuum", line, -half_width, half_width,
-        lambda: max(line.vacuum(sign * half_width)[1] for sign in (-1, +1)),
-    )
+    probe, sample = _probe(line, -half_width, half_width)
+    dev = max(line.vacuum(probe[k], sample.phi[k])[1] for k in (0, -1))
     core = propagate(field, picture, fixed, -half_width, half_width, sp)
     mat = inv2(line.normaliser(half_width, sp)) @ core.matrix @ line.normaliser(-half_width, sp)
     return Monodromy(mat, dev, dev > _ASYMPTOTE_TOL, core.step_count, core.step_range)

@@ -314,8 +314,8 @@ def test_c12_involution_proxy():
         kink = make_kink(P11, v=0.4)
         kink_seq = [involution_check(kink, 0.7, sps, n, (-20.0, 20.0)) for n in (400, 800, 1600)]
         pair = bt_kink_from_vacuum(P11, DefectParams(2.0))
-        right_seq = [involution_check(pair, 0.5, sps, n, (-14.0, 14.0)) for n in (400, 800, 1600)]
-        left_seq = [involution_check(pair, -0.5, sps, n, (-14.0, 14.0)) for n in (400, 800, 1600)]
+        right_seq = [involution_check(pair.right, 0.5, sps, n, (-14.0, 14.0)) for n in (400, 800, 1600)]
+        left_seq = [involution_check(pair.left, -0.5, sps, n, (-14.0, 14.0)) for n in (400, 800, 1600)]
 
     def converged(seq):
         # a vacuum side is identically in involution: the proxy sits at

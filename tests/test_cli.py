@@ -293,11 +293,13 @@ _TIME_PICTURE_SUITES = {"monodromy-conservation", "charges", "energy-identities"
     ],
     ids=["static_kink", "static_pair"],
 )
-def test_static_kink_skips_the_time_picture_and_passes(tmp_path, solution, skipping):
+def test_static_kink_skips_the_time_picture_and_passes(tmp_path, capsys, solution, skipping):
     data = {"schema": 1, "solution": solution, "spectral": {"lambda_list": [0.7, 1.9]}, "numerics": {"half_width": 40.0}}
     cfg = tmp_path / "static.json"
     cfg.write_text(json.dumps(data))
     assert run(cfg, tmp_path / "rep", "json") == 0
+    # the appendix identity lives in the time picture only, so the suite has no case to pass
+    assert f"[skip] appendix: 0 cases -> {tmp_path / 'rep' / 'appendix.json'}\n" in capsys.readouterr().out
     noted = {s for s in SUITES if "time-picture" in json.loads((tmp_path / "rep" / f"{s}.json").read_text())["metadata"]}
     assert noted == skipping
 

@@ -203,6 +203,9 @@ def test_line_derivatives_match_field_bit_for_bit(picture):
         line = Line(field, picture, fixed)
         other = np.full_like(s, fixed)
         x, t = (s, other) if picture == "space" else (other, s)
+        got, want = line.at(s), field.sample(x, t)
+        for name in ("phi", "phi_x", "phi_t"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
         for j in range(4):
             for cross in (0, 1):
                 dx, dt = (j, cross) if picture == "space" else (cross, j)

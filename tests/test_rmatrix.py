@@ -135,18 +135,18 @@ def test_involution_kink_decreases_under_refinement():
 def test_involution_defect_pair_both_sides():
     pair = bt_kink_from_vacuum(P11, DefectParams(2.0))
     sps = (spectral(1.5, P11), spectral(0.8, P11))
-    right = [involution_check(pair, 0.5, sps, n, (-14.0, 14.0)) for n in (400, 800, 1600)]
+    right = [involution_check(pair.right, 0.5, sps, n, (-14.0, 14.0)) for n in (400, 800, 1600)]
     assert right[0] > right[1] > right[2]
     assert right[1] < 5e-3
     # the vacuum side is identically in involution; the proxy sits at roundoff
-    left = involution_check(pair, -0.5, sps, 800, (-14.0, 14.0))
+    left = involution_check(pair.left, -0.5, sps, 800, (-14.0, 14.0))
     assert left < 1e-12
 
 
 @pytest.mark.parametrize("picture", ["space", "time"])
 def test_lax_derivatives_over_arrays_match_per_site_calls(picture):
     kink = make_kink(P11, v=0.4, x0=0.3)
-    samples = kink.sample(*Line(kink, "time", 0.7).points(np.linspace(-10.0, 10.0, 401)))
+    samples = Line(kink, "time", 0.7).at(np.linspace(-10.0, 10.0, 401))
     sp = spectral(1.3, P11)
     d_phi, d_mom = lax_derivatives(picture, samples, sp, P11)
     per_site = [

@@ -344,15 +344,20 @@ def test_only_the_kernels_take_a_step_count():
 
 
 class _CountingKink(KinkField):
-    """A kink that records the shape of every sample it is asked for."""
+    """A kink that records the shape of every sample it is asked for, and counts its derivative calls."""
 
     def __init__(self, *args):
         super().__init__(*args)
         self.sampled = []
+        self.derivatives = 0
 
     def sample(self, x, t):
         self.sampled.append(np.shape(x))
         return super().sample(x, t)
+
+    def derivative(self, x, t, dx, dt):
+        self.derivatives += 1
+        return super().derivative(x, t, dx, dt)
 
 
 def test_line_memo_hit_equals_a_cold_call_on_a_fresh_field():
@@ -368,12 +373,22 @@ def test_line_memo_hit_equals_a_cold_call_on_a_fresh_field():
     cold = _CountingKink(P11, KINK_V, 0.2, 1)
     colds = monodromy(cold, "space", 0.0, 40.0, sp), jost(cold, "space", 0.5, 0.0, sp, 40.0)
     assert [len(shape) for shape in cold.sampled] == [1, 2, 1, 2]  # probe and nodes, twice
+    assert cold.derivatives == 0  # the vacuum ends are read off the probe
     hit, miss = hits[0], colds[0]
     assert np.array_equal(hit.matrix, miss.matrix)
     assert (hit.tail_deviation, hit.truncated, hit.step_count, hit.step_range) == (
         miss.tail_deviation, miss.truncated, miss.step_count, miss.step_range
     )
     assert np.array_equal(hits[1], colds[1])
+
+
+def test_tail_deviation_is_the_closed_form_kink_tail():
+    # phi sits (4/beta) arctan(exp(-m gamma W)) from its vacuum at both ends of [-W, W]
+    kink = make_kink(P11, v=KINK_V)
+    mono = monodromy(kink, "space", 0.0, 12.0, SP13)
+    tail = (4.0 / P11.beta) * math.atan(math.exp(-P11.m * kink.gamma * 12.0))
+    assert mono.tail_deviation == pytest.approx(tail, rel=1e-9)
+    assert mono.truncated
 
 
 def test_line_memo_keeps_no_error():
