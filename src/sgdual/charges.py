@@ -32,10 +32,12 @@ I_{-1} - I_1 = (beta^2/2m) H_S and J_1 + J_{-1} = (beta^2/2m) H_T.
 
 Field dependence enters through truncated Taylor jets along the running
 coordinate, so the q_n' derivatives are exact to roundoff; no nested finite
-differences anywhere.  ``build_ledger`` takes one pass over the derivative
-orders along its line -- each field partial once -- for the jets of w, w'
-and e_pm, then runs the large-lambda chain and the flipped chain from them,
-one after the other.
+differences anywhere.  A derivative uses up one degree, so a chain of top
+degree D keeps q_n at degree D - n and needs w and e_pm to degree D - 1; a
+ledger reads values only, so its D is order + 1.  ``build_ledger`` takes one
+pass over the derivative orders along its line -- each field partial once --
+for the jets of w, w' and e_pm, then runs the large-lambda chain and the
+flipped chain from them, one after the other.
 """
 
 from __future__ import annotations
@@ -94,16 +96,8 @@ def _jet_exp(g):
 
 
 def _jet_deriv(a):
-    out = np.zeros_like(a)
-    deg = a.shape[1] - 1
-    out[:, :deg] = a[:, 1:] * np.arange(1, deg + 1)
-    return out
-
-
-def _jet_const(value, npts, deg):
-    out = np.zeros((npts, deg + 1), dtype=complex)
-    out[:, 0] = value
-    return out
+    """Derivative of a degree-d jet, a jet of degree d - 1."""
+    return a[:, 1:] * np.arange(1, a.shape[1])
 
 
 def _line_jets(line: Line, svals: np.ndarray, deg: int):
@@ -134,39 +128,42 @@ def _line_jets(line: Line, svals: np.ndarray, deg: int):
     return w, w_flip, _jet_exp(1j * beta * phi), _jet_exp(-1j * beta * phi), slope
 
 
-def _riccati_chain(w, e_delta, e_sum, d_sign, sign_b, n_max, params):
+def _riccati_chain(w, e_delta, e_sum, d_sign, sign_b, n_max, top, params):
     """Jets of one off-diagonal chain, n = 0 .. n_max, from jets of w and e_pm.
 
-    The (2,1) chain q_n takes d_sign = -1 and (e_delta, e_sum) = (e_+, e_-);
-    the mirrored (1,2) chain p_n takes d_sign = +1 with the two factors
-    swapped, and the flipped branch swaps them once more with w -> w'.
-    sign_b is s of the recursion: -1 in the space picture, +1 in time.
+    Level n keeps degree top - n.  The (2,1) chain q_n takes d_sign = -1 and
+    (e_delta, e_sum) = (e_+, e_-); the mirrored (1,2) chain p_n takes
+    d_sign = +1 with the two factors swapped, and the flipped branch swaps
+    them once more with w -> w'.  sign_b is s of the recursion: -1 in the
+    space picture, +1 in time.
     """
     m, beta = params.m, params.beta
-    out = [_jet_const(1j, w.shape[0], w.shape[1] - 1)]
+    out = [np.zeros((w.shape[0], top + 1), dtype=complex)]
+    out[0][:, 0] = 1j
     for n in range(n_max):
-        nxt = d_sign * (2j / m) * _jet_deriv(out[n]) - (beta / m) * _jet_mul(w, out[n])
+        k = top - n  # every operand of q_{n+1} is cut to its degree top - n - 1
+        nxt = d_sign * (2j / m) * _jet_deriv(out[n]) - (beta / m) * _jet_mul(w[:, :k], out[n][:, :k])
         if n == 1:
-            nxt = nxt + sign_b * 0.5j * e_delta
+            nxt = nxt + sign_b * 0.5j * e_delta[:, :k]
         for p in range(1, n + 1):
-            nxt = nxt + 0.5j * _jet_mul(out[p], out[n + 1 - p])
+            nxt = nxt + 0.5j * _jet_mul(out[p][:, :k], out[n + 1 - p][:, :k])
         for p in range(0, n):
-            nxt = nxt + sign_b * 0.5j * _jet_mul(e_sum, _jet_mul(out[p], out[n - 1 - p]))
+            nxt = nxt + sign_b * 0.5j * _jet_mul(e_sum[:, :k], _jet_mul(out[p][:, :k], out[n - 1 - p][:, :k]))
         out.append(nxt)
     return out
 
 
 def _check_order(order: int) -> None:
-    if order > MAX_ORDER:
-        raise ValueError(f"order {order} beyond supported maximum {MAX_ORDER}")
+    if not 0 <= order <= MAX_ORDER:
+        raise ValueError(f"order {order} outside the supported range 0 .. {MAX_ORDER}")
 
 
 class RiccatiCoefficients:
     """Large-lambda off-diagonal dressing coefficients along one line of the spacetime.
 
-    Coefficient 0 is i*sigma1 everywhere; for order n the jets stay exact to
-    degree (requested degree) - n, which is sized so that values and first
-    derivatives of every requested order are exact.
+    Coefficient 0 is i*sigma1 everywhere.  The residual needs values and first
+    derivatives up to order n_max, so the chains take top degree D = n_max + 1:
+    Gamma_n keeps degree D - n, and the jets of w and e_pm degree D - 1.
     """
 
     def __init__(self, field: FieldEvaluator, picture: str, fixed: float, order: int):
@@ -177,14 +174,15 @@ class RiccatiCoefficients:
 
     def _chains(self, svals, n_max):
         """Jets of the q_n and p_n chains, n = 0 .. n_max, from one jet pass."""
-        w, _, ep, em, _ = _line_jets(self.line, svals, n_max + 2)
+        w, _, ep, em, _ = _line_jets(self.line, svals, n_max)
         sign_b = self.line.pick(-1.0, 1.0)
         params = self.field.params
-        return (_riccati_chain(w, ep, em, -1.0, sign_b, n_max, params),
-                _riccati_chain(w, em, ep, 1.0, sign_b, n_max, params))
+        return (_riccati_chain(w, ep, em, -1.0, sign_b, n_max, n_max + 1, params),
+                _riccati_chain(w, em, ep, 1.0, sign_b, n_max, n_max + 1, params))
 
     def gamma(self, n: int, svals) -> np.ndarray:
         """Gamma_n values as (npts, 2, 2) off-diagonal matrices."""
+        _check_order(n)
         svals = np.atleast_1d(np.asarray(svals, dtype=float))
         q, p = self._chains(svals, n)
         out = np.zeros((svals.size, 2, 2), dtype=complex)
@@ -248,10 +246,10 @@ def build_ledger(field, picture, fixed, order, window) -> ChargeLedger:
     line = Line(field, picture, fixed)
     svals = line.axis(window)
     h = svals[1] - svals[0]
-    w, w_flip, ep, em, slope = _line_jets(line, svals, order + 3)
+    w, w_flip, ep, em, slope = _line_jets(line, svals, order)
     sign = line.pick(1.0, -1.0)
     entries = {}
-    q = _riccati_chain(w, ep, em, -1.0, -sign, order + 1, field.params)
+    q = _riccati_chain(w, ep, em, -1.0, -sign, order + 1, order + 1, field.params)
     for n in range(1, order + 1):
         density = q[n + 1][:, 0] - sign * em[:, 0] * q[n - 1][:, 0]
         if n == 1:
@@ -260,7 +258,7 @@ def build_ledger(field, picture, fixed, order, window) -> ChargeLedger:
     del q
     # order 0: -(beta/2) times phi_x (space) or phi_t (time), the running slope
     entries[0] = complex(simpson_uniform(-0.5 * beta * slope, h))
-    q = _riccati_chain(w_flip, em, ep, -1.0, -sign, order + 1, field.params)
+    q = _riccati_chain(w_flip, em, ep, -1.0, -sign, order + 1, order + 1, field.params)
     for n in range(1, order + 1):
         if picture == "space":
             density = (-1.0) ** (n + 1) * (ep[:, 0] * q[n - 1][:, 0] - q[n + 1][:, 0])

@@ -51,7 +51,8 @@ _MU_SMALL = 1e-6
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product of two 2x2 matrices (row-major block convention)."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
 
 
 def comm(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -76,6 +76,14 @@ def test_order_cap():
         RiccatiCoefficients(make_vacuum(P11), "space", 0.0, 7)
     with pytest.raises(ValueError):
         build_ledger(make_vacuum(P11), "space", 0.0, 7, WIDE)
+    # negative orders are refused too, with the allowed range in the message
+    kink = make_kink(P11, v=0.4)
+    with pytest.raises(ValueError, match=r"0 \.\. 6"):
+        build_ledger(kink, "space", 0.0, -1, WIDE)
+    with pytest.raises(ValueError, match=r"0 \.\. 6"):
+        RiccatiCoefficients(kink, "space", 0.0, -1).riccati_residual(25.0, np.linspace(-3.0, 3.0, 7))
+    with pytest.raises(ValueError, match=r"0 \.\. 6"):
+        RiccatiCoefficients(kink, "space", 0.0, 3).gamma(-1, np.array([0.0]))
 
 
 def test_vacuum_ledger_is_zero():
@@ -233,8 +241,37 @@ def test_build_ledger_takes_each_partial_once(picture):
     order = 3
     ledger = build_ledger(field, picture, 0.0, order, GridWindow(-10.0, 10.0, -10.0, 10.0, 201, 201))
     assert sorted(ledger.entries) == list(range(-order, order + 1))
-    deg = order + 3  # jets of w reach running order deg + 1 and cross order 1
-    assert len(field.orders) == len(set(field.orders)) == 2 * deg + 3
+    # jets of w reach degree order: running orders 0 .. order + 1 and cross orders 0 .. order
+    assert len(field.orders) == len(set(field.orders)) == 2 * order + 3
+
+
+def test_ledger_chain_levels_keep_only_the_degree_they_feed(monkeypatch):
+    from sgdual import charges
+
+    chain, levels = charges._riccati_chain, []
+
+    def recording_chain(*args):
+        out = chain(*args)
+        levels.append([q.shape[1] for q in out])
+        return out
+
+    monkeypatch.setattr(charges, "_riccati_chain", recording_chain)
+    order = 3
+    build_ledger(make_kink(P11, v=0.4), "space", 0.0, order, GridWindow(-10.0, 10.0, -10.0, 10.0, 201, 201))
+    top = order + 1  # the ledger reads values only, so q_{order+1} has degree 0
+    assert levels == [[top - n + 1 for n in range(order + 2)]] * 2
+
+
+def test_jet_truncation_keeps_the_lower_coefficients_bitwise():
+    from sgdual.charges import _jet_deriv, _jet_exp, _jet_mul
+
+    rng = np.random.default_rng(7)
+    a, b, g = (rng.normal(size=(5, 7)) + 1j * rng.normal(size=(5, 7)) for _ in range(3))
+    mul, exp, deriv = _jet_mul(a, b), _jet_exp(g), _jet_deriv(a)
+    for k in range(7):
+        assert np.array_equal(_jet_mul(a[:, : k + 1], b[:, : k + 1]), mul[:, : k + 1])
+        assert np.array_equal(_jet_exp(g[:, : k + 1]), exp[:, : k + 1])
+        assert np.array_equal(_jet_deriv(a[:, : k + 2])[:, : k + 1], deriv[:, : k + 1])
 
 
 def test_unwrap_log_raises_on_branch_jump():

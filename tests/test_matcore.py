@@ -67,6 +67,13 @@ def test_tensor_bilinear():
     assert np.allclose(tensor(a, 2.5 * b), 2.5 * tensor(a, b))
 
 
+def test_tensor_is_the_row_major_kronecker_product_bitwise():
+    for trial in range(50):
+        a, b = (random_mat2(seed=300 + 2 * trial + j)[0] for j in range(2))
+        assert np.array_equal(tensor(a, b), np.kron(a, b))
+        assert np.array_equal(tensor(a.real, b), np.kron(a.real.astype(complex), b))
+
+
 def expm_oracle(a, squarings=10, terms=24):
     # scaling-and-squaring Taylor oracle, independent of the closed form
     b = a / 2.0**squarings
