@@ -181,8 +181,10 @@ class RiccatiCoefficients:
                 _riccati_chain(w, em, ep, 1.0, sign_b, n_max, n_max + 1, params))
 
     def gamma(self, n: int, svals) -> np.ndarray:
-        """Gamma_n values as (npts, 2, 2) off-diagonal matrices."""
+        """Gamma_n values as (npts, 2, 2) off-diagonal matrices, for n up to the order of the coefficients."""
         _check_order(n)
+        if n > self.order:
+            raise ValueError(f"Gamma_{n} asked of coefficients of order {self.order}")
         svals = np.atleast_1d(np.asarray(svals, dtype=float))
         q, p = self._chains(svals, n)
         out = np.zeros((svals.size, 2, 2), dtype=complex)

@@ -18,7 +18,9 @@ normalisers E0(x) = N exp(-i k1 x s3), cE0(t) = N exp(-i k0 t s3) solve the
 asymptotic problems.
 
 The gauged generators are built entrywise from the explicit formulas above
-(``hat_entries``); the gauge consistency U_hat = Om^-1 U Om - Om^-1 Om_x is a
+(``hat_entries``), in two halves: ``hat_nodes`` takes what they need of the
+field (Im d and e^{i beta phi}, free of lambda), ``hat_assemble`` adds the
+lambda dependence.  The gauge consistency U_hat = Om^-1 U Om - Om^-1 Om_x is a
 test, not the construction.
 """
 
@@ -39,6 +41,8 @@ __all__ = [
     "build_U",
     "build_V",
     "hat_entries",
+    "hat_nodes",
+    "hat_assemble",
     "u_inf",
     "v_inf",
     "n_matrix",
@@ -93,37 +97,59 @@ def build_V(field: FieldEvaluator, x, t, sp: SpectralPoint) -> np.ndarray:
     return lax_matrix("time", field.sample(x, t), sp, field.params)
 
 
+def hat_nodes(picture: str, sample: FieldSample, params: ModelParams, out=None) -> np.ndarray:
+    """The lambda-free half of hat_entries: Im d, cos(beta phi) and sin(beta phi), stacked in one real array.
+
+    d = -i(beta/4)(phi_x + pi) (space) or -i(beta/4)(phi_t - Pi) (time) is
+    imaginary, and e^{i beta phi} = cos + i sin is all the generator needs
+    of phi.  The shape is (3,) + the sample's shape; out, when given, is
+    filled instead of a new array.
+    """
+    beta = params.beta
+    if out is None:
+        out = np.empty((3,) + np.shape(sample.phi))
+    im_d, cos, sin = out[0, ...], out[1, ...], out[2, ...]
+    if picture == "space":
+        np.add(sample.phi_x, sample.pi, out=im_d)
+    else:
+        np.subtract(sample.phi_t, sample.Pi, out=im_d)
+    np.multiply(-0.25 * beta, im_d, out=im_d)
+    bphi = np.multiply(beta, sample.phi, out=sin)
+    np.cos(bphi, out=cos)
+    np.sin(bphi, out=sin)
+    return out
+
+
+def hat_assemble(picture: str, nodes: np.ndarray, sp: SpectralPoint, params: ModelParams) -> np.ndarray:
+    """The lambda half of hat_entries: the entries (d, a01, a10) from the output of hat_nodes."""
+    out = np.empty(nodes.shape, dtype=complex)
+    out.imag[...] = nodes
+    return _assemble(picture, out, sp, params)
+
+
 def hat_entries(picture: str, sample: FieldSample, sp: SpectralPoint, params: ModelParams) -> np.ndarray:
     """Entries (d, a01, a10) of the gauged generator [[d, a01], [a10, -d]] from a field sample.
 
     U_hat (space picture) or V_hat (time picture); tends to u_inf, v_inf on
     decaying fields.  The entries come back stacked in one complex array of
-    shape (3,) + the sample's shape.  Every intermediate lives in the real or
-    imaginary part of an entry not yet written, and a real array enters
-    complex arithmetic as an entry with a zero imaginary part, so a batch of
-    samples allocates its output and nothing else, not even a casting buffer.
+    shape (3,) + the sample's shape.  This is hat_assemble after hat_nodes,
+    with the nodes written straight into the imaginary parts of the output,
+    so a batch of samples allocates its output and nothing else.
     """
-    m, beta = params.m, params.beta
-    lam = sp.lam
     out = np.empty((3,) + np.shape(sample.phi), dtype=complex)
+    hat_nodes(picture, sample, params, out=out.imag)
+    return _assemble(picture, out, sp, params)
+
+
+def _assemble(picture, out, sp, params):
+    """Entries (d, a01, a10) in place in out, whose imaginary parts hold (Im d, cos beta phi, sin beta phi)."""
+    m, lam = params.m, sp.lam
+    zeta = m / (4.0 * lam) if picture == "space" else -m / (4.0 * lam)  # coefficient of the s2 E term: +i zeta s2 E
     d, a01, a10 = out[0, ...], out[1, ...], out[2, ...]
-    if picture == "space":
-        np.add(sample.phi_x, sample.pi, out=d.real)
-        zeta = m / (4.0 * lam)  # coefficient of the s2 E term: +i zeta s2 E
-    else:
-        np.subtract(sample.phi_t, sample.Pi, out=d.real)
-        zeta = -m / (4.0 * lam)
-    d.imag[...] = 0.0
-    np.multiply(-0.25j * beta, d, out=d)
+    d.real[...] = 0.0
     # -i lam (m/4) s2 + i zeta s2 E, with (s2 E)[0,1] = -i e^{-i beta phi};
     # phi is real, so e^{-i beta phi} is the conjugate of e^{i beta phi}
-    bphi = np.multiply(beta, sample.phi, out=a01.imag)
-    np.sin(bphi, out=a10.real)
-    a10.imag[...] = 0.0
-    np.multiply(1j, a10, out=a10)
-    np.cos(bphi, out=a01.real)
-    a01.imag[...] = 0.0
-    np.add(a01, a10, out=a10)  # e^{i beta phi}
+    a10.real[...] = a01.imag  # a10 = cos + i sin = e^{i beta phi}
     np.conjugate(a10, out=a01)
     np.multiply(zeta, a01, out=a01)
     np.add(-lam * (m / 4.0), a01, out=a01)

@@ -22,12 +22,15 @@ truncation error.
 The step edges follow the solution (de Boor's equidistribution, 1973).  The
 global error is a sum of h_k^7 times the local deviation of the generator
 from a constant, so for a fixed count it is smallest with h proportional to
-dev^(-1/7).  The monitor is
+dev^(-1/7).  For the entries [[d, a01], [a10, -d]] of the gauged generator,
+|a01 - a01(start)| + |a10 - a10(start)| = (m / (2 |lambda|)) |E - E(start)|
+with E = e^{i beta phi}.  The monitor takes that sum at lambda = 1,
 
-    dev(s) = |d| + |a01 - a01(start)| + |a10 - a10(start)|,
+    dev(s) = |d| + (m/2) |E - E(start)|,
 
-from the entries [[d, a01], [a10, -d]] of the gauged generator probed at
-spacing 1/(m gamma), gamma the field's Lorentz factor.  The weight is
+probed at spacing 1/(m gamma), gamma the field's Lorentz factor, so the mesh
+does not depend on lambda: on the kink both terms are proportional to
+sech u, and only the count changes with lambda.  The weight is
 w = max(dev / max dev, 1e-16)^(1/7), and the edges invert the cumulative
 trapezoid integral of w.  The default count is
 1.3 STEP_DENSITY W_eff max(|k0|, |k1|, m) / pi with W_eff = (1/2) int w ds,
@@ -58,34 +61,46 @@ Line.generator_entries call on a (3, n) array of points, combines the node
 rows into Omega in place, and holds its transfer matrices in matcore's
 (2, 2, n) batch layout, so the numpy calls per chunk do not grow with n.
 
-The probe of a line -- the points of the mesh monitor with the field
-sampled there -- does not depend on lambda.  It is memoised for the
-_MEMO_SIZE most recent keys (field, picture, fixed coordinate, interval);
-only the generator entries and the mesh are recomputed per lambda.  A
-monodromy reads its vacuum ends off the same probe, whose end points are
-+-W exactly.  Fields are immutable, so a memo hit returns the bits of a
-cold call.  The memo holds fields by weak reference, never keeps a raised
-error, and does not keep probes longer than a chunk.
+The lambda-free work on a line -- the probe points, phi at both ends and
+the cumulative monitor integral -- is memoised for the _MEMO_SIZE most
+recent keys (field, picture, fixed coordinate, interval), so W_eff is a
+constant of the line and the edges of a mesh depend only on the line, the
+interval and the count.  A monodromy reads its vacuum ends off the same
+probe, whose end points are +-W exactly.  One slot holds the node data of
+the last mesh of at most _SLOT_CAP steps on a memoised line: its count, its
+step sizes, and Im d, cos(beta phi), sin(beta phi) at the Gauss nodes
+(lax.hat_nodes).  The next call on the same line with the same count -- in
+a lambda sweep, most of them -- assembles its generator entries from the
+slot with lax.hat_assemble and does not sample the field.  hat_entries is
+the same two halves, so a hit returns the bits of a cold call.  Fields are
+immutable; the memo holds them by weak reference and the slot not at all,
+neither keeps a raised error, the memo does not keep probes longer than a
+chunk, and a mesh the slot does not serve empties it.
 
 Whole-line monodromies are regularised by the plane-wave normalisers:
-E0(W)^-1 T_hat(W, -W) E0(-W) in space, and the cE0 analogue in time.  Their
-(1, 1) entries a(lambda), fa(lambda) are the conserved generating functions
-checked throughout the test-suite.  Half-line (Jost-type) solutions carry the
-E0 boundary data at the far end instead.
+E0(W)^-1 T_hat(W, -W) E0(-W) in space, and the cE0 analogue in time.  With
+E0(x) = N exp(-i k1 x s3) this is D (N^-1 T_hat N) D, D = diag(e^{i k W},
+e^{-i k W}), k = k1 (space) or k0 (time), and it is formed in closed form
+from the four entries of T_hat.  Its (1, 1) entries a(lambda), fa(lambda)
+are the conserved generating functions checked throughout the test-suite.
+Half-line (Jost-type) solutions carry the E0 boundary data at the far end
+instead.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .fields import FieldEvaluator, Line
-from .lax import SpectralPoint, hat_entries
-from .matcore import _mul, expm_sl2, frob, inv2, scan
+from .lax import SpectralPoint, hat_assemble, hat_nodes
+from .matcore import _mul, expm_sl2, frob, scan
 
 __all__ = [
     "TransitionResult",
@@ -108,7 +123,9 @@ _CHUNK = 2**14  # steps generated and reduced at once; bounds memory at small la
 MAX_STEPS = 2**22  # default step counts beyond this are refused: extreme lambda or W
 _IDENTITY = np.eye(2, dtype=complex)[:, :, None]  # a batch of one
 _MEMO_SIZE = 8  # lines whose probe is kept; a lambda sweep walks one line at a time
-_memo = OrderedDict()  # (weak field, picture, fixed, start, stop) -> (probe, sample)
+_memo = OrderedDict()  # (weak field, picture, fixed, start, stop) -> _LineWork
+_SLOT_CAP = 512  # meshes of at most this many steps keep their node data in the slot
+_slot = None  # (line work, count, h, hat_nodes at the Gauss nodes) of the last such mesh
 
 
 @dataclass(frozen=True)
@@ -146,14 +163,25 @@ def default_nsteps(half_width: float, sp: SpectralPoint, density: float = STEP_D
     return max(64, int(math.ceil(count)))
 
 
-def _probe(line, start, stop):
-    """(probe, sample): the points of the monitor from start to stop, at spacing at most 1/(m gamma), and the field there.
+class _LineWork(NamedTuple):
+    """The lambda-free work on a line: monitor points, phi at both ends, and the cumulative monitor integral."""
 
-    Kept for the _MEMO_SIZE most recent (line, interval) keys: a field is
-    immutable, so the pair depends only on the key.  The key holds the field
-    by weak reference, so the memo keeps no field alive and a new field never
-    matches a dead one.  A raised error is not kept, and a probe longer than
-    a chunk (thousands of field widths) is resampled per call rather than held.
+    probe: np.ndarray  # from start to stop at spacing at most 1/(m gamma); the ends are start and stop exactly
+    ends: tuple[float, float]  # phi at probe[0] and probe[-1]
+    cum: np.ndarray | None  # cumulative trapezoid integral of the weight over probe; None on a vacuum
+
+
+def _line_work(line, start, stop):
+    """The _LineWork of a line from start to stop.
+
+    The monitor is dev = |d| + (m/2)|E - E(start)| at the probe points, from
+    the lambda-free half of the generator (lax.hat_nodes), and the weight is
+    w = max(dev / max dev, 1e-16)^(1/7).  Kept for the _MEMO_SIZE most recent
+    (line, interval) keys: a field is immutable, so the work depends only on
+    the key.  The key holds the field by weak reference, so the memo keeps no
+    field alive and a new field never matches a dead one.  A raised error is
+    not kept, and a probe longer than a chunk (thousands of field widths) is
+    resampled per call rather than held.
     """
     field = line.field
     key = (weakref.ref(field), line.picture, line.fixed, start, stop)
@@ -162,56 +190,73 @@ def _probe(line, start, stop):
         return _memo[key]
     count = math.ceil(abs(stop - start) * field.params.m * field.gamma) + 2
     probe = np.linspace(start, stop, count)
-    probed = probe, line.at(probe)
+    sample = line.at(probe)
+    im_d, cos, sin = hat_nodes(line.picture, sample, field.params)
+    dev = np.abs(im_d) + (0.5 * field.params.m) * np.hypot(cos - cos[0], sin - sin[0])
+    cum = None
+    if dev.max() > 0.0:
+        weight = np.maximum(dev / dev.max(), _WEIGHT_FLOOR) ** (1.0 / 7.0)
+        cum = np.concatenate(([0.0], np.cumsum(weight[1:] + weight[:-1]))) * (0.5 * abs(probe[1] - probe[0]))
+    work = _LineWork(probe, (float(sample.phi[0]), float(sample.phi[-1])), cum)
     if count <= _CHUNK:
-        _memo[key] = probed
+        _memo[key] = work
         if len(_memo) > _MEMO_SIZE:
             _memo.popitem(last=False)
-    return probed
+    return work
 
 
 def _mesh(line, start, stop, sp, nsteps=None, graded=True):
-    """(nsteps, steps): the step count, and a map steps(first, last) to the bases and sizes of steps first..last-1.
+    """(nsteps, steps, work): the step count, a map steps(first, last) to the bases and sizes of steps first..last-1, and the _LineWork or None.
 
-    Graded, the edges invert the cumulative trapezoid integral of the weight
-    w = max(dev / max dev, 1e-16)^(1/7), probed at spacing 1/(m gamma), and
-    nsteps=None takes the default count for the half-width (1/2) int w ds.
-    On a vacuum (dev = 0), or with graded=False, the mesh is uniform and
-    the size is one scalar h.
+    Graded, the edges invert the line's cumulative monitor integral, so they
+    depend on the line, the interval and the count, not on lambda; nsteps=None
+    takes the default count for the half-width (1/2) int w ds.  On a vacuum
+    (dev = 0), or with graded=False, the mesh is uniform and the size is one
+    scalar h; work is None when graded=False or the interval is empty.
     """
     if nsteps is not None and nsteps < 1:
         raise ValueError("nsteps must be >= 1")
-    weight = None
-    if graded and stop != start:
-        probe, sample = _probe(line, start, stop)
-        d, a01, a10 = hat_entries(line.picture, sample, sp, line.field.params)
-        dev = np.abs(d) + np.abs(a01 - a01[0]) + np.abs(a10 - a10[0])
-        if dev.max() > 0.0:
-            weight = np.maximum(dev / dev.max(), _WEIGHT_FLOOR) ** (1.0 / 7.0)
-    if weight is None:
+    work = _line_work(line, start, stop) if graded and stop != start else None
+    if work is None or work.cum is None:
         if nsteps is None:
             nsteps = default_nsteps(0.5 * abs(stop - start), sp)
         h = (stop - start) / nsteps  # one scalar h, not differenced edges: the uniform steps keep their roundoff
-        return nsteps, lambda first, last: (start + h * np.arange(first, last), h)
-    cum = np.concatenate(([0.0], np.cumsum(weight[1:] + weight[:-1]))) * (0.5 * abs(probe[1] - probe[0]))
-    if nsteps is None:
-        nsteps = default_nsteps(0.5 * cum[-1], sp, _GRADED_DENSITY)
-    cum *= nsteps / cum[-1]
-    cum[-1] = nsteps  # the last edge is stop exactly
+        steps = lambda first, last: (start + h * np.arange(first, last), h)
+    else:
+        if nsteps is None:
+            nsteps = default_nsteps(0.5 * work.cum[-1], sp, _GRADED_DENSITY)
+        probe, cum = work.probe, work.cum * (nsteps / work.cum[-1])
+        cum[-1] = nsteps  # the last edge is stop exactly
 
-    def steps(first, last):
-        edges = np.interp(np.arange(first, last + 1), cum, probe)
-        return edges[:-1], np.diff(edges)
-
-    return nsteps, steps
+        def steps(first, last):
+            edges = np.interp(np.arange(first, last + 1), cum, probe)
+            return edges[:-1], np.diff(edges)
+    return nsteps, steps, work
 
 
 def _step_chunks(line, mesh, sp):
-    """(first, h, E) for consecutive chunks of at most _CHUNK steps: first index, signed sizes, transfer matrices."""
-    nsteps, steps = mesh
-    for first in range(0, nsteps, _CHUNK):
-        base, h = steps(first, min(first + _CHUNK, nsteps))
-        yield first, h, _magnus_steps(line, base, h, sp)
+    """(first, h, E) for consecutive chunks of at most _CHUNK steps: first index, signed sizes, transfer matrices.
+
+    A mesh of at most _SLOT_CAP steps on a memoised line takes its node data
+    from the slot when the slot holds the same line work and count, and puts
+    it there otherwise.  Either way the entries are assembled by
+    lax.hat_assemble, so a hit returns the bits of a miss.
+    """
+    global _slot
+    nsteps, steps, work = mesh
+    # a probe longer than a chunk is not memoised, so its line work never comes back
+    if work is None or nsteps > _SLOT_CAP or work.probe.size > _CHUNK:
+        _slot = None  # so that the slot never adds to the peak memory of a long mesh
+        for first in range(0, nsteps, _CHUNK):
+            base, h = steps(first, min(first + _CHUNK, nsteps))
+            yield first, h, _magnus_steps(line.generator_entries(base + _NODES * h, sp), h)
+        return
+    params, slot = line.field.params, _slot
+    if slot is None or slot[0] is not work or slot[1] != nsteps:
+        base, h = steps(0, nsteps)
+        slot = _slot = (work, nsteps, h, hat_nodes(line.picture, line.at(base + _NODES * h), params))
+    _, _, h, nodes = slot
+    yield 0, h, _magnus_steps(hat_assemble(line.picture, nodes, sp, params), h)
 
 
 def _add_comm(out, a, b, c):
@@ -221,15 +266,14 @@ def _add_comm(out, a, b, c):
     out[2] += (2.0 * c) * (a[2] * b[0] - a[0] * b[2])
 
 
-def _magnus_steps(line, base, h, sp):
-    """Transfer matrices E_k = exp(Omega_k) of the steps [base, base + h] as a (2, 2, n) batch, in propagation order.
+def _magnus_steps(g, h):
+    """Transfer matrices E_k = exp(Omega_k) of steps of sizes h as a (2, 2, n) batch, in propagation order.
 
-    One generator_entries call samples the three nodes of every step, as g[e, i]
-    for entry e of [[d, a01], [a10, -d]] at node i.  The node rows are combined
-    in place into alpha1..alpha3 and Omega, and Omega is copied out so that
-    the nodes are freed before the exponential.
+    g[e, i] is entry e of the generator [[d, a01], [a10, -d]] at node i of
+    every step, as a (3, 3, n) block that this call consumes.  The node rows
+    are combined in place into alpha1..alpha3 and Omega, and Omega is copied
+    out so that the nodes are freed before the exponential.
     """
-    g = line.generator_entries(base + _NODES * h, sp)
     a3, a1, a2 = g[:, 0], g[:, 1], g[:, 2]  # G1, G2, G3 until combined
     a3 += a2  # G1 + G3
     a2 *= 2.0
@@ -325,11 +369,25 @@ def monodromy(
     miss (beyond 1e-8 but identifiable) only flags the result as truncated.
     """
     line = Line(field, picture, fixed)
-    probe, sample = _probe(line, -half_width, half_width)
-    dev = max(line.vacuum(probe[k], sample.phi[k])[1] for k in (0, -1))
+    work = _line_work(line, -half_width, half_width)
+    dev = max(line.vacuum(work.probe[k], work.ends[k])[1] for k in (0, -1))
     core = propagate(field, picture, fixed, -half_width, half_width, sp)
-    mat = inv2(line.normaliser(half_width, sp)) @ core.matrix @ line.normaliser(-half_width, sp)
+    mat = _regularised(core.matrix, line.pick(sp.k1, sp.k0), half_width)
     return Monodromy(mat, dev, dev > _ASYMPTOTE_TOL, core.step_count, core.step_range)
+
+
+def _regularised(core, k, half_width):
+    """E0(W)^-1 T E0(-W) = D (N^-1 T N) D with D = diag(e^{ikW}, e^{-ikW}), in closed form.
+
+    N = (1 + i s1)/sqrt 2, so N^-1 T N has entries (a + d)/2 +- i(b - c)/2 on
+    the diagonal and (b + c)/2 +- i(a - d)/2 off it, for T = [[a, b], [c, d]];
+    E0 stands for cE0 in the time picture, with k0 for k1.
+    """
+    (a, b), (c, d) = core.tolist()
+    even, odd = 0.5 * (a + d), 0.5j * (b - c)
+    cross, diff = 0.5 * (b + c), 0.5j * (a - d)
+    phase = 1j * k * half_width
+    return np.array([[(even + odd) * cmath.exp(2.0 * phase), cross + diff], [cross - diff, (even - odd) * cmath.exp(-2.0 * phase)]])
 
 
 def jost(

@@ -86,6 +86,14 @@ def test_order_cap():
         RiccatiCoefficients(kink, "space", 0.0, 3).gamma(-1, np.array([0.0]))
 
 
+def test_gamma_refuses_orders_past_its_own():
+    rc = RiccatiCoefficients(make_kink(P11, v=0.4), "space", 0.0, 1)
+    assert rc.gamma(1, np.array([0.0])).shape == (1, 2, 2)
+    for n in (2, 5):
+        with pytest.raises(ValueError, match="order 1"):
+            rc.gamma(n, np.array([0.0]))
+
+
 def test_vacuum_ledger_is_zero():
     ledger = build_ledger(make_vacuum(P11), "space", 0.0, 3, WIDE)
     assert max(abs(v) for v in ledger.entries.values()) == 0.0

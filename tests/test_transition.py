@@ -9,13 +9,16 @@ import pytest
 
 from sgdual import defect, transition
 from sgdual.fields import FieldSample, KinkField, Line, ModelParams, NonDecayingFieldError, VacuumField, make_kink, make_vacuum
-from sgdual.lax import ce0, e0, spectral, u_inf
+from sgdual.lax import ce0, e0, hat_assemble, hat_entries, spectral, u_inf
 from sgdual.matcore import det2, expm_sl2, frob, inv2
 from sgdual.transition import (
     MAX_STEPS,
     _CHUNK,
+    _NODES,
+    _SLOT_CAP,
     _magnus_steps,
     _mesh,
+    _regularised,
     appendix_equality_residual,
     default_nsteps,
     jost,
@@ -81,7 +84,7 @@ def test_nonfinite_exponent_raises():
 def _sequential_loop(line, start, stop, n, graded):
     """Psi at every edge of the mesh, from one unchunked batch of its steps multiplied up one at a time."""
     base, h = _mesh(line, start, stop, SP13, n, graded)[1](0, n)
-    steps = np.moveaxis(_magnus_steps(line, base, h, SP13), -1, 0)
+    steps = np.moveaxis(_magnus_steps(line.generator_entries(base + _NODES * h, SP13), h), -1, 0)
     ref = np.empty((n + 1, 2, 2), dtype=complex)
     ref[0] = np.eye(2)
     for k in range(n):
@@ -426,3 +429,68 @@ def test_monodromy_peak_memory_at_small_lambda():
     finally:
         tracemalloc.stop()
     assert peak <= 1.4e6
+
+
+def _line_of(picture):
+    """The space line of the lambda sweep (t = 0, W = 40) or its time line (x = 0.3, W = 50), on a fresh counting kink."""
+    fixed, half_width = (0.0, 40.0) if picture == "space" else (0.3, 50.0)
+    return Line(_CountingKink(P11, KINK_V, 0.2, 1), picture, fixed), half_width
+
+
+@pytest.mark.parametrize("picture", ["space", "time"])
+def test_lambdas_that_share_a_count_share_the_mesh_and_the_nodes(picture):
+    line, w = _line_of(picture)
+    first, second = spectral(0.7, P11), spectral(1.3, P11)
+    n, steps, _ = _mesh(line, -w, w, first)
+    assert n <= _SLOT_CAP and _mesh(line, -w, w, second)[0] == n  # the rate is m at both
+    edges = steps(0, n)
+    again = _mesh(line, -w, w, second)[1](0, n)
+    assert np.array_equal(edges[0], again[0]) and np.array_equal(edges[1], again[1])
+    monodromy(line.field, picture, line.fixed, w, first)
+    line.field.sampled.clear()
+    hit = monodromy(line.field, picture, line.fixed, w, second)
+    assert line.field.sampled == []  # neither the probe nor the nodes are sampled again
+    cold = _CountingKink(P11, KINK_V, 0.2, 1)
+    miss = monodromy(cold, picture, line.fixed, w, second)
+    assert np.array_equal(hit.matrix, miss.matrix) and hit.step_count == miss.step_count == n
+
+
+@pytest.mark.parametrize("picture", ["space", "time"])
+@pytest.mark.parametrize("lam", [0.7, 2.5, 1.3 + 0.2j, -0.8j])
+def test_slot_entries_equal_hat_entries_bitwise(picture, lam):
+    line, w = _line_of(picture)
+    n, steps, work = _mesh(line, -w, w, SP13)
+    monodromy(line.field, picture, line.fixed, w, SP13)
+    assert transition._slot[0] is work and transition._slot[1] == n
+    base, h = steps(0, n)
+    sp = spectral(lam, P11)
+    cold = hat_entries(picture, line.at(base + _NODES * h), sp, P11)
+    hot = hat_assemble(picture, transition._slot[3], sp, P11)
+    assert hot.tobytes() == cold.tobytes()
+
+
+def test_slot_holds_one_short_mesh_and_keeps_no_field_alive():
+    kink = make_kink(P11, v=KINK_V)
+    for lam in (1.3, 0.7, 0.2):
+        monodromy(kink, "space", 0.0, 40.0, spectral(lam, P11))
+        work, n, h, nodes = transition._slot
+        assert n <= _SLOT_CAP and h.shape == (n,) and nodes.shape == (3, 3, n)
+        assert work is transition._memo[(weakref.ref(kink), "space", 0.0, -40.0, 40.0)]
+    ref = weakref.ref(kink)
+    del kink
+    gc.collect()
+    assert ref() is None
+    # about 4900 steps: a mesh above the cap is not held, and empties the slot
+    monodromy(make_kink(P11, v=KINK_V), "space", 0.0, 40.0, spectral(0.01, P11))
+    assert transition._slot is None
+
+
+@pytest.mark.parametrize("picture", ["space", "time"])
+@pytest.mark.parametrize("lam, half_width", [(0.3, 40.0), (2.5, 40.0), (1.3 + 0.2j, 10.0)])
+def test_closed_form_regularisation_equals_the_normalisers(picture, lam, half_width):
+    kink, sp = make_kink(P11, v=KINK_V), spectral(lam, P11)
+    line = Line(kink, picture, 0.3)
+    core = propagate(kink, picture, 0.3, -half_width, half_width, sp).matrix
+    want = inv2(line.normaliser(half_width, sp)) @ core @ line.normaliser(-half_width, sp)
+    got = _regularised(core, line.pick(sp.k1, sp.k0), half_width)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
