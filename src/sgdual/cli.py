@@ -10,10 +10,11 @@ The JSON schema is strict: a key that would change nothing is rejected, which
 catches misspelled tolerance names before they silently disable a gate.
 ``solution`` takes only the keys its kind reads: vacuum {kind, sigma},
 defect_pair {kind, sigma, x0}, kink {kind, v, x0, orientation, sigma}.
-``spectral`` takes exactly one of ``lambda_list`` and ``sweep``, ``suites``
-names each suite at most once, ``--jobs`` is at least 1 and ``--format`` is
-csv or json.  ``numerics`` takes ``half_width`` and ``tolerances``; step and
-grid counts follow from the solution.
+``spectral`` takes exactly one of ``lambda_list`` and ``sweep``, of nonzero
+values no two of which share a case label (``suites.lambda_label``, which
+names cases and metadata keys); ``suites`` names each suite at most once,
+``--jobs`` is at least 1 and ``--format`` is csv or json.  ``numerics``
+takes ``half_width`` and ``tolerances``; step and grid counts follow from the solution.
 Every numeric value must be a finite JSON number: tolerances are at least 0,
 ``sigma`` is positive on every kind, and a sweep ``count`` is an integer from 1 to 10000.
 """
@@ -25,6 +26,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from functools import partial
@@ -33,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .fields import ModelParams
-from .suites import DEFAULT_TOLERANCES, SUITES, run_suite, suite_descriptions
+from .suites import DEFAULT_TOLERANCES, SUITES, lambda_label, run_suite, suite_descriptions
 
 __all__ = ["ScenarioConfig", "ConfigError", "main", "run"]
 
@@ -139,6 +141,8 @@ class ScenarioConfig:
             lambdas = list(np.linspace(*bounds, count))
         if not lambdas or any(l == 0.0 for l in lambdas):
             raise ConfigError("spectral values must be nonzero")
+        if shared := [label for label, n in Counter(map(lambda_label, lambdas)).items() if n > 1]:
+            raise ConfigError(f"spectral values must have distinct case labels; {shared} name more than one")
         numerics = data.get("numerics", {})
         _require_keys(numerics, _NUMERIC_KEYS, "numerics")
         half_width = _number(numerics.get("half_width", 30.0), "numerics.half_width")

@@ -422,9 +422,10 @@ def generating_relation_check(
         raise ValueError("probes must sit on their respective sides of the defect")
     parities = pair.parities()
     report = GeneratingRelationReport(parities)
-    for sp in sp_list:
-        fa = monodromy(pair.right, "time", x_right, half_width, sp).a_entry
-        fa_tilde = monodromy(pair.left, "time", x_left, half_width, sp).a_entry
+    # one line at a time, so that the lambdas sharing a count share the line's mesh and nodes
+    fas = [monodromy(pair.right, "time", x_right, half_width, sp).a_entry for sp in sp_list]
+    fa_tildes = [monodromy(pair.left, "time", x_left, half_width, sp).a_entry for sp in sp_list]
+    for sp, fa, fa_tilde in zip(sp_list, fas, fa_tildes):
         ln_a, ln_a_tilde = np.log(fa), np.log(fa_tilde)
         row = {
             "lambda": float(sp.lam.real),

@@ -36,7 +36,7 @@ from .report import Report
 from .rmatrix import involution_check, r_matrix, r_matrix_trig, transition_bracket_check, ultralocal_check
 from .transition import appendix_equality_residual, monodromy
 
-__all__ = ["SUITES", "DEFAULT_TOLERANCES", "run_suite", "suite_descriptions"]
+__all__ = ["SUITES", "DEFAULT_TOLERANCES", "lambda_label", "run_suite", "suite_descriptions"]
 
 # one-line statement of the identity each suite verifies
 _DESCRIPTIONS = {
@@ -78,6 +78,16 @@ def _tol(config, key):
     return config.tolerances.get(key, DEFAULT_TOLERANCES[key])
 
 
+def lambda_label(lam) -> str:
+    """The label of a spectral value in case names and metadata keys; a config whose values share one is refused."""
+    return f"{lam:g}"
+
+
+def _span(config) -> float:
+    """Half-span of the quadrature windows and the time-axis lines: truncation along t decays only like exp(-m gamma |v| W)."""
+    return max(40.0, config.half_width)
+
+
 def _bulk_field(config):
     sol = config.solution
     params = config.params
@@ -102,7 +112,7 @@ def _window(config, *fields) -> GridWindow:
 
     Simpson converges exponentially on analytic integrands that decay like sech(m gamma s).
     """
-    span = max(40.0, config.half_width)
+    span = _span(config)
     gamma = max(f.gamma for f in fields)
     n = 2 * math.ceil(10.0 * span * config.params.m * gamma) + 1
     return GridWindow(-span, span, -span, span, n, n)
@@ -149,13 +159,13 @@ def _suite_monodromy(config) -> Report:
     for picture, name, axis, probes in (("space", "a", "times", [0.0, 2.0]), ("time", "fa", "positions", [0.0, 1.0])):
         if not _has_picture(rep, field, picture):
             continue
-        for lam in config.lambdas:
-            sp = spectral(lam, config.params)
-            m0, m1 = (monodromy(field, picture, fixed, w, sp) for fixed in probes)
-            a0, a1 = m0.a_entry, m1.a_entry
-            steps[f"{name}-lam={lam:g}"], sizes[f"{name}-lam={lam:g}"] = m0.step_count, list(m0.step_range)
-            rep.add(f"{name}-drift-lam={lam:g}", {"lambda": lam, axis: probes},
-                    abs(a0), abs(a1), abs(a0 - a1), tol)
+        # one line at a time, so that the lambdas sharing a count share its mesh and nodes
+        m0s, m1s = ([monodromy(field, picture, fixed, w, spectral(lam, config.params)) for lam in config.lambdas] for fixed in probes)
+        for lam, m0, m1 in zip(config.lambdas, m0s, m1s):
+            label = f"lam={lambda_label(lam)}"
+            steps[f"{name}-{label}"], sizes[f"{name}-{label}"] = m0.step_count, list(m0.step_range)
+            rep.add(f"{name}-drift-{label}", {"lambda": lam, axis: probes},
+                    abs(m0.a_entry), abs(m1.a_entry), abs(m0.a_entry - m1.a_entry), tol)
     return rep
 
 
@@ -210,13 +220,11 @@ def _suite_appendix(config) -> Report:
         field = make_kink(field.params, -field.v, field.x0, field.orientation)
         rep.metadata["note"] = "mirrored to the left-moving kink (vacuum past corner)"
     tol = _tol(config, "appendix_residual")
-    # truncation decays like exp(-m gamma |v| W) in the time direction, so
-    # slow kinks need the wider window
-    w = max(config.half_width, 40.0)
+    w = _span(config)
     for lam in config.lambdas:
         sp = spectral(lam, config.params)
         res = appendix_equality_residual(field, 1.0, 0.5, sp, w)
-        rep.add(f"residual-lam={lam:g}", {"lambda": lam, "x": 1.0, "t": 0.5, "W": w}, res, 0.0, res, tol)
+        rep.add(f"residual-lam={lambda_label(lam)}", {"lambda": lam, "x": 1.0, "t": 0.5, "W": w}, res, 0.0, res, tol)
     if not _is_vacuum(field):
         sp = spectral(config.lambdas[0], config.params)
         seq = [appendix_equality_residual(field, 1.0, 0.5, sp, wi) for wi in (15.0, 25.0, 35.0)]
@@ -243,7 +251,7 @@ def _suite_defect(config) -> Report:
     rep.add("Ms-splitting", {"lambda": 1.5, "t": 0.7}, 0.0, 0.0, split.gap(), _tol(config, "splitting"))
     if _has_picture(rep, pair.right, "time") and _has_picture(rep, pair.left, "time"):
         sps = [spectral(l, config.params) for l in config.lambdas]
-        gen = generating_relation_check(pair, 0.7, -1.3, sps, max(w, 40.0))
+        gen = generating_relation_check(pair, 0.7, -1.3, sps, _span(config))
         gate = _tol(config, "generating_gap")
         rep.metadata["c-candidate"] = gen.winner(gate) or "none"
         gap = gen.max_gap["ratio"]

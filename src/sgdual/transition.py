@@ -61,21 +61,18 @@ Line.generator_entries call on a (3, n) array of points, combines the node
 rows into Omega in place, and holds its transfer matrices in matcore's
 (2, 2, n) batch layout, so the numpy calls per chunk do not grow with n.
 
-The lambda-free work on a line -- the probe points, phi at both ends and
-the cumulative monitor integral -- is memoised for the _MEMO_SIZE most
-recent keys (field, picture, fixed coordinate, interval), so W_eff is a
-constant of the line and the edges of a mesh depend only on the line, the
-interval and the count.  A monodromy reads its vacuum ends off the same
-probe, whose end points are +-W exactly.  One slot holds the node data of
-the last mesh of at most _SLOT_CAP steps on a memoised line: its count, its
-step sizes, and Im d, cos(beta phi), sin(beta phi) at the Gauss nodes
-(lax.hat_nodes).  The next call on the same line with the same count -- in
-a lambda sweep, most of them -- assembles its generator entries from the
-slot with lax.hat_assemble and does not sample the field.  hat_entries is
-the same two halves, so a hit returns the bits of a cold call.  Fields are
-immutable; the memo holds them by weak reference and the slot not at all,
-neither keeps a raised error, the memo does not keep probes longer than a
-chunk, and a mesh the slot does not serve empties it.
+One slot holds the lambda-free work on the last line walked (field,
+picture, fixed coordinate, interval): the probe, phi at its end points
+(+-W exactly, where a monodromy checks its vacuum), the cumulative monitor
+integral, and the node data of the line's last mesh of at most _SLOT_CAP
+steps (its count, its step sizes, and Im d, cos(beta phi), sin(beta phi) at
+the Gauss nodes from lax.hat_nodes).  The next call with that count -- in a
+lambda sweep, most of them -- assembles its entries with lax.hat_assemble
+and samples no field; hat_entries is the same two halves, so a hit returns
+the bits of a cold call.  Callers walk one line across their lambda list
+before the next.  The slot holds the field by weak reference and keeps no
+raised error; a new line replaces it, a probe longer than a chunk empties
+it, and a mesh it does not serve drops its node data.
 
 Whole-line monodromies are regularised by the plane-wave normalisers:
 E0(W)^-1 T_hat(W, -W) E0(-W) in space, and the cE0 analogue in time.  With
@@ -92,9 +89,7 @@ from __future__ import annotations
 import cmath
 import math
 import weakref
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -122,10 +117,8 @@ _ASYMPTOTE_TOL = 1e-8
 _CHUNK = 2**14  # steps generated and reduced at once; bounds memory at small lambda
 MAX_STEPS = 2**22  # default step counts beyond this are refused: extreme lambda or W
 _IDENTITY = np.eye(2, dtype=complex)[:, :, None]  # a batch of one
-_MEMO_SIZE = 8  # lines whose probe is kept; a lambda sweep walks one line at a time
-_memo = OrderedDict()  # (weak field, picture, fixed, start, stop) -> _LineWork
 _SLOT_CAP = 512  # meshes of at most this many steps keep their node data in the slot
-_slot = None  # (line work, count, h, hat_nodes at the Gauss nodes) of the last such mesh
+_slot = None  # the _LineWork of the last line walked
 
 
 @dataclass(frozen=True)
@@ -163,31 +156,30 @@ def default_nsteps(half_width: float, sp: SpectralPoint, density: float = STEP_D
     return max(64, int(math.ceil(count)))
 
 
-class _LineWork(NamedTuple):
-    """The lambda-free work on a line: monitor points, phi at both ends, and the cumulative monitor integral."""
+@dataclass(eq=False)
+class _LineWork:
+    """The lambda-free work on a line: monitor points, phi at both ends, the cumulative monitor integral and node data."""
 
+    key: tuple  # (weak field, picture, fixed, start, stop)
     probe: np.ndarray  # from start to stop at spacing at most 1/(m gamma); the ends are start and stop exactly
     ends: tuple[float, float]  # phi at probe[0] and probe[-1]
     cum: np.ndarray | None  # cumulative trapezoid integral of the weight over probe; None on a vacuum
+    nodes: tuple | None = None  # (count, h, hat_nodes at the Gauss nodes) of the last mesh of at most _SLOT_CAP steps
 
 
 def _line_work(line, start, stop):
-    """The _LineWork of a line from start to stop.
+    """The _LineWork of a line from start to stop, from the slot when it holds that line.
 
     The monitor is dev = |d| + (m/2)|E - E(start)| at the probe points, from
-    the lambda-free half of the generator (lax.hat_nodes), and the weight is
-    w = max(dev / max dev, 1e-16)^(1/7).  Kept for the _MEMO_SIZE most recent
-    (line, interval) keys: a field is immutable, so the work depends only on
-    the key.  The key holds the field by weak reference, so the memo keeps no
-    field alive and a new field never matches a dead one.  A raised error is
-    not kept, and a probe longer than a chunk (thousands of field widths) is
-    resampled per call rather than held.
+    lax.hat_nodes, and the weight is w = max(dev / max dev, 1e-16)^(1/7).  A
+    field is immutable, so the work depends only on the key; its weak
+    reference never matches a new field to a dead one.
     """
+    global _slot
     field = line.field
     key = (weakref.ref(field), line.picture, line.fixed, start, stop)
-    if key in _memo:
-        _memo.move_to_end(key)
-        return _memo[key]
+    if _slot is not None and _slot.key == key:
+        return _slot
     count = math.ceil(abs(stop - start) * field.params.m * field.gamma) + 2
     probe = np.linspace(start, stop, count)
     sample = line.at(probe)
@@ -197,11 +189,8 @@ def _line_work(line, start, stop):
     if dev.max() > 0.0:
         weight = np.maximum(dev / dev.max(), _WEIGHT_FLOOR) ** (1.0 / 7.0)
         cum = np.concatenate(([0.0], np.cumsum(weight[1:] + weight[:-1]))) * (0.5 * abs(probe[1] - probe[0]))
-    work = _LineWork(probe, (float(sample.phi[0]), float(sample.phi[-1])), cum)
-    if count <= _CHUNK:
-        _memo[key] = work
-        if len(_memo) > _MEMO_SIZE:
-            _memo.popitem(last=False)
+    work = _LineWork(key, probe, (float(sample.phi[0]), float(sample.phi[-1])), cum)
+    _slot = work if count <= _CHUNK else None
     return work
 
 
@@ -237,26 +226,23 @@ def _mesh(line, start, stop, sp, nsteps=None, graded=True):
 def _step_chunks(line, mesh, sp):
     """(first, h, E) for consecutive chunks of at most _CHUNK steps: first index, signed sizes, transfer matrices.
 
-    A mesh of at most _SLOT_CAP steps on a memoised line takes its node data
-    from the slot when the slot holds the same line work and count, and puts
-    it there otherwise.  Either way the entries are assembled by
-    lax.hat_assemble, so a hit returns the bits of a miss.
+    A mesh of at most _SLOT_CAP steps on the slot's line takes its node data
+    from the slot or puts them there; any other mesh drops them, so that they
+    never add to its peak memory.
     """
-    global _slot
     nsteps, steps, work = mesh
-    # a probe longer than a chunk is not memoised, so its line work never comes back
-    if work is None or nsteps > _SLOT_CAP or work.probe.size > _CHUNK:
-        _slot = None  # so that the slot never adds to the peak memory of a long mesh
+    if work is None or work is not _slot or nsteps > _SLOT_CAP:
+        if _slot is not None:
+            _slot.nodes = None
         for first in range(0, nsteps, _CHUNK):
             base, h = steps(first, min(first + _CHUNK, nsteps))
             yield first, h, _magnus_steps(line.generator_entries(base + _NODES * h, sp), h)
         return
-    params, slot = line.field.params, _slot
-    if slot is None or slot[0] is not work or slot[1] != nsteps:
+    if work.nodes is None or work.nodes[0] != nsteps:
         base, h = steps(0, nsteps)
-        slot = _slot = (work, nsteps, h, hat_nodes(line.picture, line.at(base + _NODES * h), params))
-    _, _, h, nodes = slot
-    yield 0, h, _magnus_steps(hat_assemble(line.picture, nodes, sp, params), h)
+        work.nodes = (nsteps, h, hat_nodes(line.picture, line.at(base + _NODES * h), line.field.params))
+    _, h, nodes = work.nodes
+    yield 0, h, _magnus_steps(hat_assemble(line.picture, nodes, sp, line.field.params), h)
 
 
 def _add_comm(out, a, b, c):

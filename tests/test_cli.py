@@ -469,3 +469,21 @@ def test_unknown_format_exits_2(tmp_path, capsys):
     assert run(cfg, tmp_path / "rep", "xml", 1) == 2
     assert "format must be csv or json" in capsys.readouterr().err
     assert not (tmp_path / "rep").exists()
+
+
+@pytest.mark.parametrize(
+    "spectral_values, shared",
+    [
+        ({"lambda_list": [0.5, 2.0, 0.5]}, "0.5"),
+        ({"lambda_list": [0.5, 0.5000001]}, "0.5"),
+        ({"sweep": {"min": 1.0, "max": 1.000001, "count": 3}}, "1"),
+    ],
+    ids=["exact-repeat", "near-repeat", "colliding-sweep"],
+)
+def test_spectral_values_sharing_a_case_label_exit_2(tmp_path, capsys, spectral_values, shared):
+    # each label names one CSV row and one metadata key, so two values with one label would overwrite each other
+    cfg = write_config(tmp_path, overrides={"spectral": spectral_values, "suites": ["monodromy-conservation"]})
+    assert run(cfg, tmp_path / "rep", "csv") == 2
+    assert f"distinct case labels; ['{shared}']" in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()
+    assert suites.lambda_label(0.5000001) == suites.lambda_label(0.5) != suites.lambda_label(0.500001)

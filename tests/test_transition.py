@@ -3,14 +3,17 @@ import inspect
 import math
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sgdual import defect, transition
+from sgdual.cli import ScenarioConfig
 from sgdual.fields import FieldSample, KinkField, Line, ModelParams, NonDecayingFieldError, VacuumField, make_kink, make_vacuum
 from sgdual.lax import ce0, e0, hat_assemble, hat_entries, spectral, u_inf
 from sgdual.matcore import det2, expm_sl2, frob, inv2
+from sgdual.suites import run_suite
 from sgdual.transition import (
     MAX_STEPS,
     _CHUNK,
@@ -364,25 +367,30 @@ class _CountingKink(KinkField):
 
 
 def test_line_memo_hit_equals_a_cold_call_on_a_fresh_field():
-    warm = _CountingKink(P11, KINK_V, 0.2, 1)
-    for lam in np.geomspace(0.3, 3.0, 12):
-        monodromy(warm, "space", 0.0, 40.0, spectral(lam, P11))
-        jost(warm, "space", 0.5, 0.0, spectral(lam, P11), 40.0)
+    # the slot serves one line at a time, so each walker takes its whole lambda list on its own line
     sp = spectral(0.7, P11)
-    warm.sampled.clear()
-    hits = monodromy(warm, "space", 0.0, 40.0, sp), jost(warm, "space", 0.5, 0.0, sp, 40.0)
-    # a hit samples only the Gauss nodes of its steps, all three in one call
-    assert [len(shape) for shape in warm.sampled] == [2, 2]
-    cold = _CountingKink(P11, KINK_V, 0.2, 1)
-    colds = monodromy(cold, "space", 0.0, 40.0, sp), jost(cold, "space", 0.5, 0.0, sp, 40.0)
-    assert [len(shape) for shape in cold.sampled] == [1, 2, 1, 2]  # probe and nodes, twice
-    assert cold.derivatives == 0  # the vacuum ends are read off the probe
-    hit, miss = hits[0], colds[0]
-    assert np.array_equal(hit.matrix, miss.matrix)
-    assert (hit.tail_deviation, hit.truncated, hit.step_count, hit.step_range) == (
-        miss.tail_deviation, miss.truncated, miss.step_count, miss.step_range
+    walkers = (
+        lambda field, sp: monodromy(field, "space", 0.0, 40.0, sp),
+        lambda field, sp: jost(field, "space", 0.5, 0.0, sp, 40.0),
     )
-    assert np.array_equal(hits[1], colds[1])
+    for walk in walkers:
+        warm = _CountingKink(P11, KINK_V, 0.2, 1)
+        for lam in np.geomspace(0.3, 3.0, 12):
+            walk(warm, spectral(lam, P11))
+        warm.sampled.clear()
+        hit = walk(warm, sp)
+        assert warm.sampled == []  # 0.7 shares the last lambda's count: neither the probe nor the nodes are sampled
+        cold = _CountingKink(P11, KINK_V, 0.2, 1)
+        miss = walk(cold, sp)
+        assert [len(shape) for shape in cold.sampled] == [1, 2]  # the probe, then all three nodes in one call
+        assert cold.derivatives == 0  # the vacuum ends are read off the probe
+        if isinstance(hit, np.ndarray):
+            assert np.array_equal(hit, miss)
+        else:
+            assert np.array_equal(hit.matrix, miss.matrix)
+            assert (hit.tail_deviation, hit.truncated, hit.step_count, hit.step_range) == (
+                miss.tail_deviation, miss.truncated, miss.step_count, miss.step_range
+            )
 
 
 def test_tail_deviation_is_the_closed_form_kink_tail():
@@ -400,21 +408,24 @@ def test_line_memo_keeps_no_error():
     for lam in (0.5, 0.5, 2.0):
         with pytest.raises(NonDecayingFieldError):
             monodromy(kink, "time", 1.0, 5.0, spectral(lam, P11))
+    # the slot kept the line's probe, and nothing of the error
+    slot = transition._slot
+    assert slot.key == (weakref.ref(kink), "time", 1.0, -5.0, 5.0)
+    assert all(isinstance(value, (tuple, np.ndarray, type(None))) for value in vars(slot).values())
 
 
 def test_line_memo_is_bounded_and_keeps_no_field_alive():
     kinks = [make_kink(P11, v=KINK_V, x0=0.01 * k) for k in range(100)]
     for kink in kinks:
         monodromy(kink, "space", 0.0, 20.0, SP13)
-        assert len(transition._memo) <= transition._MEMO_SIZE
+        assert transition._slot.key[0]() is kink  # one slot, for the last line walked
     ref = weakref.ref(kinks[-1])
     del kink, kinks
     gc.collect()
-    assert ref() is None
-    # a probe longer than a chunk is not held
-    transition._memo.clear()
+    assert ref() is None and transition._slot.key[0]() is None
+    # a probe longer than a chunk is not held, and empties the slot
     propagate(make_kink(P11, v=KINK_V), "space", 0.0, -2e4, 2e4, SP13, 64)
-    assert not transition._memo
+    assert transition._slot is None
 
 
 def test_monodromy_peak_memory_at_small_lambda():
@@ -461,11 +472,11 @@ def test_slot_entries_equal_hat_entries_bitwise(picture, lam):
     line, w = _line_of(picture)
     n, steps, work = _mesh(line, -w, w, SP13)
     monodromy(line.field, picture, line.fixed, w, SP13)
-    assert transition._slot[0] is work and transition._slot[1] == n
+    assert transition._slot is work and work.nodes[0] == n
     base, h = steps(0, n)
     sp = spectral(lam, P11)
     cold = hat_entries(picture, line.at(base + _NODES * h), sp, P11)
-    hot = hat_assemble(picture, transition._slot[3], sp, P11)
+    hot = hat_assemble(picture, work.nodes[2], sp, P11)
     assert hot.tobytes() == cold.tobytes()
 
 
@@ -473,16 +484,33 @@ def test_slot_holds_one_short_mesh_and_keeps_no_field_alive():
     kink = make_kink(P11, v=KINK_V)
     for lam in (1.3, 0.7, 0.2):
         monodromy(kink, "space", 0.0, 40.0, spectral(lam, P11))
-        work, n, h, nodes = transition._slot
+        slot = transition._slot
+        n, h, nodes = slot.nodes
         assert n <= _SLOT_CAP and h.shape == (n,) and nodes.shape == (3, 3, n)
-        assert work is transition._memo[(weakref.ref(kink), "space", 0.0, -40.0, 40.0)]
+        assert slot.key == (weakref.ref(kink), "space", 0.0, -40.0, 40.0)
+    # about 4900 steps on the same line: a mesh above the cap keeps the probe and drops the node data
+    monodromy(kink, "space", 0.0, 40.0, spectral(0.01, P11))
+    assert transition._slot is slot and slot.nodes is None
     ref = weakref.ref(kink)
     del kink
     gc.collect()
     assert ref() is None
-    # about 4900 steps: a mesh above the cap is not held, and empties the slot
-    monodromy(make_kink(P11, v=KINK_V), "space", 0.0, 40.0, spectral(0.01, P11))
-    assert transition._slot is None
+
+
+def test_monodromy_suite_samples_the_nodes_of_each_line_once_per_count(monkeypatch):
+    # on the kink demo, lambda = 0.5, 1 and 2 share a count on each of the four probe lines and 4 takes its own
+    node_samples = []
+    sample = KinkField.sample
+
+    def counting(field, x, t):
+        if np.ndim(x) == 2 and np.shape(x)[0] == 3:
+            node_samples.append(np.shape(x))
+        return sample(field, x, t)
+
+    monkeypatch.setattr(KinkField, "sample", counting)
+    config = ScenarioConfig.load(Path(__file__).resolve().parents[1] / "demos" / "scenario_kink.json")
+    assert run_suite("monodromy-conservation", config).passed
+    assert len(node_samples) == 8  # 2 counts on each of 4 lines; 16 when the lines alternate per lambda
 
 
 @pytest.mark.parametrize("picture", ["space", "time"])
