@@ -18,10 +18,13 @@ normalisers E0(x) = N exp(-i k1 x s3), cE0(t) = N exp(-i k0 t s3) solve the
 asymptotic problems.
 
 The gauged generators are built entrywise from the explicit formulas above
-(``hat_entries``), in two halves: ``hat_nodes`` takes what they need of the
-field (Im d and e^{i beta phi}, free of lambda), ``hat_assemble`` adds the
-lambda dependence.  The gauge consistency U_hat = Om^-1 U Om - Om^-1 Om_x is a
-test, not the construction.
+(``hat_entries``): ``hat_nodes`` takes what they need of the field (Im d and
+e^{i beta phi}, free of lambda), and lambda enters only through -lambda m/4
+and the coefficient zeta of i s2 E (``hat_zeta``).  For real lambda the
+generator is then i(w1 s1 + w2 s2 + w3 s3) with the real w1 = -zeta sin(beta
+phi), w2 = zeta cos(beta phi) - lambda m/4, w3 = Im d, which is how
+propagation steps it.  The gauge consistency U_hat = Om^-1 U Om - Om^-1 Om_x
+is a test, not the construction.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ __all__ = [
     "build_V",
     "hat_entries",
     "hat_nodes",
-    "hat_assemble",
+    "hat_zeta",
     "u_inf",
     "v_inf",
     "n_matrix",
@@ -120,11 +123,10 @@ def hat_nodes(picture: str, sample: FieldSample, params: ModelParams, out=None) 
     return out
 
 
-def hat_assemble(picture: str, nodes: np.ndarray, sp: SpectralPoint, params: ModelParams) -> np.ndarray:
-    """The lambda half of hat_entries: the entries (d, a01, a10) from the output of hat_nodes."""
-    out = np.empty(nodes.shape, dtype=complex)
-    out.imag[...] = nodes
-    return _assemble(picture, out, sp, params)
+def hat_zeta(picture: str, sp: SpectralPoint, params: ModelParams) -> complex:
+    """zeta = m/(4 lambda) (space) or -m/(4 lambda) (time): the gauged generator is -i lambda (m/4) s2 + i zeta s2 E."""
+    zeta = params.m / (4.0 * sp.lam)
+    return zeta if picture == "space" else -zeta
 
 
 def hat_entries(picture: str, sample: FieldSample, sp: SpectralPoint, params: ModelParams) -> np.ndarray:
@@ -132,19 +134,13 @@ def hat_entries(picture: str, sample: FieldSample, sp: SpectralPoint, params: Mo
 
     U_hat (space picture) or V_hat (time picture); tends to u_inf, v_inf on
     decaying fields.  The entries come back stacked in one complex array of
-    shape (3,) + the sample's shape.  This is hat_assemble after hat_nodes,
-    with the nodes written straight into the imaginary parts of the output,
+    shape (3,) + the sample's shape.  hat_nodes writes straight into the
+    imaginary parts of the output, and the lambda terms are added in place,
     so a batch of samples allocates its output and nothing else.
     """
     out = np.empty((3,) + np.shape(sample.phi), dtype=complex)
     hat_nodes(picture, sample, params, out=out.imag)
-    return _assemble(picture, out, sp, params)
-
-
-def _assemble(picture, out, sp, params):
-    """Entries (d, a01, a10) in place in out, whose imaginary parts hold (Im d, cos beta phi, sin beta phi)."""
-    m, lam = params.m, sp.lam
-    zeta = m / (4.0 * lam) if picture == "space" else -m / (4.0 * lam)  # coefficient of the s2 E term: +i zeta s2 E
+    quarter, zeta = sp.lam * (params.m / 4.0), hat_zeta(picture, sp, params)
     d, a01, a10 = out[0, ...], out[1, ...], out[2, ...]
     d.real[...] = 0.0
     # -i lam (m/4) s2 + i zeta s2 E, with (s2 E)[0,1] = -i e^{-i beta phi};
@@ -152,9 +148,9 @@ def _assemble(picture, out, sp, params):
     a10.real[...] = a01.imag  # a10 = cos + i sin = e^{i beta phi}
     np.conjugate(a10, out=a01)
     np.multiply(zeta, a01, out=a01)
-    np.add(-lam * (m / 4.0), a01, out=a01)
+    np.add(-quarter, a01, out=a01)
     np.multiply(zeta, a10, out=a10)
-    np.subtract(lam * (m / 4.0), a10, out=a10)
+    np.subtract(quarter, a10, out=a10)
     return out
 
 

@@ -9,14 +9,19 @@ Long batches of 2x2 matrices (propagation steps, lattice transfer factors)
 are held entrywise instead: a batch of n matrices is one complex array of
 shape ``(2, 2, n)``, with ``e[i, j]`` the contiguous row of (i, j) entries.
 On that layout the kernel multiplies two batches (``_mul``), exponentiates
-traceless exponents ``[[x0, x1], [x2, -x0]]`` in closed form (``expm_sl2``)
-and forms ordered products by a log-depth scan (``scan``), many times faster
-than ``np.matmul`` on ``(n, 2, 2)`` stacks.  A batch product costs two
-broadcast multiplications and one addition however long the batch, so each
-level of a product tree or scan is O(1) numpy calls; ``np.moveaxis(e, -1,
-0)`` views a batch as an ``(n, 2, 2)`` stack.  Helpers called once per tree
-level are private, so call-level instrumentation wraps only once-per-batch
-calls.
+in closed form and forms ordered products by a log-depth scan (``scan``),
+many times faster than ``np.matmul`` on ``(n, 2, 2)`` stacks.  There are two
+exponentials.  ``expm_su2`` takes the real coordinates u of an su(2)
+exponent ``[[i u0, u1 + i u2], [-u1 + i u2, -i u0]]`` (traceless and
+anti-Hermitian, the Magnus exponent of every propagation at real lambda)
+and returns cos|u| + sinc|u| X, unitary with determinant 1 to roundoff.
+``expm_sl2`` takes general traceless complex exponents ``[[x0, x1], [x2,
+-x0]]`` and serves only the lattice transfer factors of ``rmatrix``.  A
+batch product costs two broadcast multiplications and one addition however
+long the batch, so each level of a product tree or scan is O(1) numpy
+calls; ``np.moveaxis(e, -1, 0)`` views a batch as an ``(n, 2, 2)`` stack.
+Helpers called once per tree level are private, so call-level
+instrumentation wraps only once-per-batch calls.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ __all__ = [
     "det2",
     "inv2",
     "expm_sl2",
+    "expm_su2",
     "scan",
     "frob",
 ]
@@ -44,8 +50,8 @@ SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 ID2 = np.eye(2, dtype=complex)
 ID4 = np.eye(4, dtype=complex)
 
-# Series fallback for the closed-form exponential; below this the
-# sinh(mu)/mu quotient loses digits to cancellation.
+# Series fallback for the closed-form exponentials; below this the
+# sinh(mu)/mu and sin(theta)/theta quotients are taken from their series.
 _MU_SMALL = 1e-6
 
 
@@ -131,6 +137,37 @@ def expm_sl2(x0, x1, x2) -> np.ndarray:
         np.multiply(sinhc_mu, x1, out=out[0, 1, ...])
         np.multiply(sinhc_mu, x2, out=out[1, 0, ...])
         np.subtract(cosh_mu, diag, out=out[1, 1, ...])
+    return out
+
+
+def expm_su2(u) -> np.ndarray:
+    """exp(X) for X = [[i u0, u1 + i u2], [-u1 + i u2, -i u0]], u a real (3, n) array, as a (2, 2, n) batch.
+
+    X = i(u2 s1 + u1 s2 + u0 s3) squares to -theta^2 with theta = |u|, so
+    exp(X) = cos(theta) 1 + sinc(theta) X with sinc(theta) = sin(theta)/theta,
+    taken from 1 - theta^2/6 where theta < 1e-6.  u is consumed: it is scaled
+    by sinc in place.  Raises FloatingPointError on non-finite exponents.
+    """
+    theta = np.sqrt(np.square(u).sum(axis=0))
+    if not np.isfinite(theta).all():
+        raise FloatingPointError("matrix exponential received non-finite entries")
+    sinc = np.sin(theta)
+    small = theta < _MU_SMALL
+    if small.any():
+        sinc = np.where(small, 1.0 - theta * theta / 6.0, sinc / np.where(small, 1.0, theta))
+    else:
+        sinc /= theta
+    u *= sinc
+    out = np.empty((2, 2) + theta.shape, dtype=complex)
+    re, im = out.real, out.imag
+    np.cos(theta, out=re[0, 0])
+    re[1, 1] = re[0, 0]
+    im[0, 0] = u[0]
+    np.negative(u[0], out=im[1, 1])
+    re[0, 1] = u[1]
+    np.negative(u[1], out=re[1, 0])
+    im[0, 1] = u[2]
+    im[1, 0] = u[2]
     return out
 
 

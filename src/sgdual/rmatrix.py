@@ -141,7 +141,7 @@ def _site_products(sample: FieldSample, sp, params: ModelParams, delta):
     """Per-site V, and the transfer products below each site, above it and in total."""
     v = lax_matrix("time", sample, sp, params)
     steps = expm_sl2(delta * v[:, 0, 0], delta * v[:, 0, 1], delta * v[:, 1, 0])
-    # as C-ordered (n, 2, 2) stacks: the einsum sums downstream follow the memory layout
+    # as C-ordered (n, 2, 2) stacks: the products and sums downstream follow the memory layout
     upto = np.ascontiguousarray(np.moveaxis(scan(steps), -1, 0))  # steps[i] @ ... @ steps[0]
     down_to = np.ascontiguousarray(np.moveaxis(scan(steps, reverse=True), -1, 0))  # steps[n-1] @ ... @ steps[i]
     prefix = np.concatenate([ID2[None], upto[:-1]])  # product of steps below site i
@@ -185,13 +185,13 @@ def transition_bracket_check(
     v1, pre1, suf1, tot1 = _site_products(samples, sp1, params, delta)
     v2, pre2, suf2, tot2 = _site_products(samples, sp2, params, delta)
     r = r_matrix(sp1.lam, sp2.lam, params).matrix
-    big = _batched_kron(v1, np.broadcast_to(ID2, v1.shape)) + _batched_kron(
-        np.broadcast_to(ID2, v2.shape), v2
-    )
-    site_bracket = -delta * (r @ big - big @ r)
-    lhs = np.einsum(
-        "nab,nbc,ncd->ad", _batched_kron(suf1, suf2), site_bracket, _batched_kron(pre1, pre2)
-    )
+    big = _batched_kron(v1, np.broadcast_to(ID2, v1.shape))
+    big += _batched_kron(np.broadcast_to(ID2, v2.shape), v2)
+    site_bracket = r @ big
+    site_bracket -= big @ r
+    site_bracket *= -delta
+    del big
+    lhs = (_batched_kron(suf1, suf2) @ site_bracket @ _batched_kron(pre1, pre2)).sum(axis=0)
     big_tot = tensor(tot1, tot2)
     rhs = -(r @ big_tot - big_tot @ r)
     return BracketReport(

@@ -10,14 +10,20 @@ A_i = h G(s_k + c_i h),
     a1 = A2,  a2 = (sqrt(15)/3)(A3 - A1),  a3 = (10/3)(A3 - 2 A2 + A1),
     C1 = [a1, a2],  C2 = -(1/60)[a1, 2 a3 + C1],
     Omega = a1 + a3/12 + (1/240)[-20 a1 - a3 + C1, a2 + C2],
-    Psi_{k+1} = exp(Omega) Psi_k,
+    Psi_{k+1} = exp(Omega) Psi_k.
 
-with the closed-form 2x2 exponential.  Omega is assembled entry by entry as
-[[x0, x1], [x2, -x0]] from the three independent entries of the traceless
-generator, so it is traceless by construction and det Psi = 1 holds to
-roundoff; the step is exact for constant generators -- vacuum monodromies
-come out as the identity at machine precision instead of accumulating local
-truncation error.
+Propagation takes real lambda only (ValueError otherwise).  There the
+gauged generator [[d, a01], [a10, -d]] has Re d = 0 and a01 = -conj(a10)
+exactly, so it lies in su(2), and each step runs in real arithmetic on its
+coordinates u = (Im d, Re a01, Im a01) = (Im d, zeta cos(beta phi) - lambda
+m/4, -zeta sin(beta phi)), lax's (w3, w2, w1): a commutator is twice the
+cross product, and exp(Omega) = cos|u| + sinc|u| Omega (matcore.expm_su2)
+is unitary with determinant 1 to roundoff.  The step is exact for
+constant generators -- vacuum monodromies come out as the identity at
+machine precision.  a1..a3 are linear in the node rows (Im d, cos beta phi,
+sin beta phi): _combinations forms them free of lambda, and _su2_steps
+scales the rows by (1, zeta, -zeta), shifts a1's middle row by -h lambda
+m/4, and takes three cross products and one exponential.
 
 The step edges follow the solution (de Boor's equidistribution, 1973).  The
 global error is a sum of h_k^7 times the local deviation of the generator
@@ -57,22 +63,25 @@ Steps are generated and reduced in chunks of at most 2^14 steps: the product
 folds chunk by chunk (a pairwise tree within a chunk), the trajectory by a
 log-depth scan, so memory stays bounded however small lambda makes the step
 size.  A chunk samples the field at the three nodes of all its steps in one
-Line.generator_entries call on a (3, n) array of points, combines the node
-rows into Omega in place, and holds its transfer matrices in matcore's
-(2, 2, n) batch layout, so the numpy calls per chunk do not grow with n.
+Line.at call on a (3, n) array of points, combines the node rows into
+Omega in place, frees them before the exponential, and holds its transfer
+matrices in matcore's (2, 2, n) batch layout, so the numpy calls per chunk
+do not grow with n.
 
 One slot holds the lambda-free work on the last line walked (field,
 picture, fixed coordinate, interval): the probe, phi at its end points
 (+-W exactly, where a monodromy checks its vacuum), the cumulative monitor
-integral, and the node data of the line's last mesh of at most _SLOT_CAP
-steps (its count, its step sizes, and Im d, cos(beta phi), sin(beta phi) at
-the Gauss nodes from lax.hat_nodes).  The next call with that count -- in a
-lambda sweep, most of them -- assembles its entries with lax.hat_assemble
-and samples no field; hat_entries is the same two halves, so a hit returns
-the bits of a cold call.  Callers walk one line across their lambda list
-before the next.  The slot holds the field by weak reference and keeps no
-raised error; a new line replaces it, a probe longer than a chunk empties
-it, and a mesh it does not serve drops its node data.
+integral, and the lambda-free half of the line's last mesh of at most
+_SLOT_CAP steps (its count, its step sizes and the _combinations block).
+The next call with that count -- in a lambda sweep, most of them -- samples
+no field and runs only the lambda half: one row scale, three cross products
+and one exponential per step.  A cold call runs the same two halves, so a
+hit returns the bits of a cold call.  Callers walk one line across their
+lambda list before the next (appendix_equality_residuals walks the space
+Jost lines of all its cases, then the time lines).  The slot holds the
+field by weak reference and keeps no raised error; a new line replaces it,
+a probe longer than a chunk empties it, and a mesh it does not serve drops
+its combinations.
 
 Whole-line monodromies are regularised by the plane-wave normalisers:
 E0(W)^-1 T_hat(W, -W) E0(-W) in space, and the cE0 analogue in time.  With
@@ -94,8 +103,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import FieldEvaluator, Line
-from .lax import SpectralPoint, hat_assemble, hat_nodes
-from .matcore import _mul, expm_sl2, frob, scan
+from .lax import SpectralPoint, hat_nodes, hat_zeta
+from .matcore import _mul, expm_su2, frob, scan
 
 __all__ = [
     "TransitionResult",
@@ -107,6 +116,7 @@ __all__ = [
     "monodromy",
     "jost",
     "appendix_equality_residual",
+    "appendix_equality_residuals",
 ]
 
 _NODES = np.array([[0.5 - math.sqrt(15.0) / 10.0], [0.5], [0.5 + math.sqrt(15.0) / 10.0]])  # Gauss-Legendre, a column
@@ -117,7 +127,7 @@ _ASYMPTOTE_TOL = 1e-8
 _CHUNK = 2**14  # steps generated and reduced at once; bounds memory at small lambda
 MAX_STEPS = 2**22  # default step counts beyond this are refused: extreme lambda or W
 _IDENTITY = np.eye(2, dtype=complex)[:, :, None]  # a batch of one
-_SLOT_CAP = 512  # meshes of at most this many steps keep their node data in the slot
+_SLOT_CAP = 512  # meshes of at most this many steps keep their Magnus combinations in the slot
 _slot = None  # the _LineWork of the last line walked
 
 
@@ -158,13 +168,13 @@ def default_nsteps(half_width: float, sp: SpectralPoint, density: float = STEP_D
 
 @dataclass(eq=False)
 class _LineWork:
-    """The lambda-free work on a line: monitor points, phi at both ends, the cumulative monitor integral and node data."""
+    """The lambda-free work on a line: monitor points, phi at both ends, the cumulative monitor integral and Magnus combinations."""
 
     key: tuple  # (weak field, picture, fixed, start, stop)
     probe: np.ndarray  # from start to stop at spacing at most 1/(m gamma); the ends are start and stop exactly
     ends: tuple[float, float]  # phi at probe[0] and probe[-1]
     cum: np.ndarray | None  # cumulative trapezoid integral of the weight over probe; None on a vacuum
-    nodes: tuple | None = None  # (count, h, hat_nodes at the Gauss nodes) of the last mesh of at most _SLOT_CAP steps
+    combos: tuple | None = None  # (count, h, _combinations block) of the last mesh of at most _SLOT_CAP steps
 
 
 def _line_work(line, start, stop):
@@ -194,6 +204,12 @@ def _line_work(line, start, stop):
     return work
 
 
+def _check_real(sp):
+    """Refuse a non-real lambda: propagation steps in su(2), which holds the generator only at real lambda."""
+    if sp.lam.imag != 0.0:
+        raise ValueError(f"propagation takes real lambda only, not lambda = {sp.lam:g}")
+
+
 def _mesh(line, start, stop, sp, nsteps=None, graded=True):
     """(nsteps, steps, work): the step count, a map steps(first, last) to the bases and sizes of steps first..last-1, and the _LineWork or None.
 
@@ -203,6 +219,7 @@ def _mesh(line, start, stop, sp, nsteps=None, graded=True):
     (dev = 0), or with graded=False, the mesh is uniform and the size is one
     scalar h; work is None when graded=False or the interval is empty.
     """
+    _check_real(sp)
     if nsteps is not None and nsteps < 1:
         raise ValueError("nsteps must be >= 1")
     work = _line_work(line, start, stop) if graded and stop != start else None
@@ -226,64 +243,78 @@ def _mesh(line, start, stop, sp, nsteps=None, graded=True):
 def _step_chunks(line, mesh, sp):
     """(first, h, E) for consecutive chunks of at most _CHUNK steps: first index, signed sizes, transfer matrices.
 
-    A mesh of at most _SLOT_CAP steps on the slot's line takes its node data
-    from the slot or puts them there; any other mesh drops them, so that they
-    never add to its peak memory.
+    A mesh of at most _SLOT_CAP steps on the slot's line takes its Magnus
+    combinations from the slot or puts them there; any other mesh drops them,
+    so that they never add to its peak memory.
     """
     nsteps, steps, work = mesh
     if work is None or work is not _slot or nsteps > _SLOT_CAP:
         if _slot is not None:
-            _slot.nodes = None
+            _slot.combos = None
         for first in range(0, nsteps, _CHUNK):
             base, h = steps(first, min(first + _CHUNK, nsteps))
-            yield first, h, _magnus_steps(line.generator_entries(base + _NODES * h, sp), h)
+            yield first, h, _su2_steps(_combinations(line, base, h), h, line, sp)
         return
-    if work.nodes is None or work.nodes[0] != nsteps:
+    if work.combos is None or work.combos[0] != nsteps:
         base, h = steps(0, nsteps)
-        work.nodes = (nsteps, h, hat_nodes(line.picture, line.at(base + _NODES * h), line.field.params))
-    _, h, nodes = work.nodes
-    yield 0, h, _magnus_steps(hat_assemble(line.picture, nodes, sp, line.field.params), h)
+        work.combos = (nsteps, h, _combinations(line, base, h))
+    _, h, combos = work.combos
+    yield 0, h, _su2_steps(combos.copy(), h, line, sp)
 
 
-def _add_comm(out, a, b, c):
-    """out += c [A, B] in place, for entry lists of traceless A = [[a0, a1], [a2, -a0]] and B alike."""
-    out[0] += c * (a[1] * b[2] - b[1] * a[2])
-    out[1] += (2.0 * c) * (a[0] * b[1] - a[1] * b[0])
-    out[2] += (2.0 * c) * (a[2] * b[0] - a[0] * b[2])
+def _combinations(line, base, h):
+    """The lambda-free Magnus combinations of the steps with bases base and sizes h, as a real (3, 3, n) block.
 
-
-def _magnus_steps(g, h):
-    """Transfer matrices E_k = exp(Omega_k) of steps of sizes h as a (2, 2, n) batch, in propagation order.
-
-    g[e, i] is entry e of the generator [[d, a01], [a10, -d]] at node i of
-    every step, as a (3, 3, n) block that this call consumes.  The node rows
-    are combined in place into alpha1..alpha3 and Omega, and Omega is copied
-    out so that the nodes are freed before the exponential.
+    One sample of the line at the Gauss nodes of every step gives the rows
+    (Im d, cos beta phi, sin beta phi) of lax.hat_nodes, g[:, i] at node i.
+    They are combined in place: node slots 1, 2, 0 come back holding a1 =
+    h G2, a2 = (sqrt 15/3) h (G3 - G1) and a3 = (10/3) h (G3 - 2 G2 + G1).
     """
+    g = hat_nodes(line.picture, line.at(base + _NODES * h), line.field.params)
     a3, a1, a2 = g[:, 0], g[:, 1], g[:, 2]  # G1, G2, G3 until combined
     a3 += a2  # G1 + G3
     a2 *= 2.0
     a2 -= a3  # G3 - G1
     a3 -= 2.0 * a1  # G3 - 2 G2 + G1
-    a1 *= h  # alpha1 = h G2
-    a2 *= (math.sqrt(15.0) / 3.0) * h  # alpha2 = (sqrt 15/3) h (G3 - G1)
-    a3 *= (10.0 / 3.0) * h  # alpha3 = (10/3) h (G3 - 2 G2 + G1)
+    a1 *= h
+    a2 *= (math.sqrt(15.0) / 3.0) * h
+    a3 *= (10.0 / 3.0) * h
+    return g
+
+
+def _add_cross(out, a, b, c):
+    """out += c (a x b) in place, for (3, n) blocks of su(2) coordinates."""
+    out[0] += c * (a[1] * b[2] - a[2] * b[1])
+    out[1] += c * (a[2] * b[0] - a[0] * b[2])
+    out[2] += c * (a[0] * b[1] - a[1] * b[0])
+
+
+def _su2_steps(combos, h, line, sp):
+    """Transfer matrices E_k = exp(Omega_k) of steps of sizes h as a (2, 2, n) batch, in propagation order.
+
+    combos is a _combinations block, which this call consumes.  Its rows
+    scale by (1, zeta, -zeta) into the su(2) coordinates (Im d, Re a01, Im
+    a01), and a1's Re a01 row shifts by -h lambda m/4: the only lambda in a
+    step.  In these coordinates a commutator is twice the cross product.
+    Omega is combined in place and copied out, so that the block is freed
+    before matcore.expm_su2.
+    """
+    params = line.field.params
+    zeta = hat_zeta(line.picture, sp, params).real
+    combos *= np.array([[[1.0]], [[zeta]], [[-zeta]]])
+    a3, a1, a2 = combos[:, 0], combos[:, 1], combos[:, 2]
+    a1[1] -= h * (sp.lam.real * (params.m / 4.0))
     z = 2.0 * a3
-    _add_comm(z, a1, a2, 1.0)  # 2 alpha3 + C1, C1 = [alpha1, alpha2]
-    _add_comm(a2, a1, z, -1.0 / 60.0)  # alpha2 + C2, C2 = -(1/60)[alpha1, 2 alpha3 + C1]
-    z -= 3.0 * a3  # -20 alpha1 - alpha3 + C1
+    _add_cross(z, a1, a2, 2.0)  # 2 a3 + C1, C1 = [a1, a2]
+    _add_cross(a2, a1, z, -1.0 / 30.0)  # a2 + C2, C2 = -(1/60)[a1, 2 a3 + C1]
+    z -= 3.0 * a3  # -20 a1 - a3 + C1
     z -= 20.0 * a1
-    a1 += a3 / 12.0  # alpha1 + alpha3/12
-    # Omega = alpha1 + alpha3/12 + (1/240)[-20 alpha1 - alpha3 + C1, alpha2 + C2]
-    _add_comm(a1, z, a2, 1.0 / 240.0)
+    a1 += a3 / 12.0  # a1 + a3/12
+    # Omega = a1 + a3/12 + (1/240)[-20 a1 - a3 + C1, a2 + C2]
+    _add_cross(a1, z, a2, 1.0 / 120.0)
     omega = a1.copy()
-    del g, a1, a2, a3, z
-    steps = expm_sl2(*omega)
-    if not np.isfinite(steps).all():
-        raise FloatingPointError(
-            "propagation blew up; reduce the step size or keep lambda on the real ray"
-        )
-    return steps
+    del combos, a1, a2, a3, z
+    return expm_su2(omega)
 
 
 def _ordered_product(e):
@@ -307,8 +338,8 @@ def propagate(
 ) -> TransitionResult:
     """Transition matrix Psi(stop) with Psi(start) = 1, stepped on the graded mesh of the line.
 
-    nsteps is the step count on that mesh; None takes the default count.
-    This and propagate_trajectory are the only public functions that take a
+    sp must be real (ValueError otherwise).  nsteps is the step count on
+    that mesh; None takes the default count.  This and propagate_trajectory are the only public functions that take a
     count: monodromy, jost and the defect checks always step at the default,
     and an explicit count is for refinement studies and for
     defect_splitting_check, whose half-lines share its Simpson count.
@@ -350,10 +381,12 @@ def monodromy(
 ) -> Monodromy:
     """Regularised whole-line monodromy over [-W, W] in x or t.
 
-    Raises NonDecayingFieldError when no vacuum is identifiable at the
-    endpoints, read off the ends of the mesh probe, before any step; a softer
-    miss (beyond 1e-8 but identifiable) only flags the result as truncated.
+    Raises ValueError for a non-real lambda, and NonDecayingFieldError when
+    no vacuum is identifiable at the endpoints, read off the ends of the mesh
+    probe, before any step; a softer miss (beyond 1e-8 but identifiable) only
+    flags the result as truncated.
     """
+    _check_real(sp)
     line = Line(field, picture, fixed)
     work = _line_work(line, -half_width, half_width)
     dev = max(line.vacuum(work.probe[k], work.ends[k])[1] for k in (0, -1))
@@ -410,8 +443,19 @@ def appendix_equality_residual(
     Both sides solve the same pair of equations with the same boundary data
     at -infinity in x and in t, so the residual is truncation-limited.
     """
-    space_side = jost(field, "space", x, t, sp, half_width)
-    time_side = jost(field, "time", x, t, sp, half_width)
-    ph_t = np.diag([np.exp(-1j * sp.k0 * t), np.exp(1j * sp.k0 * t)])
-    ph_x = np.diag([np.exp(-1j * sp.k1 * x), np.exp(1j * sp.k1 * x)])
-    return frob(space_side @ ph_t - time_side @ ph_x)
+    return appendix_equality_residuals(field, x, t, [(sp, half_width)])[0]
+
+
+def appendix_equality_residuals(field: FieldEvaluator, x: float, t: float, cases) -> list[float]:
+    """appendix_equality_residual at each (sp, half_width) of cases, in order.
+
+    The space Jost lines are walked across all the cases before the time
+    lines, so cases that share a half-width share each line's slot.
+    """
+    sides = [[jost(field, picture, x, t, sp, w) for sp, w in cases] for picture in ("space", "time")]
+    residuals = []
+    for (sp, _), space_side, time_side in zip(cases, *sides):
+        ph_t = np.diag([np.exp(-1j * sp.k0 * t), np.exp(1j * sp.k0 * t)])
+        ph_x = np.diag([np.exp(-1j * sp.k1 * x), np.exp(1j * sp.k1 * x)])
+        residuals.append(frob(space_side @ ph_t - time_side @ ph_x))
+    return residuals

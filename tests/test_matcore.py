@@ -11,6 +11,7 @@ from sgdual.matcore import (
     comm,
     det2,
     expm_sl2,
+    expm_su2,
     frob,
     inv2,
     scan,
@@ -182,6 +183,42 @@ def test_expm_sl2_rejects_nonfinite_exponent():
         for args in ((poisoned, finite, finite), (finite, poisoned, finite), (finite, finite, poisoned)):
             with pytest.raises(FloatingPointError):
                 expm_sl2(*args)
+
+
+def su2_matrices(u):
+    """[[i u0, u1 + i u2], [-u1 + i u2, -i u0]] for each column of a real (3, n) array, as an (n, 2, 2) stack."""
+    d, a01 = 1j * u[0], u[1] + 1j * u[2]
+    return stacked(np.array([[d, a01], [-np.conj(a01), -d]]))
+
+
+def test_expm_su2_equals_expm_sl2_and_stays_unitary():
+    rng = np.random.default_rng(7)
+    u = rng.normal(size=(3, 40)) * np.geomspace(1e-9, 10.0, 40)  # both sides of the series threshold
+    u[:, 0] = 0.0
+    mats = su2_matrices(u)
+    got = stacked(expm_su2(u.copy()))
+    assert np.max(np.abs(got - expm_traceless(mats))) < 1e-14
+    assert np.array_equal(got[0], ID2)
+    for k in (5, 20, 39):
+        assert frob(got[k] - expm_oracle(mats[k])) < 1e-13 * max(1.0, frob(expm_oracle(mats[k])))
+    assert np.max(np.abs(det2(got) - 1.0)) < 1e-15
+    assert np.max(np.abs(np.conj(np.swapaxes(got, -1, -2)) @ got - ID2)) < 1e-15
+
+
+def test_expm_su2_small_angle_series():
+    u = np.array([[3e-8, 0.0], [-4e-8, 0.0], [1e-8, 9e-7]])
+    mats = su2_matrices(u)
+    oracle = ID2 + mats + mats @ mats / 2.0 + mats @ mats @ mats / 6.0
+    assert np.max(np.abs(stacked(expm_su2(u.copy())) - oracle)) < 1e-22
+
+
+def test_expm_su2_rejects_nonfinite_exponent():
+    for bad in (np.inf, np.nan):
+        for row in range(3):
+            u = np.zeros((3, 4))
+            u[row, 2] = bad
+            with pytest.raises(FloatingPointError):
+                expm_su2(u)
 
 
 def test_entrywise_product_matches_matmul():

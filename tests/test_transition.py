@@ -11,17 +11,18 @@ import pytest
 from sgdual import defect, transition
 from sgdual.cli import ScenarioConfig
 from sgdual.fields import FieldSample, KinkField, Line, ModelParams, NonDecayingFieldError, VacuumField, make_kink, make_vacuum
-from sgdual.lax import ce0, e0, hat_assemble, hat_entries, spectral, u_inf
-from sgdual.matcore import det2, expm_sl2, frob, inv2
+from sgdual.lax import ce0, e0, hat_entries, spectral, u_inf
+from sgdual.matcore import _MU_SMALL, comm, det2, expm_sl2, frob, inv2
 from sgdual.suites import run_suite
 from sgdual.transition import (
     MAX_STEPS,
     _CHUNK,
     _NODES,
     _SLOT_CAP,
-    _magnus_steps,
+    _combinations,
     _mesh,
     _regularised,
+    _su2_steps,
     appendix_equality_residual,
     default_nsteps,
     jost,
@@ -63,12 +64,22 @@ def test_trajectory_endpoint_matches_propagate():
     assert frob(psi[-1] - direct) < 1e-12
 
 
-def test_nonfinite_propagation_raises():
-    # a violently imaginary spectral point blows the exponential up
-    bad = spectral(2000j, P11)
+def test_propagation_refuses_non_real_lambda():
+    # the Magnus steps are su(2) elements, which the gauged generator is only at real lambda
     kink = make_kink(P11, v=0.4)
-    with pytest.raises(FloatingPointError):
-        propagate(kink, "space", 0.0, -40.0, 40.0, bad, 16)
+    for lam in (2000j, 1.3 + 0.2j, -0.8j):
+        sp = spectral(lam, P11)
+        calls = (
+            lambda: propagate(kink, "space", 0.0, -40.0, 40.0, sp, 16),
+            lambda: propagate(kink, "space", 0.0, 3.0, 3.0, sp),
+            lambda: propagate_trajectory(kink, "time", 0.5, -8.0, 8.0, sp, 16),
+            lambda: monodromy(kink, "space", 0.0, 30.0, sp),
+            lambda: monodromy(make_kink(P11, v=0.0), "time", 0.2, 30.0, sp),  # before the vacuum check
+            lambda: jost(kink, "time", 0.5, 0.2, sp, 30.0),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="real lambda"):
+                call()
 
 
 class _NaNVacuum(VacuumField):
@@ -84,10 +95,15 @@ def test_nonfinite_exponent_raises():
         propagate(_NaNVacuum(P11), "space", 0.0, -5.0, 5.0, SP13, 16)
 
 
+def _su2_batch(line, base, h, sp):
+    """The su(2) transfer matrices of the steps at bases base and sizes h, as a (2, 2, n) batch."""
+    return _su2_steps(_combinations(line, base, h), h, line, sp)
+
+
 def _sequential_loop(line, start, stop, n, graded):
     """Psi at every edge of the mesh, from one unchunked batch of its steps multiplied up one at a time."""
     base, h = _mesh(line, start, stop, SP13, n, graded)[1](0, n)
-    steps = np.moveaxis(_magnus_steps(line.generator_entries(base + _NODES * h, SP13), h), -1, 0)
+    steps = np.moveaxis(_su2_batch(line, base, h, SP13), -1, 0)
     ref = np.empty((n + 1, 2, 2), dtype=complex)
     ref[0] = np.eye(2)
     for k in range(n):
@@ -467,17 +483,21 @@ def test_lambdas_that_share_a_count_share_the_mesh_and_the_nodes(picture):
 
 
 @pytest.mark.parametrize("picture", ["space", "time"])
-@pytest.mark.parametrize("lam", [0.7, 2.5, 1.3 + 0.2j, -0.8j])
+@pytest.mark.parametrize("lam", [0.7, 2.5])
 def test_slot_entries_equal_hat_entries_bitwise(picture, lam):
+    # the slot keeps the lambda-free Magnus combinations of the node data; a hit must return a cold call's bits
     line, w = _line_of(picture)
     n, steps, work = _mesh(line, -w, w, SP13)
     monodromy(line.field, picture, line.fixed, w, SP13)
-    assert transition._slot is work and work.nodes[0] == n
+    assert transition._slot is work and work.combos[0] == n
     base, h = steps(0, n)
+    combos = _combinations(line, base, h)
+    assert work.combos[1].tobytes() == h.tobytes() and work.combos[2].tobytes() == combos.tobytes()
     sp = spectral(lam, P11)
-    cold = hat_entries(picture, line.at(base + _NODES * h), sp, P11)
-    hot = hat_assemble(picture, work.nodes[2], sp, P11)
+    cold = _su2_batch(line, base, h, sp)
+    hot = _su2_steps(work.combos[2].copy(), h, line, sp)
     assert hot.tobytes() == cold.tobytes()
+    assert work.combos[2].tobytes() == combos.tobytes()  # a hit leaves the slot as it was
 
 
 def test_slot_holds_one_short_mesh_and_keeps_no_field_alive():
@@ -485,12 +505,12 @@ def test_slot_holds_one_short_mesh_and_keeps_no_field_alive():
     for lam in (1.3, 0.7, 0.2):
         monodromy(kink, "space", 0.0, 40.0, spectral(lam, P11))
         slot = transition._slot
-        n, h, nodes = slot.nodes
-        assert n <= _SLOT_CAP and h.shape == (n,) and nodes.shape == (3, 3, n)
+        n, h, combos = slot.combos
+        assert n <= _SLOT_CAP and h.shape == (n,) and combos.shape == (3, 3, n)
         assert slot.key == (weakref.ref(kink), "space", 0.0, -40.0, 40.0)
-    # about 4900 steps on the same line: a mesh above the cap keeps the probe and drops the node data
+    # about 4900 steps on the same line: a mesh above the cap keeps the probe and drops the combinations
     monodromy(kink, "space", 0.0, 40.0, spectral(0.01, P11))
-    assert transition._slot is slot and slot.nodes is None
+    assert transition._slot is slot and slot.combos is None
     ref = weakref.ref(kink)
     del kink
     gc.collect()
@@ -513,8 +533,31 @@ def test_monodromy_suite_samples_the_nodes_of_each_line_once_per_count(monkeypat
     assert len(node_samples) == 8  # 2 counts on each of 4 lines; 16 when the lines alternate per lambda
 
 
+def test_appendix_suite_probes_each_jost_line_once(monkeypatch):
+    # four half-widths (the span for every lambda, then 15, 25 and 35 at the first) in each picture: 8 lines
+    probes = []
+    sample = KinkField.sample
+
+    def counting(field, x, t):
+        if np.ndim(x) == 1:
+            probes.append(np.shape(x))
+        return sample(field, x, t)
+
+    config = ScenarioConfig.load(Path(__file__).resolve().parents[1] / "demos" / "scenario_kink.json")
+    monkeypatch.setattr(KinkField, "sample", counting)
+    report = run_suite("appendix", config)
+    monkeypatch.undo()
+    assert report.passed
+    assert len(probes) == 8  # 14 when each residual walks its space line, then its time line
+    # the rows are the per-call residuals bitwise, on the mirrored (left-moving) kink the suite probes
+    kink = make_kink(config.params, -KINK_V, 0.0, 1)
+    want = [appendix_equality_residual(kink, 1.0, 0.5, spectral(lam, config.params), 40.0) for lam in config.lambdas]
+    got = [case.gap for case in report.cases if case.case.startswith("residual-lam=")]
+    assert got == want
+
+
 @pytest.mark.parametrize("picture", ["space", "time"])
-@pytest.mark.parametrize("lam, half_width", [(0.3, 40.0), (2.5, 40.0), (1.3 + 0.2j, 10.0)])
+@pytest.mark.parametrize("lam, half_width", [(0.3, 40.0), (2.5, 40.0), (1.3, 10.0)])
 def test_closed_form_regularisation_equals_the_normalisers(picture, lam, half_width):
     kink, sp = make_kink(P11, v=KINK_V), spectral(lam, P11)
     line = Line(kink, picture, 0.3)
@@ -522,3 +565,47 @@ def test_closed_form_regularisation_equals_the_normalisers(picture, lam, half_wi
     want = inv2(line.normaliser(half_width, sp)) @ core @ line.normaliser(-half_width, sp)
     got = _regularised(core, line.pick(sp.k1, sp.k0), half_width)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def _matrix_magnus_steps(line, base, h, sp):
+    """Transfer matrices from the matrix form of the sixth-order Magnus step, as an (n, 2, 2) stack, and |Omega|.
+
+    An oracle independent of the su(2) kernel: the complex generator from
+    lax.hat_entries at the Gauss nodes, commutators from matcore.comm and the
+    sl(2) exponential.
+    """
+    d, a01, a10 = hat_entries(line.picture, line.at(base + _NODES * h), sp, line.field.params)
+    g = np.moveaxis(np.array([[d, a01], [a10, -d]]), (0, 1), (-2, -1)) * np.asarray(h)[..., None, None]  # (3, n, 2, 2)
+    a1, a2, a3 = g[1], (math.sqrt(15.0) / 3.0) * (g[2] - g[0]), (10.0 / 3.0) * (g[2] - 2.0 * g[1] + g[0])
+    c1 = comm(a1, a2)
+    c2 = -comm(a1, 2.0 * a3 + c1) / 60.0
+    omega = a1 + a3 / 12.0 + comm(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
+    steps = np.moveaxis(expm_sl2(omega[:, 0, 0], omega[:, 0, 1], omega[:, 1, 0]), -1, 0)
+    return steps, np.sqrt(np.abs(-det2(omega)))
+
+
+@pytest.mark.parametrize("picture", ["space", "time"])
+@pytest.mark.parametrize(
+    "field, lam, start, stop, n, graded",
+    [
+        pytest.param("kink", 1.3, -20.0, 20.0, 300, True, id="kink"),
+        pytest.param("kink", 0.05, -20.0, 20.0, 200, True, id="kink-long-steps"),  # |Omega| of order one
+        pytest.param("kink", 0.7, 0.0, 2e-5, 64, False, id="kink-small-angle"),  # every |Omega| below the series threshold
+        pytest.param("vacuum", 2.5, -10.0, 10.0, 100, False, id="vacuum"),
+        pytest.param("vacuum", 1.0, -10.0, 10.0, 100, False, id="vacuum-k1-zero"),  # Omega = 0 exactly in space
+    ],
+)
+def test_su2_steps_equal_the_matrix_magnus_oracle(picture, field, lam, start, stop, n, graded):
+    fld = make_kink(P11, v=KINK_V, x0=0.2) if field == "kink" else make_vacuum(P11)
+    line, sp = Line(fld, picture, 0.3), spectral(lam, P11)
+    base, h = _mesh(line, start, stop, sp, n, graded)[1](0, n)
+    want, size = _matrix_magnus_steps(line, base, h, sp)
+    got = np.moveaxis(_su2_batch(line, base, h, sp), -1, 0)
+    assert np.max(np.abs(got - want)) <= 1e-14
+    if stop - start < 1e-3:
+        assert size.max() < _MU_SMALL
+    if field == "vacuum" and lam == 1.0 and picture == "space":
+        assert size.max() == 0.0 and np.array_equal(got, np.broadcast_to(np.eye(2), got.shape))
+    assert np.max(np.abs(det2(got) - 1.0)) <= 1e-15
+    unitarity = np.conj(np.swapaxes(got, -1, -2)) @ got - np.eye(2)
+    assert np.max(np.abs(unitarity)) <= 1e-15
