@@ -25,15 +25,13 @@ from sgdual.defect import (
     DefectParams,
     L_equation_residual,
     bt_kink_from_vacuum,
-    backlund_integrate,
     canonical_residual,
     defect_monodromy_S,
     defect_splitting_check,
     generating_relation_check,
     ham_shift_check,
-    s_functional,
 )
-from sgdual.fields import FieldEvaluator, make_vacuum
+from sgdual.fields import FieldEvaluator
 
 params = ModelParams(1.0, 1.0)
 window = GridWindow(-40.0, 40.0, -40.0, 40.0, 16001, 16001)
@@ -51,15 +49,6 @@ for sigma in (1.0, 2.0, 3.0):
 
 pair = bt_kink_from_vacuum(params, DefectParams(2.0))
 sp = spectral(1.5, params)
-
-print("\n== integrating the Backlund system directly reproduces the kink ==")
-win = GridWindow(-8.0, 8.0, -6.0, 6.0, 161, 121)
-phi0 = float(np.asarray(pair.right.derivative(0.0, 0.0, 0, 0)))
-grid = backlund_integrate(make_vacuum(params), DefectParams(2.0), (0.0, 0.0), phi0, win)
-probe = np.linspace(-5, 5, 11)
-diff = np.max(np.abs(np.asarray(grid.derivative(probe, np.zeros_like(probe), 0, 0))
-                     - np.asarray(pair.right.derivative(probe, np.zeros_like(probe), 0, 0))))
-print(f"  max deviation from the closed form: {diff:.2e} (compatibility {grid.bt_residual:.2e})")
 
 print("\n== conserved diagonal of the defect monodromy M_S ==")
 m0 = defect_monodromy_S(pair, 0.0, sp, 30.0)
@@ -104,8 +93,3 @@ class Scaled(FieldEvaluator):
 bad = DefectPair(pair.left, Scaled(pair.right, 1.01), params, DefectParams(2.0))
 bad_r, bad_l = canonical_residual(bad, np.linspace(-6, 6, 61), 1e-4)
 print(f"  on a 1% perturbed pair: ({bad_r:.2e}, {bad_l:.2e})")
-
-sf = s_functional(pair, GridWindow(-40, 40, -40, 40, 4001, 4001))
-print(f"  generating functional: S_T = {sf.s_value:.6f} after subtracting the")
-print(f"  asymptotic constants {sf.limits}; energy shift constant {sf.e_shift:+.2f};")
-print(f"  leading charge shifts {{n: E_n}}: {{1: {sf.charge_shifts[1].real:+.4f}, 3: {sf.charge_shifts[3].real:+.4f}}}")

@@ -3,7 +3,7 @@
     sgdual run --config scenario.json --out reports/ --format csv --jobs 2
     sgdual list-suites
 
-Exit codes: 0 all cases pass, 1 at least one case fails, 2 unusable config.
+Exit codes: 0 all cases pass, 1 at least one case fails, 2 unusable config or output directory.
 A suite that raises on a usable config (no vacuum at the window edge, more
 than ``transition.MAX_STEPS`` Magnus steps) reports one failing ``error`` case.
 The JSON schema is strict: a key that would change nothing is rejected, which
@@ -185,7 +185,11 @@ def run(config_path, out_dir, fmt: str = "csv", jobs: int = 1) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # out_dir is a file, or lies under one
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
     names = sorted(config.suites)
     workers = min(jobs, len(names), os.cpu_count() or 1)
     suite = partial(run_suite, config=config)

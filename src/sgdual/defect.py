@@ -8,9 +8,8 @@ conditions at x = 0,
 
 with defect parameter s > 0.  These are the Backlund relations frozen at the
 defect location; read as a PDE system over the whole plane they generate new
-solutions from old (``backlund_integrate``), and seeding with the vacuum
-yields the kink with velocity v = (1 - s^2)/(1 + s^2) and orientation -1
-(``bt_kink_from_vacuum``).
+solutions from old, and seeding with the vacuum yields the kink with velocity
+v = (1 - s^2)/(1 + s^2) and orientation -1 (``bt_kink_from_vacuum``).
 
 The defect matrix
 
@@ -51,11 +50,9 @@ import numpy as np
 from .fields import (
     FieldEvaluator,
     FieldSample,
-    GridField,
     GridWindow,
     Line,
     ModelParams,
-    NonDecayingFieldError,
     hamiltonian_T,
     make_kink,
     make_vacuum,
@@ -69,10 +66,7 @@ from .transition import STEP_DENSITY, default_nsteps, jost, monodromy, propagate
 __all__ = [
     "DefectParams",
     "DefectPair",
-    "GeneratingFunctional",
-    "InconsistentSeedError",
     "bt_kink_from_vacuum",
-    "backlund_integrate",
     "defect_matrix_L",
     "defect_matrix_L_hat",
     "L_equation_residual",
@@ -82,17 +76,10 @@ __all__ = [
     "c_function",
     "generating_relation_check",
     "ham_shift_check",
-    "defect_lagrangian",
-    "s_functional",
     "canonical_residual",
 ]
 
 PAIR_GATE = 1e-8
-_RK4_SUBSTEPS = 4  # per grid cell of backlund_integrate
-
-
-class InconsistentSeedError(ValueError):
-    """Backlund cross-derivative compatibility failed; seed is not a solution."""
 
 
 @dataclass(frozen=True)
@@ -147,81 +134,6 @@ def bt_kink_from_vacuum(params: ModelParams, defect: DefectParams, x0: float = 0
     v = (1.0 - sig * sig) / (1.0 + sig * sig)
     kink = make_kink(params, v=v, x0=x0, orientation=-1)
     return DefectPair(make_vacuum(params), kink, params, defect).validate()
-
-
-def _bt_slopes(params: ModelParams, defect: DefectParams, phi, seed_sample):
-    """(phi_x, phi_t) of the new field given the seed's sample at the point."""
-    b_phi, b_phi_tilde = _b_gradient(params, defect, phi, seed_sample.phi)
-    return seed_sample.phi_t + b_phi, seed_sample.phi_x + b_phi_tilde
-
-
-def _rk4(y, s, h, deriv):
-    k1 = deriv(s, y)
-    k2 = deriv(s + 0.5 * h, y + 0.5 * h * k1)
-    k3 = deriv(s + 0.5 * h, y + 0.5 * h * k2)
-    k4 = deriv(s + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _march(out, coords, anchor, slope):
-    """Fill out[j] from out[anchor] along coords, forwards then backwards, in RK4 substeps."""
-    for step, stop in ((1, coords.size - 1), (-1, 0)):
-        for j in range(anchor, stop, step):
-            h = (coords[j + step] - coords[j]) / _RK4_SUBSTEPS
-            val = out[j]
-            for k in range(_RK4_SUBSTEPS):
-                val = _rk4(val, coords[j] + k * h, h, slope)
-            out[j + step] = val
-
-
-def backlund_integrate(
-    seed: FieldEvaluator,
-    defect: DefectParams,
-    corner: tuple[float, float],
-    phi0: float,
-    window: GridWindow,
-) -> GridField:
-    """New solution from the Backlund first-order system, seeded at a corner.
-
-    Integrates the x-slope equation along the corner row, then the t-slope
-    equation along every column, with four RK4 substeps per grid cell.
-    The x-equation away from the seeded row is not enforced by construction;
-    its residual is the cross-derivative compatibility measure, stored as
-    ``bt_residual`` and gated at 1e-4.
-    """
-    params = seed.params
-    xs, ts = window.xs(), window.ts()
-    ix0 = int(np.argmin(np.abs(xs - corner[0])))
-    it0 = int(np.argmin(np.abs(ts - corner[1])))
-    t_anchor = ts[it0]
-
-    # row sweep: d phi / dx at t = t_anchor
-    def x_slope(x, phi):
-        return _bt_slopes(params, defect, phi, seed.sample(x, t_anchor))[0]
-
-    # column sweep, vectorised over all x at once
-    def t_slope(t, phi_vec):
-        return _bt_slopes(params, defect, phi_vec, Line(seed, "space", t).at(xs))[1]
-
-    values = np.empty((xs.size, ts.size))
-    values[ix0, it0] = phi0
-    _march(values[:, it0], xs, ix0, x_slope)
-    _march(values.T, ts, it0, t_slope)  # values.T[j] is the column at ts[j]
-
-    out = GridField(params, xs, ts, values)
-    xg, tg = np.meshgrid(xs[2:-2], ts[2:-2], indexing="ij")
-    spline_slope = out.derivative(xg.ravel(), tg.ravel(), 1, 0)
-    bt_slope = _bt_slopes(
-        params, defect, values[2:-2, 2:-2].ravel(), seed.sample(xg.ravel(), tg.ravel())
-    )[0]
-    residual = float(np.max(np.abs(spline_slope - bt_slope)))
-    out.bt_residual = residual
-    if residual > 1e-4:
-        raise InconsistentSeedError(
-            f"cross-derivative compatibility residual {residual:.3e}; "
-            "seed is not an exact solution or the grid is too coarse"
-        )
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -478,21 +390,14 @@ def _energy_shifts(pair: DefectPair, parities) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# defect Lagrangian, generating functional, canonical residuals
+# defect potential and canonical residuals
 # ---------------------------------------------------------------------------
 
 
-def b_density(params: ModelParams, defect: DefectParams, phi, phi_tilde):
-    """Defect potential: (2m/beta^2)[s cos(beta(phi~+phi)/2) + cos(beta(phi~-phi)/2)/s]."""
-    m, beta = params.m, params.beta
-    sig = defect.sigma
-    return (2.0 * m / beta**2) * (
-        sig * np.cos(0.5 * beta * (phi_tilde + phi)) + np.cos(0.5 * beta * (phi_tilde - phi)) / sig
-    )
-
-
 def _b_gradient(params: ModelParams, defect: DefectParams, phi, phi_tilde):
-    """(dB/dphi, dB/dphi~) of the defect potential ``b_density``.
+    """(dB/dphi, dB/dphi~) of the defect potential B.
+
+    B = (2m/beta^2)[s cos(beta(phi~+phi)/2) + cos(beta(phi~-phi)/2)/s].
 
     The defect conditions read phi~_x - phi_t + dB/dphi~ = 0 and
     phi~_t - phi_x + dB/dphi = 0: the canonical transformation generated by B.
@@ -502,67 +407,6 @@ def _b_gradient(params: ModelParams, defect: DefectParams, phi, phi_tilde):
     s_plus = np.sin(0.5 * beta * (phi_tilde + phi))
     s_minus = np.sin(0.5 * beta * (phi_tilde - phi))
     return (m / beta) * (-sig * s_plus + s_minus / sig), (m / beta) * (-sig * s_plus - s_minus / sig)
-
-
-def defect_lagrangian(pair: DefectPair, t) -> float:
-    """L_defect(t) = (phi~ phi_t - phi phi~_t)/2 - B at x = 0."""
-    sl, sr = pair.boundary(t)
-    val = 0.5 * (sl.phi * sr.phi_t - sr.phi * sl.phi_t) - b_density(
-        pair.params, pair.defect, sr.phi, sl.phi
-    )
-    return float(val) if np.ndim(val) == 0 else val
-
-
-@dataclass
-class GeneratingFunctional:
-    s_value: float
-    e_shift: float
-    charge_shifts: dict
-    limits: tuple[float, float]
-
-
-def _charge_shifts(defect: DefectParams, parities, order=4) -> dict:
-    """Coefficients of ln C_ratio = i sum E_n lambda^-n (large lambda)."""
-    sig = defect.sigma
-    a = sig * (-1.0) ** parities[0]
-    b = sig * (-1.0) ** parities[1]
-    out = {}
-    for n in range(1, order + 1):
-        out[n] = complex(((1j * b) ** n - (1j * a) ** n) / (1j * n))
-    return out
-
-
-def s_functional(pair: DefectPair, window: GridWindow) -> GeneratingFunctional:
-    """Time integral of the defect Lagrangian density, tail-regularised.
-
-    L_defect tends to constants at t -> +-infinity (generally different when
-    the parities differ); each half-axis has its own limit subtracted before
-    quadrature, and the limits are reported so nothing is hidden.
-    """
-    ts = window.ts()
-    mid = ts.size // 2
-    if ts.size % 2 == 0:
-        raise ValueError("window needs an odd t count so zero splits it cleanly")
-    vals = defect_lagrangian(pair, ts)
-    lim_minus = float(defect_lagrangian(pair, ts[0] - 1e3))
-    lim_plus = float(defect_lagrangian(pair, ts[-1] + 1e3))
-    h = ts[1] - ts[0]
-    left_part = simpson_uniform(vals[: mid + 1] - lim_minus, h)
-    right_part = simpson_uniform(vals[mid:] - lim_plus, h)
-    try:
-        parities = pair.parities()
-    except NonDecayingFieldError:  # no time winding to read (static kink)
-        e_shift = float("nan")
-        shifts = {}
-    else:
-        e_shift = _energy_shifts(pair, parities)[0]
-        shifts = _charge_shifts(pair.defect, parities)
-    return GeneratingFunctional(
-        s_value=float(left_part + right_part),
-        e_shift=e_shift,
-        charge_shifts=shifts,
-        limits=(lim_minus, lim_plus),
-    )
 
 
 def canonical_residual(pair: DefectPair, t_grid, h: float) -> tuple[float, float]:

@@ -35,7 +35,6 @@ __all__ = [
     "FieldEvaluator",
     "VacuumField",
     "KinkField",
-    "GridField",
     "Line",
     "NonDecayingFieldError",
     "make_vacuum",
@@ -181,10 +180,6 @@ class FieldEvaluator:
         """Mixed partial d^dx/dx^dx d^dt/dt^dt of phi; accepts arrays."""
         raise NotImplementedError
 
-    def edge(self, line: Line, sign: int) -> float:
-        """Running coordinate on the sign side of the line where phi is settled."""
-        return sign * 1e3 / self.params.m
-
 
 class VacuumField(FieldEvaluator):
     kind = "vacuum"
@@ -240,39 +235,6 @@ class KinkField(FieldEvaluator):
         phi = (4.0 / beta) * _arctan_exp(u)
         slope = eps * m * g * (2.0 / beta) * _sech(u)
         return FieldSample(phi, slope, -self.v * slope)
-
-
-class GridField(FieldEvaluator):
-    """Solution backed by a spline over a rectangular (x, t) grid.
-
-    Produced by the Backlund integrator; derivative orders are limited by the
-    spline degree, and evaluation outside the grid is refused.
-    """
-
-    kind = "grid"
-
-    def __init__(self, params: ModelParams, xs, ts, values):
-        from scipy.interpolate import RectBivariateSpline
-
-        self.params = params
-        self.xs = np.asarray(xs, dtype=float)
-        self.ts = np.asarray(ts, dtype=float)
-        self._spline = RectBivariateSpline(self.xs, self.ts, np.asarray(values), kx=5, ky=5)
-        self._values = np.asarray(values)
-
-    def derivative(self, x, t, dx, dt):
-        if dx >= 5 or dt >= 5:
-            raise ValueError("grid field supports derivatives below order (5, 5)")
-        x = np.asarray(x, dtype=float)
-        t = np.asarray(t, dtype=float)
-        if np.any(x < self.xs[0]) or np.any(x > self.xs[-1]) or np.any(t < self.ts[0]) or np.any(t > self.ts[-1]):
-            raise ValueError("evaluation outside the backing grid")
-        out = self._spline(x, t, dx=dx, dy=dt, grid=False)
-        return out if out.shape else float(out)
-
-    def edge(self, line, sign):
-        axis = line.pick(self.xs, self.ts)
-        return axis[-1] if sign > 0 else axis[0]
 
 
 class Line:
@@ -400,10 +362,10 @@ def hamiltonian_T(field: FieldEvaluator, x: float, window: GridWindow) -> QuadRe
 def topological_charges(field: FieldEvaluator, fixed: float, picture: str) -> tuple[int, int]:
     """Winding integers (Q-, Q+) read from the field asymptotes.
 
-    ``picture='space'``: limits in x at fixed t.  ``picture='time'``: limits
-    in t at fixed x.  Raises NonDecayingFieldError when an asymptote sits
-    farther than a tenth of the vacuum spacing from every multiple.
+    ``picture='space'``: limits in x at fixed t, ``picture='time'``: in t at
+    fixed x, both read at +-1e3/m.  Raises NonDecayingFieldError when an
+    asymptote sits farther than a tenth of the vacuum spacing from every multiple.
     """
     line = Line(field, picture, fixed)
-    edges = field.edge(line, -1), field.edge(line, +1)
+    edges = (sign * 1e3 / field.params.m for sign in (-1, 1))
     return tuple(line.vacuum(s, line.partial(s, 0))[0] for s in edges)

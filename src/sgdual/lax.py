@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import FieldEvaluator, FieldSample, ModelParams
-from .matcore import SIGMA1, SIGMA2, _stack22, comm, frob
+from .matcore import SIGMA1, _stack22, comm, frob
 
 __all__ = [
     "SpectralPoint",
@@ -46,14 +46,9 @@ __all__ = [
     "hat_entries",
     "hat_nodes",
     "hat_zeta",
-    "u_inf",
-    "v_inf",
-    "n_matrix",
     "e0",
     "ce0",
-    "e_charged",
     "ce_charged",
-    "omega",
     "zero_curvature_residual",
 ]
 
@@ -132,11 +127,11 @@ def hat_zeta(picture: str, sp: SpectralPoint, params: ModelParams) -> complex:
 def hat_entries(picture: str, sample: FieldSample, sp: SpectralPoint, params: ModelParams) -> np.ndarray:
     """Entries (d, a01, a10) of the gauged generator [[d, a01], [a10, -d]] from a field sample.
 
-    U_hat (space picture) or V_hat (time picture); tends to u_inf, v_inf on
-    decaying fields.  The entries come back stacked in one complex array of
-    shape (3,) + the sample's shape.  hat_nodes writes straight into the
-    imaginary parts of the output, and the lambda terms are added in place,
-    so a batch of samples allocates its output and nothing else.
+    U_hat (space picture) or V_hat (time picture); tends to U_inf = -i k1 s2
+    resp. V_inf = -i k0 s2 on decaying fields.  The entries come back stacked
+    in one complex array of shape (3,) + the sample's shape.  hat_nodes writes
+    straight into the imaginary parts of the output, and the lambda terms are
+    added in place, so a batch of samples allocates its output and nothing else.
     """
     out = np.empty((3,) + np.shape(sample.phi), dtype=complex)
     hat_nodes(picture, sample, params, out=out.imag)
@@ -154,19 +149,7 @@ def hat_entries(picture: str, sample: FieldSample, sp: SpectralPoint, params: Mo
     return out
 
 
-def u_inf(sp: SpectralPoint) -> np.ndarray:
-    return -1j * sp.k1 * SIGMA2
-
-
-def v_inf(sp: SpectralPoint) -> np.ndarray:
-    return -1j * sp.k0 * SIGMA2
-
-
 _N = (np.eye(2) + 1j * SIGMA1) / math.sqrt(2.0)  # N = (1 + i s1)/sqrt 2, built once for e0 and ce0
-
-
-def n_matrix() -> np.ndarray:
-    return _N.copy()
 
 
 def _phase_diag(z) -> np.ndarray:
@@ -183,18 +166,9 @@ def ce0(t, sp: SpectralPoint) -> np.ndarray:
     return _N @ _phase_diag(-1j * sp.k0 * np.asarray(t, dtype=complex))
 
 
-def e_charged(x, sp: SpectralPoint, q: int) -> np.ndarray:
-    """Charge-dressed normaliser exp(i pi q s3 / 2) E0(x)."""
-    return _phase_diag(0.5j * math.pi * q) @ e0(x, sp)
-
-
 def ce_charged(t, sp: SpectralPoint, q: int) -> np.ndarray:
+    """Charge-dressed normaliser exp(i pi q s3 / 2) cE0(t)."""
     return _phase_diag(0.5j * math.pi * q) @ ce0(t, sp)
-
-
-def omega(beta: float, phi) -> np.ndarray:
-    """Gauge factor exp(i beta phi s3 / 4)."""
-    return _phase_diag(0.25j * beta * np.asarray(phi, dtype=complex))
 
 
 def zero_curvature_residual(field: FieldEvaluator, x: float, t: float, sp: SpectralPoint, h: float) -> float:

@@ -352,6 +352,18 @@ def test_unusable_numbers_exit_2_without_traceback(tmp_path, capsys, data):
     assert err.startswith("config error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("under", [False, True], ids=["out-is-a-file", "out-under-a-file"])
+def test_unusable_output_directory_exits_2_without_traceback(tmp_path, capsys, under):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = taken / "reports" if under else taken
+    assert main(["run", "--config", str(DEMOS / "scenario_defect.json"), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("output error:") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert captured.out == ""  # no suite ran
+
+
 def test_step_counts_reach_the_json_report_only(tmp_path):
     cfg = write_config(tmp_path, overrides={"suites": ["monodromy-conservation"]})
     assert run(cfg, tmp_path / "json", "json") == 0

@@ -1,34 +1,33 @@
-import math
-
 import numpy as np
 import pytest
 
 from sgdual.fields import FieldEvaluator, GridWindow, ModelParams, make_vacuum
-from sgdual.lax import omega, spectral
+from sgdual.lax import spectral
 from sgdual.matcore import frob, inv2
 from sgdual.defect import (
     DefectPair,
     DefectParams,
-    InconsistentSeedError,
     L_equation_residual,
     b_factors,
-    backlund_integrate,
     bt_kink_from_vacuum,
     c_function,
     canonical_residual,
-    defect_lagrangian,
     defect_matrix_L,
     defect_matrix_L_hat,
     defect_monodromy_S,
     defect_splitting_check,
     generating_relation_check,
     ham_shift_check,
-    s_functional,
 )
 
 P11 = ModelParams(1.0, 1.0)
 WIDE = GridWindow(-40.0, 40.0, -40.0, 40.0, 16001, 16001)
 T_GRID = np.linspace(-8.0, 8.0, 41)
+
+
+def omega(beta, phi):
+    """Gauge factor exp(i beta phi s3 / 4)."""
+    return np.diag([np.exp(0.25j * beta * phi), np.exp(-0.25j * beta * phi)])
 
 
 class ScaledField(FieldEvaluator):
@@ -41,16 +40,6 @@ class ScaledField(FieldEvaluator):
 
     def derivative(self, x, t, dx, dt):
         return self.factor * self.base.derivative(x, t, dx, dt)
-
-
-class NotASolution(FieldEvaluator):
-    kind = "bogus"
-    params = P11
-
-    def derivative(self, x, t, dx, dt):
-        fx = [np.sin, np.cos, lambda u: -np.sin(u), lambda u: -np.cos(u)][dx % 4](np.asarray(x, float))
-        ft = [np.cos, lambda u: -np.sin(u), lambda u: -np.cos(u), np.sin][dt % 4](2.0 * np.asarray(t, float))
-        return 2.0 * fx * ft * 2.0**dt
 
 
 @pytest.fixture(scope="module")
@@ -87,45 +76,6 @@ def test_pair_validation_rejects_mismatch(pair_sigma2):
 
 def test_parities(pair_sigma2):
     assert pair_sigma2.parities() == (0, 1)
-
-
-def test_backlund_integrate_matches_closed_form(pair_sigma2):
-    win = GridWindow(-8.0, 8.0, -6.0, 6.0, 161, 121)
-    phi0 = float(np.asarray(pair_sigma2.right.derivative(0.0, 0.0, 0, 0)))
-    grid = backlund_integrate(make_vacuum(P11), DefectParams(2.0), (0.0, 0.0), phi0, win)
-    xs, ts = np.meshgrid(np.linspace(-6, 6, 25), np.linspace(-4, 4, 17), indexing="ij")
-    got = np.asarray(grid.derivative(xs.ravel(), ts.ravel(), 0, 0))
-    want = np.asarray(pair_sigma2.right.derivative(xs.ravel(), ts.ravel(), 0, 0))
-    assert np.max(np.abs(got - want)) < 1e-5
-
-
-def test_backlund_integrate_output_solves_equation():
-    win = GridWindow(-8.0, 8.0, -6.0, 6.0, 161, 121)
-    pair = bt_kink_from_vacuum(P11, DefectParams(2.0))
-    phi0 = float(np.asarray(pair.right.derivative(0.0, 0.0, 0, 0)))
-    grid = backlund_integrate(make_vacuum(P11), DefectParams(2.0), (0.0, 0.0), phi0, win)
-
-    def residual(x, t, h=1e-3):
-        phi = lambda a, b: float(np.asarray(grid.derivative(a, b, 0, 0)))
-        return (
-            (phi(x, t + h) - 2 * phi(x, t) + phi(x, t - h)) / h**2
-            - (phi(x + h, t) - 2 * phi(x, t) + phi(x - h, t)) / h**2
-            + math.sin(phi(x, t))
-        )
-
-    assert max(abs(residual(x, t)) for x in (-3.0, 0.5, 2.0) for t in (-2.0, 0.0, 1.5)) < 1e-4
-
-
-def test_backlund_integrate_fixed_point():
-    win = GridWindow(-6.0, 6.0, -4.0, 4.0, 121, 81)
-    grid = backlund_integrate(make_vacuum(P11), DefectParams(2.0), (0.0, 0.0), 0.0, win)
-    assert np.max(np.abs(grid._values)) == 0.0
-
-
-def test_backlund_integrate_rejects_non_solution_seed():
-    win = GridWindow(-6.0, 6.0, -4.0, 4.0, 121, 81)
-    with pytest.raises(InconsistentSeedError):
-        backlund_integrate(NotASolution(), DefectParams(2.0), (0.0, 0.0), 1.0, win)
 
 
 def test_defect_matrix_vacuum_limit(vacuum_pair):
@@ -290,32 +240,6 @@ def test_ham_shift_sigma_inversion():
     assert abs(a.rhs_ratio - b.rhs_ratio) < 1e-12
 
 
-def test_defect_lagrangian_vacuum(vacuum_pair):
-    assert abs(defect_lagrangian(vacuum_pair, 0.0) - (-5.0)) < 1e-14
-
-
-def test_b_density_symmetry(pair_sigma2):
-    from sgdual.defect import b_density
-
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        phi, phit = rng.uniform(-3, 3, size=2)
-        fwd = b_density(P11, DefectParams(2.0), phi, phit)
-        # swapping the sign of the difference leaves both cosines unchanged
-        swapped = b_density(P11, DefectParams(2.0), phit, phi)
-        assert abs(fwd - swapped) < 1e-14
-
-
-def test_s_functional(pair_sigma2):
-    win = GridWindow(-40.0, 40.0, -40.0, 40.0, 4001, 4001)
-    sf = s_functional(pair_sigma2, win)
-    assert math.isfinite(sf.s_value)
-    assert sf.limits[0] != sf.limits[1]  # parities differ, so do the limits
-    assert abs(sf.e_shift - (-6.0)) < 1e-12
-    assert abs(sf.charge_shifts[1] - (-4.0)) < 1e-12
-    assert abs(sf.charge_shifts[2]) < 1e-12
-
-
 def test_canonical_residual_vacuum(vacuum_pair):
     res = canonical_residual(vacuum_pair, np.linspace(-5, 5, 21), 1e-4)
     assert res == (0.0, 0.0)
@@ -331,23 +255,3 @@ def test_canonical_residual_negative_control(pair_sigma2):
     bad = DefectPair(pair_sigma2.left, ScaledField(pair_sigma2.right, 1.01), P11, DefectParams(2.0))
     res_right, res_left = canonical_residual(bad, np.linspace(-6, 6, 61), 1e-4)
     assert max(res_right, res_left) > 1e-3
-
-
-def test_s_functional_without_time_winding():
-    # sigma = 1 makes the Backlund image a static kink: no winding in t at x = 0
-    static_pair = bt_kink_from_vacuum(P11, DefectParams(1.0))
-    sf = s_functional(static_pair, GridWindow(-20.0, 20.0, -20.0, 20.0, 2001, 2001))
-    assert math.isfinite(sf.s_value)
-    assert math.isnan(sf.e_shift)
-    assert sf.charge_shifts == {}
-
-
-def test_s_functional_propagates_other_errors(pair_sigma2, monkeypatch):
-    import sgdual.defect
-
-    def broken(*args, **kwargs):
-        raise ValueError("not a winding problem")
-
-    monkeypatch.setattr(sgdual.defect, "_charge_shifts", broken)
-    with pytest.raises(ValueError, match="not a winding problem"):
-        s_functional(pair_sigma2, GridWindow(-20.0, 20.0, -20.0, 20.0, 2001, 2001))

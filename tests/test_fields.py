@@ -168,29 +168,8 @@ def test_truncation_flag_on_narrow_window():
     assert hamiltonian_S(kink, 0.0, narrow).truncated
 
 
-def test_grid_field_bounds_and_order_caps():
-    from sgdual.fields import GridField
-
-    xs = np.linspace(-2.0, 2.0, 41)
-    ts = np.linspace(-1.0, 1.0, 21)
-    values = np.sin(xs)[:, None] * np.cos(ts)[None, :]
-    grid = GridField(P11, xs, ts, values)
-    assert abs(grid.derivative(0.3, 0.2, 0, 0) - math.sin(0.3) * math.cos(0.2)) < 1e-6
-    assert abs(grid.derivative(0.3, 0.2, 1, 0) - math.cos(0.3) * math.cos(0.2)) < 1e-4
-    with pytest.raises(ValueError):
-        grid.derivative(5.0, 0.0, 0, 0)
-    with pytest.raises(ValueError):
-        grid.derivative(0.0, 0.0, 6, 0)
-
-
 def _line_fields():
-    from sgdual.fields import GridField
-
-    xs = np.linspace(-2.0, 2.0, 41)
-    ts = np.linspace(-1.0, 1.0, 21)
-    values = np.sin(xs)[:, None] * np.cos(ts)[None, :]
-    kink = make_kink(P11, v=0.4, x0=0.2)
-    return [kink, make_vacuum(P11), GridField(P11, xs, ts, values)]
+    return [make_kink(P11, v=0.4, x0=0.2), make_vacuum(P11)]
 
 
 @pytest.mark.parametrize("picture", ["space", "time"])

@@ -10,16 +10,25 @@ from sgdual.lax import (
     ce0,
     e0,
     hat_entries,
-    n_matrix,
-    omega,
     spectral,
-    u_inf,
-    v_inf,
     zero_curvature_residual,
 )
 from sgdual.matcore import SIGMA1, SIGMA2, SIGMA3, _stack22, frob, inv2
 
 P11 = ModelParams(1.0, 1.0)
+
+
+def u_inf(sp):
+    return -1j * sp.k1 * SIGMA2  # the space generator on a vacuum
+
+
+def v_inf(sp):
+    return -1j * sp.k0 * SIGMA2  # the time generator on a vacuum
+
+
+def omega(beta, phi):
+    """Gauge factor exp(i beta phi s3 / 4)."""
+    return np.diag([np.exp(0.25j * beta * phi), np.exp(-0.25j * beta * phi)])
 
 
 def hat(picture, field, x, t, sp):
@@ -185,19 +194,17 @@ def test_normalisers_solve_asymptotic_problems():
 
 
 def test_n_matrix_diagonalises_sigma2():
-    n = n_matrix()
+    n = e0(0.0, spectral(1.6, P11))  # E0(0) = N
     assert frob(inv2(n) @ SIGMA2 @ n - SIGMA3) < 1e-15
 
 
 def test_charge_dressed_normalisers():
-    from sgdual.lax import ce_charged, e_charged
+    from sgdual.lax import ce_charged
 
     sp = spectral(1.6, P11)
     h = 1e-6
     for q in (0, 1, 2):
         sign = (-1.0) ** q
-        fd = (e_charged(0.4 + h, sp, q) - e_charged(0.4 - h, sp, q)) / (2 * h)
-        assert frob(fd - sign * u_inf(sp) @ e_charged(0.4, sp, q)) < 1e-8
         fd_t = (ce_charged(-0.2 + h, sp, q) - ce_charged(-0.2 - h, sp, q)) / (2 * h)
         assert frob(fd_t - sign * v_inf(sp) @ ce_charged(-0.2, sp, q)) < 1e-8
 

@@ -11,8 +11,8 @@ import pytest
 from sgdual import defect, transition
 from sgdual.cli import ScenarioConfig
 from sgdual.fields import FieldSample, KinkField, Line, ModelParams, NonDecayingFieldError, VacuumField, make_kink, make_vacuum
-from sgdual.lax import ce0, e0, hat_entries, spectral, u_inf
-from sgdual.matcore import _MU_SMALL, comm, det2, expm_sl2, frob, inv2
+from sgdual.lax import ce0, e0, hat_entries, spectral
+from sgdual.matcore import _MU_SMALL, SIGMA2, comm, det2, expm_sl2, frob, inv2
 from sgdual.suites import run_suite
 from sgdual.transition import (
     MAX_STEPS,
@@ -33,6 +33,10 @@ from sgdual.transition import (
 
 P11 = ModelParams(1.0, 1.0)
 SP13 = spectral(1.3, P11)
+
+
+def u_inf(sp):
+    return -1j * sp.k1 * SIGMA2  # the space generator on a vacuum
 
 
 def test_vacuum_propagation_is_constant_exponential():
