@@ -3,7 +3,7 @@
     sgdual run --config scenario.json --out reports/ --format csv --jobs 2
     sgdual list-suites
 
-Exit codes: 0 all cases pass, 1 at least one case fails, 2 unusable config or output directory.
+Exit codes: 0 all cases pass, 1 at least one case fails, 2 unusable config, output directory or report file.
 A suite that raises on a usable config (no vacuum at the window edge, more
 than ``transition.MAX_STEPS`` Magnus steps) reports one failing ``error`` case.
 The JSON schema is strict: a key that would change nothing is rejected, which
@@ -27,7 +27,6 @@ import math
 import os
 import sys
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from functools import partial
 from pathlib import Path
@@ -194,6 +193,8 @@ def run(config_path, out_dir, fmt: str = "csv", jobs: int = 1) -> int:
     workers = min(jobs, len(names), os.cpu_count() or 1)
     suite = partial(run_suite, config=config)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # here, so that a serial run never imports multiprocessing
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(suite, names))
     else:
@@ -201,10 +202,14 @@ def run(config_path, out_dir, fmt: str = "csv", jobs: int = 1) -> int:
     exit_code = 0
     for name, report in zip(names, reports):
         path = out / f"{name}.{fmt}"
-        if fmt == "csv":
-            report.write_csv(path)
-        else:
-            report.write_json(path)
+        try:
+            if fmt == "csv":
+                report.write_csv(path)
+            else:
+                report.write_json(path)
+        except OSError as exc:  # the report path is a directory, or not writable
+            print(f"output error: {exc}", file=sys.stderr)
+            return 2
         status = "skip" if not report.cases else "pass" if report.passed else "FAIL"
         print(f"[{status}] {name}: {len(report.cases)} cases -> {path}")
         for case in report.failing():

@@ -61,7 +61,7 @@ from .fields import (
 )
 from .lax import SpectralPoint, build_V
 from .matcore import frob, inv2
-from .transition import STEP_DENSITY, default_nsteps, jost, monodromy, propagate, propagate_trajectory
+from .transition import STEP_DENSITY, default_nsteps, jost, monodromy, propagate_trajectory
 
 __all__ = [
     "DefectParams",
@@ -213,10 +213,12 @@ def defect_splitting_check(pair: DefectPair, t: float, sp: SpectralPoint, half_w
     The half-line pieces are quadratures of the (1,1)/(2,2) components of
     U_hat_d + U_hat_o Gamma + i k1 s3, with Gamma read pointwise off the
     propagated half-line solutions (Gamma_+ normalised at +infinity on the
-    right field, Gamma~_- at -infinity on the left).  The defect term is
-    ln diag[(1 + Gamma_+)^-1 L_hat (1 + Gamma~_-)] at x = 0, with the exact
-    (1 - p q) normalisation rather than its large-lambda limit 1/2.  The
-    direct side M_S is propagated at the same count on the graded mesh.
+    right field, Gamma~_- at -infinity on the left), by Simpson's rule on
+    their uniform trajectory grid.  The defect term is ln diag[(1 +
+    Gamma_+)^-1 L_hat (1 + Gamma~_-)] at x = 0, with the exact (1 - p q)
+    normalisation rather than its large-lambda limit 1/2.  The direct side is
+    ln diag of defect_monodromy_S: Jost solutions at the default count on the
+    graded mesh, a discretisation independent of the trajectories.
     """
     # Simpson on the trajectory's own grid needs a finer spacing than the Magnus steps
     nsteps = default_nsteps(half_width, sp, density=3.0 * STEP_DENSITY)
@@ -226,7 +228,8 @@ def defect_splitting_check(pair: DefectPair, t: float, sp: SpectralPoint, half_w
         line = Line(fld, "space", t)
         start = side * half_width
         grid, psi = propagate_trajectory(fld, "space", t, start, 0.0, sp, nsteps)
-        traj = psi @ line.normaliser(start, sp)
+        # psi @ normaliser as one 2-D product: the rows of every psi times the normaliser
+        traj = (psi.reshape(-1, 2) @ line.normaliser(start, sp)).reshape(psi.shape)
         q = traj[:, 1, 0] / traj[:, 0, 0]
         p = traj[:, 0, 1] / traj[:, 1, 1]
         d, a01, a10 = line.generator_entries(grid, sp)
@@ -240,16 +243,14 @@ def defect_splitting_check(pair: DefectPair, t: float, sp: SpectralPoint, half_w
         val11 = simpson_uniform(int11, h)
         val22 = simpson_uniform(int22, h)
         gamma0 = np.array([[0.0, p[-1]], [q[-1], 0.0]], dtype=complex)
-        # the half-line Jost solution on the graded mesh, as jost builds it, for the direct side
-        jost_hat = propagate(fld, "space", t, start, 0.0, sp, nsteps).matrix @ line.normaliser(start, sp)
-        return (val11, val22), gamma0, jost_hat
+        return (val11, val22), gamma0
 
-    (ip11, ip22), gamma_plus, plus = half_line(pair.right, +1)
-    (im11, im22), gamma_minus, minus = half_line(pair.left, -1)
+    (ip11, ip22), gamma_plus = half_line(pair.right, +1)
+    (im11, im22), gamma_minus = half_line(pair.left, -1)
     lhat = defect_matrix_L_hat(pair, t, sp)
     core = inv2(np.eye(2) + gamma_plus) @ lhat @ (np.eye(2) + gamma_minus)
     defect_term = (np.log(core[0, 0]), np.log(core[1, 1]))
-    mono = inv2(plus) @ lhat @ minus  # M_S, as defect_monodromy_S builds it
+    mono = defect_monodromy_S(pair, t, sp, half_width)
     direct = (np.log(mono[0, 0]), np.log(mono[1, 1]))
     return SplittingReport(direct, (ip11, ip22), (im11, im22), defect_term)
 

@@ -56,9 +56,10 @@ _MU_SMALL = 1e-6
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two 2x2 matrices (row-major block convention)."""
+    """Kronecker product of 2x2 matrices (row-major block convention); leading axes broadcast."""
     a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (4, 4))
 
 
 def comm(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -29,6 +29,7 @@ order, so reports are bit-stable.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,27 +88,38 @@ def lax_derivatives(picture: str, sample: FieldSample, sp: SpectralPoint, params
     """Analytic partials of the Lax matrix wrt the canonical pair.
 
     Space picture: A = U, pair (phi, pi).  Time picture: A = V, pair
-    (phi, Pi).  Only phi enters nonlinearly.  For an array of phi both
-    partials come back with shape phi.shape + (2, 2).
+    (phi, Pi).  Only phi enters nonlinearly: the phi partial is
+    off-diagonal and the momentum partial diagonal.  For an array of phi both
+    partials come back with shape phi.shape + (2, 2); k0 and k1 may be
+    arrays of phi's shape, one spectral point per entry.
     """
     beta = params.beta
     half = 0.5 * beta * np.asarray(sample.phi, dtype=float)[..., None, None]
+    k0, k1 = (np.asarray(k)[..., None, None] for k in (sp.k0, sp.k1))
     if picture == "space":
-        d_phi = -0.5j * beta * (sp.k0 * np.cos(half) * SIGMA1 - sp.k1 * np.sin(half) * SIGMA2)
+        d_phi = -0.5j * beta * (k0 * np.cos(half) * SIGMA1 - k1 * np.sin(half) * SIGMA2)
         d_mom = -0.25j * beta * SIGMA3
     elif picture == "time":
-        d_phi = -0.5j * beta * (sp.k1 * np.cos(half) * SIGMA1 - sp.k0 * np.sin(half) * SIGMA2)
+        d_phi = -0.5j * beta * (k1 * np.cos(half) * SIGMA1 - k0 * np.sin(half) * SIGMA2)
         d_mom = 0.25j * beta * SIGMA3
     else:
         raise ValueError(f"unknown picture {picture!r}")
     return d_phi, np.broadcast_to(d_mom, d_phi.shape)
 
 
+def _draws(sp) -> SpectralPoint:
+    """sp itself, or a sequence of SpectralPoints as one whose lam, k0 and k1 are (n,) arrays."""
+    if isinstance(sp, SpectralPoint):
+        return sp
+    lam, k0, k1 = (np.array([getattr(p, key) for p in sp]) for key in ("lam", "k0", "k1"))
+    return SpectralPoint(lam, sp[0].m, k0, k1)
+
+
 def ultralocal_check(
     picture: str,
     sample: FieldSample,
-    sp1: SpectralPoint,
-    sp2: SpectralPoint,
+    sp1: SpectralPoint | Sequence[SpectralPoint],
+    sp2: SpectralPoint | Sequence[SpectralPoint],
     params: ModelParams,
     flip_sign: bool = False,
 ) -> float:
@@ -117,13 +129,21 @@ def ultralocal_check(
     when the transcription is right.  ``flip_sign`` applies the wrong overall
     sign on purpose (the two pictures differ by exactly that sign, so the
     flipped check must fail at order one).
+
+    One draw takes a sample of floats and one SpectralPoint each for sp1 and
+    sp2.  A batch of n draws takes a sample of (n,) arrays and sequences of n
+    SpectralPoints: draw i pairs entry i of the sample with sp1[i] and
+    sp2[i], and the gap is the largest over the batch, bitwise the largest of
+    the n single-draw gaps at real lambda.
     """
+    sp1, sp2 = _draws(sp1), _draws(sp2)
     d1_phi, d1_mom = lax_derivatives(picture, sample, sp1, params)
     d2_phi, d2_mom = lax_derivatives(picture, sample, sp2, params)
     lhs = (tensor(d1_phi, d2_mom) - tensor(d1_mom, d2_phi)) / _ULTRALOCAL_SPACING
     a1 = lax_matrix(picture, sample, sp1, params)
     a2 = lax_matrix(picture, sample, sp2, params)
-    r = r_matrix(sp1.lam, sp2.lam, params).matrix
+    pairs = np.broadcast(sp1.lam, sp2.lam)
+    r = np.reshape([r_matrix(lam, mu, params).matrix for lam, mu in pairs], pairs.shape + (4, 4))
     sign = 1.0 if picture == "space" else -1.0
     if flip_sign:
         sign = -sign
@@ -137,13 +157,23 @@ def _batched_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("nij,nkl->nikjl", a, b).reshape(n, 4, 4)
 
 
-def _site_products(sample: FieldSample, sp, params: ModelParams, delta):
-    """Per-site V, and the transfer products below each site, above it and in total."""
+def _transfer_scans(sample: FieldSample, sp, params: ModelParams, delta):
+    """(v, upto, down_to): per-site V, and the ordered products of the site factors exp(delta V) up to and down to each site.
+
+    v is an (n, 2, 2) stack; upto[..., i] = steps[i] @ ... @ steps[0] and
+    down_to[..., i] = steps[n-1] @ ... @ steps[i] are (2, 2, n) batches.
+    """
     v = lax_matrix("time", sample, sp, params)
     steps = expm_sl2(delta * v[:, 0, 0], delta * v[:, 0, 1], delta * v[:, 1, 0])
+    return v, scan(steps), scan(steps, reverse=True)
+
+
+def _site_products(sample: FieldSample, sp, params: ModelParams, delta):
+    """Per-site V, and the transfer products below each site, above it and in total."""
+    v, upto, down_to = _transfer_scans(sample, sp, params, delta)
     # as C-ordered (n, 2, 2) stacks: the products and sums downstream follow the memory layout
-    upto = np.ascontiguousarray(np.moveaxis(scan(steps), -1, 0))  # steps[i] @ ... @ steps[0]
-    down_to = np.ascontiguousarray(np.moveaxis(scan(steps, reverse=True), -1, 0))  # steps[n-1] @ ... @ steps[i]
+    upto = np.ascontiguousarray(np.moveaxis(upto, -1, 0))
+    down_to = np.ascontiguousarray(np.moveaxis(down_to, -1, 0))
     prefix = np.concatenate([ID2[None], upto[:-1]])  # product of steps below site i
     suffix = np.concatenate([down_to[1:], ID2[None]])  # product of steps above site i
     return v, prefix, suffix, upto[-1]
@@ -187,11 +217,15 @@ def transition_bracket_check(
     r = r_matrix(sp1.lam, sp2.lam, params).matrix
     big = _batched_kron(v1, np.broadcast_to(ID2, v1.shape))
     big += _batched_kron(np.broadcast_to(ID2, v2.shape), v2)
-    site_bracket = r @ big
-    site_bracket -= big @ r
-    site_bracket *= -delta
+    del v1, v2
+    # -(r @ big - big @ r), with big @ r and r @ big as one 2-D product each against the fixed r
+    site_bracket = (big.reshape(4 * n_sites, 4) @ r).reshape(n_sites, 4, 4)
+    big = big.transpose(1, 0, 2).reshape(4, 4 * n_sites)  # a copy: column block i is the site-i matrix
+    site_bracket -= (r @ big).reshape(4, n_sites, 4).transpose(1, 0, 2)
+    site_bracket *= delta
     del big
-    lhs = (_batched_kron(suf1, suf2) @ site_bracket @ _batched_kron(pre1, pre2)).sum(axis=0)
+    site_bracket = _batched_kron(suf1, suf2) @ site_bracket  # rebound, so that one (n, 4, 4) stack fewer is live below
+    lhs = (site_bracket @ _batched_kron(pre1, pre2)).sum(axis=0)
     big_tot = tensor(tot1, tot2)
     rhs = -(r @ big_tot - big_tot @ r)
     return BracketReport(
@@ -218,22 +252,37 @@ def involution_check(
     refinement on decaying fields.  field is a bulk field: on a defect pair,
     pass the side the probe sits on (pair.left or pair.right); the constant
     connection factors are field-independent and drop out of the bracket.
-    Only the (0, 0) entries of the triple products are formed.
+
+    The derivative at site i is the (0, 0) entry of cap_b suffix_i dV_i
+    prefix_i cap_a, so only the cap row times the reverse scan and the
+    forward scan times the cap column are formed, entrywise on the (2, 2, n)
+    scans; dV is off-diagonal in phi and diagonal in Pi, so each contraction
+    has two terms.  The spectral points are taken one at a time, which
+    bounds the live scans to those of one point.
     """
     a, b = interval
     qm, qp = topological_charges(field, x_probe, "time")
     delta, samples = _time_lattice(field, x_probe, interval, n_sites)
     grads = []
     for sp in sp_pair:
-        _, prefix, suffix, _ = _site_products(samples, sp, field.params, delta)
-        left_cap = inv2(ce_charged(b, sp, qp))
-        right_cap = ce_charged(a, sp, qm)
+        _, upto, down_to = _transfer_scans(samples, sp, field.params, delta)
+        row = inv2(ce_charged(b, sp, qp))[0]
+        col = ce_charged(a, sp, qm)[:, 0]
+        # head[:, i] = row @ suffix_i with suffix_i = down_to[..., i + 1], the identity at the last site
+        head = np.empty((2, n_sites), dtype=complex)
+        head[:, :-1] = row[0] * down_to[0, :, 1:] + row[1] * down_to[1, :, 1:]
+        head[:, -1] = row
+        # tail[:, i] = prefix_i @ col with prefix_i = upto[..., i - 1], the identity at the first site
+        tail = np.empty((2, n_sites), dtype=complex)
+        tail[:, 1:] = upto[:, 0, :-1] * col[0] + upto[:, 1, :-1] * col[1]
+        tail[:, 0] = col
+        del upto, down_to
         d_phi, d_mom = lax_derivatives("time", samples, sp, field.params)
-        head = (left_cap @ suffix)[:, 0]
-        tail = (prefix @ right_cap)[..., 0]
-        da_dphi = delta * np.einsum("nb,nbc,nc->n", head, d_phi, tail)
-        da_dmom = delta * np.einsum("nb,nbc,nc->n", head, d_mom, tail)
-        grads.append((da_dphi, da_dmom))
+        da_dphi = head[0] * d_phi[:, 0, 1] * tail[1]
+        da_dphi += head[1] * d_phi[:, 1, 0] * tail[0]
+        da_dmom = head[0] * d_mom[:, 0, 0] * tail[0]
+        da_dmom += head[1] * d_mom[:, 1, 1] * tail[1]
+        grads.append((delta * da_dphi, delta * da_dmom))
     (dphi1, dmom1), (dphi2, dmom2) = grads
     bracket = np.sum(dphi1 * dmom2 - dmom1 * dphi2) / delta
     return float(abs(bracket))

@@ -341,8 +341,7 @@ def propagate(
     sp must be real (ValueError otherwise).  nsteps is the step count on
     that mesh; None takes the default count.  This and propagate_trajectory are the only public functions that take a
     count: monodromy, jost and the defect checks always step at the default,
-    and an explicit count is for refinement studies and for
-    defect_splitting_check, whose half-lines share its Simpson count.
+    and an explicit count is for refinement studies.
     """
     line = Line(field, picture, fixed)
     mesh = _mesh(line, start, stop, sp, nsteps)

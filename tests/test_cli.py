@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 from pathlib import Path
@@ -97,7 +98,8 @@ def pool_requests(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    # cli.run imports the pool class from concurrent.futures only when it runs suites in parallel
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     return requested
 
 
@@ -362,6 +364,14 @@ def test_unusable_output_directory_exits_2_without_traceback(tmp_path, capsys, u
     assert captured.err.startswith("output error:") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
     assert captured.out == ""  # no suite ran
+
+
+def test_unwritable_report_exits_2_without_traceback(tmp_path, capsys):
+    (tmp_path / "lax-residual.csv").mkdir()  # a directory where a report file goes
+    assert main(["run", "--config", str(DEMOS / "scenario_kink.json"), "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("output error:") and captured.err.count("\n") == 1
+    assert "lax-residual.csv" in captured.err and "Traceback" not in captured.err
 
 
 def test_step_counts_reach_the_json_report_only(tmp_path):

@@ -157,6 +157,14 @@ def test_defect_splitting_on_kink_demo_pair(pair_sigma2):
     assert rep.gap() < 1e-7
 
 
+def test_defect_splitting_direct_side_is_the_defect_monodromy(pair_sigma2):
+    # the direct side is M_S as the Ms-diag-drift row builds it, not the trajectories' own endpoint
+    sp = spectral(1.5, P11)
+    rep = defect_splitting_check(pair_sigma2, 0.7, sp, 40.0)
+    mono = defect_monodromy_S(pair_sigma2, 0.7, sp, 40.0)
+    assert rep.direct == (np.log(mono[0, 0]), np.log(mono[1, 1]))
+
+
 def test_b_factors_limits():
     sp = spectral(1e6, P11)
     bp, bm = b_factors(sp, DefectParams(2.0), (0, 1))

@@ -41,6 +41,7 @@ def test_import_and_a_kink_run_leave_scipy_unloaded(tmp_path):
         "from sgdual import cli\n"
         f"assert cli.run({str(ROOT / 'demos' / 'scenario_kink.json')!r}, {str(tmp_path)!r}) == 0\n"
         "assert 'scipy' not in sys.modules, 'cli.run'\n"
+        "assert 'multiprocessing' not in sys.modules, 'cli.run with one job'\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from sgdual.fields import FieldSample, KinkField, Line, ModelParams, make_kink, make_vacuum
-from sgdual.lax import build_V, spectral
-from sgdual.matcore import ID2, expm_sl2
+from sgdual.fields import FieldSample, KinkField, Line, ModelParams, make_kink, make_vacuum, topological_charges
+from sgdual.lax import build_V, ce_charged, spectral
+from sgdual.matcore import ID2, expm_sl2, inv2
 from sgdual.defect import DefectParams, bt_kink_from_vacuum
 from sgdual.rmatrix import (
     BracketReport,
     _site_products,
+    _time_lattice,
     involution_check,
     lax_derivatives,
     r_matrix,
@@ -76,6 +77,21 @@ def test_ultralocal_is_algebraically_exact():
             assert gap < 1e-12
 
 
+@pytest.mark.parametrize("picture", ["space", "time"])
+def test_ultralocal_batch_is_bitwise_the_worst_single_draw(picture):
+    rng = np.random.default_rng(20260808)
+    samples, sps1, sps2 = [], [], []
+    for _ in range(20):
+        samples.append(rng.uniform(-3, 3, size=3))
+        lam, mu = rng.uniform(0.3, 4.0, size=2)
+        sps1.append(spectral(lam, P11))
+        sps2.append(spectral(mu + 0.2 if abs(lam - mu) < 0.05 else mu, P11))
+    single = [ultralocal_check(picture, FieldSample(*x), a, b, P11) for x, a, b in zip(samples, sps1, sps2)]
+    batch = ultralocal_check(picture, FieldSample(*np.transpose(samples)), sps1, sps2, P11)
+    assert batch == max(single)
+    assert 0.0 < batch < 1e-12
+
+
 def test_ultralocal_sign_flip_fails():
     sample = FieldSample(0.3, -0.2, 0.5)
     gap = ultralocal_check("time", sample, spectral(1.3, P11), spectral(0.7, P11), P11, flip_sign=True)
@@ -141,6 +157,31 @@ def test_involution_defect_pair_both_sides():
     # the vacuum side is identically in involution; the proxy sits at roundoff
     left = involution_check(pair.left, -0.5, sps, 800, (-14.0, 14.0))
     assert left < 1e-12
+
+
+def _involution_by_stacked_products(field, x_probe, sps, n_sites, interval):
+    """involution_check as (n, 2, 2) prefix/suffix stacks, matmuls and einsum contractions."""
+    a, b = interval
+    qm, qp = topological_charges(field, x_probe, "time")
+    delta, samples = _time_lattice(field, x_probe, interval, n_sites)
+    grads = []
+    for sp in sps:
+        _, prefix, suffix, _ = _site_products(samples, sp, field.params, delta)
+        head = (inv2(ce_charged(b, sp, qp)) @ suffix)[:, 0]
+        tail = (prefix @ ce_charged(a, sp, qm))[..., 0]
+        d_phi, d_mom = lax_derivatives("time", samples, sp, field.params)
+        grads.append([delta * np.einsum("nb,nbc,nc->n", head, d, tail) for d in (d_phi, d_mom)])
+    (dphi1, dmom1), (dphi2, dmom2) = grads
+    return float(abs(np.sum(dphi1 * dmom2 - dmom1 * dphi2) / delta))
+
+
+@pytest.mark.parametrize("n_sites", [400, 800, 1600])
+def test_involution_matches_the_stacked_product_formula(n_sites):
+    sps = (spectral(1.5, P11), spectral(0.8, P11))
+    pair = bt_kink_from_vacuum(P11, DefectParams(2.0))
+    for field, x, span in ((make_kink(P11, v=0.4), 0.7, 20.0), (pair.right, 0.5, 14.0)):
+        want = _involution_by_stacked_products(field, x, sps, n_sites, (-span, span))
+        assert abs(involution_check(field, x, sps, n_sites, (-span, span)) - want) <= 1e-9 * want
 
 
 @pytest.mark.parametrize("picture", ["space", "time"])
