@@ -43,7 +43,7 @@ flipped chain from them, one after the other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -215,7 +215,6 @@ class RiccatiCoefficients:
         return float(max(np.max(np.abs(p_s - rhs01)), np.max(np.abs(q_s - rhs10))))
 
 
-@dataclass
 class ChargeLedger:
     """Finite charge sets keyed by integer order.
 
@@ -223,9 +222,10 @@ class ChargeLedger:
     negative keys hold the small-lambda side (I_{-n}, J_{-n}).
     """
 
-    picture: str
-    entries: dict = dc_field(default_factory=dict)
-    provenance: str = "recursion"
+    def __init__(self, picture: str, entries: dict | None = None, provenance: str = "recursion"):
+        self.picture = picture
+        self.entries = {} if entries is None else entries
+        self.provenance = provenance
 
     def value(self, n: int) -> complex:
         return self.entries[n]
@@ -272,8 +272,7 @@ def build_ledger(field, picture, fixed, order, window) -> ChargeLedger:
     return ChargeLedger(picture, entries)
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     lhs: float
     rhs: float
 
@@ -303,8 +302,7 @@ def energy_identity(field, fixed, window, ledger: ChargeLedger) -> IdentityRepor
     return IdentityReport(float(lhs.real), rhs)
 
 
-@dataclass
-class LnaFitReport:
+class LnaFitReport(NamedTuple):
     picture: str
     lambdas: np.ndarray
     log_mono: np.ndarray

@@ -27,7 +27,6 @@ import math
 import os
 import sys
 from collections import Counter
-from dataclasses import dataclass, field as dc_field
 from functools import partial
 from pathlib import Path
 
@@ -83,14 +82,22 @@ def _number(value, what, minimum=None, maximum=None, integer=False):
     return int(number) if integer else number
 
 
-@dataclass
 class ScenarioConfig:
-    params: ModelParams
-    solution: dict
-    lambdas: list
-    half_width: float
-    tolerances: dict = dc_field(default_factory=dict)
-    suites: list = dc_field(default_factory=list)
+    def __init__(
+        self,
+        params: ModelParams,
+        solution: dict,
+        lambdas: list,
+        half_width: float,
+        tolerances: dict | None = None,
+        suites: list | None = None,
+    ):
+        self.params = params
+        self.solution = solution
+        self.lambdas = lambdas
+        self.half_width = half_width
+        self.tolerances = {} if tolerances is None else tolerances
+        self.suites = [] if suites is None else suites
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":

@@ -43,7 +43,7 @@ form of that statement directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,17 +82,17 @@ __all__ = [
 PAIR_GATE = 1e-8
 
 
-@dataclass(frozen=True)
-class DefectParams:
-    sigma: float
+class DefectParams(NamedTuple("DefectParams", [("sigma", float)])):
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so that _replace validates too
 
-    def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValueError(f"defect parameter must be positive, got {self.sigma}")
+    def __new__(cls, sigma: float):
+        if not 0 < sigma < math.inf:
+            raise ValueError(f"defect parameter sigma must be positive and finite, got {sigma}")
+        return super().__new__(cls, sigma)
 
 
-@dataclass(frozen=True)
-class DefectPair:
+class DefectPair(NamedTuple):
     left: FieldEvaluator
     right: FieldEvaluator
     params: ModelParams
@@ -189,8 +189,7 @@ def defect_monodromy_S(pair: DefectPair, t: float, sp: SpectralPoint, half_width
     return inv2(plus) @ defect_matrix_L_hat(pair, t, sp) @ minus
 
 
-@dataclass(frozen=True)
-class SplittingReport:
+class SplittingReport(NamedTuple):
     direct: tuple[complex, complex]
     half_line_plus: tuple[complex, complex]
     half_line_minus: tuple[complex, complex]
@@ -301,10 +300,10 @@ def c_function(sp: SpectralPoint, defect: DefectParams, parities: tuple[int, int
     raise ValueError(f"unknown C form {form!r}")
 
 
-@dataclass
 class GeneratingRelationReport:
-    parities: tuple[int, int]
-    rows: list = dc_field(default_factory=list)
+    def __init__(self, parities: tuple[int, int], rows: list | None = None):
+        self.parities = parities
+        self.rows = [] if rows is None else rows
 
     @property
     def max_gap(self) -> dict:
@@ -354,8 +353,7 @@ def generating_relation_check(
     return report
 
 
-@dataclass(frozen=True)
-class HamShiftReport:
+class HamShiftReport(NamedTuple):
     lhs: float
     rhs_ratio: float
     rhs_product: float

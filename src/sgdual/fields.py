@@ -22,8 +22,8 @@ and ``Line`` is the one place that knows which coordinate runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,22 +53,21 @@ class NonDecayingFieldError(ValueError):
     """Raised when the field at a line's end is not close to any vacuum value."""
 
 
-@dataclass(frozen=True)
-class ModelParams:
-    """Mass parameter m > 0 and coupling beta != 0."""
+class ModelParams(NamedTuple("ModelParams", [("m", float), ("beta", float)])):
+    """Mass parameter m > 0 and coupling beta != 0, both finite."""
 
-    m: float
-    beta: float
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so that _replace validates too
 
-    def __post_init__(self):
-        if not self.m > 0:
-            raise ValueError(f"mass parameter must be positive, got {self.m}")
-        if self.beta == 0:
-            raise ValueError("coupling beta must be nonzero")
+    def __new__(cls, m: float, beta: float):
+        if not 0 < m < math.inf:
+            raise ValueError(f"mass parameter m must be positive and finite, got {m}")
+        if beta == 0 or not math.isfinite(beta):
+            raise ValueError(f"coupling beta must be nonzero and finite, got {beta}")
+        return super().__new__(cls, m, beta)
 
 
-@dataclass(frozen=True)
-class FieldSample:
+class FieldSample(NamedTuple):
     """Field value and first derivatives at one spacetime point.
 
     ``pi`` and ``Pi`` are the on-shell conjugate momenta of the two Legendre
@@ -88,20 +87,16 @@ class FieldSample:
         return -self.phi_x
 
 
-@dataclass(frozen=True)
-class GridWindow:
-    x_min: float
-    x_max: float
-    t_min: float
-    t_max: float
-    nx: int
-    nt: int
+class GridWindow(NamedTuple("GridWindow", [("x_min", float), ("x_max", float), ("t_min", float), ("t_max", float), ("nx", int), ("nt", int)])):
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so that _replace validates too
 
-    def __post_init__(self):
-        if not (self.x_min < self.x_max and self.t_min < self.t_max):
+    def __new__(cls, x_min: float, x_max: float, t_min: float, t_max: float, nx: int, nt: int):
+        if not (x_min < x_max and t_min < t_max):
             raise ValueError("window bounds must be increasing")
-        if self.nx < 2 or self.nt < 2:
+        if nx < 2 or nt < 2:
             raise ValueError("window needs at least two points per axis")
+        return super().__new__(cls, x_min, x_max, t_min, t_max, nx, nt)
 
     def xs(self) -> np.ndarray:
         return np.linspace(self.x_min, self.x_max, self.nx)
@@ -110,8 +105,7 @@ class GridWindow:
         return np.linspace(self.t_min, self.t_max, self.nt)
 
 
-@dataclass(frozen=True)
-class QuadResult:
+class QuadResult(NamedTuple):
     """Quadrature value plus tail metadata for truncation accounting."""
 
     value: float

@@ -30,7 +30,7 @@ is a test, not the construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,8 +53,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SpectralPoint:
+class SpectralPoint(NamedTuple):
     """Spectral parameter with cached k0, k1 (and the mass that set them)."""
 
     lam: complex

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 __all__ = ["CaseResult", "Report"]
 
@@ -15,8 +15,7 @@ def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
 
-@dataclass(frozen=True)
-class CaseResult:
+class CaseResult(NamedTuple):
     case: str
     inputs: str
     lhs: float
@@ -40,12 +39,12 @@ class CaseResult:
         ]
 
 
-@dataclass
 class Report:
-    suite: str
-    cases: list = dc_field(default_factory=list)
-    timing: float = 0.0
-    metadata: dict = dc_field(default_factory=dict)
+    def __init__(self, suite: str, cases: list | None = None, timing: float = 0.0, metadata: dict | None = None):
+        self.suite = suite
+        self.cases = [] if cases is None else cases
+        self.timing = timing
+        self.metadata = {} if metadata is None else metadata
 
     def add(self, case, inputs, lhs, rhs, gap, tolerance) -> CaseResult:
         result = CaseResult(case, json.dumps(inputs, sort_keys=True), float(lhs), float(rhs), float(gap), float(tolerance))

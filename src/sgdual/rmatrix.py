@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,8 +54,7 @@ _SWAP = tensor(SIGMA1, SIGMA1) + tensor(SIGMA2, SIGMA2)
 _ULTRALOCAL_SPACING = 0.1  # lattice spacing of ultralocal_check
 
 
-@dataclass(frozen=True)
-class RMatrixValue:
+class RMatrixValue(NamedTuple):
     lam: complex
     mu: complex
     f: complex
@@ -171,12 +170,14 @@ def _transfer_scans(sample: FieldSample, sp, params: ModelParams, delta):
 def _site_products(sample: FieldSample, sp, params: ModelParams, delta):
     """Per-site V, and the transfer products below each site, above it and in total."""
     v, upto, down_to = _transfer_scans(sample, sp, params, delta)
-    # as C-ordered (n, 2, 2) stacks: the products and sums downstream follow the memory layout
-    upto = np.ascontiguousarray(np.moveaxis(upto, -1, 0))
-    down_to = np.ascontiguousarray(np.moveaxis(down_to, -1, 0))
-    prefix = np.concatenate([ID2[None], upto[:-1]])  # product of steps below site i
-    suffix = np.concatenate([down_to[1:], ID2[None]])  # product of steps above site i
-    return v, prefix, suffix, upto[-1]
+    # written into C-ordered (n, 2, 2) stacks: the products and sums downstream follow the memory layout
+    prefix = np.empty((v.shape[0], 2, 2), dtype=upto.dtype)  # product of steps below site i
+    prefix[0] = ID2
+    prefix[1:] = np.moveaxis(upto[..., :-1], -1, 0)
+    suffix = np.empty_like(prefix)  # product of steps above site i
+    suffix[:-1] = np.moveaxis(down_to[..., 1:], -1, 0)
+    suffix[-1] = ID2
+    return v, prefix, suffix, upto[..., -1].copy()  # a copy, so that the returned total does not keep the scan alive
 
 
 def _time_lattice(field: FieldEvaluator, x: float, interval: tuple[float, float], n_sites: int):
@@ -186,8 +187,7 @@ def _time_lattice(field: FieldEvaluator, x: float, interval: tuple[float, float]
     return delta, Line(field, "time", x).at(a + (np.arange(n_sites) + 0.5) * delta)
 
 
-@dataclass(frozen=True)
-class BracketReport:
+class BracketReport(NamedTuple):
     gap: float
     lhs_norm: float
     rhs_norm: float

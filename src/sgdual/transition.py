@@ -98,7 +98,7 @@ from __future__ import annotations
 import cmath
 import math
 import weakref
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -131,15 +131,13 @@ _SLOT_CAP = 512  # meshes of at most this many steps keep their Magnus combinati
 _slot = None  # the _LineWork of the last line walked
 
 
-@dataclass(frozen=True)
-class TransitionResult:
+class TransitionResult(NamedTuple):
     matrix: np.ndarray
     step_count: int
     step_range: tuple[float, float]  # smallest and largest |h| of the mesh
 
 
-@dataclass(frozen=True)
-class Monodromy:
+class Monodromy(NamedTuple):
     matrix: np.ndarray
     tail_deviation: float
     truncated: bool
@@ -166,15 +164,15 @@ def default_nsteps(half_width: float, sp: SpectralPoint, density: float = STEP_D
     return max(64, int(math.ceil(count)))
 
 
-@dataclass(eq=False)
 class _LineWork:
     """The lambda-free work on a line: monitor points, phi at both ends, the cumulative monitor integral and Magnus combinations."""
 
-    key: tuple  # (weak field, picture, fixed, start, stop)
-    probe: np.ndarray  # from start to stop at spacing at most 1/(m gamma); the ends are start and stop exactly
-    ends: tuple[float, float]  # phi at probe[0] and probe[-1]
-    cum: np.ndarray | None  # cumulative trapezoid integral of the weight over probe; None on a vacuum
-    combos: tuple | None = None  # (count, h, _combinations block) of the last mesh of at most _SLOT_CAP steps
+    def __init__(self, key: tuple, probe: np.ndarray, ends: tuple[float, float], cum: np.ndarray | None, combos: tuple | None = None):
+        self.key = key  # (weak field, picture, fixed, start, stop)
+        self.probe = probe  # from start to stop at spacing at most 1/(m gamma); the ends are start and stop exactly
+        self.ends = ends  # phi at probe[0] and probe[-1]
+        self.cum = cum  # cumulative trapezoid integral of the weight over probe; None on a vacuum
+        self.combos = combos  # (count, h, _combinations block) of the last mesh of at most _SLOT_CAP steps
 
 
 def _line_work(line, start, stop):

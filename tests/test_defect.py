@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,9 @@ def vacuum_pair():
 def test_defect_params_gate():
     with pytest.raises(ValueError):
         DefectParams(-1.0)
+    for sigma in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=r"\bsigma\b"):
+            DefectParams(sigma)
 
 
 def test_bt_pair_velocities_and_residuals():

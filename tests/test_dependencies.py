@@ -35,13 +35,17 @@ def test_non_stdlib_imports_are_the_declared_runtime_dependencies():
 
 
 def test_import_and_a_kink_run_leave_scipy_unloaded(tmp_path):
+    modules = sorted(path.stem for path in (ROOT / "src" / "sgdual").glob("*.py") if path.stem != "__init__")
     code = (
-        "import sys, sgdual\n"
+        "import importlib, sys, sgdual\n"
         "assert 'scipy' not in sys.modules, 'import sgdual'\n"
+        f"for name in {modules!r}: importlib.import_module('sgdual.' + name)\n"
+        "assert 'dataclasses' not in sys.modules, 'import of every sgdual module'\n"
         "from sgdual import cli\n"
         f"assert cli.run({str(ROOT / 'demos' / 'scenario_kink.json')!r}, {str(tmp_path)!r}) == 0\n"
         "assert 'scipy' not in sys.modules, 'cli.run'\n"
         "assert 'multiprocessing' not in sys.modules, 'cli.run with one job'\n"
+        "assert 'dataclasses' not in sys.modules, 'cli.run'\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)

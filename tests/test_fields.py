@@ -33,6 +33,10 @@ def test_params_validation():
         ModelParams(m=-1.0, beta=1.0)
     with pytest.raises(ValueError):
         ModelParams(m=1.0, beta=0.0)
+    # non-finite values are refused at construction, with the parameter named
+    for m, beta, name in [(math.inf, 1.0, "m"), (math.nan, 1.0, "m"), (1.0, math.nan, "beta"), (1.0, math.inf, "beta"), (1.0, -math.inf, "beta")]:
+        with pytest.raises(ValueError, match=rf"\b{name}\b"):
+            ModelParams(m, beta)
 
 
 def test_vacuum_is_zero_everywhere():
