@@ -92,6 +92,9 @@ class GridWindow(NamedTuple("GridWindow", [("x_min", float), ("x_max", float), (
     _make = classmethod(lambda cls, values: cls(*values))  # so that _replace validates too
 
     def __new__(cls, x_min: float, x_max: float, t_min: float, t_max: float, nx: int, nt: int):
+        for name, bound in (("x_min", x_min), ("x_max", x_max), ("t_min", t_min), ("t_max", t_max)):
+            if not math.isfinite(bound):
+                raise ValueError(f"window bound {name} must be finite, got {bound}")
         if not (x_min < x_max and t_min < t_max):
             raise ValueError("window bounds must be increasing")
         if nx < 2 or nt < 2:

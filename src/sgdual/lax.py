@@ -70,6 +70,12 @@ def spectral(lam: complex, params: ModelParams) -> SpectralPoint:
     return SpectralPoint(lam, m, (m / 4.0) * (lam + 1.0 / lam), (m / 4.0) * (lam - 1.0 / lam))
 
 
+def _check_real(sp: SpectralPoint, what: str) -> None:
+    """Refuse a non-real lambda: U, V and their gauged forms lie in su(2), where matcore.expm_su2 steps them, only at real lambda."""
+    if sp.lam.imag != 0.0:
+        raise ValueError(f"{what} takes real lambda only, not lambda = {sp.lam:g}")
+
+
 def lax_matrix(picture: str, sample: FieldSample, sp: SpectralPoint, params: ModelParams) -> np.ndarray:
     """U (space picture) or V (time picture) from a field sample; traceless."""
     beta = params.beta

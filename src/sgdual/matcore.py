@@ -10,13 +10,12 @@ are held entrywise instead: a batch of n matrices is one complex array of
 shape ``(2, 2, n)``, with ``e[i, j]`` the contiguous row of (i, j) entries.
 On that layout the kernel multiplies two batches (``_mul``), exponentiates
 in closed form and forms ordered products by a log-depth scan (``scan``),
-many times faster than ``np.matmul`` on ``(n, 2, 2)`` stacks.  There are two
-exponentials.  ``expm_su2`` takes the real coordinates u of an su(2)
+many times faster than ``np.matmul`` on ``(n, 2, 2)`` stacks.  There is one
+exponential, ``expm_su2``.  It takes the real coordinates u of an su(2)
 exponent ``[[i u0, u1 + i u2], [-u1 + i u2, -i u0]]`` (traceless and
-anti-Hermitian, the Magnus exponent of every propagation at real lambda)
-and returns cos|u| + sinc|u| X, unitary with determinant 1 to roundoff.
-``expm_sl2`` takes general traceless complex exponents ``[[x0, x1], [x2,
--x0]]`` and serves only the lattice transfer factors of ``rmatrix``.  A
+anti-Hermitian: at real lambda, the Magnus exponent of every propagation
+step and the exponent delta V of every ``rmatrix`` lattice site factor) and
+returns cos|u| + sinc|u| X, unitary with determinant 1 to roundoff.  A
 batch product costs two broadcast multiplications and one addition however
 long the batch, so each level of a product tree or scan is O(1) numpy
 calls; ``np.moveaxis(e, -1, 0)`` views a batch as an ``(n, 2, 2)`` stack.
@@ -38,7 +37,6 @@ __all__ = [
     "comm",
     "det2",
     "inv2",
-    "expm_sl2",
     "expm_su2",
     "scan",
     "frob",
@@ -50,8 +48,8 @@ SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 ID2 = np.eye(2, dtype=complex)
 ID4 = np.eye(4, dtype=complex)
 
-# Series fallback for the closed-form exponentials; below this the
-# sinh(mu)/mu and sin(theta)/theta quotients are taken from their series.
+# Series fallback for the closed-form exponential; below this the
+# sin(theta)/theta quotient is taken from its series.
 _MU_SMALL = 1e-6
 
 
@@ -105,39 +103,6 @@ def _mul(a, b):
     """Batch product a @ b of two (2, 2, n) batches; a length-1 batch broadcasts."""
     out = a[:, :1] * b[:1]  # out[i, j] = a[i, 0] b[0, j]
     out += a[:, 1:] * b[1:]  # + a[i, 1] b[1, j]
-    return out
-
-
-def expm_sl2(x0, x1, x2) -> np.ndarray:
-    """exp([[x0, x1], [x2, -x0]]) for arrays x0, x1, x2 of one shape s, as a (2, 2) + s array.
-
-    exp(X) = cosh(mu) 1 + sinh(mu)/mu X with mu^2 = x0^2 + x1 x2 = -det X.
-    Where |mu| < 1e-6 the cosh/sinhc factors are evaluated by series to avoid
-    cancellation; the series are only formed when some entry needs them.
-    The exponent is traceless, so det exp(X) = 1 to roundoff.
-    Raises FloatingPointError on non-finite exponents; overflow of a finite
-    exponent surfaces as non-finite output, which callers gate on.
-    """
-    x0, x1, x2 = (np.asarray(x, dtype=complex) for x in (x0, x1, x2))
-    if not (np.isfinite(x0).all() and np.isfinite(x1).all() and np.isfinite(x2).all()):
-        raise FloatingPointError("matrix exponential received non-finite entries")
-    mu2 = x0 * x0 + x1 * x2
-    mu = np.sqrt(mu2)
-    small = np.abs(mu) < _MU_SMALL
-    out = np.empty((2, 2) + x0.shape, dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        cosh_mu = np.cosh(mu)
-        sinhc_mu = np.sinh(mu)
-        if small.any():
-            cosh_mu = np.where(small, 1.0 + mu2 / 2.0 + mu2 * mu2 / 24.0, cosh_mu)
-            sinhc_mu = np.where(small, 1.0 + mu2 / 6.0 + mu2 * mu2 / 120.0, sinhc_mu / np.where(small, 1.0, mu))
-        else:
-            sinhc_mu /= mu
-        diag = sinhc_mu * x0
-        np.add(cosh_mu, diag, out=out[0, 0, ...])
-        np.multiply(sinhc_mu, x1, out=out[0, 1, ...])
-        np.multiply(sinhc_mu, x2, out=out[1, 0, ...])
-        np.subtract(cosh_mu, diag, out=out[1, 1, ...])
     return out
 
 

@@ -20,6 +20,11 @@ collapses r to a difference kernel; the prefactor consistent with the
 rational form is 2 i gamma / sin(a - b) on the inner block (note the inner
 entries are then 2f and 2g, since the projector 1x1 - s3xs3 carries a 2).
 
+The lattice checks multiply site factors exp(delta V).  At real lambda
+delta V is traceless and anti-Hermitian, so each factor is an su(2)
+exponential (matcore.expm_su2), unitary with determinant 1 to roundoff; like
+propagation, they take real lambda only.
+
 Bracket functionals are assembled with analytic derivatives of the Lax
 entries with respect to the canonical pair at each site -- never by
 finite-differencing a functional -- and lattice sums reduce in a fixed
@@ -35,8 +40,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .fields import FieldEvaluator, FieldSample, Line, ModelParams, topological_charges
-from .lax import SpectralPoint, ce_charged, lax_matrix
-from .matcore import ID2, ID4, SIGMA1, SIGMA2, SIGMA3, expm_sl2, inv2, scan, tensor
+from .lax import SpectralPoint, _check_real, ce_charged, lax_matrix
+from .matcore import ID2, ID4, SIGMA1, SIGMA2, SIGMA3, expm_su2, inv2, scan, tensor
 
 __all__ = [
     "RMatrixValue",
@@ -161,9 +166,13 @@ def _transfer_scans(sample: FieldSample, sp, params: ModelParams, delta):
 
     v is an (n, 2, 2) stack; upto[..., i] = steps[i] @ ... @ steps[0] and
     down_to[..., i] = steps[n-1] @ ... @ steps[i] are (2, 2, n) batches.
+    At real lambda delta V is traceless and anti-Hermitian, so each factor is
+    matcore.expm_su2 of u = (Im delta V00, Re delta V01, Im delta V01); a
+    non-real lambda raises ValueError.
     """
+    _check_real(sp, "the lattice checks")
     v = lax_matrix("time", sample, sp, params)
-    steps = expm_sl2(delta * v[:, 0, 0], delta * v[:, 0, 1], delta * v[:, 1, 0])
+    steps = expm_su2(delta * np.array([v[:, 0, 0].imag, v[:, 0, 1].real, v[:, 0, 1].imag]))  # a temporary u, not held during the scans
     return v, scan(steps), scan(steps, reverse=True)
 
 

@@ -103,7 +103,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fields import FieldEvaluator, Line
-from .lax import SpectralPoint, hat_nodes, hat_zeta
+from .lax import SpectralPoint, _check_real, hat_nodes, hat_zeta
 from .matcore import _mul, expm_su2, frob, scan
 
 __all__ = [
@@ -202,12 +202,6 @@ def _line_work(line, start, stop):
     return work
 
 
-def _check_real(sp):
-    """Refuse a non-real lambda: propagation steps in su(2), which holds the generator only at real lambda."""
-    if sp.lam.imag != 0.0:
-        raise ValueError(f"propagation takes real lambda only, not lambda = {sp.lam:g}")
-
-
 def _mesh(line, start, stop, sp, nsteps=None, graded=True):
     """(nsteps, steps, work): the step count, a map steps(first, last) to the bases and sizes of steps first..last-1, and the _LineWork or None.
 
@@ -217,7 +211,7 @@ def _mesh(line, start, stop, sp, nsteps=None, graded=True):
     (dev = 0), or with graded=False, the mesh is uniform and the size is one
     scalar h; work is None when graded=False or the interval is empty.
     """
-    _check_real(sp)
+    _check_real(sp, "propagation")
     if nsteps is not None and nsteps < 1:
         raise ValueError("nsteps must be >= 1")
     work = _line_work(line, start, stop) if graded and stop != start else None
@@ -383,7 +377,7 @@ def monodromy(
     probe, before any step; a softer miss (beyond 1e-8 but identifiable) only
     flags the result as truncated.
     """
-    _check_real(sp)
+    _check_real(sp, "propagation")
     line = Line(field, picture, fixed)
     work = _line_work(line, -half_width, half_width)
     dev = max(line.vacuum(work.probe[k], work.ends[k])[1] for k in (0, -1))

@@ -1,6 +1,7 @@
 """The package imports only the standard library and its declared runtime dependencies."""
 
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -50,3 +51,10 @@ def test_import_and_a_kink_run_leave_scipy_unloaded(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+@pytest.mark.parametrize("name", sorted(path.stem for path in (ROOT / "src" / "sgdual").glob("*.py")))
+def test_every_exported_name_resolves(name):
+    # a name left in __all__ after its definition is deleted breaks `from module import *`
+    module = importlib.import_module("sgdual" if name == "__init__" else f"sgdual.{name}")
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []

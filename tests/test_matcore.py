@@ -10,7 +10,6 @@ from sgdual.matcore import (
     _mul,
     comm,
     det2,
-    expm_sl2,
     expm_su2,
     frob,
     inv2,
@@ -21,14 +20,9 @@ from sgdual.transition import _CHUNK
 
 SCAN_LENGTHS = [1, 2, 3, 7, _CHUNK - 1, _CHUNK, _CHUNK + 1]
 
-def random_mat2(n=1, traceless=False, seed=20260808):
+def random_mat2(n=1, seed=20260808):
     rng = np.random.default_rng(seed)
-    a = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
-    if traceless:
-        tr = 0.5 * (a[:, 0, 0] + a[:, 1, 1])
-        a[:, 0, 0] -= tr
-        a[:, 1, 1] -= tr
-    return a
+    return rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
 
 
 def test_pauli_algebra():
@@ -98,109 +92,61 @@ def stacked(e):
     return np.moveaxis(e, (0, 1), (-2, -1))
 
 
-def expm_traceless(a):
-    """The entrywise kernel on (..., 2, 2) traceless input, stacked back."""
-    return stacked(expm_sl2(a[..., 0, 0], a[..., 0, 1], a[..., 1, 0]))
-
-
-# exponentials of single (2, 2) matrices, 0-d entries through the kernel;
-# the expm_sl2 tests below take batches
-
-
-def test_expm_diagonal_phase():
-    got = expm_traceless(0.5j * np.pi * SIGMA3)
-    assert np.allclose(got, np.diag([1j, -1j]), atol=1e-14)
-
-
-def test_expm_zero():
-    assert np.allclose(expm_traceless(np.zeros((2, 2))), ID2)
-
-
-def test_expm_det_one_for_traceless():
-    dets = [det2(expm_traceless(a)) for a in random_mat2(50, traceless=True)]
-    assert np.max(np.abs(np.asarray(dets) - 1.0)) < 1e-12
-
-
-def test_expm_against_squared_taylor_oracle():
-    for a in random_mat2(10, traceless=True):
-        assert frob(expm_traceless(a) - expm_oracle(a)) < 1e-12 * max(1.0, frob(expm_oracle(a)))
-
-
-def test_expm_small_mu_branch():
-    # near-nilpotent exponent with a diagonal part exercises the series fallback
-    a = np.array([[1e-8, 2e-8], [0.0, -1e-8]], dtype=complex)
-    oracle = np.eye(2) + a + a @ a / 2.0
-    assert frob(expm_traceless(a) - oracle) < 1e-15
-
-
-def test_expm_rejects_nonfinite():
-    bad = np.array([[np.inf, 0.0], [0.0, -np.inf]], dtype=complex)
-    with pytest.raises(FloatingPointError):
-        expm_traceless(bad)
-
-
-def test_expm_batched_matches_loop():
-    mats = random_mat2(7, traceless=True)
-    batch = expm_traceless(mats)
-    for k in range(7):
-        assert np.allclose(batch[k], expm_traceless(mats[k]))
-
-
-def test_expm_sl2_against_squared_taylor_oracle():
-    mats = random_mat2(10, traceless=True)
-    got = expm_traceless(mats)
-    for k, a in enumerate(mats):
-        assert frob(got[k] - expm_oracle(a)) < 1e-12 * max(1.0, frob(expm_oracle(a)))
-
-
-def test_expm_sl2_small_mu_branch():
-    a = np.array([[0.0, 1e-8], [1e-8, 0.0]], dtype=complex)
-    oracle = np.eye(2) + a + a @ a / 2.0
-    assert frob(expm_traceless(a) - oracle) < 1e-15
-
-
-def test_expm_sl2_mixed_batch_matches_single_matrices():
-    # the series branch is formed only when some |mu| is small; a batch that mixes both branches
-    # must give each matrix the bits it gets alone
-    mats = random_mat2(6, traceless=True)
-    mats[2] = [[1e-8, 2e-8], [0.0, -1e-8]]
-    mats[4] = 0.0
-    got = expm_traceless(mats)
-    for k in range(6):
-        assert np.array_equal(got[k], expm_traceless(mats[k]))
-
-
-def test_expm_sl2_det_one():
-    dets = det2(expm_traceless(random_mat2(50, traceless=True)))
-    assert np.max(np.abs(dets - 1.0)) < 1e-12
-
-
-def test_expm_sl2_rejects_nonfinite_exponent():
-    finite = np.zeros(3, dtype=complex)
-    for bad in (np.inf, np.nan):
-        poisoned = finite.copy()
-        poisoned[1] = bad
-        for args in ((poisoned, finite, finite), (finite, poisoned, finite), (finite, finite, poisoned)):
-            with pytest.raises(FloatingPointError):
-                expm_sl2(*args)
-
-
 def su2_matrices(u):
     """[[i u0, u1 + i u2], [-u1 + i u2, -i u0]] for each column of a real (3, n) array, as an (n, 2, 2) stack."""
     d, a01 = 1j * u[0], u[1] + 1j * u[2]
     return stacked(np.array([[d, a01], [-np.conj(a01), -d]]))
 
 
-def test_expm_su2_equals_expm_sl2_and_stays_unitary():
+def random_su2(n, seed):
+    """Real su(2) coordinates u, a (3, n) array."""
+    return np.random.default_rng(seed).normal(size=(3, n))
+
+
+def assert_matches_oracle(got, mats, rtol):
+    for k, a in enumerate(mats):
+        want = expm_oracle(a)
+        assert frob(got[k] - want) < rtol * max(1.0, frob(want))
+
+
+def test_expm_diagonal_phase():
+    u = np.array([[0.5 * np.pi], [0.0], [0.0]])  # exponent (i pi/2) s3
+    got = stacked(expm_su2(u.copy()))
+    assert np.allclose(got[0], np.diag([1j, -1j]), atol=1e-14)
+    assert_matches_oracle(got, su2_matrices(u), 1e-12)
+
+
+def test_expm_zero():
+    assert np.array_equal(stacked(expm_su2(np.zeros((3, 1))))[0], ID2)
+
+
+def test_expm_batched_matches_loop():
+    u = random_su2(7, seed=3)
+    got = stacked(expm_su2(u.copy()))
+    for k in range(7):
+        assert np.allclose(got[k], stacked(expm_su2(u[:, k : k + 1].copy()))[0])
+    assert_matches_oracle(got, su2_matrices(u), 1e-12)
+
+
+def test_expm_su2_mixed_batch_matches_single_matrices():
+    # the series branch is formed only when some theta is small; a batch that mixes both branches
+    # must give each matrix the bits it gets alone
+    u = random_su2(6, seed=4)
+    u[:, 2] = [1e-8, 2e-8, -1e-8]
+    u[:, 4] = 0.0
+    got = expm_su2(u.copy())
+    for k in range(6):
+        assert np.array_equal(got[..., k : k + 1], expm_su2(u[:, k : k + 1].copy()))
+    assert_matches_oracle(stacked(got), su2_matrices(u), 1e-12)
+
+
+def test_expm_su2_matches_the_oracle_and_stays_unitary():
     rng = np.random.default_rng(7)
     u = rng.normal(size=(3, 40)) * np.geomspace(1e-9, 10.0, 40)  # both sides of the series threshold
     u[:, 0] = 0.0
-    mats = su2_matrices(u)
     got = stacked(expm_su2(u.copy()))
-    assert np.max(np.abs(got - expm_traceless(mats))) < 1e-14
     assert np.array_equal(got[0], ID2)
-    for k in (5, 20, 39):
-        assert frob(got[k] - expm_oracle(mats[k])) < 1e-13 * max(1.0, frob(expm_oracle(mats[k])))
+    assert_matches_oracle(got, su2_matrices(u), 1e-12)
     assert np.max(np.abs(det2(got) - 1.0)) < 1e-15
     assert np.max(np.abs(np.conj(np.swapaxes(got, -1, -2)) @ got - ID2)) < 1e-15
 
@@ -231,10 +177,7 @@ def test_entrywise_product_matches_matmul():
 
 def unitary_steps(n, seed):
     # exponentials of random su(2) elements: the products stay well conditioned
-    rng = np.random.default_rng(seed)
-    x0 = 1j * rng.normal(size=n)
-    x1 = rng.normal(size=n) + 1j * rng.normal(size=n)
-    return stacked(expm_sl2(x0, x1, -np.conj(x1)))
+    return stacked(expm_su2(random_su2(n, seed)))
 
 
 def assert_close_rel(got, ref, rtol):

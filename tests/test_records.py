@@ -57,6 +57,9 @@ def test_records_refuse_assignment(record):
         lambda: GridWindow(1.0, -1.0, -1.0, 1.0, 3, 3),
         lambda: GridWindow(-1.0, 1.0, 1.0, 1.0, 3, 3),
         lambda: GridWindow(-1.0, 1.0, -1.0, 1.0, 1, 3),
+        lambda: GridWindow(-math.inf, math.inf, -1.0, 1.0, 5, 5),
+        lambda: GridWindow(-1.0, 1.0, -1.0, math.inf, 3, 3),
+        lambda: GridWindow(-1.0, 1.0, -math.inf, 1.0, 3, 3),
     ],
 )
 def test_validated_records_keep_their_value_errors(make):

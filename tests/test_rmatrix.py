@@ -3,8 +3,9 @@ import pytest
 
 from sgdual.fields import FieldSample, KinkField, Line, ModelParams, make_kink, make_vacuum, topological_charges
 from sgdual.lax import build_V, ce_charged, spectral
-from sgdual.matcore import ID2, expm_sl2, inv2
+from sgdual.matcore import ID2, det2, expm_su2, inv2
 from sgdual.defect import DefectParams, bt_kink_from_vacuum
+from sgdual import rmatrix
 from sgdual.rmatrix import (
     BracketReport,
     _site_products,
@@ -16,6 +17,8 @@ from sgdual.rmatrix import (
     transition_bracket_check,
     ultralocal_check,
 )
+
+from oracles import expm_antihermitian
 
 P11 = ModelParams(1.0, 1.0)
 P14 = ModelParams(1.0, 4.0)
@@ -198,15 +201,26 @@ def test_lax_derivatives_over_arrays_match_per_site_calls(picture):
     assert np.array_equal(d_mom, np.array([d[1] for d in per_site]))
 
 
-def test_site_products_match_sequential_loop():
+def test_site_products_match_sequential_loop(monkeypatch):
     kink = make_kink(P11, v=0.4)
     sp = spectral(1.3, P11)
     n, delta = 101, 0.1
     t_sites = -5.0 + (np.arange(n) + 0.5) * delta
     points = Line(kink, "time", 0.2).points(t_sites)
+    made = []
+
+    def recording_expm(u):
+        made.append(expm_su2(u))
+        return made[-1]
+
+    monkeypatch.setattr(rmatrix, "expm_su2", recording_expm)
     v, prefix, suffix, total = _site_products(kink.sample(*points), sp, P11, delta)
-    gen = delta * build_V(kink, *points, sp)
-    steps = np.moveaxis(expm_sl2(gen[:, 0, 0], gen[:, 0, 1], gen[:, 1, 0]), -1, 0)
+    lattice = np.moveaxis(made[0], -1, 0)  # the (n, 2, 2) stack of site factors
+    assert len(made) == 1
+    assert np.max(np.abs(det2(lattice) - 1.0)) <= 1e-15
+    assert np.max(np.abs(np.conj(np.swapaxes(lattice, -1, -2)) @ lattice - ID2)) <= 1e-15
+    steps = expm_antihermitian(delta * build_V(kink, *points, sp))
+    assert np.max(np.abs(lattice - steps)) <= 1e-14
     acc = ID2
     for i in range(n):
         assert np.max(np.abs(prefix[i] - acc)) < 1e-13
@@ -216,6 +230,23 @@ def test_site_products_match_sequential_loop():
     for i in range(n - 1, -1, -1):
         assert np.max(np.abs(suffix[i] - acc)) < 1e-13
         acc = acc @ steps[i]
+
+
+def test_lattice_checks_refuse_non_real_lambda():
+    # the site factors exp(delta V) are su(2) elements, which delta V is only at real lambda
+    kink = make_kink(P11, v=0.4)
+    real = spectral(0.8, P11)
+    for lam in (1.3 + 0.2j, -0.8j, 2000j):
+        sp = spectral(lam, P11)
+        calls = (
+            lambda: transition_bracket_check(kink, 0.0, (-5.0, 5.0), sp, real, 400),
+            lambda: transition_bracket_check(kink, 0.0, (-5.0, 5.0), real, sp, 400),
+            lambda: involution_check(kink, 0.7, (sp, real), 400, (-20.0, 20.0)),
+            lambda: involution_check(kink, 0.7, (real, sp), 400, (-20.0, 20.0)),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="real lambda"):
+                call()
 
 
 def test_each_check_samples_the_lattice_once(monkeypatch):

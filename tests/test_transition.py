@@ -12,7 +12,7 @@ from sgdual import defect, transition
 from sgdual.cli import ScenarioConfig
 from sgdual.fields import FieldSample, KinkField, Line, ModelParams, NonDecayingFieldError, VacuumField, make_kink, make_vacuum
 from sgdual.lax import ce0, e0, hat_entries, spectral
-from sgdual.matcore import _MU_SMALL, SIGMA2, comm, det2, expm_sl2, frob, inv2
+from sgdual.matcore import _MU_SMALL, SIGMA2, comm, det2, frob, inv2
 from sgdual.suites import run_suite
 from sgdual.transition import (
     MAX_STEPS,
@@ -31,6 +31,8 @@ from sgdual.transition import (
     propagate_trajectory,
 )
 
+from oracles import expm_antihermitian
+
 P11 = ModelParams(1.0, 1.0)
 SP13 = spectral(1.3, P11)
 
@@ -43,7 +45,7 @@ def test_vacuum_propagation_is_constant_exponential():
     vac = make_vacuum(P11)
     res = propagate(vac, "space", 0.0, -10.0, 7.0, SP13, 2000)
     gen = 17.0 * u_inf(SP13)
-    assert frob(res.matrix - expm_sl2(gen[0, 0], gen[0, 1], gen[1, 0])) < 1e-10
+    assert frob(res.matrix - expm_antihermitian(gen)) < 1e-10
 
 
 def test_composition_on_kink():
@@ -576,7 +578,7 @@ def _matrix_magnus_steps(line, base, h, sp):
 
     An oracle independent of the su(2) kernel: the complex generator from
     lax.hat_entries at the Gauss nodes, commutators from matcore.comm and the
-    sl(2) exponential.
+    eigendecomposition exponential of the tests' oracles module.
     """
     d, a01, a10 = hat_entries(line.picture, line.at(base + _NODES * h), sp, line.field.params)
     g = np.moveaxis(np.array([[d, a01], [a10, -d]]), (0, 1), (-2, -1)) * np.asarray(h)[..., None, None]  # (3, n, 2, 2)
@@ -584,8 +586,7 @@ def _matrix_magnus_steps(line, base, h, sp):
     c1 = comm(a1, a2)
     c2 = -comm(a1, 2.0 * a3 + c1) / 60.0
     omega = a1 + a3 / 12.0 + comm(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
-    steps = np.moveaxis(expm_sl2(omega[:, 0, 0], omega[:, 0, 1], omega[:, 1, 0]), -1, 0)
-    return steps, np.sqrt(np.abs(-det2(omega)))
+    return expm_antihermitian(omega), np.sqrt(np.abs(-det2(omega)))
 
 
 @pytest.mark.parametrize("picture", ["space", "time"])
