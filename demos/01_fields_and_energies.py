@@ -26,7 +26,7 @@ from sgdual import (
 )
 
 params = ModelParams(m=1.0, beta=1.0)
-window = GridWindow(-40.0, 40.0, -40.0, 40.0, 16001, 16001)
+window = GridWindow(40.0, 16001)
 
 print("== equation-of-motion residual (finite differences) ==")
 kink = make_kink(params, v=0.4, x0=0.0, orientation=1)

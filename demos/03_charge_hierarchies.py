@@ -28,7 +28,7 @@ from sgdual.charges import (
 )
 
 params = ModelParams(1.0, 1.0)
-window = GridWindow(-40.0, 40.0, -40.0, 40.0, 16001, 16001)
+window = GridWindow(40.0, 16001)
 
 kink = make_kink(params, v=0.4)
 print("== space-picture ledger (kink, v = 0.4) ==")

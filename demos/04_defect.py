@@ -34,7 +34,7 @@ from sgdual.defect import (
 from sgdual.fields import FieldEvaluator
 
 params = ModelParams(1.0, 1.0)
-window = GridWindow(-40.0, 40.0, -40.0, 40.0, 16001, 16001)
+window = GridWindow(40.0, 16001)
 t_grid = np.linspace(-8.0, 8.0, 41)
 
 print("== defect pairs from the Backlund map ==")

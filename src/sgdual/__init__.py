@@ -33,7 +33,7 @@ from .fields import (
     topological_charges,
 )
 from .lax import SpectralPoint, build_U, build_V, spectral, zero_curvature_residual
-from .transition import appendix_equality_residual, jost, monodromy, propagate
+from .transition import appendix_equality_residuals, jost, monodromy, propagate
 
 __all__ = [
     "ModelParams",
@@ -52,7 +52,7 @@ __all__ = [
     "propagate",
     "monodromy",
     "jost",
-    "appendix_equality_residual",
+    "appendix_equality_residuals",
 ]
 
 __version__ = "0.1.0"

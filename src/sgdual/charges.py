@@ -52,7 +52,7 @@ from .lax import spectral
 from .transition import monodromy
 
 __all__ = [
-    "RiccatiCoefficients",
+    "riccati_residuals",
     "ChargeLedger",
     "IdentityReport",
     "LnaFitReport",
@@ -158,61 +158,37 @@ def _check_order(order: int) -> None:
         raise ValueError(f"order {order} outside the supported range 0 .. {MAX_ORDER}")
 
 
-class RiccatiCoefficients:
-    """Large-lambda off-diagonal dressing coefficients along one line of the spacetime.
+def riccati_residuals(field: FieldEvaluator, picture: str, fixed: float, order: int, lams, svals) -> list[float]:
+    """Max norm of the order-truncated series' residual in the matrix Riccati ODE, at each lambda of lams.
 
-    Coefficient 0 is i*sigma1 everywhere.  The residual needs values and first
-    derivatives up to order n_max, so the chains take top degree D = n_max + 1:
-    Gamma_n keeps degree D - n, and the jets of w and e_pm degree D - 1.
+    Along the line of the picture at fixed, over running coordinates svals.
+    Scales as lambda^-order at large lambda; the independent gate that a
+    transcription error in the recursion cannot pass.  The residual needs
+    values and first derivatives up to order, so the chains take top degree
+    D = order + 1; one jet pass and one pair of chains serve every lambda.
     """
-
-    def __init__(self, field: FieldEvaluator, picture: str, fixed: float, order: int):
-        _check_order(order)
-        self.field = field
-        self.line = Line(field, picture, fixed)
-        self.order = order
-
-    def _chains(self, svals, n_max):
-        """Jets of the q_n and p_n chains, n = 0 .. n_max, from one jet pass."""
-        w, _, ep, em, _ = _line_jets(self.line, svals, n_max)
-        sign_b = self.line.pick(-1.0, 1.0)
-        params = self.field.params
-        return (_riccati_chain(w, ep, em, -1.0, sign_b, n_max, n_max + 1, params),
-                _riccati_chain(w, em, ep, 1.0, sign_b, n_max, n_max + 1, params))
-
-    def gamma(self, n: int, svals) -> np.ndarray:
-        """Gamma_n values as (npts, 2, 2) off-diagonal matrices, for n up to the order of the coefficients."""
-        _check_order(n)
-        if n > self.order:
-            raise ValueError(f"Gamma_{n} asked of coefficients of order {self.order}")
-        svals = np.atleast_1d(np.asarray(svals, dtype=float))
-        q, p = self._chains(svals, n)
-        out = np.zeros((svals.size, 2, 2), dtype=complex)
-        out[:, 1, 0] = q[n][:, 0]
-        out[:, 0, 1] = p[n][:, 0]
-        return out
-
-    def riccati_residual(self, lam: complex, svals) -> float:
-        """Max norm of the truncated-series residual in the matrix Riccati ODE.
-
-        Scales as lambda^-order at large lambda; the independent gate that a
-        transcription error in the recursion cannot pass.
-        """
-        svals = np.atleast_1d(np.asarray(svals, dtype=float))
-        sp = spectral(lam, self.field.params)
-        q_jets, p_jets = self._chains(svals, self.order)
+    _check_order(order)
+    line = Line(field, picture, fixed)
+    svals = np.atleast_1d(np.asarray(svals, dtype=float))
+    w, _, ep, em, _ = _line_jets(line, svals, order)
+    sign_b = line.pick(-1.0, 1.0)
+    q_jets = _riccati_chain(w, ep, em, -1.0, sign_b, order, order + 1, field.params)
+    p_jets = _riccati_chain(w, em, ep, 1.0, sign_b, order, order + 1, field.params)
+    residuals = []
+    for lam in lams:
         # Gamma = [[0, p], [q, 0]] and its running derivative, summed over the orders
         q, p, q_s, p_s = (np.zeros(svals.size, dtype=complex) for _ in range(4))
-        for n in range(self.order + 1):
+        for n in range(order + 1):
             q += q_jets[n][:, 0] * lam ** (-n)
             p += p_jets[n][:, 0] * lam ** (-n)
             q_s += _jet_deriv(q_jets[n])[:, 0] * lam ** (-n)
             p_s += _jet_deriv(p_jets[n])[:, 0] * lam ** (-n)
         # off-diagonal entries of G_o + G_d Gamma - Gamma G_d - Gamma G_o Gamma; the diagonal vanishes
-        d, a01, a10 = self.line.generator_entries(svals, sp)
+        d, a01, a10 = line.generator_entries(svals, spectral(lam, field.params))
         rhs01 = a01 + d * p - p * -d - p * a10 * p
         rhs10 = a10 + -d * q - q * d - q * a01 * q
-        return float(max(np.max(np.abs(p_s - rhs01)), np.max(np.abs(q_s - rhs10))))
+        residuals.append(float(max(np.max(np.abs(p_s - rhs01)), np.max(np.abs(q_s - rhs10)))))
+    return residuals
 
 
 class ChargeLedger:
@@ -230,10 +206,6 @@ class ChargeLedger:
     def value(self, n: int) -> complex:
         return self.entries[n]
 
-    def series_large(self, lam: complex, n_terms: int) -> complex:
-        """i * sum_{n=1..n_terms} entry_n / lam^n."""
-        return 1j * sum(self.entries[n] * lam ** (-n) for n in range(1, n_terms + 1))
-
 
 def build_ledger(field, picture, fixed, order, window) -> ChargeLedger:
     """Charges n = -order .. order along one line, by quadrature of the local densities.
@@ -246,7 +218,7 @@ def build_ledger(field, picture, fixed, order, window) -> ChargeLedger:
     _check_order(order)
     m, beta = field.params.m, field.params.beta
     line = Line(field, picture, fixed)
-    svals = line.axis(window)
+    svals = window.axis()
     h = svals[1] - svals[0]
     w, w_flip, ep, em, slope = _line_jets(line, svals, order)
     sign = line.pick(1.0, -1.0)
@@ -282,8 +254,8 @@ class IdentityReport(NamedTuple):
 
     @property
     def relative_gap(self) -> float:
-        scale = max(abs(self.lhs), abs(self.rhs), 1e-30)
-        return self.gap / scale
+        """The gap relative to the larger side, or absolute when both sides are below 1."""
+        return self.gap / max(abs(self.lhs), abs(self.rhs), 1.0)
 
 
 def energy_identity(field, fixed, window, ledger: ChargeLedger) -> IdentityReport:
@@ -355,7 +327,8 @@ def lna_asymptotic_fit(
     if lambdas[0] < 10.0 or lambdas[-1] > 100.0:
         raise ValueError("fit window is the real ray between 10 and 100")
     log_mono = _log_monodromy(field, picture, fixed, lambdas, half_width)
-    series = np.asarray([ledger.series_large(lam, _LNA_TERMS) for lam in lambdas])
+    # the series i * sum_{n=1..3} entry_n / lambda^n
+    series = np.asarray([1j * sum(ledger.entries[n] * lam ** (-n) for n in range(1, _LNA_TERMS + 1)) for lam in lambdas])
     remainders = np.abs(log_mono - series)
     mask = remainders > 0
     slope = float(-np.polyfit(np.log10(lambdas[mask]), np.log10(remainders[mask]), 1)[0])

@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .fields import ModelParams
-from .suites import DEFAULT_TOLERANCES, SUITES, lambda_label, run_suite, suite_descriptions
+from .suites import DEFAULT_TOLERANCES, DESCRIPTIONS, SUITES, lambda_label, run_suite
 
 __all__ = ["ScenarioConfig", "ConfigError", "main", "run"]
 
@@ -229,7 +229,7 @@ def run(config_path, out_dir, fmt: str = "csv", jobs: int = 1) -> int:
 def list_suites() -> str:
     lines = []
     for name in sorted(SUITES):
-        lines.append(f"{name:24s} {suite_descriptions()[name]}")
+        lines.append(f"{name:24s} {DESCRIPTIONS[name]}")
     return "\n".join(lines)
 
 

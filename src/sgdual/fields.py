@@ -22,6 +22,7 @@ and ``Line`` is the one place that knows which coordinate runs.
 from __future__ import annotations
 
 import math
+import numbers
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -87,25 +88,21 @@ class FieldSample(NamedTuple):
         return -self.phi_x
 
 
-class GridWindow(NamedTuple("GridWindow", [("x_min", float), ("x_max", float), ("t_min", float), ("t_max", float), ("nx", int), ("nt", int)])):
+class GridWindow(NamedTuple("GridWindow", [("half_span", float), ("count", int)])):
+    """A line's quadrature grid: count uniform points on [-half_span, half_span], whichever coordinate runs."""
+
     __slots__ = ()
     _make = classmethod(lambda cls, values: cls(*values))  # so that _replace validates too
 
-    def __new__(cls, x_min: float, x_max: float, t_min: float, t_max: float, nx: int, nt: int):
-        for name, bound in (("x_min", x_min), ("x_max", x_max), ("t_min", t_min), ("t_max", t_max)):
-            if not math.isfinite(bound):
-                raise ValueError(f"window bound {name} must be finite, got {bound}")
-        if not (x_min < x_max and t_min < t_max):
-            raise ValueError("window bounds must be increasing")
-        if nx < 2 or nt < 2:
-            raise ValueError("window needs at least two points per axis")
-        return super().__new__(cls, x_min, x_max, t_min, t_max, nx, nt)
+    def __new__(cls, half_span: float, count: int):
+        if not 0 < half_span < math.inf:
+            raise ValueError(f"window half-span must be positive and finite, got {half_span}")
+        if not isinstance(count, numbers.Integral) or count < 3 or count % 2 == 0:
+            raise ValueError(f"window count must be an odd integer of at least 3 (Simpson rule), got {count!r}")
+        return super().__new__(cls, half_span, count)
 
-    def xs(self) -> np.ndarray:
-        return np.linspace(self.x_min, self.x_max, self.nx)
-
-    def ts(self) -> np.ndarray:
-        return np.linspace(self.t_min, self.t_max, self.nt)
+    def axis(self) -> np.ndarray:
+        return np.linspace(-self.half_span, self.half_span, self.count)
 
 
 class QuadResult(NamedTuple):
@@ -238,10 +235,10 @@ class Line:
     """One line of spacetime: the x axis at fixed t (space) or the t axis at fixed x (time).
 
     The only place that maps a running coordinate s to (x, t) and a
-    (running, cross) derivative order to (dx, dt).  It also picks the window
-    axis, the gauged generator U_hat / V_hat and the plane-wave normaliser
-    E0 / cE0 of its picture.  ``at`` is the one sampler of a line.  A line
-    holds no samples: every call evaluates the field afresh.
+    (running, cross) derivative order to (dx, dt).  It also picks the gauged
+    generator U_hat / V_hat and the plane-wave normaliser E0 / cE0 of its
+    picture.  ``at`` is the one sampler of a line.  A line holds no samples:
+    every call evaluates the field afresh.
     """
 
     def __init__(self, field: FieldEvaluator, picture: str, fixed: float):
@@ -274,10 +271,6 @@ class Line:
     def partial(self, s, run: int, cross: int = 0):
         """Partial of phi of order run along the line and cross across it."""
         return self.field.derivative(*self.points(s), *self.pick((run, cross), (cross, run)))
-
-    def axis(self, window: GridWindow) -> np.ndarray:
-        """The window's running grid: xs (space) or ts (time)."""
-        return self.pick(window.xs, window.ts)()
 
     def generator_entries(self, s, sp):
         """Entries (d, a01, a10) of the gauged generator [[d, a01], [a10, -d]] at running coordinates s.
@@ -339,7 +332,7 @@ def _quad_over_axis(density: np.ndarray, h: float) -> QuadResult:
 def _energy(line: Line, window: GridWindow, kinetic_sign: float) -> QuadResult:
     """Integral along the line of kinetic_sign (phi_t^2 + phi_x^2)/2 + potential."""
     m, beta = line.field.params.m, line.field.params.beta
-    svals = line.axis(window)
+    svals = window.axis()
     s = line.at(svals)
     kinetic = 0.5 * s.phi_t**2 + 0.5 * s.phi_x**2
     density = kinetic_sign * kinetic + (m / beta) ** 2 * (1.0 - np.cos(beta * s.phi))

@@ -115,7 +115,6 @@ __all__ = [
     "propagate_trajectory",
     "monodromy",
     "jost",
-    "appendix_equality_residual",
     "appendix_equality_residuals",
 ]
 
@@ -422,26 +421,13 @@ def jost(
     return res.matrix @ line.normaliser(start, sp)
 
 
-def appendix_equality_residual(
-    field: FieldEvaluator,
-    x: float,
-    t: float,
-    sp: SpectralPoint,
-    half_width: float,
-) -> float:
-    """Norm of T_hat_-(x,t) e^{-i k0 t s3} - cT_hat_-(x,t) e^{-i k1 x s3}.
+def appendix_equality_residuals(field: FieldEvaluator, x: float, t: float, cases) -> list[float]:
+    """Norm of T_hat_-(x,t) e^{-i k0 t s3} - cT_hat_-(x,t) e^{-i k1 x s3} at each (sp, half_width) of cases, in order.
 
     Both sides solve the same pair of equations with the same boundary data
-    at -infinity in x and in t, so the residual is truncation-limited.
-    """
-    return appendix_equality_residuals(field, x, t, [(sp, half_width)])[0]
-
-
-def appendix_equality_residuals(field: FieldEvaluator, x: float, t: float, cases) -> list[float]:
-    """appendix_equality_residual at each (sp, half_width) of cases, in order.
-
-    The space Jost lines are walked across all the cases before the time
-    lines, so cases that share a half-width share each line's slot.
+    at -infinity in x and in t, so the residual is truncation-limited.  The
+    space Jost lines are walked across all the cases before the time lines,
+    so cases that share a half-width share each line's slot.
     """
     sides = [[jost(field, picture, x, t, sp, w) for sp, w in cases] for picture in ("space", "time")]
     residuals = []

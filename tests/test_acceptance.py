@@ -42,10 +42,10 @@ from sgdual.defect import (
 from sgdual.fields import FieldEvaluator, FieldSample, GridWindow, ModelParams, hamiltonian_S, make_kink
 from sgdual.lax import spectral, zero_curvature_residual
 from sgdual.rmatrix import involution_check, transition_bracket_check, ultralocal_check
-from sgdual.transition import appendix_equality_residual, monodromy
+from sgdual.transition import appendix_equality_residuals, monodromy
 
 P11 = ModelParams(1.0, 1.0)
-WIDE = GridWindow(-40.0, 40.0, -40.0, 40.0, 16001, 16001)
+WIDE = GridWindow(40.0, 16001)
 LAMBDAS = (0.5, 1.0, 2.0, 4.0)
 
 
@@ -188,8 +188,8 @@ def test_c06_appendix_equality():
     with _Timer() as t:
         kink = make_kink(P11, v=-0.6)
         sp = spectral(1.7, P11)
-        res30 = appendix_equality_residual(kink, 1.0, 0.5, sp, 30.0)
-        seq = [appendix_equality_residual(kink, 1.0, 0.5, sp, w) for w in (15.0, 25.0, 30.0)]
+        [res30] = appendix_equality_residuals(kink, 1.0, 0.5, [(sp, 30.0)])
+        seq = appendix_equality_residuals(kink, 1.0, 0.5, [(sp, w) for w in (15.0, 25.0, 30.0)])
     ok = res30 < 1e-6 and seq[0] > seq[1] > seq[2] and t.elapsed < 10.0
     _report("C06 appendix-equality", ok, f"residual(W=30)={res30:.3e}, sequence={[f'{s:.2e}' for s in seq]}", t.elapsed)
     assert res30 < 1e-6

@@ -3,18 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from sgdual.fields import FieldEvaluator, GridWindow, ModelParams, make_kink, make_vacuum
+from sgdual.fields import FieldEvaluator, GridWindow, Line, ModelParams, make_kink, make_vacuum
 from sgdual.charges import (
-    RiccatiCoefficients,
     build_ledger,
     energy_identity,
     fit_charges_from_monodromy,
     lna_asymptotic_fit,
+    riccati_residuals,
 )
-from sgdual.matcore import SIGMA1
 
 P11 = ModelParams(1.0, 1.0)
-WIDE = GridWindow(-40.0, 40.0, -40.0, 40.0, 16001, 16001)
+WIDE = GridWindow(40.0, 16001)
 
 # closed-form oracle for the +1-oriented kink: a(lambda) = (lam - i mu)/(lam + i mu)
 # with mu = sqrt((1-v)/(1+v)), hence I_1 = -2 mu, I_3 = 2 mu^3/3, I_{-1} = 2/mu,
@@ -37,43 +36,59 @@ def kink_time_ledger():
     return kink, build_ledger(kink, "time", 0.0, 4, WIDE)
 
 
-def test_coefficient_zero_is_i_sigma1():
-    kink = make_kink(P11, v=0.3)
-    for picture in ("space", "time"):
-        rc = RiccatiCoefficients(kink, picture, 0.0, 3)
-        g0 = rc.gamma(0, np.array([-2.0, 0.0, 1.5]))
-        assert np.allclose(g0, 1j * SIGMA1, atol=1e-14)
-
-
-def test_vacuum_coefficients_vanish():
-    rc = RiccatiCoefficients(make_vacuum(P11), "space", 0.0, 4)
+def test_vacuum_residuals_vanish():
+    # Gamma = i sigma1 solves the vacuum's Riccati equation exactly, at every lambda and in both pictures
     pts = np.array([-1.0, 0.0, 2.0])
-    for n in range(1, 5):
-        assert np.max(np.abs(rc.gamma(n, pts))) == 0.0
+    for picture in ("space", "time"):
+        res = riccati_residuals(make_vacuum(P11), picture, 0.0, 4, [0.5, 2.0, 25.0, 40.0 + 3.0j], pts)
+        assert len(res) == 4 and max(res) < 1e-14
 
 
 def test_riccati_residual_scales_with_truncation_order():
     kink = make_kink(P11, v=0.4)
     pts = np.linspace(-3.0, 3.0, 7)
-    rc3 = RiccatiCoefficients(kink, "space", 0.0, 3)
-    r25, r50 = rc3.riccati_residual(25.0, pts), rc3.riccati_residual(50.0, pts)
+    r25, r50 = riccati_residuals(kink, "space", 0.0, 3, [25.0, 50.0], pts)
     # truncation at order N leaves an O(lambda^-N) defect
     assert 2.3 <= math.log2(r25 / r50) <= 3.7
-    rc4 = RiccatiCoefficients(kink, "space", 0.0, 4)
-    ratio = rc3.riccati_residual(50.0, pts) / rc4.riccati_residual(50.0, pts)
-    assert 50.0 / 3.0 < ratio < 3.0 * 50.0
+    [r50_4] = riccati_residuals(kink, "space", 0.0, 4, [50.0], pts)
+    assert 50.0 / 3.0 < r50 / r50_4 < 3.0 * 50.0
 
 
 def test_riccati_residual_time_picture():
     kink = make_kink(P11, v=0.6)
-    pts = np.linspace(-2.0, 2.0, 5)
-    rc = RiccatiCoefficients(kink, "time", 0.0, 3)
-    assert 2.3 <= math.log2(rc.riccati_residual(25.0, pts) / rc.riccati_residual(50.0, pts)) <= 3.7
+    r25, r50 = riccati_residuals(kink, "time", 0.0, 3, [25.0, 50.0], np.linspace(-2.0, 2.0, 5))
+    assert 2.3 <= math.log2(r25 / r50) <= 3.7
+
+
+@pytest.mark.parametrize("picture", ["space", "time"])
+def test_riccati_residuals_equal_one_lambda_calls_bitwise(picture):
+    kink, pts = make_kink(P11, v=0.6), np.linspace(-2.0, 2.0, 5)
+    lams = [25.0, 50.0, 30.0 + 4.0j]
+    want = [riccati_residuals(kink, picture, 0.0, 3, [lam], pts)[0] for lam in lams]
+    assert riccati_residuals(kink, picture, 0.0, 3, lams, pts) == want
+
+
+def test_riccati_residuals_take_the_field_partials_once_for_all_lambdas(monkeypatch):
+    partial, calls = Line.partial, []
+
+    def counting(line, s, run, cross=0):
+        calls.append((run, cross))
+        return partial(line, s, run, cross)
+
+    monkeypatch.setattr(Line, "partial", counting)
+    kink, pts = make_kink(P11, v=0.4), np.linspace(-3.0, 3.0, 7)
+    counts = []
+    for lams in ([25.0], [25.0, 50.0, 75.0]):
+        calls.clear()
+        riccati_residuals(kink, "space", 0.0, 3, lams, pts)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def test_order_cap():
+    pts = np.linspace(-3.0, 3.0, 7)
     with pytest.raises(ValueError):
-        RiccatiCoefficients(make_vacuum(P11), "space", 0.0, 7)
+        riccati_residuals(make_vacuum(P11), "space", 0.0, 7, [25.0], pts)
     with pytest.raises(ValueError):
         build_ledger(make_vacuum(P11), "space", 0.0, 7, WIDE)
     # negative orders are refused too, with the allowed range in the message
@@ -81,17 +96,7 @@ def test_order_cap():
     with pytest.raises(ValueError, match=r"0 \.\. 6"):
         build_ledger(kink, "space", 0.0, -1, WIDE)
     with pytest.raises(ValueError, match=r"0 \.\. 6"):
-        RiccatiCoefficients(kink, "space", 0.0, -1).riccati_residual(25.0, np.linspace(-3.0, 3.0, 7))
-    with pytest.raises(ValueError, match=r"0 \.\. 6"):
-        RiccatiCoefficients(kink, "space", 0.0, 3).gamma(-1, np.array([0.0]))
-
-
-def test_gamma_refuses_orders_past_its_own():
-    rc = RiccatiCoefficients(make_kink(P11, v=0.4), "space", 0.0, 1)
-    assert rc.gamma(1, np.array([0.0])).shape == (1, 2, 2)
-    for n in (2, 5):
-        with pytest.raises(ValueError, match="order 1"):
-            rc.gamma(n, np.array([0.0]))
+        riccati_residuals(kink, "space", 0.0, -1, [25.0], pts)
 
 
 def test_vacuum_ledger_is_zero():
@@ -247,7 +252,7 @@ class CountingField(FieldEvaluator):
 def test_build_ledger_takes_each_partial_once(picture):
     field = CountingField(make_kink(P11, v=0.4))
     order = 3
-    ledger = build_ledger(field, picture, 0.0, order, GridWindow(-10.0, 10.0, -10.0, 10.0, 201, 201))
+    ledger = build_ledger(field, picture, 0.0, order, GridWindow(10.0, 201))
     assert sorted(ledger.entries) == list(range(-order, order + 1))
     # jets of w reach degree order: running orders 0 .. order + 1 and cross orders 0 .. order
     assert len(field.orders) == len(set(field.orders)) == 2 * order + 3
@@ -265,7 +270,7 @@ def test_ledger_chain_levels_keep_only_the_degree_they_feed(monkeypatch):
 
     monkeypatch.setattr(charges, "_riccati_chain", recording_chain)
     order = 3
-    build_ledger(make_kink(P11, v=0.4), "space", 0.0, order, GridWindow(-10.0, 10.0, -10.0, 10.0, 201, 201))
+    build_ledger(make_kink(P11, v=0.4), "space", 0.0, order, GridWindow(10.0, 201))
     top = order + 1  # the ledger reads values only, so q_{order+1} has degree 0
     assert levels == [[top - n + 1 for n in range(order + 2)]] * 2
 

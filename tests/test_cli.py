@@ -238,12 +238,13 @@ def test_quadrature_windows_follow_the_solution():
         config = ScenarioConfig.load(DEMOS / f"scenario_{name}.json")
         field, defect_pair = suites._bulk_field(config), suites._pair(config)
         win = suites._window(config, field)
-        assert (win.nx, win.nt) == (bulk, bulk)
-        assert (win.x_min, win.x_max) == (-40.0, 40.0)
-        assert win.xs()[1] - win.xs()[0] <= 0.1 / field.gamma
-        assert suites._window(config, defect_pair.left, defect_pair.right).nt == pair
+        axis = win.axis()
+        assert (win.count, win.half_span) == (bulk, 40.0)
+        assert (axis[0], axis[-1]) == (-40.0, 40.0)
+        assert axis[1] - axis[0] <= 0.1 / field.gamma
+        assert suites._window(config, defect_pair.left, defect_pair.right).count == pair
     wide = ScenarioConfig.from_dict({**BASE, "numerics": {"half_width": 60.0}})
-    assert suites._window(wide, make_vacuum(wide.params)).nx == 1201
+    assert suites._window(wide, make_vacuum(wide.params)).count == 1201
 
 
 @pytest.mark.parametrize("v", [0.0, 0.4, 0.95])

@@ -23,7 +23,7 @@ from sgdual.defect import (
 )
 
 P11 = ModelParams(1.0, 1.0)
-WIDE = GridWindow(-40.0, 40.0, -40.0, 40.0, 16001, 16001)
+WIDE = GridWindow(40.0, 16001)
 T_GRID = np.linspace(-8.0, 8.0, 41)
 
 

@@ -16,7 +16,7 @@ from sgdual.fields import (
 )
 
 P11 = ModelParams(m=1.0, beta=1.0)
-WIDE = GridWindow(-40.0, 40.0, -40.0, 40.0, 16001, 16001)
+WIDE = GridWindow(40.0, 16001)
 
 
 def sg_residual_fd(field, x, t, h=1e-4):
@@ -134,7 +134,7 @@ def test_hamiltonian_T_space_independent_and_richardson_stable():
     a = float(hamiltonian_T(kink, 0.0, WIDE))
     b = float(hamiltonian_T(kink, 1.0, WIDE))
     assert abs(a - b) < 1e-6 * abs(a)
-    finer = GridWindow(-40.0, 40.0, -40.0, 40.0, 16001, 32001)
+    finer = GridWindow(40.0, 32001)
     c = float(hamiltonian_T(kink, 0.0, finer))
     assert abs(a - c) < 1e-6 * abs(a)
     # closed-form check: -8 m gamma |v| / beta^2
@@ -168,7 +168,7 @@ def test_static_kink_time_charges_rejected():
 
 def test_truncation_flag_on_narrow_window():
     kink = make_kink(P11, v=0.0)
-    narrow = GridWindow(-4.0, 4.0, -4.0, 4.0, 801, 801)
+    narrow = GridWindow(4.0, 801)
     assert hamiltonian_S(kink, 0.0, narrow).truncated
 
 

@@ -35,7 +35,7 @@ FROZEN = [
     DefectPair(make_vacuum(P11), make_vacuum(P11), P11, DefectParams(2.0)),
     P11,
     DefectParams(2.0),
-    GridWindow(-1.0, 1.0, -1.0, 1.0, 3, 3),
+    GridWindow(1.0, 3),
 ]
 
 
@@ -54,12 +54,13 @@ def test_records_refuse_assignment(record):
         lambda: ModelParams(0.0, 1.0),
         lambda: ModelParams(1.0, 0.0),
         lambda: DefectParams(0.0),
-        lambda: GridWindow(1.0, -1.0, -1.0, 1.0, 3, 3),
-        lambda: GridWindow(-1.0, 1.0, 1.0, 1.0, 3, 3),
-        lambda: GridWindow(-1.0, 1.0, -1.0, 1.0, 1, 3),
-        lambda: GridWindow(-math.inf, math.inf, -1.0, 1.0, 5, 5),
-        lambda: GridWindow(-1.0, 1.0, -1.0, math.inf, 3, 3),
-        lambda: GridWindow(-1.0, 1.0, -math.inf, 1.0, 3, 3),
+        lambda: GridWindow(1.0, 4),
+        lambda: GridWindow(1.0, 1),
+        lambda: GridWindow(1.0, 3.0),
+        lambda: GridWindow(0.0, 3),
+        lambda: GridWindow(-1.0, 3),
+        lambda: GridWindow(math.inf, 3),
+        lambda: GridWindow(math.nan, 3),
     ],
 )
 def test_validated_records_keep_their_value_errors(make):
@@ -69,7 +70,7 @@ def test_validated_records_keep_their_value_errors(make):
 
 @pytest.mark.parametrize(
     "record, change",
-    [(P11, {"m": math.nan}), (DefectParams(2.0), {"sigma": 0.0}), (GridWindow(-1.0, 1.0, -1.0, 1.0, 3, 3), {"nx": 1})],
+    [(P11, {"m": math.nan}), (DefectParams(2.0), {"sigma": 0.0}), (GridWindow(1.0, 3), {"count": 2})],
     ids=["ModelParams", "DefectParams", "GridWindow"],
 )
 def test_validated_records_validate_a_replaced_field(record, change):

@@ -23,7 +23,7 @@ from sgdual.transition import (
     _mesh,
     _regularised,
     _su2_steps,
-    appendix_equality_residual,
+    appendix_equality_residuals,
     default_nsteps,
     jost,
     monodromy,
@@ -239,19 +239,19 @@ def test_jost_first_column_bounded_for_real_lambda():
 
 def test_appendix_equality_vacuum():
     vac = make_vacuum(P11)
-    assert appendix_equality_residual(vac, 0.7, -0.3, spectral(1.7, P11), 20.0) < 1e-12
+    assert appendix_equality_residuals(vac, 0.7, -0.3, [(spectral(1.7, P11), 20.0)])[0] < 1e-12
 
 
 def test_appendix_equality_left_moving_kink():
     kink = make_kink(P11, v=-0.6)
-    r = appendix_equality_residual(kink, 1.0, 0.5, spectral(1.7, P11), 30.0)
+    [r] = appendix_equality_residuals(kink, 1.0, 0.5, [(spectral(1.7, P11), 30.0)])
     assert r < 1e-6
 
 
 def test_appendix_equality_decreases_with_half_width():
     kink = make_kink(P11, v=-0.4)
     sp = spectral(1.7, P11)
-    r = [appendix_equality_residual(kink, 1.0, 0.5, sp, w) for w in (15.0, 25.0, 35.0)]
+    r = appendix_equality_residuals(kink, 1.0, 0.5, [(sp, w) for w in (15.0, 25.0, 35.0)])
     assert r[0] > r[1] > r[2]
 
 
@@ -557,7 +557,7 @@ def test_appendix_suite_probes_each_jost_line_once(monkeypatch):
     assert len(probes) == 8  # 14 when each residual walks its space line, then its time line
     # the rows are the per-call residuals bitwise, on the mirrored (left-moving) kink the suite probes
     kink = make_kink(config.params, -KINK_V, 0.0, 1)
-    want = [appendix_equality_residual(kink, 1.0, 0.5, spectral(lam, config.params), 40.0) for lam in config.lambdas]
+    want = [appendix_equality_residuals(kink, 1.0, 0.5, [(spectral(lam, config.params), 40.0)])[0] for lam in config.lambdas]
     got = [case.gap for case in report.cases if case.case.startswith("residual-lam=")]
     assert got == want
 
