@@ -48,7 +48,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fields import FieldEvaluator, Line, hamiltonian_S, hamiltonian_T, simpson_uniform
-from .lax import spectral
+from .lax import hat_entries, spectral
 from .transition import monodromy
 
 __all__ = [
@@ -165,7 +165,8 @@ def riccati_residuals(field: FieldEvaluator, picture: str, fixed: float, order: 
     Scales as lambda^-order at large lambda; the independent gate that a
     transcription error in the recursion cannot pass.  The residual needs
     values and first derivatives up to order, so the chains take top degree
-    D = order + 1; one jet pass and one pair of chains serve every lambda.
+    D = order + 1; one jet pass, one pair of chains and one field sample
+    serve every lambda.
     """
     _check_order(order)
     line = Line(field, picture, fixed)
@@ -174,6 +175,7 @@ def riccati_residuals(field: FieldEvaluator, picture: str, fixed: float, order: 
     sign_b = line.pick(-1.0, 1.0)
     q_jets = _riccati_chain(w, ep, em, -1.0, sign_b, order, order + 1, field.params)
     p_jets = _riccati_chain(w, em, ep, 1.0, sign_b, order, order + 1, field.params)
+    sample = line.at(svals)
     residuals = []
     for lam in lams:
         # Gamma = [[0, p], [q, 0]] and its running derivative, summed over the orders
@@ -184,7 +186,7 @@ def riccati_residuals(field: FieldEvaluator, picture: str, fixed: float, order: 
             q_s += _jet_deriv(q_jets[n])[:, 0] * lam ** (-n)
             p_s += _jet_deriv(p_jets[n])[:, 0] * lam ** (-n)
         # off-diagonal entries of G_o + G_d Gamma - Gamma G_d - Gamma G_o Gamma; the diagonal vanishes
-        d, a01, a10 = line.generator_entries(svals, spectral(lam, field.params))
+        d, a01, a10 = hat_entries(picture, sample, spectral(lam, field.params), field.params)
         rhs01 = a01 + d * p - p * -d - p * a10 * p
         rhs10 = a10 + -d * q - q * d - q * a01 * q
         residuals.append(float(max(np.max(np.abs(p_s - rhs01)), np.max(np.abs(q_s - rhs10)))))

@@ -259,10 +259,9 @@ class Line:
         return space if self.picture == "space" else time
 
     def points(self, s):
-        """(x, t) arrays of the points at running coordinates s."""
+        """(x, t) of the points at running coordinates s: the array s and the scalar fixed coordinate, which broadcasts."""
         s = np.asarray(s, dtype=float)
-        other = np.full_like(s, self.fixed)
-        return self.pick((s, other), (other, s))
+        return self.pick((s, self.fixed), (self.fixed, s))
 
     def at(self, s) -> FieldSample:
         """The field sample at running coordinates s."""

@@ -59,14 +59,22 @@ by measurement: at 1.0 the space gap grows to 1.35e-8.  (A classical RK4
 update was tried first and could not reach the 1e-10 vacuum gate at sane
 step counts.)
 
-Steps are generated and reduced in chunks of at most 2^14 steps: the product
-folds chunk by chunk (a pairwise tree within a chunk), the trajectory by a
-log-depth scan, so memory stays bounded however small lambda makes the step
-size.  A chunk samples the field at the three nodes of all its steps in one
-Line.at call on a (3, n) array of points, combines the node rows into
-Omega in place, frees them before the exponential, and holds its transfer
-matrices in matcore's (2, 2, n) batch layout, so the numpy calls per chunk
-do not grow with n.
+propagate generates and reduces its steps in chunks of 2^11 (_CHUNK).  Each
+chunk is reduced by a pairwise tree, and the chunk products are folded on a
+binary-counter stack in the order of the same tree: two products of equal
+size merge as soon as both exist, and what is left at the end folds from the
+newest down.  A chunk of 2^c steps is a complete subtree of the pairwise tree
+over all the steps, so the product is bit for bit that single tree's,
+whatever the chunk size.  A chunk samples the field at the three nodes of
+all its steps in one Line.at call on a (3, n) array of points, combines the
+node rows into Omega in place, frees them before the exponential, and holds
+its transfer matrices in matcore's (2, 2, n) batch layout, so the numpy
+calls per chunk do not grow with n.  A W = 40 kink monodromy peaks at
+0.43 MB (tracemalloc) for any lambda, 4.9k or 98k steps alike; it grows
+with W only through its probe of about 2 m gamma W points.
+propagate_trajectory returns Psi at every edge, so its memory is
+proportional to nsteps anyway: it samples and scans its uniform mesh in
+one piece (matcore.scan, log depth).
 
 One slot holds the lambda-free work on the last line walked (field,
 picture, fixed coordinate, interval): the probe, phi at its end points
@@ -80,8 +88,8 @@ hit returns the bits of a cold call.  Callers walk one line across their
 lambda list before the next (appendix_equality_residuals walks the space
 Jost lines of all its cases, then the time lines).  The slot holds the
 field by weak reference and keeps no raised error; a new line replaces it,
-a probe longer than a chunk empties it, and a mesh it does not serve drops
-its combinations.
+a probe longer than 2^14 points (_PROBE_CAP) empties it, and a mesh it does
+not serve drops its combinations.
 
 Whole-line monodromies are regularised by the plane-wave normalisers:
 E0(W)^-1 T_hat(W, -W) E0(-W) in space, and the cE0 analogue in time.  With
@@ -97,6 +105,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import weakref
 from typing import NamedTuple
 
@@ -123,9 +132,9 @@ STEP_DENSITY = 200.0 / 3.0  # steps per period 2 pi / max(|k0|, |k1|, m) of the 
 _GRADED_DENSITY = 1.3 * STEP_DENSITY  # calibrated on the graded mesh; see the module docstring
 _WEIGHT_FLOOR = 1e-16  # floor of the normalised monitor, so that the settled tails still get steps
 _ASYMPTOTE_TOL = 1e-8
-_CHUNK = 2**14  # steps generated and reduced at once; bounds memory at small lambda
+_CHUNK = 2**11  # steps generated and reduced at once; a power of two, so a chunk is a subtree of the pairwise tree
 MAX_STEPS = 2**22  # default step counts beyond this are refused: extreme lambda or W
-_IDENTITY = np.eye(2, dtype=complex)[:, :, None]  # a batch of one
+_PROBE_CAP = 2**14  # probes of at most this many points stay in the slot
 _SLOT_CAP = 512  # meshes of at most this many steps keep their Magnus combinations in the slot
 _slot = None  # the _LineWork of the last line walked
 
@@ -197,7 +206,7 @@ def _line_work(line, start, stop):
         weight = np.maximum(dev / dev.max(), _WEIGHT_FLOOR) ** (1.0 / 7.0)
         cum = np.concatenate(([0.0], np.cumsum(weight[1:] + weight[:-1]))) * (0.5 * abs(probe[1] - probe[0]))
     work = _LineWork(key, probe, (float(sample.phi[0]), float(sample.phi[-1])), cum)
-    _slot = work if count <= _CHUNK else None
+    _slot = work if count <= _PROBE_CAP else None
     return work
 
 
@@ -211,8 +220,8 @@ def _mesh(line, start, stop, sp, nsteps=None, graded=True):
     scalar h; work is None when graded=False or the interval is empty.
     """
     _check_real(sp, "propagation")
-    if nsteps is not None and nsteps < 1:
-        raise ValueError("nsteps must be >= 1")
+    if nsteps is not None and (isinstance(nsteps, bool) or not isinstance(nsteps, numbers.Integral) or nsteps < 1):
+        raise ValueError(f"nsteps must be a positive integer, got {nsteps!r}")
     work = _line_work(line, start, stop) if graded and stop != start else None
     if work is None or work.cum is None:
         if nsteps is None:
@@ -231,10 +240,12 @@ def _mesh(line, start, stop, sp, nsteps=None, graded=True):
     return nsteps, steps, work
 
 
-def _step_chunks(line, mesh, sp):
-    """(first, h, E) for consecutive chunks of at most _CHUNK steps: first index, signed sizes, transfer matrices.
+def _chunk_products(line, mesh, sp):
+    """(P, hmin, hmax) for consecutive chunks of at most _CHUNK steps: the ordered product of the transfer matrices, and the extremes of |h|.
 
-    A mesh of at most _SLOT_CAP steps on the slot's line takes its Magnus
+    P is a batch of one.  Nothing else of a chunk outlives it, so the next
+    chunk samples the field with only the mesh and the products held.  A
+    mesh of at most _SLOT_CAP steps on the slot's line takes its Magnus
     combinations from the slot or puts them there; any other mesh drops them,
     so that they never add to its peak memory.
     """
@@ -244,13 +255,19 @@ def _step_chunks(line, mesh, sp):
             _slot.combos = None
         for first in range(0, nsteps, _CHUNK):
             base, h = steps(first, min(first + _CHUNK, nsteps))
-            yield first, h, _su2_steps(_combinations(line, base, h), h, line, sp)
+            yield _ordered_product(_su2_steps(_combinations(line, base, h), h, line, sp)), *_extremes(h)
         return
     if work.combos is None or work.combos[0] != nsteps:
         base, h = steps(0, nsteps)
         work.combos = (nsteps, h, _combinations(line, base, h))
     _, h, combos = work.combos
-    yield 0, h, _su2_steps(combos.copy(), h, line, sp)
+    yield _ordered_product(_su2_steps(combos.copy(), h, line, sp)), *_extremes(h)
+
+
+def _extremes(h):
+    """The smallest and largest |h| of a chunk's step sizes (an array, or one scalar on a uniform mesh)."""
+    size = np.abs(h)
+    return float(size.min()), float(size.max())
 
 
 def _combinations(line, base, h):
@@ -309,13 +326,18 @@ def _su2_steps(combos, h, line, sp):
 
 
 def _ordered_product(e):
-    """Product e[..., n-1] @ ... @ e[..., 0] of a (2, 2, n) batch by pairwise tree reduction, as a batch of one."""
+    """Product e[..., n-1] @ ... @ e[..., 0] of a (2, 2, n) batch by pairwise tree reduction, as a batch of one.
+
+    An odd level's last entry waits aside until the level where the tree
+    gives it a partner, so no level is copied to append it.
+    """
+    carry = None
     while e.shape[-1] > 1:
         n = e.shape[-1]
-        even = 2 * (n // 2)
-        paired = _mul(e[..., 1:even:2], e[..., 0:even:2])
-        e = np.concatenate([paired, e[..., -1:]], axis=-1) if n % 2 else paired
-    return e
+        if n % 2:
+            carry = e[..., -1:] if carry is None else _mul(carry, e[..., -1:])
+        e = _mul(e[..., 1::2], e[..., 0 : n - 1 : 2])
+    return e if carry is None else _mul(carry, e)
 
 
 def propagate(
@@ -338,11 +360,17 @@ def propagate(
     mesh = _mesh(line, start, stop, sp, nsteps)
     if stop == start:
         return TransitionResult(np.eye(2, dtype=complex), 0, (0.0, 0.0))
-    total, smallest, largest = _IDENTITY, math.inf, 0.0
-    for _, h, steps in _step_chunks(line, mesh, sp):
-        total = _mul(_ordered_product(steps), total)
-        smallest, largest = min(smallest, np.abs(h).min()), max(largest, np.abs(h).max())
-    return TransitionResult(total[:, :, 0], mesh[0], (float(smallest), float(largest)))
+    subtrees, smallest, largest = [], math.inf, 0.0  # (chunks, product) of finished subtrees, oldest first
+    for product, hmin, hmax in _chunk_products(line, mesh, sp):
+        chunks = 1
+        while subtrees and subtrees[-1][0] == chunks:
+            chunks, product = 2 * chunks, _mul(product, subtrees.pop()[1])
+        subtrees.append((chunks, product))
+        smallest, largest = min(smallest, hmin), max(largest, hmax)
+    total = subtrees.pop()[1]
+    while subtrees:
+        total = _mul(total, subtrees.pop()[1])
+    return TransitionResult(total[:, :, 0], mesh[0], (smallest, largest))
 
 
 def propagate_trajectory(field, picture, fixed, start, stop, sp, nsteps) -> tuple[np.ndarray, np.ndarray]:
@@ -351,14 +379,11 @@ def propagate_trajectory(field, picture, fixed, start, stop, sp, nsteps) -> tupl
     The grid is uniform, unlike propagate's mesh, so that Simpson rules can run on it.
     """
     line = Line(field, picture, fixed)
-    mesh = _mesh(line, start, stop, sp, nsteps, graded=False)
+    _, steps, _ = _mesh(line, start, stop, sp, nsteps, graded=False)
+    base, h = steps(0, nsteps)
     out = np.empty((nsteps + 1, 2, 2), dtype=complex)
     out[0] = np.eye(2)
-    total = _IDENTITY
-    for first, _, steps in _step_chunks(line, mesh, sp):
-        psi = _mul(scan(steps), total)
-        out[first + 1 : first + 1 + psi.shape[-1]] = np.moveaxis(psi, -1, 0)
-        total = psi[..., -1:]
+    out[1:] = np.moveaxis(scan(_su2_steps(_combinations(line, base, h), h, line, sp)), -1, 0)
     return np.linspace(start, stop, nsteps + 1), out
 
 

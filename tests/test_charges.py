@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sgdual.fields import FieldEvaluator, GridWindow, Line, ModelParams, make_kink, make_vacuum
+from sgdual.fields import FieldEvaluator, GridWindow, KinkField, Line, ModelParams, make_kink, make_vacuum
 from sgdual.charges import (
     build_ledger,
     energy_identity,
@@ -83,6 +83,19 @@ def test_riccati_residuals_take_the_field_partials_once_for_all_lambdas(monkeypa
         riccati_residuals(kink, "space", 0.0, 3, lams, pts)
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+def test_riccati_residuals_sample_the_field_once_for_all_lambdas(monkeypatch):
+    sample, shapes = KinkField.sample, []
+
+    def counting(field, x, t):
+        shapes.append(np.broadcast(x, t).shape)
+        return sample(field, x, t)
+
+    monkeypatch.setattr(KinkField, "sample", counting)
+    pts = np.linspace(-3.0, 3.0, 7)
+    riccati_residuals(make_kink(P11, v=0.4), "time", 0.2, 3, [25.0, 50.0, 30.0 + 4.0j], pts)
+    assert shapes == [(7,)]
 
 
 def test_order_cap():

@@ -16,9 +16,8 @@ from sgdual.matcore import (
     scan,
     tensor,
 )
-from sgdual.transition import _CHUNK
 
-SCAN_LENGTHS = [1, 2, 3, 7, _CHUNK - 1, _CHUNK, _CHUNK + 1]
+SCAN_LENGTHS = [1, 2, 3, 7, 2**14 - 1, 2**14, 2**14 + 1]  # a trajectory scans its whole mesh at once
 
 def random_mat2(n=1, seed=20260808):
     rng = np.random.default_rng(seed)

@@ -255,7 +255,7 @@ def test_each_check_samples_the_lattice_once(monkeypatch):
     sample = KinkField.sample
 
     def counting_sample(self, x, t):
-        sizes.append(np.size(x))
+        sizes.append(np.broadcast(x, t).size)  # a line passes its fixed coordinate as a scalar
         return sample(self, x, t)
 
     monkeypatch.setattr(KinkField, "sample", counting_sample)

@@ -12,7 +12,7 @@ from sgdual import defect, transition
 from sgdual.cli import ScenarioConfig
 from sgdual.fields import FieldSample, KinkField, Line, ModelParams, NonDecayingFieldError, VacuumField, make_kink, make_vacuum
 from sgdual.lax import ce0, e0, hat_entries, spectral
-from sgdual.matcore import _MU_SMALL, SIGMA2, comm, det2, frob, inv2
+from sgdual.matcore import _MU_SMALL, SIGMA2, _mul, comm, det2, expm_su2, frob, inv2
 from sgdual.suites import run_suite
 from sgdual.transition import (
     MAX_STEPS,
@@ -117,7 +117,7 @@ def _sequential_loop(line, start, stop, n, graded):
     return ref
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 7, _CHUNK - 1, _CHUNK, _CHUNK + 1])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2**14 - 1, 2**14, 2**14 + 1])
 def test_trajectory_and_chunked_product_match_sequential_loop(n):
     kink = make_kink(P11, v=0.4)
     line, start, stop = Line(kink, "time", 0.5), -6.0, 6.0
@@ -131,15 +131,58 @@ def test_trajectory_and_chunked_product_match_sequential_loop(n):
     assert np.max(np.abs(total - ref_total)) < 1e-13 * np.max(np.abs(ref_total))
 
 
-@pytest.mark.parametrize("nsteps", [0, -3])
+@pytest.mark.parametrize("nsteps", [0, -3, 2.5, 10.0, True])
 @pytest.mark.parametrize("stepper", [propagate, propagate_trajectory])
 def test_step_counts_below_one_are_refused(stepper, nsteps):
     with pytest.raises(ValueError, match="nsteps"):
         stepper(make_kink(P11, v=0.4), "space", 0.0, -5.0, 5.0, SP13, nsteps)
 
 
+def test_numpy_integer_step_counts_are_accepted():
+    kink = make_kink(P11, v=0.4)
+    for stepper in (propagate, propagate_trajectory):
+        want = stepper(kink, "space", 0.0, -5.0, 5.0, SP13, 64)
+        got = stepper(kink, "space", 0.0, -5.0, 5.0, SP13, np.int64(64))
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def _pairwise_tree(e):
+    """The pairwise tree reduction that concatenates an odd level's last entry to the next level."""
+    while e.shape[-1] > 1:
+        n = e.shape[-1]
+        paired = _mul(e[..., 1 : n - n % 2 : 2], e[..., 0 : n - n % 2 : 2])
+        e = np.concatenate([paired, e[..., n - 1 :]], axis=-1) if n % 2 else paired
+    return e
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 7, 11, 13, 29, 64, 77, 1949])
+def test_ordered_product_is_the_pairwise_tree_bitwise(n):
+    rng = np.random.default_rng(n)
+    steps = expm_su2(rng.uniform(-0.05, 0.05, size=(3, n)))
+    got = transition._ordered_product(steps)
+    assert got.shape == (2, 2, 1) and got.tobytes() == _pairwise_tree(steps).tobytes()
+
+
+def test_outputs_do_not_depend_on_the_chunk_size(monkeypatch):
+    # chunk products fold in the pairwise tree's order, so any power-of-two chunk gives the single tree's bits
+    kink, vac, sp = make_kink(P11, v=KINK_V), make_vacuum(P11), spectral(0.005, P11)
+    outputs = []
+    for chunk in (64, 2**11, 2**14):
+        monkeypatch.setattr(transition, "_CHUNK", chunk)
+        got = [
+            monodromy(kink, "space", 0.0, 40.0, sp),  # 9852 steps
+            monodromy(kink, "time", 0.3, 50.0, sp),  # 23181 steps
+            jost(kink, "space", 0.5, 0.0, sp, 40.0),
+            propagate(kink, "time", 0.5, -6.0, 6.0, SP13, 6001),
+            propagate(vac, "space", 0.0, -10.0, 7.0, SP13, 5000),  # a uniform mesh
+        ]
+        assert min(out.step_count for out in got[:2] + got[3:]) >= 5000
+        outputs.append([np.asarray(out[0] if isinstance(out, tuple) else out).tobytes() for out in got])
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
 def test_small_lambda_monodromy_memory_is_bounded():
-    # nsteps grows as 1/lambda (about 49k steps here); chunking keeps the peak flat
+    # nsteps grows as 1/lambda (about 49k steps here); chunks of 2^11 steps keep the peak flat
     v = 0.4
     mu = math.sqrt((1 - v) / (1 + v))
     lam = 1e-3
@@ -150,7 +193,7 @@ def test_small_lambda_monodromy_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 40e6
+    assert peak < 0.8e6
     # Magnus truncation at the default step density, which scales like lambda
     assert abs(mono.a_entry - (lam - 1j * mu) / (lam + 1j * mu)) < 1e-9
 
@@ -445,13 +488,13 @@ def test_line_memo_is_bounded_and_keeps_no_field_alive():
     del kink, kinks
     gc.collect()
     assert ref() is None and transition._slot.key[0]() is None
-    # a probe longer than a chunk is not held, and empties the slot
+    # a probe longer than _PROBE_CAP points is not held, and empties the slot
     propagate(make_kink(P11, v=KINK_V), "space", 0.0, -2e4, 2e4, SP13, 64)
     assert transition._slot is None
 
 
 def test_monodromy_peak_memory_at_small_lambda():
-    # lambda = 0.01 takes about 4900 steps, all in one chunk: the largest batch of a lambda sweep
+    # lambda = 0.01 takes about 4900 steps, the longest mesh of a lambda sweep
     sp = spectral(0.01, P11)
     monodromy(make_kink(P11, v=KINK_V), "space", 0.0, 40.0, sp)  # imports and cached tables
     kink = make_kink(P11, v=KINK_V)
@@ -462,6 +505,15 @@ def test_monodromy_peak_memory_at_small_lambda():
     finally:
         tracemalloc.stop()
     assert peak <= 1.4e6
+
+
+def test_a_wide_monodromy_keeps_its_probe_in_the_slot():
+    # W = 2000 probes 4367 points, more than a chunk of steps: the second call samples no probe
+    kink = _CountingKink(P11, KINK_V, 0.0, 1)
+    for _ in range(2):
+        monodromy(kink, "space", 0.0, 2000.0, SP13)
+    probes = [shape for shape in kink.sampled if len(shape) == 1]
+    assert probes == [(4367,)] and 4367 > _CHUNK
 
 
 def _line_of(picture):
@@ -529,8 +581,9 @@ def test_monodromy_suite_samples_the_nodes_of_each_line_once_per_count(monkeypat
     sample = KinkField.sample
 
     def counting(field, x, t):
-        if np.ndim(x) == 2 and np.shape(x)[0] == 3:
-            node_samples.append(np.shape(x))
+        shape = np.broadcast(x, t).shape  # a line passes its fixed coordinate as a scalar
+        if len(shape) == 2 and shape[0] == 3:
+            node_samples.append(shape)
         return sample(field, x, t)
 
     monkeypatch.setattr(KinkField, "sample", counting)
@@ -545,8 +598,9 @@ def test_appendix_suite_probes_each_jost_line_once(monkeypatch):
     sample = KinkField.sample
 
     def counting(field, x, t):
-        if np.ndim(x) == 1:
-            probes.append(np.shape(x))
+        shape = np.broadcast(x, t).shape  # a line passes its fixed coordinate as a scalar
+        if len(shape) == 1:
+            probes.append(shape)
         return sample(field, x, t)
 
     config = ScenarioConfig.load(Path(__file__).resolve().parents[1] / "demos" / "scenario_kink.json")
