@@ -12,10 +12,13 @@ coefficients Gamma_n local in the field; their (2,1) components q_n obey
 with w = phi_t + phi_x (the on-shell value of both pi + phi_x and
 phi_t - Pi), e_pm = exp(+-i beta phi), and the sign s = -1 in the space
 picture, s = +1 in the time picture.  The (1,1) components decouple the same
-way and are not needed for the charges.  The small-lambda side follows from
-the substitution symmetry "flip phi, keep the momentum": primed coefficients
-are the same recursion evaluated with w -> phi_t - phi_x (space picture,
-times -1 in the time picture) and e_+ <-> e_-.
+way and are not needed for the charges.  For a real field the (1,2)
+components are p_n = -conj(q_n): conjugating the recursion flips the sign of
+its derivative term and swaps e_+ <-> e_-, which is the (1,2) recursion.  The
+small-lambda side follows from the substitution symmetry "flip phi, keep
+the momentum": primed coefficients are the same recursion evaluated with
+w -> phi_t - phi_x (space picture, times -1 in the time picture) and
+e_+ <-> e_-.
 
 Charge densities, all verified here by conservation and by cross-checking
 against the monodromy logarithm ln a (space) / ln fa (time):
@@ -107,7 +110,7 @@ def _line_jets(line: Line, svals: np.ndarray, deg: int):
     the flipped w' takes the cross minus the next running derivative, which
     is phi_t - phi_x in space and phi_x - phi_t in time.  slope is the plain
     running derivative phi_x (space) or phi_t (time).  Each field partial is
-    evaluated once.
+    evaluated once; phi is real, so e_- is the conjugate of e_+.
     """
     beta = line.field.params.beta
     npts = svals.size
@@ -125,24 +128,24 @@ def _line_jets(line: Line, svals: np.ndarray, deg: int):
         w[:, j] = (cross + run_next) / fact
         w_flip[:, j] = (cross - run_next) / fact
         run = run_next
-    return w, w_flip, _jet_exp(1j * beta * phi), _jet_exp(-1j * beta * phi), slope
+    ep = _jet_exp(1j * beta * phi)
+    return w, w_flip, ep, ep.conj(), slope
 
 
-def _riccati_chain(w, e_delta, e_sum, d_sign, sign_b, n_max, top, params):
-    """Jets of one off-diagonal chain, n = 0 .. n_max, from jets of w and e_pm.
+def _riccati_chain(w, e_delta, e_sum, sign_b, n_max, top, params):
+    """Jets of the (2,1) chain q_n, n = 0 .. n_max, from jets of w and e_pm.
 
-    Level n keeps degree top - n.  The (2,1) chain q_n takes d_sign = -1 and
-    (e_delta, e_sum) = (e_+, e_-); the mirrored (1,2) chain p_n takes
-    d_sign = +1 with the two factors swapped, and the flipped branch swaps
-    them once more with w -> w'.  sign_b is s of the recursion: -1 in the
-    space picture, +1 in time.
+    Level n keeps degree top - n.  The large-lambda chain takes
+    (e_delta, e_sum) = (e_+, e_-), and the flipped branch swaps them with
+    w -> w'.  sign_b is s of the recursion: -1 in the space picture, +1 in
+    time.
     """
     m, beta = params.m, params.beta
     out = [np.zeros((w.shape[0], top + 1), dtype=complex)]
     out[0][:, 0] = 1j
     for n in range(n_max):
         k = top - n  # every operand of q_{n+1} is cut to its degree top - n - 1
-        nxt = d_sign * (2j / m) * _jet_deriv(out[n]) - (beta / m) * _jet_mul(w[:, :k], out[n][:, :k])
+        nxt = (-2j / m) * _jet_deriv(out[n]) - (beta / m) * _jet_mul(w[:, :k], out[n][:, :k])
         if n == 1:
             nxt = nxt + sign_b * 0.5j * e_delta[:, :k]
         for p in range(1, n + 1):
@@ -165,16 +168,15 @@ def riccati_residuals(field: FieldEvaluator, picture: str, fixed: float, order: 
     Scales as lambda^-order at large lambda; the independent gate that a
     transcription error in the recursion cannot pass.  The residual needs
     values and first derivatives up to order, so the chains take top degree
-    D = order + 1; one jet pass, one pair of chains and one field sample
-    serve every lambda.
+    D = order + 1; one jet pass, one chain and one field sample serve every
+    lambda, and the (1,2) chain is p_n = -conj(q_n).
     """
     _check_order(order)
     line = Line(field, picture, fixed)
     svals = np.atleast_1d(np.asarray(svals, dtype=float))
     w, _, ep, em, _ = _line_jets(line, svals, order)
-    sign_b = line.pick(-1.0, 1.0)
-    q_jets = _riccati_chain(w, ep, em, -1.0, sign_b, order, order + 1, field.params)
-    p_jets = _riccati_chain(w, em, ep, 1.0, sign_b, order, order + 1, field.params)
+    q_jets = _riccati_chain(w, ep, em, line.pick(-1.0, 1.0), order, order + 1, field.params)
+    p_jets = [-q.conj() for q in q_jets]
     sample = line.at(svals)
     residuals = []
     for lam in lams:
@@ -225,7 +227,7 @@ def build_ledger(field, picture, fixed, order, window) -> ChargeLedger:
     w, w_flip, ep, em, slope = _line_jets(line, svals, order)
     sign = line.pick(1.0, -1.0)
     entries = {}
-    q = _riccati_chain(w, ep, em, -1.0, -sign, order + 1, order + 1, field.params)
+    q = _riccati_chain(w, ep, em, -sign, order + 1, order + 1, field.params)
     for n in range(1, order + 1):
         density = q[n + 1][:, 0] - sign * em[:, 0] * q[n - 1][:, 0]
         if n == 1:
@@ -234,7 +236,7 @@ def build_ledger(field, picture, fixed, order, window) -> ChargeLedger:
     del q
     # order 0: -(beta/2) times phi_x (space) or phi_t (time), the running slope
     entries[0] = complex(simpson_uniform(-0.5 * beta * slope, h))
-    q = _riccati_chain(w_flip, em, ep, -1.0, -sign, order + 1, order + 1, field.params)
+    q = _riccati_chain(w_flip, em, ep, -sign, order + 1, order + 1, field.params)
     for n in range(1, order + 1):
         if picture == "space":
             density = (-1.0) ** (n + 1) * (ep[:, 0] * q[n - 1][:, 0] - q[n + 1][:, 0])

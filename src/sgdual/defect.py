@@ -59,7 +59,7 @@ from .fields import (
     simpson_uniform,
     topological_charges,
 )
-from .lax import SpectralPoint, build_V
+from .lax import SpectralPoint, build_V, e0, hat_entries
 from .matcore import frob, inv2
 from .transition import STEP_DENSITY, default_nsteps, jost, monodromy, propagate_trajectory
 
@@ -224,14 +224,13 @@ def defect_splitting_check(pair: DefectPair, t: float, sp: SpectralPoint, half_w
     nsteps += nsteps % 2  # Simpson below wants an even step count
 
     def half_line(fld, side):
-        line = Line(fld, "space", t)
         start = side * half_width
         grid, psi = propagate_trajectory(fld, "space", t, start, 0.0, sp, nsteps)
-        # psi @ normaliser as one 2-D product: the rows of every psi times the normaliser
-        traj = (psi.reshape(-1, 2) @ line.normaliser(start, sp)).reshape(psi.shape)
+        # psi @ E0 as one 2-D product: the rows of every psi times the normaliser
+        traj = (psi.reshape(-1, 2) @ e0(start, sp)).reshape(psi.shape)
         q = traj[:, 1, 0] / traj[:, 0, 0]
         p = traj[:, 0, 1] / traj[:, 1, 1]
-        d, a01, a10 = line.generator_entries(grid, sp)
+        d, a01, a10 = hat_entries("space", Line(fld, "space", t).at(grid), sp, fld.params)
         int11 = d + a01 * q + 1j * sp.k1
         int22 = -d + a10 * p - 1j * sp.k1
         h = grid[1] - grid[0]
@@ -346,7 +345,6 @@ def generating_relation_check(
         }
         for form in ("ratio", "product"):
             predicted = c_function(sp, pair.defect, parities, form)
-            row[f"lnC_{form}"] = [np.log(predicted).real, np.log(predicted).imag]
             # branch-free comparison on the multiplier scale
             row[f"gap_{form}"] = float(abs(fa / fa_tilde - predicted))
         report.rows.append(row)

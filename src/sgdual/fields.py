@@ -235,10 +235,9 @@ class Line:
     """One line of spacetime: the x axis at fixed t (space) or the t axis at fixed x (time).
 
     The only place that maps a running coordinate s to (x, t) and a
-    (running, cross) derivative order to (dx, dt).  It also picks the gauged
-    generator U_hat / V_hat and the plane-wave normaliser E0 / cE0 of its
-    picture.  ``at`` is the one sampler of a line.  A line holds no samples:
-    every call evaluates the field afresh.
+    (running, cross) derivative order to (dx, dt).  ``at`` is the one
+    sampler of a line.  A line holds no samples: every call evaluates the
+    field afresh.
     """
 
     def __init__(self, field: FieldEvaluator, picture: str, fixed: float):
@@ -270,21 +269,6 @@ class Line:
     def partial(self, s, run: int, cross: int = 0):
         """Partial of phi of order run along the line and cross across it."""
         return self.field.derivative(*self.points(s), *self.pick((run, cross), (cross, run)))
-
-    def generator_entries(self, s, sp):
-        """Entries (d, a01, a10) of the gauged generator [[d, a01], [a10, -d]] at running coordinates s.
-
-        One array of shape (3,) + s.shape, as lax.hat_entries returns it.
-        """
-        from .lax import hat_entries
-
-        return hat_entries(self.picture, self.at(s), sp, self.field.params)
-
-    def normaliser(self, s, sp) -> np.ndarray:
-        """Plane-wave normaliser E0 (space) or cE0 (time) at running coordinate s."""
-        from .lax import ce0, e0
-
-        return self.pick(e0, ce0)(s, sp)
 
     def vacuum(self, s, phi) -> tuple[int, float]:
         """(q, offset): the vacuum 2 pi q / beta nearest to the value phi taken at s, and the distance to it.

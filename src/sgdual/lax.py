@@ -100,17 +100,15 @@ def build_V(field: FieldEvaluator, x, t, sp: SpectralPoint) -> np.ndarray:
     return lax_matrix("time", field.sample(x, t), sp, field.params)
 
 
-def hat_nodes(picture: str, sample: FieldSample, params: ModelParams, out=None) -> np.ndarray:
+def hat_nodes(picture: str, sample: FieldSample, params: ModelParams) -> np.ndarray:
     """The lambda-free half of hat_entries: Im d, cos(beta phi) and sin(beta phi), stacked in one real array.
 
     d = -i(beta/4)(phi_x + pi) (space) or -i(beta/4)(phi_t - Pi) (time) is
     imaginary, and e^{i beta phi} = cos + i sin is all the generator needs
-    of phi.  The shape is (3,) + the sample's shape; out, when given, is
-    filled instead of a new array.
+    of phi.  The shape is (3,) + the sample's shape.
     """
     beta = params.beta
-    if out is None:
-        out = np.empty((3,) + np.shape(sample.phi))
+    out = np.empty((3,) + np.shape(sample.phi))
     im_d, cos, sin = out[0, ...], out[1, ...], out[2, ...]
     if picture == "space":
         np.add(sample.phi_x, sample.pi, out=im_d)
@@ -134,12 +132,11 @@ def hat_entries(picture: str, sample: FieldSample, sp: SpectralPoint, params: Mo
 
     U_hat (space picture) or V_hat (time picture); tends to U_inf = -i k1 s2
     resp. V_inf = -i k0 s2 on decaying fields.  The entries come back stacked
-    in one complex array of shape (3,) + the sample's shape.  hat_nodes writes
-    straight into the imaginary parts of the output, and the lambda terms are
-    added in place, so a batch of samples allocates its output and nothing else.
+    in one complex array of shape (3,) + the sample's shape, the rows of
+    hat_nodes in its imaginary parts and the lambda terms added in place.
     """
     out = np.empty((3,) + np.shape(sample.phi), dtype=complex)
-    hat_nodes(picture, sample, params, out=out.imag)
+    out.imag = hat_nodes(picture, sample, params)
     quarter, zeta = sp.lam * (params.m / 4.0), hat_zeta(picture, sp, params)
     d, a01, a10 = out[0, ...], out[1, ...], out[2, ...]
     d.real[...] = 0.0

@@ -112,7 +112,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fields import FieldEvaluator, Line
-from .lax import SpectralPoint, _check_real, hat_nodes, hat_zeta
+from .lax import SpectralPoint, _check_real, ce0, e0, hat_nodes, hat_zeta
 from .matcore import _mul, expm_su2, frob, scan
 
 __all__ = [
@@ -210,6 +210,14 @@ def _line_work(line, start, stop):
     return work
 
 
+def _check_span(start, stop, half_width=None):
+    """Refuse a half-width that is not positive and finite, and a non-finite start or stop, before any probe."""
+    if half_width is not None and not 0 < half_width < math.inf:
+        raise ValueError(f"half-width must be positive and finite, got {half_width}")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError(f"start and stop must be finite, got {start} and {stop}")
+
+
 def _mesh(line, start, stop, sp, nsteps=None, graded=True):
     """(nsteps, steps, work): the step count, a map steps(first, last) to the bases and sizes of steps first..last-1, and the _LineWork or None.
 
@@ -220,6 +228,7 @@ def _mesh(line, start, stop, sp, nsteps=None, graded=True):
     scalar h; work is None when graded=False or the interval is empty.
     """
     _check_real(sp, "propagation")
+    _check_span(start, stop)
     if nsteps is not None and (isinstance(nsteps, bool) or not isinstance(nsteps, numbers.Integral) or nsteps < 1):
         raise ValueError(f"nsteps must be a positive integer, got {nsteps!r}")
     work = _line_work(line, start, stop) if graded and stop != start else None
@@ -351,8 +360,9 @@ def propagate(
 ) -> TransitionResult:
     """Transition matrix Psi(stop) with Psi(start) = 1, stepped on the graded mesh of the line.
 
-    sp must be real (ValueError otherwise).  nsteps is the step count on
-    that mesh; None takes the default count.  This and propagate_trajectory are the only public functions that take a
+    sp must be real and start and stop finite (ValueError otherwise).
+    nsteps is the step count on that mesh; None takes the default count.
+    This and propagate_trajectory are the only public functions that take a
     count: monodromy, jost and the defect checks always step at the default,
     and an explicit count is for refinement studies.
     """
@@ -396,12 +406,14 @@ def monodromy(
 ) -> Monodromy:
     """Regularised whole-line monodromy over [-W, W] in x or t.
 
-    Raises ValueError for a non-real lambda, and NonDecayingFieldError when
-    no vacuum is identifiable at the endpoints, read off the ends of the mesh
-    probe, before any step; a softer miss (beyond 1e-8 but identifiable) only
-    flags the result as truncated.
+    Raises ValueError for a non-real lambda or a half-width that is not
+    positive and finite, and NonDecayingFieldError when no vacuum is
+    identifiable at the endpoints, read off the ends of the mesh probe,
+    before any step; a softer miss (beyond 1e-8 but identifiable) only flags
+    the result as truncated.
     """
     _check_real(sp, "propagation")
+    _check_span(-half_width, half_width, half_width)
     line = Line(field, picture, fixed)
     work = _line_work(line, -half_width, half_width)
     dev = max(line.vacuum(work.probe[k], work.ends[k])[1] for k in (0, -1))
@@ -436,14 +448,16 @@ def jost(
     """Half-line solution normalised to the plane wave at side*infinity.
 
     side=-1 gives T_hat_-(x, t) (space) or cT_hat_-(x, t) (time); side=+1 the
-    plus variants used by the defect monodromy.
+    plus variants used by the defect monodromy.  Raises ValueError for a
+    half-width that is not positive and finite.
     """
     if side not in (-1, +1):
         raise ValueError("side must be -1 or +1")
     line, stop = Line.through(field, picture, x, t)
     start = side * half_width
+    _check_span(start, stop, half_width)
     res = propagate(field, picture, line.fixed, start, stop, sp)
-    return res.matrix @ line.normaliser(start, sp)
+    return res.matrix @ line.pick(e0, ce0)(start, sp)
 
 
 def appendix_equality_residuals(field: FieldEvaluator, x: float, t: float, cases) -> list[float]:

@@ -44,20 +44,26 @@ def test_vacuum_residuals_vanish():
         assert len(res) == 4 and max(res) < 1e-14
 
 
+# off the real axis the (1,2) residual no longer equals the (2,1) one, so the conjugated p chain is checked on its own
+LAMBDA_PAIRS = [(25.0, 50.0), (25.0 + 3.0j, 50.0 + 6.0j)]
+
+
 def test_riccati_residual_scales_with_truncation_order():
     kink = make_kink(P11, v=0.4)
     pts = np.linspace(-3.0, 3.0, 7)
-    r25, r50 = riccati_residuals(kink, "space", 0.0, 3, [25.0, 50.0], pts)
-    # truncation at order N leaves an O(lambda^-N) defect
-    assert 2.3 <= math.log2(r25 / r50) <= 3.7
-    [r50_4] = riccati_residuals(kink, "space", 0.0, 4, [50.0], pts)
-    assert 50.0 / 3.0 < r50 / r50_4 < 3.0 * 50.0
+    for lam25, lam50 in LAMBDA_PAIRS:
+        r25, r50 = riccati_residuals(kink, "space", 0.0, 3, [lam25, lam50], pts)
+        # truncation at order N leaves an O(lambda^-N) defect
+        assert 2.3 <= math.log2(r25 / r50) <= 3.7
+        [r50_4] = riccati_residuals(kink, "space", 0.0, 4, [lam50], pts)
+        assert 50.0 / 3.0 < r50 / r50_4 < 3.0 * 50.0
 
 
 def test_riccati_residual_time_picture():
     kink = make_kink(P11, v=0.6)
-    r25, r50 = riccati_residuals(kink, "time", 0.0, 3, [25.0, 50.0], np.linspace(-2.0, 2.0, 5))
-    assert 2.3 <= math.log2(r25 / r50) <= 3.7
+    for lam25, lam50 in LAMBDA_PAIRS:
+        r25, r50 = riccati_residuals(kink, "time", 0.0, 3, [lam25, lam50], np.linspace(-2.0, 2.0, 5))
+        assert 2.3 <= math.log2(r25 / r50) <= 3.7
 
 
 @pytest.mark.parametrize("picture", ["space", "time"])

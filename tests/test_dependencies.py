@@ -53,6 +53,38 @@ def test_import_and_a_kink_run_leave_scipy_unloaded(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
+def _sibling_imports(node):
+    """The sgdual modules a relative import names: x for `from .x import y`, x and y for `from . import x, y`."""
+    if not isinstance(node, ast.ImportFrom) or node.level == 0:
+        return []
+    return [node.module.split(".")[0]] if node.module else [alias.name for alias in node.names]
+
+
+def test_sgdual_imports_sit_at_module_level_without_a_cycle():
+    graph, nested = {}, []
+    for path in sorted((ROOT / "src" / "sgdual").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        graph[path.stem] = {target for node in tree.body for target in _sibling_imports(node)}
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nested += [f"{path.name}:{node.lineno}" for node in ast.walk(func) if _sibling_imports(node)]
+    # a function-level import of a sibling hides a dependency, usually one that would close a cycle
+    assert nested == []
+    state = {}  # module -> "open" while on the DFS stack, "done" after
+
+    def visit(module, trail):
+        state[module] = "open"
+        for target in sorted(graph.get(module, ())):
+            assert state.get(target) != "open", " -> ".join(trail + [target])
+            if target not in state:
+                visit(target, trail + [target])
+        state[module] = "done"
+
+    for module in sorted(graph):
+        if module not in state:
+            visit(module, [module])
+
+
 @pytest.mark.parametrize("name", sorted(path.stem for path in (ROOT / "src" / "sgdual").glob("*.py")))
 def test_every_exported_name_resolves(name):
     # a name left in __all__ after its definition is deleted breaks `from module import *`

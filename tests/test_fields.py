@@ -207,10 +207,11 @@ def test_line_generator_and_normaliser_follow_the_picture():
         space, time = Line(field, "space", 0.35), Line(field, "time", 0.35)
         for line, picture, x, t in ((space, "space", s, other), (time, "time", other, s)):
             want = hat_entries(picture, field.sample(x, t), sp, field.params)
-            for got_entry, want_entry in zip(line.generator_entries(s, sp), want, strict=True):
+            got = hat_entries(line.picture, line.at(s), sp, field.params)
+            for got_entry, want_entry in zip(got, want, strict=True):
                 assert np.array_equal(got_entry, want_entry)
-        assert np.array_equal(space.normaliser(-0.7, sp), e0(-0.7, sp))
-        assert np.array_equal(time.normaliser(-0.7, sp), ce0(-0.7, sp))
+        assert np.array_equal(space.pick(e0, ce0)(-0.7, sp), e0(-0.7, sp))
+        assert np.array_equal(time.pick(e0, ce0)(-0.7, sp), ce0(-0.7, sp))
 
 
 @pytest.mark.parametrize("picture", ["space", "time"])
@@ -218,15 +219,15 @@ def test_line_generator_and_normaliser_follow_the_picture():
 def test_generator_entries_of_three_node_rows_equal_three_row_calls(picture, lam):
     # the Magnus stepper samples its three Gauss nodes in one call on a (3, n) array
     from sgdual.fields import Line
-    from sgdual.lax import spectral
+    from sgdual.lax import hat_entries, spectral
 
     line = Line(make_kink(P11, v=-0.6, x0=0.3), picture, 0.2)
     sp = spectral(lam, P11)
     nodes = np.linspace(-35.0, 35.0, 3 * 1001).reshape(3, 1001)
-    got = line.generator_entries(nodes, sp)
+    got = hat_entries(picture, line.at(nodes), sp, line.field.params)
     assert got.shape == (3, 3, 1001)
     for i in range(3):
-        assert np.array_equal(got[:, i], line.generator_entries(nodes[i], sp))
+        assert np.array_equal(got[:, i], hat_entries(picture, line.at(nodes[i]), sp, line.field.params))
 
 
 def test_arctan_exp_matches_the_masked_branches_bitwise():

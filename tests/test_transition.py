@@ -138,6 +138,38 @@ def test_step_counts_below_one_are_refused(stepper, nsteps):
         stepper(make_kink(P11, v=0.4), "space", 0.0, -5.0, 5.0, SP13, nsteps)
 
 
+def _count_kink_samples(monkeypatch):
+    sample, calls = KinkField.sample, []
+
+    def counting(field, x, t):
+        calls.append(np.shape(x))
+        return sample(field, x, t)
+
+    monkeypatch.setattr(KinkField, "sample", counting)
+    return calls
+
+
+@pytest.mark.parametrize("half_width", [0.0, -40.0, math.nan, math.inf, -math.inf])
+def test_bad_half_widths_are_refused_before_any_probe(monkeypatch, half_width):
+    # a negative W walks the line backwards (the conjugate a(lambda)) and puts jost's boundary data at the wrong end
+    calls = _count_kink_samples(monkeypatch)
+    kink = make_kink(P11, v=0.4)
+    with pytest.raises(ValueError, match="half-width must be positive and finite"):
+        monodromy(kink, "space", 0.0, half_width, spectral(0.5, P11))
+    with pytest.raises(ValueError, match="half-width must be positive and finite"):
+        jost(kink, "time", 0.5, 0.2, SP13, half_width)
+    assert calls == []
+
+
+@pytest.mark.parametrize("start, stop", [(math.nan, 5.0), (-5.0, math.inf), (-math.inf, 0.0)])
+@pytest.mark.parametrize("stepper", [propagate, propagate_trajectory])
+def test_nonfinite_ends_are_refused_before_any_probe(monkeypatch, stepper, start, stop):
+    calls = _count_kink_samples(monkeypatch)
+    with pytest.raises(ValueError, match="start and stop must be finite"):
+        stepper(make_kink(P11, v=0.4), "space", 0.0, start, stop, SP13, 16)
+    assert calls == []
+
+
 def test_numpy_integer_step_counts_are_accepted():
     kink = make_kink(P11, v=0.4)
     for stepper in (propagate, propagate_trajectory):
@@ -358,9 +390,9 @@ def _blaschke_gap(lam, nsteps=None, picture="space", half_width=40.0):
     if nsteps is None:
         a = monodromy(kink, picture, fixed, half_width, sp).a_entry
     else:
-        line = Line(kink, picture, fixed)
+        normaliser = Line(kink, picture, fixed).pick(e0, ce0)
         core = propagate(kink, picture, fixed, -half_width, half_width, sp, nsteps).matrix
-        a = (inv2(line.normaliser(half_width, sp)) @ core @ line.normaliser(-half_width, sp))[0, 0]
+        a = (inv2(normaliser(half_width, sp)) @ core @ normaliser(-half_width, sp))[0, 0]
     return abs(a - (lam - sign * 1j * KINK_MU) / (lam + sign * 1j * KINK_MU))
 
 
@@ -621,8 +653,9 @@ def test_appendix_suite_probes_each_jost_line_once(monkeypatch):
 def test_closed_form_regularisation_equals_the_normalisers(picture, lam, half_width):
     kink, sp = make_kink(P11, v=KINK_V), spectral(lam, P11)
     line = Line(kink, picture, 0.3)
+    normaliser = line.pick(e0, ce0)
     core = propagate(kink, picture, 0.3, -half_width, half_width, sp).matrix
-    want = inv2(line.normaliser(half_width, sp)) @ core @ line.normaliser(-half_width, sp)
+    want = inv2(normaliser(half_width, sp)) @ core @ normaliser(-half_width, sp)
     got = _regularised(core, line.pick(sp.k1, sp.k0), half_width)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
