@@ -61,7 +61,7 @@ from .fields import (
 )
 from .lax import SpectralPoint, build_V, e0, hat_entries
 from .matcore import frob, inv2
-from .transition import STEP_DENSITY, default_nsteps, jost, monodromy, propagate_trajectory
+from .transition import STEP_DENSITY, _check_span, default_nsteps, jost, monodromy, propagate_trajectory
 
 __all__ = [
     "DefectParams",
@@ -217,8 +217,11 @@ def defect_splitting_check(pair: DefectPair, t: float, sp: SpectralPoint, half_w
     Gamma_+)^-1 L_hat (1 + Gamma~_-)] at x = 0, with the exact (1 - p q)
     normalisation rather than its large-lambda limit 1/2.  The direct side is
     ln diag of defect_monodromy_S: Jost solutions at the default count on the
-    graded mesh, a discretisation independent of the trajectories.
+    graded mesh, a discretisation independent of the trajectories.  A
+    half-width that is not positive and finite raises ValueError before any
+    trajectory runs.
     """
+    _check_span(-half_width, half_width, half_width)
     # Simpson on the trajectory's own grid needs a finer spacing than the Magnus steps
     nsteps = default_nsteps(half_width, sp, density=3.0 * STEP_DENSITY)
     nsteps += nsteps % 2  # Simpson below wants an even step count
@@ -228,8 +231,10 @@ def defect_splitting_check(pair: DefectPair, t: float, sp: SpectralPoint, half_w
         grid, psi = propagate_trajectory(fld, "space", t, start, 0.0, sp, nsteps)
         # psi @ E0 as one 2-D product: the rows of every psi times the normaliser
         traj = (psi.reshape(-1, 2) @ e0(start, sp)).reshape(psi.shape)
+        del psi  # each trajectory is freed once read: they set this check's peak memory
         q = traj[:, 1, 0] / traj[:, 0, 0]
         p = traj[:, 0, 1] / traj[:, 1, 1]
+        del traj
         d, a01, a10 = hat_entries("space", Line(fld, "space", t).at(grid), sp, fld.params)
         int11 = d + a01 * q + 1j * sp.k1
         int22 = -d + a10 * p - 1j * sp.k1

@@ -21,6 +21,14 @@ long the batch, so each level of a product tree or scan is O(1) numpy
 calls; ``np.moveaxis(e, -1, 0)`` views a batch as an ``(n, 2, 2)`` stack.
 Helpers called once per tree level are private, so call-level
 instrumentation wraps only once-per-batch calls.
+
+numpy chooses the inner loop of a complex product by its operands' memory
+layout, and its loops need not round alike: the same values as a strided
+view and as a contiguous array can give products that differ in the last
+bit.  Code rewritten to save memory keeps each multiply's operands in the
+layout they had (a contiguous array stays contiguous, a strided view stays
+strided), and is compared by ``float.hex``: a 12-digit report can stay
+byte-identical while the bits move.
 """
 
 from __future__ import annotations

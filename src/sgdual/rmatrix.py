@@ -29,11 +29,16 @@ Bracket functionals are assembled with analytic derivatives of the Lax
 entries with respect to the canonical pair at each site -- never by
 finite-differencing a functional -- and lattice sums reduce in a fixed
 order, so reports are bit-stable.
+
+The lattice checks take an integer count of at least 100 sites and hold one
+scan, or one block of sites, at a time, so their peak memory is set by one
+point's site factors and scan, not by whole-lattice (4, 4) stacks.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Sequence
 from typing import NamedTuple
 
@@ -57,6 +62,8 @@ __all__ = [
 _PROJ = ID4 - tensor(SIGMA3, SIGMA3)
 _SWAP = tensor(SIGMA1, SIGMA1) + tensor(SIGMA2, SIGMA2)
 _ULTRALOCAL_SPACING = 0.1  # lattice spacing of ultralocal_check
+_MIN_SITES = 100  # the fewest sites a lattice check takes
+_BLOCK = 64  # sites per block of transition_bracket_check's Leibniz sum
 
 
 class RMatrixValue(NamedTuple):
@@ -161,32 +168,43 @@ def _batched_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("nij,nkl->nikjl", a, b).reshape(n, 4, 4)
 
 
-def _transfer_scans(sample: FieldSample, sp, params: ModelParams, delta):
-    """(v, upto, down_to): per-site V, and the ordered products of the site factors exp(delta V) up to and down to each site.
+def _site_factors(sample: FieldSample, sp, params: ModelParams, delta):
+    """(v, steps): per-site V as an (n, 2, 2) stack, and the site factors exp(delta V) as a (2, 2, n) batch.
 
-    v is an (n, 2, 2) stack; upto[..., i] = steps[i] @ ... @ steps[0] and
-    down_to[..., i] = steps[n-1] @ ... @ steps[i] are (2, 2, n) batches.
     At real lambda delta V is traceless and anti-Hermitian, so each factor is
     matcore.expm_su2 of u = (Im delta V00, Re delta V01, Im delta V01); a
     non-real lambda raises ValueError.
     """
     _check_real(sp, "the lattice checks")
     v = lax_matrix("time", sample, sp, params)
-    steps = expm_su2(delta * np.array([v[:, 0, 0].imag, v[:, 0, 1].real, v[:, 0, 1].imag]))  # a temporary u, not held during the scans
-    return v, scan(steps), scan(steps, reverse=True)
+    return v, expm_su2(delta * np.array([v[:, 0, 0].imag, v[:, 0, 1].real, v[:, 0, 1].imag]))
 
 
 def _site_products(sample: FieldSample, sp, params: ModelParams, delta):
-    """Per-site V, and the transfer products below each site, above it and in total."""
-    v, upto, down_to = _transfer_scans(sample, sp, params, delta)
+    """Per-site V, and the transfer products below each site, above it and in total.
+
+    The reverse scan is read into the suffixes and freed before the forward
+    scan runs, so one scan is alive at a time.
+    """
+    v, steps = _site_factors(sample, sp, params, delta)
+    down_to = scan(steps, reverse=True)
     # written into C-ordered (n, 2, 2) stacks: the products and sums downstream follow the memory layout
-    prefix = np.empty((v.shape[0], 2, 2), dtype=upto.dtype)  # product of steps below site i
-    prefix[0] = ID2
-    prefix[1:] = np.moveaxis(upto[..., :-1], -1, 0)
-    suffix = np.empty_like(prefix)  # product of steps above site i
+    suffix = np.empty((v.shape[0], 2, 2), dtype=complex)  # product of steps above site i
     suffix[:-1] = np.moveaxis(down_to[..., 1:], -1, 0)
     suffix[-1] = ID2
+    del down_to
+    upto = scan(steps)
+    del steps
+    prefix = np.empty_like(suffix)  # product of steps below site i
+    prefix[0] = ID2
+    prefix[1:] = np.moveaxis(upto[..., :-1], -1, 0)
     return v, prefix, suffix, upto[..., -1].copy()  # a copy, so that the returned total does not keep the scan alive
+
+
+def _check_sites(n_sites):
+    """Refuse a site count that is not an integer of at least _MIN_SITES, before any sampling."""
+    if isinstance(n_sites, bool) or not isinstance(n_sites, numbers.Integral) or n_sites < _MIN_SITES:
+        raise ValueError(f"the lattice needs an integer count of at least {_MIN_SITES} sites, got {n_sites!r}")
 
 
 def _time_lattice(field: FieldEvaluator, x: float, interval: tuple[float, float], n_sites: int):
@@ -216,25 +234,31 @@ def transition_bracket_check(
     The Leibniz sum with the exact same-site brackets is compared against
     -[r, T x T] built from the same discrete transfer product; the two agree
     up to O(delta) from the first-order splitting of the site exponentials.
+    The site terms (S_i x S'_i) (-delta [r, V_i x 1 + 1 x V'_i]) (P_i x P'_i),
+    S and P the products above and below site i, are formed a block of
+    _BLOCK sites at a time and folded into the sum in site order, which is
+    the one-piece sum bit for bit whatever the block size.  n_sites must be
+    an integer of at least 100 (ValueError otherwise).
     """
-    if n_sites < 100:
-        raise ValueError("the lattice needs at least 100 sites")
+    _check_sites(n_sites)
     params = field.params
     delta, samples = _time_lattice(field, fixed_x, interval, n_sites)
     v1, pre1, suf1, tot1 = _site_products(samples, sp1, params, delta)
     v2, pre2, suf2, tot2 = _site_products(samples, sp2, params, delta)
     r = r_matrix(sp1.lam, sp2.lam, params).matrix
-    big = _batched_kron(v1, np.broadcast_to(ID2, v1.shape))
-    big += _batched_kron(np.broadcast_to(ID2, v2.shape), v2)
-    del v1, v2
-    # -(r @ big - big @ r), with big @ r and r @ big as one 2-D product each against the fixed r
-    site_bracket = (big.reshape(4 * n_sites, 4) @ r).reshape(n_sites, 4, 4)
-    big = big.transpose(1, 0, 2).reshape(4, 4 * n_sites)  # a copy: column block i is the site-i matrix
-    site_bracket -= (r @ big).reshape(4, n_sites, 4).transpose(1, 0, 2)
-    site_bracket *= delta
-    del big
-    site_bracket = _batched_kron(suf1, suf2) @ site_bracket  # rebound, so that one (n, 4, 4) stack fewer is live below
-    lhs = (site_bracket @ _batched_kron(pre1, pre2)).sum(axis=0)
+    lhs = np.zeros((4, 4), dtype=complex)  # 0 + x is x: the fold below is the one-piece site-order sum
+    for first in range(0, n_sites, _BLOCK):
+        m = min(_BLOCK, n_sites - first)
+        block, ones = slice(first, first + m), np.broadcast_to(ID2, (m, 2, 2))
+        big = _batched_kron(v1[block], ones)
+        big += _batched_kron(ones, v2[block])
+        # -(r @ big - big @ r), with big @ r and r @ big as one 2-D product each against the fixed r
+        site_bracket = (big.reshape(4 * m, 4) @ r).reshape(m, 4, 4)
+        big = big.transpose(1, 0, 2).reshape(4, 4 * m)  # a copy: column block i is the site-i matrix
+        site_bracket -= (r @ big).reshape(4, m, 4).transpose(1, 0, 2)
+        site_bracket *= delta
+        terms = _batched_kron(suf1[block], suf2[block]) @ site_bracket @ _batched_kron(pre1[block], pre2[block])
+        lhs = np.add.reduce(np.concatenate((lhs[None], terms)), axis=0)
     big_tot = tensor(tot1, tot2)
     rhs = -(r @ big_tot - big_tot @ r)
     return BracketReport(
@@ -243,6 +267,38 @@ def transition_bracket_check(
         float(np.max(np.abs(rhs))),
         n_sites,
     )
+
+
+def _fa_gradient(samples: FieldSample, sp, params: ModelParams, delta, interval, charges):
+    """delta times the derivatives of fa = [cap_b^-1 steps[n-1] ... steps[0] cap_a]_00 in (phi_i, Pi_i), as two (n,) arrays.
+
+    cap_a and cap_b are ce_charged at the interval's ends with the charges
+    (q-, q+).  V is dropped once the site factors exist, and the reverse scan
+    is read into head and freed before the forward scan runs.
+    """
+    n_sites = len(samples.phi)
+    steps = _site_factors(samples, sp, params, delta)[1]
+    (a, b), (qm, qp) = interval, charges
+    row, col = inv2(ce_charged(b, sp, qp))[0], ce_charged(a, sp, qm)[:, 0]
+    # head[:, i] = row @ suffix_i with suffix_i = down_to[..., i + 1], the identity at the last site
+    down_to = scan(steps, reverse=True)
+    head = np.empty((2, n_sites), dtype=complex)
+    head[:, :-1] = row[0] * down_to[0, :, 1:] + row[1] * down_to[1, :, 1:]
+    head[:, -1] = row
+    del down_to
+    # tail[:, i] = prefix_i @ col with prefix_i = upto[..., i - 1], the identity at the first site
+    upto = scan(steps)
+    del steps
+    tail = np.empty((2, n_sites), dtype=complex)
+    tail[:, 1:] = upto[:, 0, :-1] * col[0] + upto[:, 1, :-1] * col[1]
+    tail[:, 0] = col
+    del upto
+    d_phi, d_mom = lax_derivatives("time", samples, sp, params)
+    da_dphi = head[0] * d_phi[:, 0, 1] * tail[1]
+    da_dphi += head[1] * d_phi[:, 1, 0] * tail[0]
+    da_dmom = head[0] * d_mom[:, 0, 0] * tail[0]
+    da_dmom += head[1] * d_mom[:, 1, 1] * tail[1]
+    return delta * da_dphi, delta * da_dmom
 
 
 def involution_check(
@@ -266,32 +322,12 @@ def involution_check(
     prefix_i cap_a, so only the cap row times the reverse scan and the
     forward scan times the cap column are formed, entrywise on the (2, 2, n)
     scans; dV is off-diagonal in phi and diagonal in Pi, so each contraction
-    has two terms.  The spectral points are taken one at a time, which
-    bounds the live scans to those of one point.
+    has two terms.  One scan of one point is alive at a time (_fa_gradient).
+    n_sites must be an integer of at least 100 (ValueError otherwise).
     """
-    a, b = interval
-    qm, qp = topological_charges(field, x_probe, "time")
+    _check_sites(n_sites)
+    charges = topological_charges(field, x_probe, "time")
     delta, samples = _time_lattice(field, x_probe, interval, n_sites)
-    grads = []
-    for sp in sp_pair:
-        _, upto, down_to = _transfer_scans(samples, sp, field.params, delta)
-        row = inv2(ce_charged(b, sp, qp))[0]
-        col = ce_charged(a, sp, qm)[:, 0]
-        # head[:, i] = row @ suffix_i with suffix_i = down_to[..., i + 1], the identity at the last site
-        head = np.empty((2, n_sites), dtype=complex)
-        head[:, :-1] = row[0] * down_to[0, :, 1:] + row[1] * down_to[1, :, 1:]
-        head[:, -1] = row
-        # tail[:, i] = prefix_i @ col with prefix_i = upto[..., i - 1], the identity at the first site
-        tail = np.empty((2, n_sites), dtype=complex)
-        tail[:, 1:] = upto[:, 0, :-1] * col[0] + upto[:, 1, :-1] * col[1]
-        tail[:, 0] = col
-        del upto, down_to
-        d_phi, d_mom = lax_derivatives("time", samples, sp, field.params)
-        da_dphi = head[0] * d_phi[:, 0, 1] * tail[1]
-        da_dphi += head[1] * d_phi[:, 1, 0] * tail[0]
-        da_dmom = head[0] * d_mom[:, 0, 0] * tail[0]
-        da_dmom += head[1] * d_mom[:, 1, 1] * tail[1]
-        grads.append((delta * da_dphi, delta * da_dmom))
-    (dphi1, dmom1), (dphi2, dmom2) = grads
+    (dphi1, dmom1), (dphi2, dmom2) = (_fa_gradient(samples, sp, field.params, delta, interval, charges) for sp in sp_pair)
     bracket = np.sum(dphi1 * dmom2 - dmom1 * dphi2) / delta
     return float(abs(bracket))

@@ -160,9 +160,12 @@ class Monodromy(NamedTuple):
 def default_nsteps(half_width: float, sp: SpectralPoint, density: float = STEP_DENSITY) -> int:
     """Step count scaled with the generator frequency, density W max(|k0|,|k1|,m)/pi.
 
-    W is the half-width of a uniform mesh, or (1/2) int w ds of a graded one.
-    Raises ValueError when that count exceeds MAX_STEPS (or is not finite).
+    W is the half-width of a uniform mesh, or (1/2) int w ds of a graded one;
+    W = 0 (an empty interval) takes the floor of 64.  Raises ValueError for a
+    negative or non-finite W, and when the count exceeds MAX_STEPS.
     """
+    if not 0 <= half_width < math.inf:
+        raise ValueError(f"half-width must be non-negative and finite, got {half_width}")
     rate = max(abs(sp.k0), abs(sp.k1), sp.m)
     count = density * half_width * rate / math.pi
     if not count <= MAX_STEPS:
@@ -391,9 +394,10 @@ def propagate_trajectory(field, picture, fixed, start, stop, sp, nsteps) -> tupl
     line = Line(field, picture, fixed)
     _, steps, _ = _mesh(line, start, stop, sp, nsteps, graded=False)
     base, h = steps(0, nsteps)
-    out = np.empty((nsteps + 1, 2, 2), dtype=complex)
+    psi = scan(_su2_steps(_combinations(line, base, h), h, line, sp))
+    out = np.empty((nsteps + 1, 2, 2), dtype=complex)  # allocated after the scan, so that it is not live during it
     out[0] = np.eye(2)
-    out[1:] = np.moveaxis(scan(_su2_steps(_combinations(line, base, h), h, line, sp)), -1, 0)
+    out[1:] = np.moveaxis(psi, -1, 0)
     return np.linspace(start, stop, nsteps + 1), out
 
 

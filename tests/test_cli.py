@@ -1,6 +1,7 @@
 import concurrent.futures
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -281,6 +282,23 @@ def test_demo_scenario_reproduces_the_committed_reports(tmp_path, name):
     assert [p.name for p in sorted(tmp_path.iterdir())] == [p.name for p in want]
     for path in want:
         assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+def test_each_kink_demo_suite_stays_within_the_memory_budget():
+    # the lattice checks hold one scan or one block of sites, and the splitting check one trajectory, at a time;
+    # with whole-lattice stacks the involution, rmatrix and defect suites peaked at 1.12, 1.02 and 0.96 MB
+    config = ScenarioConfig.load(DEMOS / "scenario_kink.json")
+    for name in config.suites:
+        run_suite(name, config)  # imports and cached tables
+    peaks = {}
+    for name in config.suites:
+        tracemalloc.start()
+        try:
+            run_suite(name, config)
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert {name: peak for name, peak in peaks.items() if peak > 0.9e6} == {}
 
 
 _TIME_PICTURE_SUITES = {"monodromy-conservation", "charges", "energy-identities", "appendix", "involution"}

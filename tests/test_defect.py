@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -168,6 +169,19 @@ def test_defect_splitting_direct_side_is_the_defect_monodromy(pair_sigma2):
     rep = defect_splitting_check(pair_sigma2, 0.7, sp, 40.0)
     mono = defect_monodromy_S(pair_sigma2, 0.7, sp, 40.0)
     assert rep.direct == (np.log(mono[0, 0]), np.log(mono[1, 1]))
+
+
+def test_defect_splitting_frees_each_trajectory_once_read(pair_sigma2):
+    # the trajectory's output allocated during its scan, and psi and traj kept to the end of a half line, peaked at 0.92 MB
+    sp = spectral(1.5, P11)
+    defect_splitting_check(pair_sigma2, 0.7, sp, 40.0)  # imports and cached tables
+    tracemalloc.start()
+    try:
+        defect_splitting_check(pair_sigma2, 0.7, sp, 40.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.85e6
 
 
 def test_b_factors_limits():

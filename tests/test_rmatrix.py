@@ -1,13 +1,17 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from sgdual.fields import FieldSample, KinkField, Line, ModelParams, make_kink, make_vacuum, topological_charges
 from sgdual.lax import build_V, ce_charged, spectral
-from sgdual.matcore import ID2, det2, expm_su2, inv2
+from sgdual.matcore import ID2, det2, expm_su2, inv2, scan
 from sgdual.defect import DefectParams, bt_kink_from_vacuum
 from sgdual import rmatrix
 from sgdual.rmatrix import (
     BracketReport,
+    _site_factors,
     _site_products,
     _time_lattice,
     involution_check,
@@ -185,6 +189,98 @@ def test_involution_matches_the_stacked_product_formula(n_sites):
     for field, x, span in ((make_kink(P11, v=0.4), 0.7, 20.0), (pair.right, 0.5, 14.0)):
         want = _involution_by_stacked_products(field, x, sps, n_sites, (-span, span))
         assert abs(involution_check(field, x, sps, n_sites, (-span, span)) - want) <= 1e-9 * want
+
+
+def _involution_with_both_scans(field, x_probe, sps, n_sites, interval):
+    """involution_check as it was written with V and both scans of a point alive together, forward scan first."""
+    a, b = interval
+    qm, qp = topological_charges(field, x_probe, "time")
+    delta, samples = _time_lattice(field, x_probe, interval, n_sites)
+    grads = []
+    for sp in sps:
+        v, steps = _site_factors(samples, sp, field.params, delta)
+        upto, down_to = scan(steps), scan(steps, reverse=True)
+        row = inv2(ce_charged(b, sp, qp))[0]
+        col = ce_charged(a, sp, qm)[:, 0]
+        head = np.empty((2, n_sites), dtype=complex)
+        head[:, :-1] = row[0] * down_to[0, :, 1:] + row[1] * down_to[1, :, 1:]
+        head[:, -1] = row
+        tail = np.empty((2, n_sites), dtype=complex)
+        tail[:, 1:] = upto[:, 0, :-1] * col[0] + upto[:, 1, :-1] * col[1]
+        tail[:, 0] = col
+        d_phi, d_mom = lax_derivatives("time", samples, sp, field.params)
+        da_dphi = head[0] * d_phi[:, 0, 1] * tail[1]
+        da_dphi += head[1] * d_phi[:, 1, 0] * tail[0]
+        da_dmom = head[0] * d_mom[:, 0, 0] * tail[0]
+        da_dmom += head[1] * d_mom[:, 1, 1] * tail[1]
+        grads.append((delta * da_dphi, delta * da_dmom))
+    (dphi1, dmom1), (dphi2, dmom2) = grads
+    return float(abs(np.sum(dphi1 * dmom2 - dmom1 * dphi2) / delta))
+
+
+@pytest.mark.parametrize("n_sites", [200, 401, 1600])
+def test_involution_with_one_scan_alive_is_bitwise_the_two_scan_form(n_sites):
+    sps = (spectral(1.5, P11), spectral(0.8, P11))
+    pair = bt_kink_from_vacuum(P11, DefectParams(2.0))
+    cases = ((make_kink(P11, v=0.4), 0.7, 20.0), (make_kink(P11, v=-0.3, x0=0.2), 0.7, 20.0), (pair.right, 0.5, 14.0), (pair.left, -0.5, 14.0))
+    for field, x, span in cases:
+        for pts in (sps, sps[::-1]):
+            want = _involution_with_both_scans(field, x, pts, n_sites, (-span, span))
+            assert involution_check(field, x, pts, n_sites, (-span, span)).hex() == want.hex()
+
+
+def _traced_peak(call):
+    call()  # imports and cached tables
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_involution_holds_one_scan_at_a_time():
+    # V and both scans of a point alive together peaked at 1.12 MB
+    kink = make_kink(P11, v=0.4)
+    sps = (spectral(1.5, P11), spectral(0.8, P11))
+    assert _traced_peak(lambda: involution_check(kink, 0.7, sps, 1600, (-20.0, 20.0))) < 0.8e6
+
+
+def test_transition_bracket_holds_one_block_at_a_time():
+    # five (n, 4, 4) stacks of the whole lattice peaked at 1.00 MB
+    kink = make_kink(P11, v=0.4)
+    assert _traced_peak(lambda: transition_bracket_check(kink, 0.0, (-5.0, 5.0), spectral(1.3, P11), spectral(0.7, P11), 800)) < 0.6e6
+
+
+@pytest.mark.parametrize("n_sites", [100, 401])
+def test_bracket_report_does_not_depend_on_the_block_size(monkeypatch, n_sites):
+    kink = make_kink(P11, v=0.4)
+    check = lambda: np.array(transition_bracket_check(kink, 0.0, (-5.0, 5.0), spectral(1.3, P11), spectral(0.7, P11), n_sites)).tobytes()
+    want = check()
+    for block in (1, 7, 128, n_sites, n_sites + 1):
+        monkeypatch.setattr(rmatrix, "_BLOCK", block)
+        assert check() == want
+
+
+@pytest.mark.parametrize("n_sites", [0, 1, 50, 99, 2.5, 150.5, 400.0, True, np.float64(200.0)])
+def test_lattice_site_counts_are_refused_before_sampling(monkeypatch, n_sites):
+    kink = make_kink(P11, v=0.4)
+    calls = []
+    sample = KinkField.sample
+    monkeypatch.setattr(KinkField, "sample", lambda self, x, t: calls.append(1) or sample(self, x, t))
+    sps = (spectral(1.5, P11), spectral(0.8, P11))
+    with pytest.raises(ValueError, match=re.escape(f"at least 100 sites, got {n_sites!r}")):
+        involution_check(kink, 0.7, sps, n_sites, (-20.0, 20.0))
+    with pytest.raises(ValueError, match=re.escape(f"at least 100 sites, got {n_sites!r}")):
+        transition_bracket_check(kink, 0.0, (-5.0, 5.0), *sps, n_sites)
+    assert calls == []
+
+
+def test_numpy_integer_site_counts_are_accepted():
+    kink = make_kink(P11, v=0.4)
+    sps = (spectral(1.5, P11), spectral(0.8, P11))
+    assert involution_check(kink, 0.7, sps, np.int64(400), (-20.0, 20.0)) == involution_check(kink, 0.7, sps, 400, (-20.0, 20.0))
+    assert transition_bracket_check(kink, 0.0, (-5.0, 5.0), *sps, np.int32(100)).n_sites == 100
 
 
 @pytest.mark.parametrize("picture", ["space", "time"])

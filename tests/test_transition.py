@@ -161,6 +161,35 @@ def test_bad_half_widths_are_refused_before_any_probe(monkeypatch, half_width):
     assert calls == []
 
 
+@pytest.mark.parametrize("half_width", [0.0, -40.0, math.nan, math.inf, -math.inf])
+def test_bad_splitting_half_widths_are_refused_before_any_trajectory(monkeypatch, half_width):
+    # a negative W used to run both half-line trajectories from the wrong sides before jost refused it
+    pair, starts = defect.bt_kink_from_vacuum(P11, defect.DefectParams(2.0)), []
+
+    def recording(field, picture, fixed, start, stop, sp, nsteps):
+        starts.append(start)
+        return propagate_trajectory(field, picture, fixed, start, stop, sp, nsteps)
+
+    monkeypatch.setattr(defect, "propagate_trajectory", recording)
+    calls = _count_kink_samples(monkeypatch)
+    with pytest.raises(ValueError, match="half-width must be positive and finite"):
+        defect.defect_splitting_check(pair, 0.7, spectral(1.5, P11), half_width)
+    assert starts == [] and calls == []
+
+
+@pytest.mark.parametrize("half_width", [-40.0, -1e-300, math.nan, math.inf, -math.inf])
+def test_default_nsteps_refuses_negative_and_nonfinite_half_widths(half_width):
+    with pytest.raises(ValueError, match="half-width must be non-negative and finite"):
+        default_nsteps(half_width, SP13)
+
+
+def test_an_empty_interval_still_takes_no_steps():
+    # _mesh asks default_nsteps for the count of an empty interval, W = 0, which takes the floor
+    assert default_nsteps(0.0, SP13) == 64
+    res = propagate(make_kink(P11, v=0.4), "space", 0.0, 2.5, 2.5, SP13)
+    assert res.step_count == 0 and np.array_equal(res.matrix, np.eye(2))
+
+
 @pytest.mark.parametrize("start, stop", [(math.nan, 5.0), (-5.0, math.inf), (-math.inf, 0.0)])
 @pytest.mark.parametrize("stepper", [propagate, propagate_trajectory])
 def test_nonfinite_ends_are_refused_before_any_probe(monkeypatch, stepper, start, stop):
