@@ -61,7 +61,7 @@ from .fields import (
 )
 from .lax import SpectralPoint, build_V, e0, hat_entries
 from .matcore import frob, inv2
-from .transition import STEP_DENSITY, _check_span, default_nsteps, jost, monodromy, propagate_trajectory
+from .transition import _TRAJECTORY_CHUNK, STEP_DENSITY, _check_span, _trajectory, default_nsteps, jost, monodromy
 
 __all__ = [
     "DefectParams",
@@ -194,6 +194,8 @@ class SplittingReport(NamedTuple):
     half_line_plus: tuple[complex, complex]
     half_line_minus: tuple[complex, complex]
     defect_term: tuple[complex, complex]
+    step_count: int  # Magnus steps of each half-line trajectory
+    chunk: int  # steps sampled, stepped and scanned at once
 
     def gap(self) -> float:
         out = 0.0
@@ -217,9 +219,11 @@ def defect_splitting_check(pair: DefectPair, t: float, sp: SpectralPoint, half_w
     Gamma_+)^-1 L_hat (1 + Gamma~_-)] at x = 0, with the exact (1 - p q)
     normalisation rather than its large-lambda limit 1/2.  The direct side is
     ln diag of defect_monodromy_S: Jost solutions at the default count on the
-    graded mesh, a discretisation independent of the trajectories.  A
-    half-width that is not positive and finite raises ValueError before any
-    trajectory runs.
+    graded mesh, a discretisation independent of the trajectories.  Each
+    trajectory is read chunk by chunk as transition._trajectory yields it:
+    q, p and the two integrands are formed per chunk, and only the
+    integrands are kept over the whole grid.  A half-width that is not
+    positive and finite raises ValueError before any trajectory runs.
     """
     _check_span(-half_width, half_width, half_width)
     # Simpson on the trajectory's own grid needs a finer spacing than the Magnus steps
@@ -228,16 +232,22 @@ def defect_splitting_check(pair: DefectPair, t: float, sp: SpectralPoint, half_w
 
     def half_line(fld, side):
         start = side * half_width
-        grid, psi = propagate_trajectory(fld, "space", t, start, 0.0, sp, nsteps)
-        # psi @ E0 as one 2-D product: the rows of every psi times the normaliser
-        traj = (psi.reshape(-1, 2) @ e0(start, sp)).reshape(psi.shape)
-        del psi  # each trajectory is freed once read: they set this check's peak memory
-        q = traj[:, 1, 0] / traj[:, 0, 0]
-        p = traj[:, 0, 1] / traj[:, 1, 1]
-        del traj
-        d, a01, a10 = hat_entries("space", Line(fld, "space", t).at(grid), sp, fld.params)
-        int11 = d + a01 * q + 1j * sp.k1
-        int22 = -d + a10 * p - 1j * sp.k1
+        grid = np.linspace(start, 0.0, nsteps + 1)
+        line, norm = Line(fld, "space", t), e0(start, sp)
+        int11, int22 = np.empty(nsteps + 1, dtype=complex), np.empty(nsteps + 1, dtype=complex)
+        end = 0
+        # Psi E0 chunk by chunk: only q, p and the integrands of each chunk are kept
+        for psi in _trajectory(fld, "space", t, start, 0.0, sp, nsteps):
+            part = slice(end, end + len(psi))
+            end = part.stop
+            # psi @ E0 as one 2-D product: the rows of every psi times the normaliser
+            traj = (psi.reshape(-1, 2) @ norm).reshape(psi.shape)
+            q = traj[:, 1, 0] / traj[:, 0, 0]
+            p = traj[:, 0, 1] / traj[:, 1, 1]
+            d, a01, a10 = hat_entries("space", line.at(grid[part]), sp, fld.params)
+            int11[part] = d + a01 * q + 1j * sp.k1
+            int22[part] = -d + a10 * p - 1j * sp.k1
+            del psi, traj, d, a01, a10  # freed before the next chunk is stepped; q and p stay for gamma0
         h = grid[1] - grid[0]
         # the + trajectory runs from the far end towards 0; flip so h > 0
         if h < 0:
@@ -255,7 +265,7 @@ def defect_splitting_check(pair: DefectPair, t: float, sp: SpectralPoint, half_w
     defect_term = (np.log(core[0, 0]), np.log(core[1, 1]))
     mono = defect_monodromy_S(pair, t, sp, half_width)
     direct = (np.log(mono[0, 0]), np.log(mono[1, 1]))
-    return SplittingReport(direct, (ip11, ip22), (im11, im22), defect_term)
+    return SplittingReport(direct, (ip11, ip22), (im11, im22), defect_term, nsteps, _TRAJECTORY_CHUNK)
 
 
 # ---------------------------------------------------------------------------

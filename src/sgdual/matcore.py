@@ -22,6 +22,18 @@ calls; ``np.moveaxis(e, -1, 0)`` views a batch as an ``(n, 2, 2)`` stack.
 Helpers called once per tree level are private, so call-level
 instrumentation wraps only once-per-batch calls.
 
+``scan`` and ``scan_chunks`` share one recursion, ``_scan``, which takes an
+optional carry.  The recursion fixes the association of every output:
+out[..., k] is a right-nested product of the aligned power-of-two blocks
+that tile entries 0..k, each reduced by the pairwise tree, with the newest
+block on the left.  So a batch fed in chunks of one power-of-two length
+gives the one-piece scan bit for bit: inside a chunk the recursion runs
+with the last output of the chunk before as its carry (the innermost
+factor of each level's first entry), and each chunk's last entry is the
+product of a binary-counter stack of block products (two of equal size
+merge as soon as both exist, the newer on the left), the discipline
+``transition.propagate`` folds its chunk products with.
+
 numpy chooses the inner loop of a complex product by its operands' memory
 layout, and its loops need not round alike: the same values as a strided
 view and as a contiguous array can give products that differ in the last
@@ -47,6 +59,7 @@ __all__ = [
     "inv2",
     "expm_su2",
     "scan",
+    "scan_chunks",
     "frob",
 ]
 
@@ -145,23 +158,36 @@ def expm_su2(u) -> np.ndarray:
     return out
 
 
-def _scan(e):
-    """Inclusive ordered products out[..., k] = e[..., k] @ ... @ e[..., 0] of a (2, 2, n) batch.
+def _scan(e, carry=None):
+    """(out, tree): inclusive ordered products out[..., k] = e[..., k] @ ... @ e[..., 0] @ carry of a (2, 2, n) batch, and its pairwise tree product.
 
-    Pairwise recursion (Blelloch, "Prefix sums and their applications"): the
-    products of adjacent pairs are scanned recursively, which gives the odd
-    positions; each even position is its entry times the odd one below it.
+    Pairwise recursion (Blelloch, "Prefix sums and their applications"),
+    unrolled: going down, each level is the products of adjacent pairs of
+    the one before, until one entry is left; going up, the scan of a level
+    gives the odd positions of the one before, and each even position is its
+    entry times the odd one below it.  The first entry of each level is times
+    the carry (a batch of one), the innermost factor; those products are
+    formed in one batch.  tree is the last level's entry: for n a power of
+    two, the product of all n entries by the pairwise tree, without the carry.
     """
-    n = e.shape[-1]
-    if n == 1:
-        return e
-    paired = 2 * (n // 2)
-    odd = _scan(_mul(e[..., 1:paired:2], e[..., 0:paired:2]))
-    out = np.empty_like(e)
-    out[..., 0] = e[..., 0]
-    out[..., 1::2] = odd
-    out[..., 2::2] = _mul(e[..., 2::2], odd[..., : (n - 1) // 2])
-    return out
+    levels = [e]
+    while levels[-1].shape[-1] > 1:
+        top = levels[-1]
+        paired = 2 * (top.shape[-1] // 2)
+        levels.append(_mul(top[..., 1:paired:2], top[..., 0:paired:2]))
+    tree = odd = levels.pop()
+    if carry is not None:
+        firsts = _mul(np.concatenate([level[..., :1] for level in levels] + [tree], axis=-1), carry)
+        odd = firsts[..., -1:]
+    while levels:
+        level = levels.pop()
+        n = level.shape[-1]
+        out = np.empty_like(level)
+        out[..., :1] = level[..., :1] if carry is None else firsts[..., len(levels) : len(levels) + 1]
+        out[..., 1::2] = odd
+        out[..., 2::2] = _mul(level[..., 2::2], odd[..., : (n - 1) // 2])
+        odd = out
+    return odd, tree
 
 
 def scan(e, reverse: bool = False) -> np.ndarray:
@@ -169,11 +195,44 @@ def scan(e, reverse: bool = False) -> np.ndarray:
 
     out[..., k] = e[..., k] @ ... @ e[..., 0]; with ``reverse``, out[..., k] =
     e[..., n-1] @ ... @ e[..., k], the transpose of a forward scan of the
-    reversed transposes.
+    reversed transposes.  An empty batch gives an empty batch.
     """
     if not reverse:
-        return _scan(e)
-    return _scan(e.transpose(1, 0, 2)[..., ::-1]).transpose(1, 0, 2)[..., ::-1]
+        return _scan(e)[0]
+    return _scan(e.transpose(1, 0, 2)[..., ::-1])[0].transpose(1, 0, 2)[..., ::-1]
+
+
+def scan_chunks(chunks):
+    """Yield the forward scan of consecutive (2, 2, n) chunks, chunk by chunk, bit for bit the one-piece ``scan``.
+
+    Every chunk but the last has one power-of-two length; the last may be
+    shorter (ValueError otherwise), and empty chunks yield nothing.  Only one
+    chunk, its scan, the carry and at most log2 of the chunk count block
+    products are alive; see the module note for why the bits agree.
+    """
+    size, carry, blocks, ended = None, None, [], False  # blocks: (chunks, product) of the aligned blocks so far, oldest first
+    for e in chunks:
+        n = e.shape[-1]
+        if n == 0:
+            continue
+        if ended or n > (size or n):
+            raise ValueError(f"a chunk of {n} after the last chunk, or after chunks of {size}")
+        size = size or n
+        out, tree = _scan(e, carry)
+        ended = n < size or size & (size - 1)  # a chunk that is not an aligned block can only be the last
+        if not ended:
+            count = 1
+            while blocks and blocks[-1][0] == count:
+                count, tree = 2 * count, _mul(tree, blocks.pop()[1])
+            blocks.append((count, tree))
+            total = blocks[0][1]
+            for _, block in blocks[1:]:
+                total = _mul(block, total)
+            out[..., -1:] = total
+        carry = out[..., -1:].copy()  # a copy, so that the carry does not keep the chunk's scan alive
+        del e, tree
+        yield out
+        del out  # nothing of a chunk but the carry and its blocks is alive while the next one is made
 
 
 def frob(a: np.ndarray) -> float:

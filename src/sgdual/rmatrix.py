@@ -46,7 +46,7 @@ import numpy as np
 
 from .fields import FieldEvaluator, FieldSample, Line, ModelParams, topological_charges
 from .lax import SpectralPoint, _check_real, ce_charged, lax_matrix
-from .matcore import ID2, ID4, SIGMA1, SIGMA2, SIGMA3, expm_su2, inv2, scan, tensor
+from .matcore import ID2, ID4, SIGMA1, SIGMA2, SIGMA3, _stack22, expm_su2, inv2, scan, tensor
 
 __all__ = [
     "RMatrixValue",
@@ -102,20 +102,36 @@ def lax_derivatives(picture: str, sample: FieldSample, sp: SpectralPoint, params
     (phi, Pi).  Only phi enters nonlinearly: the phi partial is
     off-diagonal and the momentum partial diagonal.  For an array of phi both
     partials come back with shape phi.shape + (2, 2); k0 and k1 may be
-    arrays of phi's shape, one spectral point per entry.
+    arrays of phi's shape, one spectral point per entry.  The entries are
+    _derivative_entries'.
+    """
+    phi01, phi10, mom00, mom11 = _derivative_entries(picture, sample, sp, params)
+    d_phi = _stack22(0.0, phi01, phi10, 0.0)
+    return d_phi, np.broadcast_to(_stack22(mom00, 0.0, 0.0, mom11), d_phi.shape)
+
+
+def _derivative_entries(picture: str, sample: FieldSample, sp: SpectralPoint, params: ModelParams):
+    """(phi01, phi10, mom00, mom11): the off-diagonal entries of the phi partial and the diagonal entries of the momentum partial.
+
+    phi01 and phi10 have phi's shape (broadcast with k0 and k1), and the
+    momentum entries are constants.  Each entry is the one of
+    -(i beta/2)(k cos(beta phi/2) s1 - k' sin(beta phi/2) s2) and -+(i
+    beta/4) s3 that the (2, 2) form takes, k = k0, k' = k1 in space and the
+    other way round in time, so the matrices of lax_derivatives and the
+    entries alone agree bit for bit.
     """
     beta = params.beta
-    half = 0.5 * beta * np.asarray(sample.phi, dtype=float)[..., None, None]
-    k0, k1 = (np.asarray(k)[..., None, None] for k in (sp.k0, sp.k1))
+    half = 0.5 * beta * np.asarray(sample.phi, dtype=float)
     if picture == "space":
-        d_phi = -0.5j * beta * (k0 * np.cos(half) * SIGMA1 - k1 * np.sin(half) * SIGMA2)
-        d_mom = -0.25j * beta * SIGMA3
+        kc, ks, mom = sp.k0, sp.k1, -0.25j * beta
     elif picture == "time":
-        d_phi = -0.5j * beta * (k1 * np.cos(half) * SIGMA1 - k0 * np.sin(half) * SIGMA2)
-        d_mom = 0.25j * beta * SIGMA3
+        kc, ks, mom = sp.k1, sp.k0, 0.25j * beta
     else:
         raise ValueError(f"unknown picture {picture!r}")
-    return d_phi, np.broadcast_to(d_mom, d_phi.shape)
+    c, s, scale = np.asarray(kc) * np.cos(half), np.asarray(ks) * np.sin(half), -0.5j * beta
+    phi01 = scale * (c * SIGMA1[0, 1] - s * SIGMA2[0, 1])
+    phi10 = scale * (c * SIGMA1[1, 0] - s * SIGMA2[1, 0])
+    return phi01, phi10, mom * SIGMA3[0, 0], mom * SIGMA3[1, 1]
 
 
 def _draws(sp) -> SpectralPoint:
@@ -293,11 +309,11 @@ def _fa_gradient(samples: FieldSample, sp, params: ModelParams, delta, interval,
     tail[:, 1:] = upto[:, 0, :-1] * col[0] + upto[:, 1, :-1] * col[1]
     tail[:, 0] = col
     del upto
-    d_phi, d_mom = lax_derivatives("time", samples, sp, params)
-    da_dphi = head[0] * d_phi[:, 0, 1] * tail[1]
-    da_dphi += head[1] * d_phi[:, 1, 0] * tail[0]
-    da_dmom = head[0] * d_mom[:, 0, 0] * tail[0]
-    da_dmom += head[1] * d_mom[:, 1, 1] * tail[1]
+    phi01, phi10, mom00, mom11 = _derivative_entries("time", samples, sp, params)
+    da_dphi = head[0] * phi01 * tail[1]
+    da_dphi += head[1] * phi10 * tail[0]
+    da_dmom = head[0] * mom00 * tail[0]
+    da_dmom += head[1] * mom11 * tail[1]
     return delta * da_dphi, delta * da_dmom
 
 
@@ -322,7 +338,9 @@ def involution_check(
     prefix_i cap_a, so only the cap row times the reverse scan and the
     forward scan times the cap column are formed, entrywise on the (2, 2, n)
     scans; dV is off-diagonal in phi and diagonal in Pi, so each contraction
-    has two terms.  One scan of one point is alive at a time (_fa_gradient).
+    has two terms, and only those four entries are formed
+    (_derivative_entries).  One scan of one point is alive at a time
+    (_fa_gradient).
     n_sites must be an integer of at least 100 (ValueError otherwise).
     """
     _check_sites(n_sites)

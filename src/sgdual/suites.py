@@ -247,6 +247,7 @@ def _suite_defect(config) -> Report:
     rep.add("Ms-diag-drift", {"lambda": 1.5, "times": [0.0, 1.0]}, abs(m0[0, 0]), abs(m1[0, 0]), drift, _tol(config, "ms_drift"))
     split = defect_splitting_check(pair, 0.7, sp, w)
     rep.add("Ms-splitting", {"lambda": 1.5, "t": 0.7}, 0.0, 0.0, split.gap(), _tol(config, "splitting"))
+    rep.metadata["splitting-steps"] = {"steps": split.step_count, "chunk": split.chunk}
     if _has_picture(rep, pair.right, "time") and _has_picture(rep, pair.left, "time"):
         sps = [spectral(l, config.params) for l in config.lambdas]
         gen = generating_relation_check(pair, 0.7, -1.3, sps, _span(config))

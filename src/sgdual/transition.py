@@ -45,8 +45,8 @@ A settled tail has w near 0.005, so it adds almost nothing to W_eff: the
 count follows the width of the solution, not of the window (on the v = 0.4
 kink, W = 80 takes 1% more steps than W = 40).  On a vacuum dev = 0: the
 mesh is uniform and W_eff is the half-width, at the density STEP_DENSITY.
-propagate_trajectory always steps uniformly, since Simpson rules run on
-its grid.
+A trajectory (_trajectory) always steps uniformly, since Simpson rules run
+on its grid.
 
 Measured on the v = 0.4 kink: at lambda = 0.2, W = 40, each halving of h
 shrinks the Blaschke gap |a - (lambda - i mu)/(lambda + i mu)| by 2^6.0
@@ -72,9 +72,17 @@ its transfer matrices in matcore's (2, 2, n) batch layout, so the numpy
 calls per chunk do not grow with n.  A W = 40 kink monodromy peaks at
 0.43 MB (tracemalloc) for any lambda, 4.9k or 98k steps alike; it grows
 with W only through its probe of about 2 m gamma W points.
-propagate_trajectory returns Psi at every edge, so its memory is
-proportional to nsteps anyway: it samples and scans its uniform mesh in
-one piece (matcore.scan, log depth).
+_trajectory yields Psi at every edge of its uniform mesh, 2^10 steps
+(_TRAJECTORY_CHUNK) at a time: it samples and steps a chunk as propagate
+does, and matcore.scan_chunks scans it with the last Psi of the chunk
+before as the carry.  The one-piece log-depth scan gives every Psi as a
+fixed right-nested product of aligned power-of-two blocks, and a chunk of
+2^10 steps is one such block, so the streamed Psi are bit for bit those of
+one scan over all the steps, whatever the step count.  Its working set is
+one chunk: the W = 40 splitting check, whose reader keeps only its two
+integrands whole, peaks at 0.45 MB, and at 1.37 MB at W = 400 (5.9 MB with
+the one-piece scan).  At 2^9 steps per chunk the check took about 2 ms
+more (2-CPU x86-64 host); at 2^11 it peaked at 0.78 MB.
 
 One slot holds the lambda-free work on the last line walked (field,
 picture, fixed coordinate, interval): the probe, phi at its end points
@@ -113,7 +121,7 @@ import numpy as np
 
 from .fields import FieldEvaluator, Line
 from .lax import SpectralPoint, _check_real, ce0, e0, hat_nodes, hat_zeta
-from .matcore import _mul, expm_su2, frob, scan
+from .matcore import _mul, expm_su2, frob, scan_chunks
 
 __all__ = [
     "TransitionResult",
@@ -121,7 +129,6 @@ __all__ = [
     "MAX_STEPS",
     "default_nsteps",
     "propagate",
-    "propagate_trajectory",
     "monodromy",
     "jost",
     "appendix_equality_residuals",
@@ -133,6 +140,7 @@ _GRADED_DENSITY = 1.3 * STEP_DENSITY  # calibrated on the graded mesh; see the m
 _WEIGHT_FLOOR = 1e-16  # floor of the normalised monitor, so that the settled tails still get steps
 _ASYMPTOTE_TOL = 1e-8
 _CHUNK = 2**11  # steps generated and reduced at once; a power of two, so a chunk is a subtree of the pairwise tree
+_TRAJECTORY_CHUNK = 2**10  # steps generated and scanned at once by _trajectory; a power of two, for matcore.scan_chunks
 MAX_STEPS = 2**22  # default step counts beyond this are refused: extreme lambda or W
 _PROBE_CAP = 2**14  # probes of at most this many points stay in the slot
 _SLOT_CAP = 512  # meshes of at most this many steps keep their Magnus combinations in the slot
@@ -365,9 +373,9 @@ def propagate(
 
     sp must be real and start and stop finite (ValueError otherwise).
     nsteps is the step count on that mesh; None takes the default count.
-    This and propagate_trajectory are the only public functions that take a
-    count: monodromy, jost and the defect checks always step at the default,
-    and an explicit count is for refinement studies.
+    This is the only public function that takes a count: monodromy, jost and
+    the defect checks always step at the default, and an explicit count is
+    for refinement studies.
     """
     line = Line(field, picture, fixed)
     mesh = _mesh(line, start, stop, sp, nsteps)
@@ -386,19 +394,30 @@ def propagate(
     return TransitionResult(total[:, :, 0], mesh[0], (smallest, largest))
 
 
-def propagate_trajectory(field, picture, fixed, start, stop, sp, nsteps) -> tuple[np.ndarray, np.ndarray]:
-    """Grid points and Psi at each of them (inclusive scan of the steps).
+def _trajectory(field, picture, fixed, start, stop, sp, nsteps):
+    """Psi at the edges of the uniform mesh of nsteps steps from start to stop, yielded as (m, 2, 2) stacks in order.
 
-    The grid is uniform, unlike propagate's mesh, so that Simpson rules can run on it.
+    The first stack starts with the identity at start, so np.concatenate of
+    all of them is Psi at all nsteps + 1 edges: the edges of
+    np.linspace(start, stop, nsteps + 1), where Simpson rules can run.  The
+    mesh is sampled, stepped and scanned _TRAJECTORY_CHUNK steps at a time
+    (matcore.scan_chunks), bit for bit the one-piece scan.
     """
     line = Line(field, picture, fixed)
     _, steps, _ = _mesh(line, start, stop, sp, nsteps, graded=False)
-    base, h = steps(0, nsteps)
-    psi = scan(_su2_steps(_combinations(line, base, h), h, line, sp))
-    out = np.empty((nsteps + 1, 2, 2), dtype=complex)  # allocated after the scan, so that it is not live during it
-    out[0] = np.eye(2)
-    out[1:] = np.moveaxis(psi, -1, 0)
-    return np.linspace(start, stop, nsteps + 1), out
+
+    def batches():
+        for first in range(0, nsteps, _TRAJECTORY_CHUNK):
+            base, h = steps(first, min(first + _TRAJECTORY_CHUNK, nsteps))
+            yield _su2_steps(_combinations(line, base, h), h, line, sp)
+
+    head = np.eye(2, dtype=complex)[None]
+    for psi in scan_chunks(batches()):
+        psi = np.moveaxis(psi, -1, 0)
+        if head is not None:
+            psi, head = np.concatenate((head, psi)), None
+        yield psi
+        del psi  # so that the next chunk is stepped with nothing of this one alive
 
 
 def monodromy(

@@ -4,9 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sgdual.fields import FieldEvaluator, GridWindow, ModelParams, make_vacuum
-from sgdual.lax import spectral
-from sgdual.matcore import frob, inv2
+from sgdual.fields import FieldEvaluator, GridWindow, Line, ModelParams, make_vacuum, simpson_uniform
+from sgdual.lax import e0, hat_entries, spectral
+from sgdual.matcore import frob, inv2, scan
+from sgdual.transition import _TRAJECTORY_CHUNK, STEP_DENSITY, _combinations, _mesh, _su2_steps, default_nsteps
 from sgdual.defect import (
     DefectPair,
     DefectParams,
@@ -171,17 +172,72 @@ def test_defect_splitting_direct_side_is_the_defect_monodromy(pair_sigma2):
     assert rep.direct == (np.log(mono[0, 0]), np.log(mono[1, 1]))
 
 
-def test_defect_splitting_frees_each_trajectory_once_read(pair_sigma2):
-    # the trajectory's output allocated during its scan, and psi and traj kept to the end of a half line, peaked at 0.92 MB
-    sp = spectral(1.5, P11)
-    defect_splitting_check(pair_sigma2, 0.7, sp, 40.0)  # imports and cached tables
+def _splitting_peak(pair, sp, half_width):
+    defect_splitting_check(pair, 0.7, sp, half_width)  # imports and cached tables
     tracemalloc.start()
     try:
-        defect_splitting_check(pair_sigma2, 0.7, sp, 40.0)
-        peak = tracemalloc.get_traced_memory()[1]
+        defect_splitting_check(pair, 0.7, sp, half_width)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 0.85e6
+
+
+def test_defect_splitting_frees_each_trajectory_once_read(pair_sigma2):
+    # the trajectory's output allocated during its scan, and psi and traj kept to the end of a half line, peaked at 0.92 MB;
+    # with each trajectory scanned in one piece and held whole, 0.76 MB
+    assert _splitting_peak(pair_sigma2, spectral(1.5, P11), 40.0) < 0.6e6
+
+
+def test_defect_splitting_memory_stays_bounded_on_a_wide_window(pair_sigma2):
+    # the one-piece trajectories of 25k steps peaked at 5.9 MB; streamed, only the two integrands grow with W
+    assert _splitting_peak(pair_sigma2, spectral(1.5, P11), 400.0) < 2e6
+
+
+def _splitting_with_one_piece_scans(pair, t, sp, half_width):
+    """The eight values of defect_splitting_check, each trajectory scanned in one piece and held whole."""
+    nsteps = default_nsteps(half_width, sp, density=3.0 * STEP_DENSITY)
+    nsteps += nsteps % 2
+
+    def half_line(fld, side):
+        start = side * half_width
+        line = Line(fld, "space", t)
+        base, h = _mesh(line, start, 0.0, sp, nsteps, graded=False)[1](0, nsteps)
+        psi = np.empty((nsteps + 1, 2, 2), dtype=complex)
+        psi[0] = np.eye(2)
+        psi[1:] = np.moveaxis(scan(_su2_steps(_combinations(line, base, h), h, line, sp)), -1, 0)
+        grid = np.linspace(start, 0.0, nsteps + 1)
+        traj = (psi.reshape(-1, 2) @ e0(start, sp)).reshape(psi.shape)
+        q, p = traj[:, 1, 0] / traj[:, 0, 0], traj[:, 0, 1] / traj[:, 1, 1]
+        d, a01, a10 = hat_entries("space", line.at(grid), sp, fld.params)
+        int11, int22 = d + a01 * q + 1j * sp.k1, -d + a10 * p - 1j * sp.k1
+        step = grid[1] - grid[0]
+        if step < 0:
+            int11, int22, step = int11[::-1], int22[::-1], -step
+        return [simpson_uniform(int11, step), simpson_uniform(int22, step)], np.array([[0.0, p[-1]], [q[-1], 0.0]])
+
+    plus, gamma_plus = half_line(pair.right, +1)
+    minus, gamma_minus = half_line(pair.left, -1)
+    core = inv2(np.eye(2) + gamma_plus) @ defect_matrix_L_hat(pair, t, sp) @ (np.eye(2) + gamma_minus)
+    mono = defect_monodromy_S(pair, t, sp, half_width)
+    return [np.log(mono[0, 0]), np.log(mono[1, 1])] + plus + minus + [np.log(core[0, 0]), np.log(core[1, 1])]
+
+
+def _hex(values):
+    return [(complex(v).real.hex(), complex(v).imag.hex()) for v in values]
+
+
+# one short chunk; exactly two full chunks; two full chunks and a short one
+@pytest.mark.parametrize("half_width, steps", [(10.0, 638), (32.1699, 2048), (40.0, 2548)])
+@pytest.mark.parametrize("sigma", [0.5, 2.0, 3.0])
+def test_streamed_splitting_is_bitwise_the_one_piece_trajectories(sigma, half_width, steps):
+    for x0 in (-0.5, 0.5):
+        pair = bt_kink_from_vacuum(P11, DefectParams(sigma), x0)
+        for lam in (0.7, 1.5):
+            sp = spectral(lam, P11)
+            rep = defect_splitting_check(pair, 0.7, sp, half_width)
+            got = [*rep.direct, *rep.half_line_plus, *rep.half_line_minus, *rep.defect_term]
+            assert _hex(got) == _hex(_splitting_with_one_piece_scans(pair, 0.7, sp, half_width))
+            assert (rep.step_count, rep.chunk) == (steps, _TRAJECTORY_CHUNK)
 
 
 def test_b_factors_limits():

@@ -14,10 +14,11 @@ from sgdual.matcore import (
     frob,
     inv2,
     scan,
+    scan_chunks,
     tensor,
 )
 
-SCAN_LENGTHS = [1, 2, 3, 7, 2**14 - 1, 2**14, 2**14 + 1]  # a trajectory scans its whole mesh at once
+SCAN_LENGTHS = [1, 2, 3, 7, 2**14 - 1, 2**14, 2**14 + 1]  # short batches, and both sides of a power of two
 
 def random_mat2(n=1, seed=20260808):
     rng = np.random.default_rng(seed)
@@ -204,6 +205,39 @@ def test_suffix_scan_matches_sequential_loop(n):
         acc = acc @ steps[k]
         ref[k] = acc
     assert_close_rel(stacked(scan(batch(steps), reverse=True)), ref, 1e-13)
+
+
+def _chunks(e, size, contiguous):
+    """Consecutive chunks of size entries of a (2, 2, n) batch, as strided views or as contiguous copies."""
+    for first in range(0, e.shape[-1], size):
+        part = e[..., first : first + size]
+        yield np.ascontiguousarray(part) if contiguous else part
+
+
+@pytest.mark.parametrize("contiguous", [False, True], ids=["strided", "contiguous"])
+@pytest.mark.parametrize("size", [1, 8, 1024])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 1023, 1024, 1025, 2548, 5000])
+def test_streamed_scan_is_bitwise_the_one_piece_scan(n, size, contiguous):
+    e = expm_su2(random_su2(n, seed=n + size))
+    streamed = list(scan_chunks(_chunks(e, size, contiguous)))
+    assert [part.shape[-1] for part in streamed] == [min(size, n - first) for first in range(0, n, size)]
+    assert np.concatenate(streamed, axis=-1).tobytes() == scan(e).tobytes()
+
+
+def test_empty_batches_scan_to_nothing():
+    # the pairwise recursion used to halve an empty batch until RecursionError
+    empty = np.zeros((2, 2, 0), dtype=complex)
+    for reverse in (False, True):
+        assert scan(empty, reverse=reverse).shape == (2, 2, 0)
+    assert list(scan_chunks([empty])) == [] and list(scan_chunks([])) == []
+
+
+def test_streamed_scan_refuses_chunks_after_the_last():
+    e = expm_su2(random_su2(20, seed=5))
+    for sizes in ([8, 4, 8], [8, 16], [6, 6]):  # after a short chunk, a longer one, a length not a power of two
+        bounds = np.cumsum([0] + sizes)
+        with pytest.raises(ValueError, match="chunk"):
+            list(scan_chunks(e[..., a:b] for a, b in zip(bounds[:-1], bounds[1:])))
 
 
 def test_comm_antisymmetric_and_jacobi():

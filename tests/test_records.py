@@ -30,7 +30,7 @@ FROZEN = [
     RMatrixValue(1.0, 2.0, 0.1, 0.2, 0.0625, np.zeros((4, 4))),
     BracketReport(1e-4, 1.0, 1.0, 400),
     IdentityReport(1.0, 1.0),
-    SplittingReport((0j, 0j), (0j, 0j), (0j, 0j), (0j, 0j)),
+    SplittingReport((0j, 0j), (0j, 0j), (0j, 0j), (0j, 0j), 64, 1024),
     HamShiftReport(0.0, 0.0, 0.0),
     DefectPair(make_vacuum(P11), make_vacuum(P11), P11, DefectParams(2.0)),
     P11,

@@ -12,7 +12,7 @@ from sgdual import defect, transition
 from sgdual.cli import ScenarioConfig
 from sgdual.fields import FieldSample, KinkField, Line, ModelParams, NonDecayingFieldError, VacuumField, make_kink, make_vacuum
 from sgdual.lax import ce0, e0, hat_entries, spectral
-from sgdual.matcore import _MU_SMALL, SIGMA2, _mul, comm, det2, expm_su2, frob, inv2
+from sgdual.matcore import _MU_SMALL, SIGMA2, _mul, comm, det2, expm_su2, frob, inv2, scan
 from sgdual.suites import run_suite
 from sgdual.transition import (
     MAX_STEPS,
@@ -22,19 +22,26 @@ from sgdual.transition import (
     _combinations,
     _mesh,
     _regularised,
+    _TRAJECTORY_CHUNK,
     _su2_steps,
+    _trajectory,
     appendix_equality_residuals,
     default_nsteps,
     jost,
     monodromy,
     propagate,
-    propagate_trajectory,
 )
 
 from oracles import expm_antihermitian
 
 P11 = ModelParams(1.0, 1.0)
 SP13 = spectral(1.3, P11)
+
+
+def propagate_trajectory(field, picture, fixed, start, stop, sp, nsteps):
+    """(grid, Psi at every grid point): the chunks of transition._trajectory collected with np.concatenate."""
+    psi = np.concatenate(list(_trajectory(field, picture, fixed, start, stop, sp, nsteps)))
+    return np.linspace(start, stop, nsteps + 1), psi
 
 
 def u_inf(sp):
@@ -131,6 +138,17 @@ def test_trajectory_and_chunked_product_match_sequential_loop(n):
     assert np.max(np.abs(total - ref_total)) < 1e-13 * np.max(np.abs(ref_total))
 
 
+@pytest.mark.parametrize("n", [1, 2, _TRAJECTORY_CHUNK - 1, _TRAJECTORY_CHUNK, _TRAJECTORY_CHUNK + 1, 3 * _TRAJECTORY_CHUNK + 7])
+def test_streamed_trajectory_is_bitwise_one_scan_of_all_steps(n):
+    kink = make_kink(P11, v=0.4)
+    line, start, stop = Line(kink, "space", 0.3), 9.0, -7.0
+    base, h = _mesh(line, start, stop, SP13, n, graded=False)[1](0, n)
+    want = np.concatenate((np.eye(2, dtype=complex)[None], np.moveaxis(scan(_su2_batch(line, base, h, SP13)), -1, 0)))
+    chunks = list(_trajectory(kink, "space", 0.3, start, stop, SP13, n))
+    assert [len(psi) for psi in chunks] == [min(_TRAJECTORY_CHUNK, n - first) + (first == 0) for first in range(0, n, _TRAJECTORY_CHUNK)]
+    assert np.concatenate(chunks).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("nsteps", [0, -3, 2.5, 10.0, True])
 @pytest.mark.parametrize("stepper", [propagate, propagate_trajectory])
 def test_step_counts_below_one_are_refused(stepper, nsteps):
@@ -168,9 +186,9 @@ def test_bad_splitting_half_widths_are_refused_before_any_trajectory(monkeypatch
 
     def recording(field, picture, fixed, start, stop, sp, nsteps):
         starts.append(start)
-        return propagate_trajectory(field, picture, fixed, start, stop, sp, nsteps)
+        return _trajectory(field, picture, fixed, start, stop, sp, nsteps)
 
-    monkeypatch.setattr(defect, "propagate_trajectory", recording)
+    monkeypatch.setattr(defect, "_trajectory", recording)
     calls = _count_kink_samples(monkeypatch)
     with pytest.raises(ValueError, match="half-width must be positive and finite"):
         defect.defect_splitting_check(pair, 0.7, spectral(1.5, P11), half_width)
@@ -472,7 +490,7 @@ def test_only_the_kernels_take_a_step_count():
         for name in module.__all__
         if takes_a_count(getattr(module, name))
     }
-    assert takers == {"sgdual.transition.propagate", "sgdual.transition.propagate_trajectory"}
+    assert takers == {"sgdual.transition.propagate"}
 
 
 class _CountingKink(KinkField):
