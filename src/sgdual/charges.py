@@ -75,13 +75,15 @@ class UnwindingError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# truncated Taylor jets: arrays (npts, deg+1) of coefficients f^(j)/j!
+# truncated Taylor jets: arrays (npts, deg+1) of coefficients f^(j)/j!, float64
+# for w and w', complex otherwise
 # ---------------------------------------------------------------------------
 
 
 def _jet_mul(a, b):
+    """Truncated product of two jets of one degree, of the dtype of both (a real jet times a complex one is complex)."""
     deg = a.shape[1] - 1
-    out = np.zeros_like(a)
+    out = np.zeros(a.shape, dtype=np.result_type(a, b))
     for k in range(deg + 1):
         out[:, k] = np.einsum("ij,ij->i", a[:, : k + 1], b[:, k::-1])
     return out
@@ -110,11 +112,15 @@ def _line_jets(line: Line, svals: np.ndarray, deg: int):
     the flipped w' takes the cross minus the next running derivative, which
     is phi_t - phi_x in space and phi_x - phi_t in time.  slope is the plain
     running derivative phi_x (space) or phi_t (time).  Each field partial is
-    evaluated once; phi is real, so e_- is the conjugate of e_+.
+    evaluated once; phi is real, so e_- is the conjugate of e_+, and w and w'
+    are held as float64 jets: half the memory of complex jets whose
+    imaginary parts are exactly 0, and the same chain bit for bit, since
+    _jet_mul casts a real operand to complex before it multiplies.
     """
     beta = line.field.params.beta
     npts = svals.size
-    phi, w, w_flip = (np.zeros((npts, deg + 1), dtype=complex) for _ in range(3))
+    phi = np.zeros((npts, deg + 1), dtype=complex)
+    w, w_flip = (np.zeros((npts, deg + 1)) for _ in range(2))
     run = np.asarray(line.partial(svals, 0))
     fact = 1.0
     for j in range(deg + 1):

@@ -70,7 +70,7 @@ all its steps in one Line.at call on a (3, n) array of points, combines the
 node rows into Omega in place, frees them before the exponential, and holds
 its transfer matrices in matcore's (2, 2, n) batch layout, so the numpy
 calls per chunk do not grow with n.  A W = 40 kink monodromy peaks at
-0.43 MB (tracemalloc) for any lambda, 4.9k or 98k steps alike; it grows
+0.38 MB (tracemalloc) for any lambda, 4.9k or 98k steps alike; it grows
 with W only through its probe of about 2 m gamma W points.
 _trajectory yields Psi at every edge of its uniform mesh, 2^10 steps
 (_TRAJECTORY_CHUNK) at a time: it samples and steps a chunk as propagate

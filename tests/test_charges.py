@@ -306,6 +306,41 @@ def test_jet_truncation_keeps_the_lower_coefficients_bitwise():
         assert np.array_equal(_jet_deriv(a[:, : k + 2])[:, : k + 1], deriv[:, : k + 1])
 
 
+LEDGER_FIELDS = {
+    "kink+0.4": make_kink(P11, v=0.4),
+    "kink-0.3": make_kink(P11, v=-0.3),
+    "antikink-beta2": make_kink(ModelParams(1.0, 2.0), v=0.2, orientation=-1),
+    "vacuum": make_vacuum(P11),
+}
+
+
+@pytest.mark.parametrize("order", [1, 3, 6])
+@pytest.mark.parametrize("picture", ["space", "time"])
+@pytest.mark.parametrize("name", list(LEDGER_FIELDS))
+def test_real_w_jets_give_the_complex_chains_bitwise(name, picture, order):
+    from sgdual.charges import _line_jets, _riccati_chain
+
+    field = LEDGER_FIELDS[name]
+    line = Line(field, picture, 0.3)
+    w, w_flip, ep, em, _ = _line_jets(line, GridWindow(10.0, 201).axis(), order)
+    assert w.dtype == w_flip.dtype == np.float64  # phi is real, so the imaginary parts would be exactly 0
+    sign = line.pick(1.0, -1.0)
+    for jets, e_delta, e_sum in ((w, ep, em), (w_flip, em, ep)):  # the large-lambda chain and the flipped one
+        real = _riccati_chain(jets, e_delta, e_sum, -sign, order + 1, order + 1, field.params)
+        cplx = _riccati_chain(jets.astype(complex), e_delta, e_sum, -sign, order + 1, order + 1, field.params)
+        assert [q.tobytes() for q in real] == [q.tobytes() for q in cplx]
+
+
+def test_jet_product_of_a_real_and_a_complex_jet_keeps_the_imaginary_part():
+    from sgdual.charges import _jet_mul
+
+    rng = np.random.default_rng(11)
+    a, b = rng.normal(size=(5, 4)), rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
+    got = _jet_mul(a, b)
+    assert got.dtype == complex and np.array_equal(got, _jet_mul(a.astype(complex), b))
+    assert np.abs(got.imag).max() > 0
+
+
 def test_unwrap_log_raises_on_branch_jump():
     from sgdual.charges import UnwindingError, _unwrap_log
 

@@ -583,7 +583,8 @@ def test_monodromy_peak_memory_at_small_lambda():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.4e6
+    # 0.384 MB measured, plus a 36 KB margin; broadcast products on the chunk tree's long levels took it to 0.433 MB
+    assert peak <= 0.42e6
 
 
 def test_a_wide_monodromy_keeps_its_probe_in_the_slot():
