@@ -74,7 +74,7 @@ class Report:
             "suite": self.suite,
             "cases": [dict(zip(CSV_COLUMNS, c.csv_row())) for c in self.sorted_cases()],
             "timing_seconds": round(self.timing, 3),
-            "metadata": self.metadata,
+            "metadata": {key: value._asdict() if hasattr(value, "_asdict") else value for key, value in self.metadata.items()},
             "passed": self.passed,
         }
         with open(path, "w") as handle:

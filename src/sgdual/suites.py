@@ -5,6 +5,10 @@ returns a Report whose cases carry (lhs, rhs, gap, tolerance).  Suites are
 pure functions of the configuration, evaluate in a fixed order and seed any
 randomness, so reports are reproducible bit for bit.
 
+Geometry: ``_geometry`` is the one place where extents are decided.  Every
+line, span, grid, probe and spectral point of a suite comes from its
+``Geometry`` record, which each report carries under the metadata key ``geometry``.
+
 Skip rule: a static kink does not settle to a vacuum along t at fixed x, so
 it has no time picture.  ``_has_picture`` alone decides this; every check on
 a time-picture line is skipped on such a field, and the report notes the
@@ -13,8 +17,10 @@ skip under the metadata key ``time-picture``.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,9 +89,55 @@ def lambda_label(lam) -> str:
     return f"{lam:g}"
 
 
-def _span(config) -> float:
-    """Half-span of the quadrature windows and the time-axis lines: truncation along t decays only like exp(-m gamma |v| W)."""
-    return max(40.0, config.half_width)
+class Geometry(NamedTuple):
+    """Every line, span, grid, probe and spectral point the suites use on one config; grids are (start, stop, count)."""
+
+    span: float  # quadrature windows, appendix Jost lines, generating-relation monodromies
+    half_width: float  # monodromy lines and M_S
+    lax_point: tuple[float, float]  # (x, t)
+    lax_h: float
+    monodromy_probes: tuple[tuple[float, float], tuple[float, float]]  # (times of two space lines, positions of two time lines)
+    charge_probes: tuple[tuple[float, float], tuple[float, float]]  # likewise
+    riccati_lambdas: tuple[float, float]
+    riccati_grid: tuple[float, float, int]
+    appendix_point: tuple[float, float]  # (x, t)
+    appendix_widths: tuple[float, ...]
+    defect_lambda: float
+    defect_h: float  # L-equation and canonical difference step
+    l_equation_t: float
+    splitting_t: float
+    ms_times: tuple[float, float]
+    condition_times: tuple[float, float, int]
+    canonical_times: tuple[float, float, int]
+    generating_probes: tuple[float, float]  # (right x, left x)
+    rmatrix_interval: tuple[float, float]
+    rmatrix_sites: tuple[int, int]
+    rmatrix_lambdas: tuple[float, float]
+    involution_lambdas: tuple[float, float]
+    involution_sites: tuple[int, int, int]
+    involution_bulk: tuple[float, float]  # (probe x, half-span)
+    involution_pair: tuple[float, float]  # (probe x, half-span) of the right field; the left one's probe is -x
+    vacuum_interval: tuple[float, float]
+    vacuum_sites: int
+
+
+def _geometry(config) -> Geometry:
+    """The one place where the suites' extents are decided; memoised on W, its one input, so the suites of a config share one record."""
+    return _geometry_at(config.half_width)
+
+
+@functools.lru_cache(maxsize=16)
+def _geometry_at(w: float) -> Geometry:
+    return Geometry(
+        span=max(40.0, w), half_width=w,  # truncation along t decays only like exp(-m gamma |v| W)
+        lax_point=(0.5, 0.1), lax_h=1e-3, monodromy_probes=((0.0, 2.0), (0.0, 1.0)), charge_probes=((0.0, 0.7), (0.0, 1.0)),
+        riccati_lambdas=(25.0, 50.0), riccati_grid=(-3.0, 3.0, 7), appendix_point=(1.0, 0.5), appendix_widths=(15.0, 25.0, 35.0),
+        defect_lambda=1.5, defect_h=1e-4, l_equation_t=0.3, splitting_t=0.7, ms_times=(0.0, 1.0),
+        condition_times=(-8.0, 8.0, 41), canonical_times=(-6.0, 6.0, 61), generating_probes=(0.7, -1.3),
+        rmatrix_interval=(-5.0, 5.0), rmatrix_sites=(400, 800), rmatrix_lambdas=(1.3, 0.7),
+        involution_lambdas=(1.5, 0.8), involution_sites=(400, 800, 1600), involution_bulk=(0.7, 20.0),
+        involution_pair=(0.5, 14.0), vacuum_interval=(-10.0, 10.0), vacuum_sites=400,
+    )
 
 
 def _bulk_field(config):
@@ -107,15 +159,14 @@ def _pair(config) -> DefectPair:
     return bt_kink_from_vacuum(params, sigma, sol.get("x0", 0.0))
 
 
-def _window(config, *fields) -> GridWindow:
-    """Window for integrals of the fields: odd count, spacing at most 0.1/(m gamma).
+def _window(geo, params, *fields) -> GridWindow:
+    """Window of half-span geo.span for integrals of the fields: odd count, spacing at most 0.1/(m gamma).
 
     Simpson converges exponentially on analytic integrands that decay like sech(m gamma s).
     """
-    span = _span(config)
     gamma = max(f.gamma for f in fields)
-    n = 2 * math.ceil(10.0 * span * config.params.m * gamma) + 1
-    return GridWindow(span, n)
+    n = 2 * math.ceil(10.0 * geo.span * params.m * gamma) + 1
+    return GridWindow(geo.span, n)
 
 
 def _is_vacuum(field) -> bool:
@@ -130,14 +181,14 @@ def _has_picture(rep, field, picture) -> bool:
     return False
 
 
-def _suite_lax(config) -> Report:
+def _suite_lax(config, geo) -> Report:
     rep = Report("lax-residual")
     field = _bulk_field(config)
     lam = config.lambdas[0]
     sp = spectral(lam, config.params)
-    h = 1e-3
-    r_h = zero_curvature_residual(field, 0.5, 0.1, sp, h)
-    r_h2 = zero_curvature_residual(field, 0.5, 0.1, sp, h / 2.0)
+    h = geo.lax_h
+    r_h = zero_curvature_residual(field, *geo.lax_point, sp, h)
+    r_h2 = zero_curvature_residual(field, *geo.lax_point, sp, h / 2.0)
     tol = _tol(config, "lax_residual")
     rep.add("residual-h", {"lambda": lam, "h": h}, r_h, 0.0, r_h, tol)
     rep.add("residual-h/2", {"lambda": lam, "h": h / 2.0}, r_h2, 0.0, r_h2, tol)
@@ -149,14 +200,14 @@ def _suite_lax(config) -> Report:
     return rep
 
 
-def _suite_monodromy(config) -> Report:
+def _suite_monodromy(config, geo) -> Report:
     rep = Report("monodromy-conservation")
     field = _bulk_field(config)
-    w = config.half_width
+    w = geo.half_width
     tol = _tol(config, "monodromy_drift")
     steps = rep.metadata["step-counts"] = {}
     sizes = rep.metadata["step-sizes"] = {}  # [smallest, largest] |h| of each mesh
-    for picture, name, axis, probes in (("space", "a", "times", [0.0, 2.0]), ("time", "fa", "positions", [0.0, 1.0])):
+    for (picture, name, axis), probes in zip((("space", "a", "times"), ("time", "fa", "positions")), geo.monodromy_probes):
         if not _has_picture(rep, field, picture):
             continue
         # one line at a time, so that the lambdas sharing a count share its mesh and nodes
@@ -169,12 +220,12 @@ def _suite_monodromy(config) -> Report:
     return rep
 
 
-def _suite_charges(config) -> Report:
+def _suite_charges(config, geo) -> Report:
     rep = Report("charges")
     field = _bulk_field(config)
-    win = _window(config, field)
+    win = _window(geo, config.params, field)
     tol = _tol(config, "charge_drift")
-    for picture, name, axis, probes in (("space", "I", "times", [0.0, 0.7]), ("time", "J", "positions", [0.0, 1.0])):
+    for (picture, name, axis), probes in zip((("space", "I", "times"), ("time", "J", "positions")), geo.charge_probes):
         if not _has_picture(rep, field, picture):
             continue
         e0, e1 = (build_ledger(field, picture, fixed, 3, win).entries for fixed in probes)
@@ -188,17 +239,18 @@ def _suite_charges(config) -> Report:
             rep.add("topological-entry", {"winding": [qm, qp]}, e0[0].real, want,
                     abs(e0[0] - want), _tol(config, "topological"))
     if not _is_vacuum(field):
-        r25, r50 = riccati_residuals(field, "space", 0.0, 3, [25.0, 50.0], np.linspace(-3.0, 3.0, 7))
-        exponent = float(np.log2(r25 / r50))
-        rep.add("riccati-residual-scaling", {"orders": 3, "lambdas": [25.0, 50.0]},
+        lams = geo.riccati_lambdas
+        r_lo, r_hi = riccati_residuals(field, "space", 0.0, 3, lams, np.linspace(*geo.riccati_grid))
+        exponent = float(np.log2(r_lo / r_hi) / np.log2(lams[1] / lams[0]))
+        rep.add("riccati-residual-scaling", {"orders": 3, "lambdas": lams},
                 exponent, 3.0, abs(exponent - 3.0), _tol(config, "riccati_scaling"))
     return rep
 
 
-def _suite_energy(config) -> Report:
+def _suite_energy(config, geo) -> Report:
     rep = Report("energy-identities")
     field = _bulk_field(config)
-    win = _window(config, field)
+    win = _window(geo, config.params, field)
     for picture, axis in (("space", "t"), ("time", "x")):
         if not _has_picture(rep, field, picture):
             continue
@@ -207,7 +259,7 @@ def _suite_energy(config) -> Report:
     return rep
 
 
-def _suite_appendix(config) -> Report:
+def _suite_appendix(config, geo) -> Report:
     rep = Report("appendix")
     field = _bulk_field(config)
     if not _has_picture(rep, field, "time"):
@@ -218,52 +270,50 @@ def _suite_appendix(config) -> Report:
         field = make_kink(field.params, -field.v, field.x0, field.orientation)
         rep.metadata["note"] = "mirrored to the left-moving kink (vacuum past corner)"
     tol = _tol(config, "appendix_residual")
-    w = _span(config)
-    widths = () if _is_vacuum(field) else (15.0, 25.0, 35.0)
+    w, (x, t) = geo.span, geo.appendix_point
+    widths = () if _is_vacuum(field) else geo.appendix_widths
     sps = [spectral(lam, config.params) for lam in config.lambdas]
-    residuals = appendix_equality_residuals(field, 1.0, 0.5, [(sp, w) for sp in sps] + [(sps[0], wi) for wi in widths])
+    residuals = appendix_equality_residuals(field, x, t, [(sp, w) for sp in sps] + [(sps[0], wi) for wi in widths])
     for lam, res in zip(config.lambdas, residuals):
-        rep.add(f"residual-lam={lambda_label(lam)}", {"lambda": lam, "x": 1.0, "t": 0.5, "W": w}, res, 0.0, res, tol)
+        rep.add(f"residual-lam={lambda_label(lam)}", {"lambda": lam, "x": x, "t": t, "W": w}, res, 0.0, res, tol)
     if widths:
         seq = residuals[len(sps) :]
-        monotone = 1.0 if seq[0] > seq[1] > seq[2] else 0.0
-        rep.add("half-width-monotone", {"W": [15.0, 25.0, 35.0]}, monotone, 1.0, 1.0 - monotone, 0.0)
+        monotone = 1.0 if all(a > b for a, b in zip(seq, seq[1:])) else 0.0
+        rep.add("half-width-monotone", {"W": widths}, monotone, 1.0, 1.0 - monotone, 0.0)
     return rep
 
 
-def _suite_defect(config) -> Report:
+def _suite_defect(config, geo) -> Report:
     rep = Report("defect")
     pair = _pair(config)
-    sp = spectral(1.5, config.params)
-    t_grid = np.linspace(-8.0, 8.0, 41)
-    res = pair.condition_residual(t_grid)
+    lam, h, w = geo.defect_lambda, geo.defect_h, geo.half_width
+    sp = spectral(lam, config.params)
+    res = pair.condition_residual(np.linspace(*geo.condition_times))
     rep.add("conditions-residual", {"sigma": pair.defect.sigma}, res, 0.0, res, _tol(config, "defect_residual"))
-    leq = L_equation_residual(pair, 0.3, sp, 1e-4)
-    rep.add("L-equation", {"lambda": 1.5, "h": 1e-4}, leq, 0.0, leq, _tol(config, "l_equation"))
-    w = config.half_width
-    m0 = defect_monodromy_S(pair, 0.0, sp, w)
-    m1 = defect_monodromy_S(pair, 1.0, sp, w)
+    leq = L_equation_residual(pair, geo.l_equation_t, sp, h)
+    rep.add("L-equation", {"lambda": lam, "h": h}, leq, 0.0, leq, _tol(config, "l_equation"))
+    m0, m1 = (defect_monodromy_S(pair, t, sp, w) for t in geo.ms_times)
     drift = max(abs(m0[0, 0] - m1[0, 0]), abs(m0[1, 1] - m1[1, 1]))
-    rep.add("Ms-diag-drift", {"lambda": 1.5, "times": [0.0, 1.0]}, abs(m0[0, 0]), abs(m1[0, 0]), drift, _tol(config, "ms_drift"))
-    split = defect_splitting_check(pair, 0.7, sp, w)
-    rep.add("Ms-splitting", {"lambda": 1.5, "t": 0.7}, 0.0, 0.0, split.gap(), _tol(config, "splitting"))
+    rep.add("Ms-diag-drift", {"lambda": lam, "times": geo.ms_times}, abs(m0[0, 0]), abs(m1[0, 0]), drift, _tol(config, "ms_drift"))
+    split = defect_splitting_check(pair, geo.splitting_t, sp, w)
+    rep.add("Ms-splitting", {"lambda": lam, "t": geo.splitting_t}, 0.0, 0.0, split.gap(), _tol(config, "splitting"))
     rep.metadata["splitting-steps"] = {"steps": split.step_count, "chunk": split.chunk}
     if _has_picture(rep, pair.right, "time") and _has_picture(rep, pair.left, "time"):
         sps = [spectral(l, config.params) for l in config.lambdas]
-        gen = generating_relation_check(pair, 0.7, -1.3, sps, _span(config))
+        gen = generating_relation_check(pair, *geo.generating_probes, sps, geo.span)
         gate = _tol(config, "generating_gap")
         rep.metadata["c-candidate"] = gen.winner(gate) or "none"
         gap = gen.max_gap["ratio"]
         rep.add("generating-relation", {"lambdas": config.lambdas}, gap, 0.0, gap, gate)
-        hs = ham_shift_check(pair, _window(config, pair.left, pair.right))
+        hs = ham_shift_check(pair, _window(geo, config.params, pair.left, pair.right))
         rep.add("ham-shift", {"sigma": pair.defect.sigma}, hs.lhs, hs.rhs_ratio, hs.gap_ratio, _tol(config, "ham_shift_gap"))
-    res_r, res_l = canonical_residual(pair, np.linspace(-6.0, 6.0, 61), 1e-4)
-    rep.add("canonical-right", {"h": 1e-4}, res_r, 0.0, res_r, _tol(config, "canonical"))
-    rep.add("canonical-left", {"h": 1e-4}, res_l, 0.0, res_l, _tol(config, "canonical"))
+    res_r, res_l = canonical_residual(pair, np.linspace(*geo.canonical_times), h)
+    rep.add("canonical-right", {"h": h}, res_r, 0.0, res_r, _tol(config, "canonical"))
+    rep.add("canonical-left", {"h": h}, res_l, 0.0, res_l, _tol(config, "canonical"))
     return rep
 
 
-def _suite_rmatrix(config) -> Report:
+def _suite_rmatrix(config, geo) -> Report:
     rep = Report("rmatrix")
     params = config.params
     rng = np.random.default_rng(20260808)
@@ -280,7 +330,8 @@ def _suite_rmatrix(config) -> Report:
     tol = _tol(config, "ultralocal")
     rep.add("ultralocal-space", {"samples": 20}, worst["space"], 0.0, worst["space"], tol)
     rep.add("ultralocal-time", {"samples": 20}, worst["time"], 0.0, worst["time"], tol)
-    flipped = ultralocal_check("time", FieldSample(0.3, -0.2, 0.5), spectral(1.3, params), spectral(0.7, params), params, flip_sign=True)
+    sp1, sp2 = (spectral(lam, params) for lam in geo.rmatrix_lambdas)
+    flipped = ultralocal_check("time", FieldSample(0.3, -0.2, 0.5), sp1, sp2, params, flip_sign=True)
     ok = 1.0 if flipped > _tol(config, "sign_control") else 0.0
     rep.add("sign-control", {"flipped_gap": flipped}, ok, 1.0, 1.0 - ok, 0.0)
     rng2 = np.random.default_rng(7)
@@ -293,36 +344,37 @@ def _suite_rmatrix(config) -> Report:
         trig_worst = max(trig_worst, float(diff))
     rep.add("trig-form", {"angle_pairs": 10}, trig_worst, 0.0, trig_worst, _tol(config, "trig_form"))
     field = _bulk_field(config)
-    sp1, sp2 = spectral(1.3, params), spectral(0.7, params)
-    g400 = transition_bracket_check(field, 0.0, (-5.0, 5.0), sp1, sp2, 400)
-    g800 = transition_bracket_check(field, 0.0, (-5.0, 5.0), sp1, sp2, 800)
+    sites = geo.rmatrix_sites
+    coarse, fine = (transition_bracket_check(field, 0.0, geo.rmatrix_interval, sp1, sp2, n).gap for n in sites)
     if _is_vacuum(field):
-        rep.add("bracket-agreement", {"sites": 800}, g800.gap, 0.0, g800.gap, 1e-5)
+        rep.add("bracket-agreement", {"sites": sites[1]}, fine, 0.0, fine, 1e-5)
     else:
-        ratio = g800.gap / g400.gap
-        rep.add("bracket-halving", {"sites": [400, 800]}, ratio, 0.5, abs(ratio - 0.5), _tol(config, "bracket_ratio_err"))
+        ratio, want = fine / coarse, sites[0] / sites[1]  # the O(delta) splitting error falls like 1/sites
+        rep.add("bracket-halving", {"sites": sites}, ratio, want, abs(ratio - want), _tol(config, "bracket_ratio_err"))
     return rep
 
 
-def _suite_involution(config) -> Report:
+def _suite_involution(config, geo) -> Report:
     rep = Report("involution")
     field = _bulk_field(config)
-    sps = (spectral(1.5, config.params), spectral(0.8, config.params))
+    sps = tuple(spectral(lam, config.params) for lam in geo.involution_lambdas)
     tol = _tol(config, "involution")
     if _is_vacuum(field):
-        val = involution_check(field, 0.0, sps, 400, (-10.0, 10.0))
-        rep.add("vacuum-exact", {"sites": 400}, val, 0.0, val, 1e-12)
+        val = involution_check(field, 0.0, sps, geo.vacuum_sites, geo.vacuum_interval)
+        rep.add("vacuum-exact", {"sites": geo.vacuum_sites}, val, 0.0, val, 1e-12)
         return rep
+    sites = geo.involution_sites
     # (bulk field, probe x, half-span, bound case, decrease case, their inputs)
-    probes = [(field, 0.7, 20.0, "bound-n800", "refinement-decrease", {"sites": 800}, {"sites": [400, 800, 1600]})]
+    probes = [(field, *geo.involution_bulk, f"bound-n{sites[1]}", "refinement-decrease", {"sites": sites[1]}, {"sites": sites})]
     if config.solution["kind"] == "defect_pair":
         pair = _pair(config)
-        for side, bulk, x in (("right", pair.right, 0.5), ("left", pair.left, -0.5)):
-            probes.append((bulk, x, 14.0, f"pair-{side}-bound-n800", f"pair-{side}-decrease", {"probe": x}, {"probe": x}))
+        x, span = geo.involution_pair
+        for side, bulk, probe in (("right", pair.right, x), ("left", pair.left, -x)):
+            probes.append((bulk, probe, span, f"pair-{side}-bound-n{sites[1]}", f"pair-{side}-decrease", {"probe": probe}, {"probe": probe}))
     for bulk, x, span, bound, decrease, bound_inputs, decrease_inputs in probes:
         if not _has_picture(rep, bulk, "time"):
             continue
-        seq = [involution_check(bulk, x, sps, n, (-span, span)) for n in (400, 800, 1600)]
+        seq = [involution_check(bulk, x, sps, n, (-span, span)) for n in sites]
         rep.add(bound, bound_inputs, seq[1], 0.0, seq[1], tol)
         ok = 1.0 if (seq[0] > seq[1] > seq[2] or max(seq) < 1e-12) else 0.0
         rep.add(decrease, decrease_inputs, ok, 1.0, 1.0 - ok, 0.0)
@@ -342,15 +394,17 @@ SUITES = {
 
 
 def run_suite(name: str, config) -> Report:
-    """Run one suite; a ValueError or ArithmeticError inside it becomes a single failing ``error`` case."""
+    """Run one suite on the config's geometry; a ValueError or ArithmeticError inside it becomes a single failing ``error`` case."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
     start = time.perf_counter()
+    geo = _geometry(config)
     try:
-        report = SUITES[name](config)
+        report = SUITES[name](config, geo)
     except (ValueError, ArithmeticError) as exc:
         report = Report(name)
         report.add("error", {"error": f"{type(exc).__name__}: {exc}"}, math.nan, math.nan, math.inf, 0.0)
     report.timing = time.perf_counter() - start
     report.metadata.setdefault("verifies", DESCRIPTIONS[name])
+    report.metadata["geometry"] = geo  # the one record of the config, shared by its reports
     return report

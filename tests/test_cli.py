@@ -237,15 +237,94 @@ def test_quadrature_windows_follow_the_solution():
     # spacing at most 0.1/(m gamma): 2 ceil(10 span m gamma) + 1 points, span = max(40, W)
     for name, bulk, pair in (("kink", 875, 1001), ("defect", 1001, 1001)):
         config = ScenarioConfig.load(DEMOS / f"scenario_{name}.json")
-        field, defect_pair = suites._bulk_field(config), suites._pair(config)
-        win = suites._window(config, field)
+        field, defect_pair, geo = suites._bulk_field(config), suites._pair(config), suites._geometry(config)
+        win = suites._window(geo, config.params, field)
         axis = win.axis()
         assert (win.count, win.half_span) == (bulk, 40.0)
         assert (axis[0], axis[-1]) == (-40.0, 40.0)
         assert axis[1] - axis[0] <= 0.1 / field.gamma
-        assert suites._window(config, defect_pair.left, defect_pair.right).count == pair
+        assert suites._window(geo, config.params, defect_pair.left, defect_pair.right).count == pair
     wide = ScenarioConfig.from_dict({**BASE, "numerics": {"half_width": 60.0}})
-    assert suites._window(wide, make_vacuum(wide.params)).count == 1201
+    assert suites._window(suites._geometry(wide), wide.params, make_vacuum(wide.params)).count == 1201
+
+
+@pytest.mark.parametrize("w, span", [(30.0, 40.0), (60.0, 60.0)])
+def test_geometry_spans_at_least_40_and_its_lines_span_w(w, span):
+    # quadrature windows and time-axis lines span max(40, W); the monodromy lines and M_S span W
+    geo = suites._geometry(ScenarioConfig.from_dict({**BASE, "numerics": {"half_width": w}}))
+    assert (geo.span, geo.half_width) == (span, w)
+
+
+@pytest.mark.parametrize("name", ["kink", "defect"])
+def test_every_demo_report_carries_the_one_geometry_record(tmp_path, name):
+    config = ScenarioConfig.load(DEMOS / f"scenario_{name}.json")
+    geo = suites._geometry(config)
+    # the suites of a config share one record instead of holding a copy each
+    assert all(run_suite(suite, config).metadata["geometry"] is geo for suite in config.suites)
+    assert run(DEMOS / f"scenario_{name}.json", tmp_path, "json") == 0
+    want = json.loads(json.dumps(geo._asdict()))
+    for suite in config.suites:
+        assert json.loads((tmp_path / f"{suite}.json").read_text())["metadata"]["geometry"] == want, suite
+
+
+def _inputs(reports):
+    return {case.case: json.loads(case.inputs) for report in reports for case in report.cases}
+
+
+def test_case_inputs_follow_a_replaced_geometry(monkeypatch):
+    # a suite that kept its own literal would still report the old extent
+    config = ScenarioConfig.load(DEMOS / "scenario_kink.json")
+    geo = suites._geometry(config)._replace(
+        lax_h=2e-3, monodromy_probes=((0.0, 1.5), (0.0, 0.5)), charge_probes=((0.0, 0.6), (0.0, 0.9)),
+        riccati_lambdas=(30.0, 60.0), appendix_point=(0.8, 0.4), appendix_widths=(16.0, 26.0, 36.0),
+        defect_lambda=1.7, defect_h=2e-4, ms_times=(0.0, 0.9), splitting_t=0.6,
+        rmatrix_sites=(300, 600), involution_sites=(300, 600, 1200),
+    )
+    monkeypatch.setattr(suites, "_geometry", lambda config: geo)
+    sites = []  # the lattice sizes the checks ran on, which no case input names
+    bracket, involution = suites.transition_bracket_check, suites.involution_check
+    monkeypatch.setattr(suites, "transition_bracket_check", lambda *args: sites.append(args[5]) or bracket(*args))
+    monkeypatch.setattr(suites, "involution_check", lambda *args: sites.append(args[3]) or involution(*args))
+    reports = [run_suite(suite, config) for suite in config.suites]
+    assert all(report.metadata["geometry"] is geo for report in reports)
+    assert sites == [300, 600, 300, 600, 1200]
+    inputs = _inputs(reports)
+    assert inputs["residual-h"] == {"lambda": 0.5, "h": 2e-3}
+    assert inputs["a-drift-lam=1"]["times"] == [0.0, 1.5] and inputs["fa-drift-lam=1"]["positions"] == [0.0, 0.5]
+    assert inputs["I-drift-n=1"]["times"] == [0.0, 0.6] and inputs["J-drift-n=1"]["positions"] == [0.0, 0.9]
+    assert inputs["riccati-residual-scaling"]["lambdas"] == [30.0, 60.0]
+    assert inputs["residual-lam=1"] == {"lambda": 1.0, "x": 0.8, "t": 0.4, "W": 40.0}
+    assert inputs["half-width-monotone"] == {"W": [16.0, 26.0, 36.0]}
+    assert inputs["L-equation"] == {"lambda": 1.7, "h": 2e-4} and inputs["canonical-left"] == {"h": 2e-4}
+    assert inputs["Ms-diag-drift"] == {"lambda": 1.7, "times": [0.0, 0.9]} and inputs["Ms-splitting"] == {"lambda": 1.7, "t": 0.6}
+    assert inputs["bracket-halving"] == {"sites": [300, 600]}
+    assert inputs["bound-n600"] == {"sites": 600} and inputs["refinement-decrease"] == {"sites": [300, 600, 1200]}
+    pair_geo = geo._replace(involution_pair=(0.4, 14.0))
+    monkeypatch.setattr(suites, "_geometry", lambda config: pair_geo)
+    pair_config = ScenarioConfig.load(DEMOS / "scenario_defect.json")
+    assert _inputs([run_suite("involution", pair_config)])["pair-left-bound-n600"] == {"probe": -0.4}
+
+
+def test_an_error_report_carries_the_geometry_it_failed_on(tmp_path):
+    data = json.loads((DEMOS / "scenario_kink.json").read_text())
+    data["numerics"]["half_width"] = 5.0  # no vacuum at t = +-5: monodromy-conservation raises
+    data["suites"] = ["monodromy-conservation"]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    assert run(path, tmp_path / "rep", "json") == 1
+    payload = json.loads((tmp_path / "rep" / "monodromy-conservation.json").read_text())
+    (case,) = payload["cases"]
+    assert case["case"] == "error" and "NonDecayingFieldError" in case["inputs"]
+    assert (payload["metadata"]["geometry"]["half_width"], payload["metadata"]["geometry"]["span"]) == (5.0, 40.0)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 15: a pole of the + half-line integrand sits on the splitting path where lambda = sigma")
+def test_splitting_passes_on_the_pair_whose_sigma_is_the_defect_lambda():
+    # sigma is the defect suite's own lambda, read from the record, so moving that lambda keeps this pair on the pole
+    lam = suites._geometry(ScenarioConfig.from_dict(BASE)).defect_lambda
+    config = ScenarioConfig.from_dict({**BASE, "solution": {"kind": "defect_pair", "sigma": lam, "x0": 0.3}, "numerics": {"half_width": 40.0}})
+    row = next(case for case in run_suite("defect", config).cases if case.case == "Ms-splitting")
+    assert row.passed, f"gap {row.gap:.3e} against {row.tolerance:.0e}"  # 1.681e+01 against 1e-05
 
 
 @pytest.mark.parametrize("v", [0.0, 0.4, 0.95])
