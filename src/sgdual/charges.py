@@ -201,17 +201,16 @@ def riccati_residuals(field: FieldEvaluator, picture: str, fixed: float, order: 
     return residuals
 
 
-class ChargeLedger:
+class ChargeLedger(NamedTuple):
     """Finite charge sets keyed by integer order.
 
     Positive keys hold the large-lambda charges (I_n or J_n), key 0 and the
     negative keys hold the small-lambda side (I_{-n}, J_{-n}).
     """
 
-    def __init__(self, picture: str, entries: dict | None = None, provenance: str = "recursion"):
-        self.picture = picture
-        self.entries = {} if entries is None else entries
-        self.provenance = provenance
+    picture: str
+    entries: dict
+    provenance: str = "recursion"
 
     def value(self, n: int) -> complex:
         return self.entries[n]

@@ -5,18 +5,20 @@
 
 Exit codes: 0 all cases pass, 1 at least one case fails, 2 unusable config, output directory or report file.
 A suite that raises on a usable config (no vacuum at the window edge, more
-than ``transition.MAX_STEPS`` Magnus steps) reports one failing ``error`` case.
+than ``transition.MAX_STEPS`` Magnus steps, more than ``fields.MAX_POINTS``
+grid or probe points) reports one failing ``error`` case.
 The JSON schema is strict: a key that would change nothing is rejected, which
 catches misspelled tolerance names before they silently disable a gate.
 ``solution`` takes only the keys its kind reads: vacuum {kind, sigma},
 defect_pair {kind, sigma, x0}, kink {kind, v, x0, orientation, sigma}.
-``spectral`` takes exactly one of ``lambda_list`` and ``sweep``, of nonzero
-values no two of which share a case label (``suites.lambda_label``, which
-names cases and metadata keys); ``suites`` names each suite at most once,
-``--jobs`` is at least 1 and ``--format`` is csv or json.  ``numerics``
-takes ``half_width`` and ``tolerances``; step and grid counts follow from the solution.
+``spectral`` takes exactly one of ``lambda_list`` and ``sweep``, naming 1 to
+10000 nonzero values no two of which share a case label (``suites.lambda_label``,
+which names cases and metadata keys); ``suites`` names at least one suite and
+each at most once, ``--jobs`` is at least 1 and ``--format`` is csv or json.
+``numerics`` takes ``half_width`` and ``tolerances``; step and grid counts
+follow from the solution.
 Every numeric value must be a finite JSON number: tolerances are at least 0,
-``sigma`` is positive on every kind, and a sweep ``count`` is an integer from 1 to 10000.
+``sigma`` is positive on every kind, and a sweep ``count`` is an integer.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import sys
 from collections import Counter
 from functools import partial
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,7 +50,7 @@ _SOLUTION_KEYS = {
 }
 _NUMERIC_KEYS = {"half_width", "tolerances"}
 _TOP_KEYS = {"schema", "model", "solution", "spectral", "numerics", "suites"}
-_MAX_SWEEP = 10_000  # lambda values in a sweep; each one costs several monodromies per suite
+_MAX_LAMBDAS = 10_000  # lambda values in a list or a sweep; each one costs several monodromies per suite
 _FORMATS = ("csv", "json")
 
 
@@ -82,22 +85,13 @@ def _number(value, what, minimum=None, maximum=None, integer=False):
     return int(number) if integer else number
 
 
-class ScenarioConfig:
-    def __init__(
-        self,
-        params: ModelParams,
-        solution: dict,
-        lambdas: list,
-        half_width: float,
-        tolerances: dict | None = None,
-        suites: list | None = None,
-    ):
-        self.params = params
-        self.solution = solution
-        self.lambdas = lambdas
-        self.half_width = half_width
-        self.tolerances = {} if tolerances is None else tolerances
-        self.suites = [] if suites is None else suites
+class ScenarioConfig(NamedTuple):
+    params: ModelParams
+    solution: dict
+    lambdas: list
+    half_width: float
+    tolerances: dict
+    suites: list
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
@@ -138,12 +132,15 @@ class ScenarioConfig:
         if "lambda_list" in spectral:
             if not isinstance(spectral["lambda_list"], list):
                 raise ConfigError("spectral.lambda_list must be a list")
-            lambdas = [_number(l, "spectral.lambda_list entry") for l in spectral["lambda_list"]]
+            lambdas = spectral["lambda_list"]
+            if len(lambdas) > _MAX_LAMBDAS:
+                raise ConfigError(f"spectral.lambda_list names {len(lambdas)} values; the cap is {_MAX_LAMBDAS}")
+            lambdas = [_number(l, "spectral.lambda_list entry") for l in lambdas]
         else:
             sweep = spectral["sweep"]
             _require_keys(sweep, {"min", "max", "count"}, "spectral.sweep")
             bounds = [_number(sweep.get(k), f"spectral.sweep.{k}") for k in ("min", "max")]
-            count = _number(sweep.get("count"), "spectral.sweep.count", minimum=1, maximum=_MAX_SWEEP, integer=True)
+            count = _number(sweep.get("count"), "spectral.sweep.count", minimum=1, maximum=_MAX_LAMBDAS, integer=True)
             lambdas = list(np.linspace(*bounds, count))
         if not lambdas or any(l == 0.0 for l in lambdas):
             raise ConfigError("spectral values must be nonzero")
@@ -163,6 +160,8 @@ class ScenarioConfig:
         bad = [s for s in suites if s not in SUITES]
         if bad:
             raise ConfigError(f"unknown suites {bad}; available: {sorted(SUITES)}")
+        if not suites:
+            raise ConfigError("suites must name at least one suite")
         if len(set(suites)) != len(suites):
             raise ConfigError(f"suites lists a suite twice: {suites}")
         return cls(params, solution, lambdas, half_width, tolerances, list(suites))

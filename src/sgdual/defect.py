@@ -61,7 +61,7 @@ from .fields import (
 )
 from .lax import SpectralPoint, build_V, e0, hat_entries
 from .matcore import frob, inv2
-from .transition import _TRAJECTORY_CHUNK, STEP_DENSITY, _check_span, _trajectory, default_nsteps, jost, monodromy
+from .transition import _TRAJECTORY_CHUNK, STEP_DENSITY, _check_span, _trajectory, default_nsteps, jost, monodromies
 
 __all__ = [
     "DefectParams",
@@ -314,10 +314,9 @@ def c_function(sp: SpectralPoint, defect: DefectParams, parities: tuple[int, int
     raise ValueError(f"unknown C form {form!r}")
 
 
-class GeneratingRelationReport:
-    def __init__(self, parities: tuple[int, int], rows: list | None = None):
-        self.parities = parities
-        self.rows = [] if rows is None else rows
+class GeneratingRelationReport(NamedTuple):
+    parities: tuple[int, int]
+    rows: list
 
     @property
     def max_gap(self) -> dict:
@@ -347,10 +346,9 @@ def generating_relation_check(
     if not (x_right > 0.0 > x_left):
         raise ValueError("probes must sit on their respective sides of the defect")
     parities = pair.parities()
-    report = GeneratingRelationReport(parities)
-    # one line at a time, so that the lambdas sharing a count share the line's mesh and nodes
-    fas = [monodromy(pair.right, "time", x_right, half_width, sp).a_entry for sp in sp_list]
-    fa_tildes = [monodromy(pair.left, "time", x_left, half_width, sp).a_entry for sp in sp_list]
+    fas = [m.a_entry for m in monodromies(pair.right, "time", x_right, half_width, sp_list)]
+    fa_tildes = [m.a_entry for m in monodromies(pair.left, "time", x_left, half_width, sp_list)]
+    rows = []
     for sp, fa, fa_tilde in zip(sp_list, fas, fa_tildes):
         ln_a, ln_a_tilde = np.log(fa), np.log(fa_tilde)
         row = {
@@ -362,8 +360,8 @@ def generating_relation_check(
             predicted = c_function(sp, pair.defect, parities, form)
             # branch-free comparison on the multiplier scale
             row[f"gap_{form}"] = float(abs(fa / fa_tilde - predicted))
-        report.rows.append(row)
-    return report
+        rows.append(row)
+    return GeneratingRelationReport(parities, rows)
 
 
 class HamShiftReport(NamedTuple):

@@ -32,6 +32,7 @@ __all__ = [
     "ModelParams",
     "FieldSample",
     "GridWindow",
+    "MAX_POINTS",
     "QuadResult",
     "FieldEvaluator",
     "VacuumField",
@@ -48,6 +49,7 @@ __all__ = [
 
 TAIL_TOL = 1e-12  # quadrature windows should bury the integrand tail below this
 CHARGE_ROUNDING_FRACTION = 0.1  # of the vacuum spacing 2*pi/beta
+MAX_POINTS = 2**18  # points of one line's window or probe; more are refused before any is allocated
 
 
 class NonDecayingFieldError(ValueError):
@@ -88,6 +90,12 @@ class FieldSample(NamedTuple):
         return -self.phi_x
 
 
+def _check_points(count: int, what: str) -> None:
+    """Refuse more than MAX_POINTS points on a line, before they are allocated."""
+    if count > MAX_POINTS:
+        raise ValueError(f"{count} {what} points needed; the cap is {MAX_POINTS}")
+
+
 class GridWindow(NamedTuple("GridWindow", [("half_span", float), ("count", int)])):
     """A line's quadrature grid: count uniform points on [-half_span, half_span], whichever coordinate runs."""
 
@@ -99,6 +107,7 @@ class GridWindow(NamedTuple("GridWindow", [("half_span", float), ("count", int)]
             raise ValueError(f"window half-span must be positive and finite, got {half_span}")
         if not isinstance(count, numbers.Integral) or count < 3 or count % 2 == 0:
             raise ValueError(f"window count must be an odd integer of at least 3 (Simpson rule), got {count!r}")
+        _check_points(count, "window")
         return super().__new__(cls, half_span, count)
 
     def axis(self) -> np.ndarray:

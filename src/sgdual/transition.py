@@ -92,12 +92,13 @@ _SLOT_CAP steps (its count, its step sizes and the _combinations block).
 The next call with that count -- in a lambda sweep, most of them -- samples
 no field and runs only the lambda half: one row scale, three cross products
 and one exponential per step.  A cold call runs the same two halves, so a
-hit returns the bits of a cold call.  Callers walk one line across their
-lambda list before the next (appendix_equality_residuals walks the space
-Jost lines of all its cases, then the time lines).  The slot holds the
-field by weak reference and keeps no raised error; a new line replaces it,
-a probe longer than 2^14 points (_PROBE_CAP) empties it, and a mesh it does
-not serve drops its combinations.
+hit returns the bits of a cold call.  monodromies does the walking: it
+steps a line's whole lambda list before it returns, so a loop over several
+lines passes it one list per line (appendix_equality_residuals likewise
+walks the space Jost lines of all its cases, then the time lines).  The
+slot holds the field by weak reference and keeps no raised error; a new
+line replaces it, a probe longer than 2^14 points (_PROBE_CAP) empties it,
+and a mesh it does not serve drops its combinations.
 
 Whole-line monodromies are regularised by the plane-wave normalisers:
 E0(W)^-1 T_hat(W, -W) E0(-W) in space, and the cE0 analogue in time.  With
@@ -119,7 +120,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fields import FieldEvaluator, Line
+from .fields import FieldEvaluator, Line, _check_points
 from .lax import SpectralPoint, _check_real, ce0, e0, hat_nodes, hat_zeta
 from .matcore import _mul, expm_su2, frob, scan_chunks
 
@@ -130,6 +131,7 @@ __all__ = [
     "default_nsteps",
     "propagate",
     "monodromy",
+    "monodromies",
     "jost",
     "appendix_equality_residuals",
 ]
@@ -208,6 +210,7 @@ def _line_work(line, start, stop):
     if _slot is not None and _slot.key == key:
         return _slot
     count = math.ceil(abs(stop - start) * field.params.m * field.gamma) + 2
+    _check_points(count, "probe")
     probe = np.linspace(start, stop, count)
     sample = line.at(probe)
     im_d, cos, sin = hat_nodes(line.picture, sample, field.params)
@@ -420,29 +423,35 @@ def _trajectory(field, picture, fixed, start, stop, sp, nsteps):
         del psi  # so that the next chunk is stepped with nothing of this one alive
 
 
-def monodromy(
-    field: FieldEvaluator,
-    picture: str,
-    fixed: float,
-    half_width: float,
-    sp: SpectralPoint,
-) -> Monodromy:
-    """Regularised whole-line monodromy over [-W, W] in x or t.
+def monodromies(field: FieldEvaluator, picture: str, fixed: float, half_width: float, sps) -> list[Monodromy]:
+    """Regularised whole-line monodromies over [-W, W] in x or t, one per lambda of the list sps, in its order.
 
-    Raises ValueError for a non-real lambda or a half-width that is not
-    positive and finite, and NonDecayingFieldError when no vacuum is
-    identifiable at the endpoints, read off the ends of the mesh probe,
+    Raises ValueError for a non-real lambda anywhere in sps or a half-width
+    that is not positive and finite, and NonDecayingFieldError when no vacuum
+    is identifiable at the endpoints, read off the ends of the mesh probe,
     before any step; a softer miss (beyond 1e-8 but identifiable) only flags
-    the result as truncated.
+    the results as truncated.  The lambdas step through propagate in turn on
+    the one line, so those that share a count share the slot's mesh and nodes.
     """
-    _check_real(sp, "propagation")
+    for sp in sps:
+        _check_real(sp, "propagation")
     _check_span(-half_width, half_width, half_width)
+    if not sps:
+        return []
     line = Line(field, picture, fixed)
     work = _line_work(line, -half_width, half_width)
     dev = max(line.vacuum(work.probe[k], work.ends[k])[1] for k in (0, -1))
-    core = propagate(field, picture, fixed, -half_width, half_width, sp)
-    mat = _regularised(core.matrix, line.pick(sp.k1, sp.k0), half_width)
-    return Monodromy(mat, dev, dev > _ASYMPTOTE_TOL, core.step_count, core.step_range)
+    out = []
+    for sp in sps:
+        core = propagate(field, picture, fixed, -half_width, half_width, sp)
+        mat = _regularised(core.matrix, line.pick(sp.k1, sp.k0), half_width)
+        out.append(Monodromy(mat, dev, dev > _ASYMPTOTE_TOL, core.step_count, core.step_range))
+    return out
+
+
+def monodromy(field: FieldEvaluator, picture: str, fixed: float, half_width: float, sp: SpectralPoint) -> Monodromy:
+    """The regularised whole-line monodromy at one lambda: monodromies of [sp], which raises as monodromies does."""
+    return monodromies(field, picture, fixed, half_width, [sp])[0]
 
 
 def _regularised(core, k, half_width):

@@ -42,7 +42,7 @@ from sgdual.defect import (
 from sgdual.fields import FieldEvaluator, FieldSample, GridWindow, ModelParams, hamiltonian_S, make_kink
 from sgdual.lax import spectral, zero_curvature_residual
 from sgdual.rmatrix import involution_check, transition_bracket_check, ultralocal_check
-from sgdual.transition import appendix_equality_residuals, monodromy
+from sgdual.transition import appendix_equality_residuals, monodromies
 
 P11 = ModelParams(1.0, 1.0)
 WIDE = GridWindow(40.0, 16001)
@@ -81,13 +81,11 @@ def test_c02_monodromy_conservation():
     with _Timer() as t:
         kink = make_kink(P11, v=0.4)
         worst_a = worst_fa = 0.0
-        for lam in LAMBDAS:
-            sp = spectral(lam, P11)
-            a0 = monodromy(kink, "space", 0.0, 30.0, sp).a_entry
-            a2 = monodromy(kink, "space", 2.0, 30.0, sp).a_entry
+        sps = [spectral(lam, P11) for lam in LAMBDAS]
+        a0s, a2s = ([m.a_entry for m in monodromies(kink, "space", fixed, 30.0, sps)] for fixed in (0.0, 2.0))
+        f0s, f1s = ([m.a_entry for m in monodromies(kink, "time", fixed, 50.0, sps)] for fixed in (0.0, 1.0))
+        for a0, a2, f0, f1 in zip(a0s, a2s, f0s, f1s):
             worst_a = max(worst_a, abs(abs(a0) - abs(a2)), abs(np.angle(a0) - np.angle(a2)))
-            f0 = monodromy(kink, "time", 0.0, 50.0, sp).a_entry
-            f1 = monodromy(kink, "time", 1.0, 50.0, sp).a_entry
             worst_fa = max(worst_fa, abs(f0 - f1))
     ok = worst_a < 1e-6 and worst_fa < 1e-6 and t.elapsed < 10.0
     _report("C02 monodromy-conservation", ok, f"a-drift={worst_a:.2e}, fa-drift={worst_fa:.2e}", t.elapsed)

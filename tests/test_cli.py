@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from sgdual import cli, suites
+from sgdual import cli, fields, suites
 from sgdual.cli import ConfigError, ScenarioConfig, list_suites, main, run
 from sgdual.fields import make_vacuum
 from sgdual.lax import spectral
@@ -635,3 +635,50 @@ def test_spectral_values_sharing_a_case_label_exit_2(tmp_path, capsys, spectral_
     assert f"distinct case labels; ['{shared}']" in capsys.readouterr().err
     assert not (tmp_path / "rep").exists()
     assert suites.lambda_label(0.5000001) == suites.lambda_label(0.5) != suites.lambda_label(0.500001)
+
+
+def test_empty_suites_list_exits_2(tmp_path, capsys):
+    # an empty list would write no report and verify nothing, yet exit 0
+    cfg = write_config(tmp_path, overrides={"suites": []})
+    assert run(cfg, tmp_path / "rep", "csv") == 2
+    assert "at least one suite" in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()
+
+
+@pytest.mark.parametrize("form", ["lambda_list", "sweep"])
+def test_lambda_bound_holds_for_either_form(tmp_path, capsys, form):
+    def spectral_values(n):
+        if form == "lambda_list":
+            return {"lambda_list": [0.01 * (k + 1) for k in range(n)]}
+        return {"sweep": {"min": 0.01, "max": 100.0, "count": n}}
+
+    assert len(ScenarioConfig.from_dict({**BASE, "spectral": spectral_values(cli._MAX_LAMBDAS)}).lambdas) == 10_000
+    cfg = write_config(tmp_path, overrides={"spectral": spectral_values(cli._MAX_LAMBDAS + 1), "suites": ["lax-residual"]})
+    assert run(cfg, tmp_path / "rep", "csv") == 2
+    assert "10000" in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()
+
+
+def test_a_vacuum_runs_only_the_bracket_check_it_reports(monkeypatch):
+    # bracket-agreement reads the fine lattice alone; the coarse one serves only bracket-halving
+    sites = []
+    bracket = suites.transition_bracket_check
+    monkeypatch.setattr(suites, "transition_bracket_check", lambda *args: sites.append(args[5]) or bracket(*args))
+    vacuum = run_suite("rmatrix", ScenarioConfig.from_dict(BASE))
+    assert sites == [800] and [c.case for c in vacuum.cases][-1] == "bracket-agreement" and vacuum.passed
+    sites.clear()
+    kink = run_suite("rmatrix", ScenarioConfig.from_dict({**BASE, "solution": {"kind": "kink", "v": 0.4}}))
+    assert sites == [400, 800] and [c.case for c in kink.cases][-1] == "bracket-halving" and kink.passed
+
+
+def test_a_window_or_probe_beyond_the_point_cap_becomes_an_error_case(monkeypatch):
+    # a small cap, so that a guard that regressed allocates kilobytes here, not the gigabytes a v near 1 would ask for;
+    # on the kink demo the windows take 875 points and the monodromy probes 90
+    monkeypatch.setattr(fields, "MAX_POINTS", 500)
+    config = ScenarioConfig.load(DEMOS / "scenario_kink.json")
+    (case,) = run_suite("charges", config).cases
+    assert case.case == "error" and "ValueError: 875 window points needed; the cap is 500" in case.inputs
+    assert run_suite("monodromy-conservation", config).passed
+    monkeypatch.setattr(fields, "MAX_POINTS", 80)
+    (case,) = run_suite("monodromy-conservation", config).cases
+    assert case.case == "error" and "ValueError: 90 probe points needed; the cap is 80" in case.inputs

@@ -8,10 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sgdual.charges import IdentityReport
+from sgdual.charges import ChargeLedger, IdentityReport
 from sgdual.cli import ScenarioConfig
-from sgdual.defect import DefectPair, DefectParams, HamShiftReport, SplittingReport
-from sgdual.fields import FieldSample, GridWindow, ModelParams, QuadResult, make_vacuum
+from sgdual.defect import DefectPair, DefectParams, GeneratingRelationReport, HamShiftReport, SplittingReport
+from sgdual.fields import MAX_POINTS, FieldSample, GridWindow, ModelParams, QuadResult, make_vacuum
 from sgdual.lax import SpectralPoint
 from sgdual.report import CaseResult, Report
 from sgdual.rmatrix import BracketReport, RMatrixValue
@@ -32,6 +32,9 @@ FROZEN = [
     IdentityReport(1.0, 1.0),
     SplittingReport((0j, 0j), (0j, 0j), (0j, 0j), (0j, 0j), 64, 1024),
     HamShiftReport(0.0, 0.0, 0.0),
+    ChargeLedger("space", {1: 0j}),
+    GeneratingRelationReport((0, 0), []),
+    ScenarioConfig(P11, {"kind": "vacuum"}, [1.0], 30.0, {}, ["lax-residual"]),
     DefectPair(make_vacuum(P11), make_vacuum(P11), P11, DefectParams(2.0)),
     P11,
     DefectParams(2.0),
@@ -61,6 +64,7 @@ def test_records_refuse_assignment(record):
         lambda: GridWindow(-1.0, 3),
         lambda: GridWindow(math.inf, 3),
         lambda: GridWindow(math.nan, 3),
+        lambda: GridWindow(1.0, MAX_POINTS + 1),  # refused before axis() could allocate it
     ],
 )
 def test_validated_records_keep_their_value_errors(make):
@@ -87,5 +91,5 @@ def test_report_and_config_survive_a_pickle_round_trip():
     assert type(back.cases[0]) is CaseResult and back.passed
     config = ScenarioConfig.load(ROOT / "demos" / "scenario_kink.json")
     back = pickle.loads(pickle.dumps(config))
-    assert vars(back) == vars(config)
+    assert type(back) is ScenarioConfig and back == config
     assert type(back.params) is ModelParams

@@ -28,6 +28,7 @@ from sgdual.transition import (
     appendix_equality_residuals,
     default_nsteps,
     jost,
+    monodromies,
     monodromy,
     propagate,
 )
@@ -295,10 +296,9 @@ def test_kink_monodromy_half_width_convergence():
 
 def test_space_monodromy_time_invariant():
     kink = make_kink(P11, v=0.4)
-    for lam in (0.5, 1.0, 2.0):
-        sp = spectral(lam, P11)
-        vals = [monodromy(kink, "space", t, 30.0, sp).a_entry for t in (0.0, 1.0, 2.0)]
-        assert max(abs(v - vals[0]) for v in vals) < 1e-6
+    sps = [spectral(lam, P11) for lam in (0.5, 1.0, 2.0)]
+    for vals in zip(*(monodromies(kink, "space", t, 30.0, sps) for t in (0.0, 1.0, 2.0))):
+        assert max(abs(v.a_entry - vals[0].a_entry) for v in vals) < 1e-6
 
 
 def test_time_monodromy_space_invariant():
@@ -316,12 +316,11 @@ def test_kink_scattering_is_reflectionless_blaschke():
     v = 0.4
     mu = np.sqrt((1 - v) / (1 + v))
     kink = make_kink(P11, v=v)
-    for lam in (0.5, 1.0, 2.0, 4.0):
-        sp = spectral(lam, P11)
-        a = monodromy(kink, "space", 0.0, 30.0, sp).a_entry
-        assert abs(a - (lam - 1j * mu) / (lam + 1j * mu)) < 1e-7
-        fa = monodromy(kink, "time", 0.3, 50.0, sp).a_entry
-        assert abs(fa - (lam + 1j * mu) / (lam - 1j * mu)) < 1e-7
+    lams = (0.5, 1.0, 2.0, 4.0)
+    sps = [spectral(lam, P11) for lam in lams]
+    for lam, a, fa in zip(lams, monodromies(kink, "space", 0.0, 30.0, sps), monodromies(kink, "time", 0.3, 50.0, sps)):
+        assert abs(a.a_entry - (lam - 1j * mu) / (lam + 1j * mu)) < 1e-7
+        assert abs(fa.a_entry - (lam + 1j * mu) / (lam - 1j * mu)) < 1e-7
 
 
 def test_monodromy_truncation_error_when_asymptote_missing():
@@ -670,6 +669,60 @@ def test_monodromy_suite_samples_the_nodes_of_each_line_once_per_count(monkeypat
     config = ScenarioConfig.load(Path(__file__).resolve().parents[1] / "demos" / "scenario_kink.json")
     assert run_suite("monodromy-conservation", config).passed
     assert len(node_samples) == 8  # 2 counts on each of 4 lines; 16 when the lines alternate per lambda
+
+
+MIXED_LAMBDAS = [0.7, 1.3, 0.05, 2.5, 0.9, 4.0]  # counts 195 195 977 195 195 208 in space, 464 464 2323 464 464 493 in time
+
+
+@pytest.mark.parametrize("picture", ["space", "time"])
+def test_monodromies_equal_cold_per_lambda_calls_bitwise(picture):
+    line, w = _line_of(picture)
+    sps = [spectral(lam, P11) for lam in MIXED_LAMBDAS]
+    got = monodromies(line.field, picture, line.fixed, w, sps)
+    assert len({mono.step_count for mono in got}) == 3
+    for sp, mono in zip(sps, got):
+        cold = monodromy(_CountingKink(P11, KINK_V, 0.2, 1), picture, line.fixed, w, sp)  # a fresh field misses the slot
+        assert np.array_equal(mono.matrix, cold.matrix)
+        assert (mono.tail_deviation, mono.truncated, mono.step_count, mono.step_range) == (
+            cold.tail_deviation, cold.truncated, cold.step_count, cold.step_range
+        )
+
+
+@pytest.mark.parametrize("where", [0, 2, 5])
+def test_monodromies_refuse_a_non_real_lambda_anywhere_before_any_sample(where):
+    kink = _CountingKink(P11, KINK_V, 0.2, 1)
+    lams = [complex(lam) for lam in MIXED_LAMBDAS]
+    lams[where] += 0.1j
+    with pytest.raises(ValueError, match="real lambda"):
+        monodromies(kink, "space", 0.0, 40.0, [spectral(lam, P11) for lam in lams])
+    assert kink.sampled == []
+
+
+def test_monodromies_of_an_empty_list_are_an_empty_list():
+    kink = _CountingKink(P11, KINK_V, 0.2, 1)
+    assert monodromies(kink, "space", 0.0, 40.0, []) == []
+    assert kink.sampled == []
+    with pytest.raises(ValueError, match="half-width"):
+        monodromies(kink, "space", 0.0, -40.0, [])
+
+
+def test_generating_relation_samples_the_nodes_of_each_line_once_per_count(monkeypatch):
+    # on the defect demo's kink line (x = 0.7), lambda = 0.5, 1 and 2 share the count 279 and 4 takes 296
+    node_samples = []
+    sample = KinkField.sample
+
+    def counting(field, x, t):
+        shape = np.broadcast(x, t).shape  # a line passes its fixed coordinate as a scalar
+        if len(shape) == 2 and shape[0] == 3:
+            node_samples.append(shape)
+        return sample(field, x, t)
+
+    monkeypatch.setattr(KinkField, "sample", counting)
+    config = ScenarioConfig.load(Path(__file__).resolve().parents[1] / "demos" / "scenario_defect.json")
+    pair = defect.bt_kink_from_vacuum(config.params, defect.DefectParams(2.0), 0.0)
+    report = defect.generating_relation_check(pair, 0.7, -1.3, [spectral(lam, config.params) for lam in config.lambdas], 40.0)
+    assert report.winner(1e-4) == "ratio"
+    assert len(node_samples) == 2  # 4 when the kink line and the vacuum line alternate per lambda
 
 
 def test_appendix_suite_probes_each_jost_line_once(monkeypatch):
