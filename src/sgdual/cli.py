@@ -11,14 +11,17 @@ The JSON schema is strict: a key that would change nothing is rejected, which
 catches misspelled tolerance names before they silently disable a gate.
 ``solution`` takes only the keys its kind reads: vacuum {kind, sigma},
 defect_pair {kind, sigma, x0}, kink {kind, v, x0, orientation, sigma}.
+Loading builds the solution (``suites.solution``; sigma defaults to 2) and the
+geometry record: a solution its constructors refuse (|v| >= 1, an orientation
+other than +-1, sigma <= 0, or a sigma whose Backlund pair fails) exits 2.
 ``spectral`` takes exactly one of ``lambda_list`` and ``sweep``, naming 1 to
 10000 nonzero values no two of which share a case label (``suites.lambda_label``,
 which names cases and metadata keys); ``suites`` names at least one suite and
 each at most once, ``--jobs`` is at least 1 and ``--format`` is csv or json.
 ``numerics`` takes ``half_width`` and ``tolerances``; step and grid counts
 follow from the solution.
-Every numeric value must be a finite JSON number: tolerances are at least 0,
-``sigma`` is positive on every kind, and a sweep ``count`` is an integer.
+Every numeric value must be a finite JSON number: tolerances are at least 0
+and a sweep ``count`` is an integer.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fields import ModelParams
-from .suites import DEFAULT_TOLERANCES, DESCRIPTIONS, SUITES, lambda_label, run_suite
+from .suites import DEFAULT_TOLERANCES, DESCRIPTIONS, SUITES, Geometry, Solution, geometry, lambda_label, run_suite, solution
 
 __all__ = ["ScenarioConfig", "ConfigError", "main", "run"]
 
@@ -87,9 +90,9 @@ def _number(value, what, minimum=None, maximum=None, integer=False):
 
 class ScenarioConfig(NamedTuple):
     params: ModelParams
-    solution: dict
+    solution: Solution
     lambdas: list
-    half_width: float
+    geometry: Geometry
     tolerances: dict
     suites: list
 
@@ -104,27 +107,21 @@ class ScenarioConfig(NamedTuple):
             params = ModelParams(*(_number(model.get(k, 1.0), f"model.{k}") for k in ("m", "beta")))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        solution = data.get("solution", {"kind": "vacuum"})
-        _require_keys(solution, set().union(*_SOLUTION_KEYS.values()), "solution")
-        solution = dict(solution)
-        kind = solution.get("kind")
+        keys = data.get("solution", {"kind": "vacuum"})
+        _require_keys(keys, set().union(*_SOLUTION_KEYS.values()), "solution")
+        kind = keys.get("kind")
         if not isinstance(kind, str) or kind not in _SOLUTION_KEYS:
             raise ConfigError(f"solution kind must be vacuum|kink|defect_pair, got {kind!r}")
-        _require_keys(solution, _SOLUTION_KEYS[kind], f"a {kind} solution")
-        for key in ("v", "x0", "sigma", "orientation"):
-            if key in solution:
-                solution[key] = _number(solution[key], f"solution.{key}", integer=key == "orientation")
-        if solution.get("orientation", 1) not in (1, -1):
-            raise ConfigError(f"solution.orientation must be 1 or -1, got {solution['orientation']!r}")
-        if kind == "kink":
-            if "v" not in solution:
-                raise ConfigError("kink solution needs a velocity v")
-            if not abs(solution["v"]) < 1.0:
-                raise ConfigError("kink velocity must satisfy |v| < 1")
-        if kind == "defect_pair" and "sigma" not in solution:
+        _require_keys(keys, _SOLUTION_KEYS[kind], f"a {kind} solution")
+        keys = {k: value if k == "kind" else _number(value, f"solution.{k}", integer=k == "orientation") for k, value in keys.items()}
+        if kind == "kink" and "v" not in keys:
+            raise ConfigError("kink solution needs a velocity v")
+        if kind == "defect_pair" and "sigma" not in keys:
             raise ConfigError("defect_pair needs sigma > 0")
-        if not solution.get("sigma", 1.0) > 0.0:  # the defect suite reads sigma on every kind
-            raise ConfigError(f"solution.sigma must be > 0, got {solution['sigma']!r}")
+        try:  # the field and pair constructors are the one validator of the solution
+            built = solution(params, keys)
+        except ValueError as exc:
+            raise ConfigError(f"cannot build the {kind} solution: {exc}") from exc
         spectral = data.get("spectral", {"lambda_list": [0.5, 1.0, 2.0, 4.0]})
         _require_keys(spectral, {"lambda_list", "sweep"}, "spectral")
         if len(spectral) != 1:
@@ -164,7 +161,7 @@ class ScenarioConfig(NamedTuple):
             raise ConfigError("suites must name at least one suite")
         if len(set(suites)) != len(suites):
             raise ConfigError(f"suites lists a suite twice: {suites}")
-        return cls(params, solution, lambdas, half_width, tolerances, list(suites))
+        return cls(params, built, lambdas, geometry(half_width), tolerances, list(suites))
 
     @classmethod
     def load(cls, path) -> "ScenarioConfig":

@@ -209,7 +209,7 @@ class KinkField(FieldEvaluator):
         if not abs(v) < 1.0:
             raise ValueError(f"kink velocity must satisfy |v| < 1, got {v}")
         if orientation not in (1, -1):
-            raise ValueError("orientation must be +1 or -1")
+            raise ValueError(f"kink orientation must be +1 or -1, got {orientation}")
         self.params = params
         self.v = float(v)
         self.x0 = float(x0)

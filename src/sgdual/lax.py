@@ -19,8 +19,9 @@ asymptotic problems.
 
 The gauged generators are built entrywise from the explicit formulas above
 (``hat_entries``): ``hat_nodes`` takes what they need of the field (Im d and
-e^{i beta phi}, free of lambda), and lambda enters only through -lambda m/4
-and the coefficient zeta of i s2 E (``hat_zeta``).  For real lambda the
+e^{i beta phi}; pi = phi_t and Pi = -phi_x make both d one), and lambda and
+the picture enter only through -lambda m/4 and the sign of the coefficient
+zeta of i s2 E (``hat_zeta``).  For real lambda the
 generator is then i(w1 s1 + w2 s2 + w3 s3) with the real w1 = -zeta sin(beta
 phi), w2 = zeta cos(beta phi) - lambda m/4, w3 = Im d, which is how
 propagation steps it.  The gauge consistency U_hat = Om^-1 U Om - Om^-1 Om_x
@@ -100,20 +101,17 @@ def build_V(field: FieldEvaluator, x, t, sp: SpectralPoint) -> np.ndarray:
     return lax_matrix("time", field.sample(x, t), sp, field.params)
 
 
-def hat_nodes(picture: str, sample: FieldSample, params: ModelParams) -> np.ndarray:
+def hat_nodes(sample: FieldSample, params: ModelParams) -> np.ndarray:
     """The lambda-free half of hat_entries: Im d, cos(beta phi) and sin(beta phi), stacked in one real array.
 
-    d = -i(beta/4)(phi_x + pi) (space) or -i(beta/4)(phi_t - Pi) (time) is
-    imaginary, and e^{i beta phi} = cos + i sin is all the generator needs
-    of phi.  The shape is (3,) + the sample's shape.
+    d = -i(beta/4)(phi_x + phi_t) in both pictures (phi_x + pi and phi_t - Pi
+    bit for bit) is imaginary, and e^{i beta phi} = cos + i sin is all the
+    generator needs of phi.  The shape is (3,) + the sample's shape.
     """
     beta = params.beta
     out = np.empty((3,) + np.shape(sample.phi))
     im_d, cos, sin = out[0, ...], out[1, ...], out[2, ...]
-    if picture == "space":
-        np.add(sample.phi_x, sample.pi, out=im_d)
-    else:
-        np.subtract(sample.phi_t, sample.Pi, out=im_d)
+    np.add(sample.phi_x, sample.phi_t, out=im_d)
     np.multiply(-0.25 * beta, im_d, out=im_d)
     bphi = np.multiply(beta, sample.phi, out=sin)
     np.cos(bphi, out=cos)
@@ -136,7 +134,7 @@ def hat_entries(picture: str, sample: FieldSample, sp: SpectralPoint, params: Mo
     hat_nodes in its imaginary parts and the lambda terms added in place.
     """
     out = np.empty((3,) + np.shape(sample.phi), dtype=complex)
-    out.imag = hat_nodes(picture, sample, params)
+    out.imag = hat_nodes(sample, params)
     quarter, zeta = sp.lam * (params.m / 4.0), hat_zeta(picture, sp, params)
     d, a01, a10 = out[0, ...], out[1, ...], out[2, ...]
     d.real[...] = 0.0

@@ -5,9 +5,11 @@ returns a Report whose cases carry (lhs, rhs, gap, tolerance).  Suites are
 pure functions of the configuration, evaluate in a fixed order and seed any
 randomness, so reports are reproducible bit for bit.
 
-Geometry: ``_geometry`` is the one place where extents are decided.  Every
-line, span, grid, probe and spectral point of a suite comes from its
-``Geometry`` record, which each report carries under the metadata key ``geometry``.
+A config is resolved once, when it is loaded: ``solution`` builds its field
+and defect pair, and ``geometry``, the one place where extents are decided,
+its ``Geometry`` record.  Every line, span, grid, probe and spectral point of
+a suite comes from that record, which each report carries under the metadata
+key ``geometry``.
 
 Skip rule: a static kink does not settle to a vacuum along t at fixed x, so
 it has no time picture.  ``_has_picture`` alone decides this; every check on
@@ -17,7 +19,6 @@ skip under the metadata key ``time-picture``.
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from typing import NamedTuple
@@ -36,13 +37,13 @@ from .defect import (
     generating_relation_check,
     ham_shift_check,
 )
-from .fields import FieldSample, GridWindow, make_kink, make_vacuum, topological_charges
+from .fields import FieldEvaluator, FieldSample, GridWindow, make_kink, make_vacuum, topological_charges
 from .lax import spectral, zero_curvature_residual
 from .report import Report
 from .rmatrix import involution_check, r_matrix, r_matrix_trig, transition_bracket_check, ultralocal_check
 from .transition import appendix_equality_residuals, monodromies
 
-__all__ = ["SUITES", "DESCRIPTIONS", "DEFAULT_TOLERANCES", "lambda_label", "run_suite"]
+__all__ = ["SUITES", "DESCRIPTIONS", "DEFAULT_TOLERANCES", "Geometry", "Solution", "geometry", "lambda_label", "run_suite", "solution"]
 
 # one-line statement of the identity each suite verifies
 DESCRIPTIONS = {
@@ -121,13 +122,8 @@ class Geometry(NamedTuple):
     vacuum_sites: int
 
 
-def _geometry(config) -> Geometry:
-    """The one place where the suites' extents are decided; memoised on W, its one input, so the suites of a config share one record."""
-    return _geometry_at(config.half_width)
-
-
-@functools.lru_cache(maxsize=16)
-def _geometry_at(w: float) -> Geometry:
+def geometry(w: float) -> Geometry:
+    """The one place where the suites' extents are decided, from W, its one input."""
     return Geometry(
         span=max(40.0, w), half_width=w,  # truncation along t decays only like exp(-m gamma |v| W)
         lax_point=(0.5, 0.1), lax_h=1e-3, monodromy_probes=((0.0, 2.0), (0.0, 1.0)), charge_probes=((0.0, 0.7), (0.0, 1.0)),
@@ -140,23 +136,28 @@ def _geometry_at(w: float) -> Geometry:
     )
 
 
-def _bulk_field(config):
-    sol = config.solution
-    params = config.params
-    if sol["kind"] == "vacuum":
-        return make_vacuum(params)
-    if sol["kind"] == "kink":
-        return make_kink(params, sol["v"], sol.get("x0", 0.0), sol.get("orientation", 1))
-    return _pair(config).right
+class Solution(NamedTuple):
+    """The built solution of a config: its kind, the bulk field the suites check and the pair the defect suite reads."""
+
+    kind: str
+    field: FieldEvaluator
+    pair: DefectPair
 
 
-def _pair(config) -> DefectPair:
-    sol = config.solution
-    params = config.params
-    sigma = DefectParams(sol.get("sigma", 2.0))
-    if sol["kind"] == "vacuum":
-        return DefectPair(make_vacuum(params), make_vacuum(params), params, sigma)
-    return bt_kink_from_vacuum(params, sigma, sol.get("x0", 0.0))
+def solution(params, keys) -> Solution:
+    """Build a solution from its config keys; a constructor that cannot build it raises ValueError.
+
+    The pair is the vacuum on both sides of a vacuum, else the Backlund kink at the solution's x0 glued to the vacuum.
+    """
+    keys = {"x0": 0.0, "orientation": 1, "sigma": 2.0, **keys}  # the defaults of the keys a config may leave out
+    kind, x0, defect = keys["kind"], keys["x0"], DefectParams(keys["sigma"])
+    if kind == "vacuum":
+        field = make_vacuum(params)
+        return Solution(kind, field, DefectPair(field, field, params, defect))
+    pair = bt_kink_from_vacuum(params, defect, x0)
+    if kind == "defect_pair":
+        return Solution(kind, pair.right, pair)
+    return Solution(kind, make_kink(params, keys["v"], x0, keys["orientation"]), pair)
 
 
 def _window(geo, params, *fields) -> GridWindow:
@@ -183,7 +184,7 @@ def _has_picture(rep, field, picture) -> bool:
 
 def _suite_lax(config, geo) -> Report:
     rep = Report("lax-residual")
-    field = _bulk_field(config)
+    field = config.solution.field
     lam = config.lambdas[0]
     sp = spectral(lam, config.params)
     h = geo.lax_h
@@ -202,7 +203,7 @@ def _suite_lax(config, geo) -> Report:
 
 def _suite_monodromy(config, geo) -> Report:
     rep = Report("monodromy-conservation")
-    field = _bulk_field(config)
+    field = config.solution.field
     w = geo.half_width
     tol = _tol(config, "monodromy_drift")
     steps = rep.metadata["step-counts"] = {}
@@ -222,7 +223,7 @@ def _suite_monodromy(config, geo) -> Report:
 
 def _suite_charges(config, geo) -> Report:
     rep = Report("charges")
-    field = _bulk_field(config)
+    field = config.solution.field
     win = _window(geo, config.params, field)
     tol = _tol(config, "charge_drift")
     for (picture, name, axis), probes in zip((("space", "I", "times"), ("time", "J", "positions")), geo.charge_probes):
@@ -249,7 +250,7 @@ def _suite_charges(config, geo) -> Report:
 
 def _suite_energy(config, geo) -> Report:
     rep = Report("energy-identities")
-    field = _bulk_field(config)
+    field = config.solution.field
     win = _window(geo, config.params, field)
     for picture, axis in (("space", "t"), ("time", "x")):
         if not _has_picture(rep, field, picture):
@@ -261,7 +262,7 @@ def _suite_energy(config, geo) -> Report:
 
 def _suite_appendix(config, geo) -> Report:
     rep = Report("appendix")
-    field = _bulk_field(config)
+    field = config.solution.field
     if not _has_picture(rep, field, "time"):
         return rep
     if field.kind == "kink" and field.v > 0.0:
@@ -285,7 +286,7 @@ def _suite_appendix(config, geo) -> Report:
 
 def _suite_defect(config, geo) -> Report:
     rep = Report("defect")
-    pair = _pair(config)
+    pair = config.solution.pair
     lam, h, w = geo.defect_lambda, geo.defect_h, geo.half_width
     sp = spectral(lam, config.params)
     res = pair.condition_residual(np.linspace(*geo.condition_times))
@@ -343,7 +344,7 @@ def _suite_rmatrix(config, geo) -> Report:
         diff = np.max(np.abs(r_matrix(np.exp(1j * a), np.exp(1j * b), params).matrix - r_matrix_trig(a - b, params)))
         trig_worst = max(trig_worst, float(diff))
     rep.add("trig-form", {"angle_pairs": 10}, trig_worst, 0.0, trig_worst, _tol(config, "trig_form"))
-    field = _bulk_field(config)
+    field = config.solution.field
     sites = geo.rmatrix_sites
     bracket_gap = lambda n: transition_bracket_check(field, 0.0, geo.rmatrix_interval, sp1, sp2, n).gap
     if _is_vacuum(field):  # the coarse lattice serves only the halving row
@@ -358,7 +359,7 @@ def _suite_rmatrix(config, geo) -> Report:
 
 def _suite_involution(config, geo) -> Report:
     rep = Report("involution")
-    field = _bulk_field(config)
+    field = config.solution.field
     sps = tuple(spectral(lam, config.params) for lam in geo.involution_lambdas)
     tol = _tol(config, "involution")
     if _is_vacuum(field):
@@ -368,9 +369,8 @@ def _suite_involution(config, geo) -> Report:
     sites = geo.involution_sites
     # (bulk field, probe x, half-span, bound case, decrease case, their inputs)
     probes = [(field, *geo.involution_bulk, f"bound-n{sites[1]}", "refinement-decrease", {"sites": sites[1]}, {"sites": sites})]
-    if config.solution["kind"] == "defect_pair":
-        pair = _pair(config)
-        x, span = geo.involution_pair
+    if config.solution.kind == "defect_pair":
+        pair, (x, span) = config.solution.pair, geo.involution_pair
         for side, bulk, probe in (("right", pair.right, x), ("left", pair.left, -x)):
             probes.append((bulk, probe, span, f"pair-{side}-bound-n{sites[1]}", f"pair-{side}-decrease", {"probe": probe}, {"probe": probe}))
     for bulk, x, span, bound, decrease, bound_inputs, decrease_inputs in probes:
@@ -400,7 +400,7 @@ def run_suite(name: str, config) -> Report:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
     start = time.perf_counter()
-    geo = _geometry(config)
+    geo = config.geometry
     try:
         report = SUITES[name](config, geo)
     except (ValueError, ArithmeticError) as exc:

@@ -213,7 +213,7 @@ def _line_work(line, start, stop):
     _check_points(count, "probe")
     probe = np.linspace(start, stop, count)
     sample = line.at(probe)
-    im_d, cos, sin = hat_nodes(line.picture, sample, field.params)
+    im_d, cos, sin = hat_nodes(sample, field.params)
     dev = np.abs(im_d) + (0.5 * field.params.m) * np.hypot(cos - cos[0], sin - sin[0])
     cum = None
     if dev.max() > 0.0:
@@ -301,7 +301,7 @@ def _combinations(line, base, h):
     They are combined in place: node slots 1, 2, 0 come back holding a1 =
     h G2, a2 = (sqrt 15/3) h (G3 - G1) and a3 = (10/3) h (G3 - 2 G2 + G1).
     """
-    g = hat_nodes(line.picture, line.at(base + _NODES * h), line.field.params)
+    g = hat_nodes(line.at(base + _NODES * h), line.field.params)
     a3, a1, a2 = g[:, 0], g[:, 1], g[:, 2]  # G1, G2, G3 until combined
     a3 += a2  # G1 + G3
     a2 *= 2.0

@@ -237,7 +237,7 @@ def test_quadrature_windows_follow_the_solution():
     # spacing at most 0.1/(m gamma): 2 ceil(10 span m gamma) + 1 points, span = max(40, W)
     for name, bulk, pair in (("kink", 875, 1001), ("defect", 1001, 1001)):
         config = ScenarioConfig.load(DEMOS / f"scenario_{name}.json")
-        field, defect_pair, geo = suites._bulk_field(config), suites._pair(config), suites._geometry(config)
+        field, defect_pair, geo = config.solution.field, config.solution.pair, config.geometry
         win = suites._window(geo, config.params, field)
         axis = win.axis()
         assert (win.count, win.half_span) == (bulk, 40.0)
@@ -245,20 +245,20 @@ def test_quadrature_windows_follow_the_solution():
         assert axis[1] - axis[0] <= 0.1 / field.gamma
         assert suites._window(geo, config.params, defect_pair.left, defect_pair.right).count == pair
     wide = ScenarioConfig.from_dict({**BASE, "numerics": {"half_width": 60.0}})
-    assert suites._window(suites._geometry(wide), wide.params, make_vacuum(wide.params)).count == 1201
+    assert suites._window(wide.geometry, wide.params, make_vacuum(wide.params)).count == 1201
 
 
 @pytest.mark.parametrize("w, span", [(30.0, 40.0), (60.0, 60.0)])
 def test_geometry_spans_at_least_40_and_its_lines_span_w(w, span):
     # quadrature windows and time-axis lines span max(40, W); the monodromy lines and M_S span W
-    geo = suites._geometry(ScenarioConfig.from_dict({**BASE, "numerics": {"half_width": w}}))
-    assert (geo.span, geo.half_width) == (span, w)
+    geo = ScenarioConfig.from_dict({**BASE, "numerics": {"half_width": w}}).geometry
+    assert (geo.span, geo.half_width) == (span, w) and geo == suites.geometry(w)
 
 
 @pytest.mark.parametrize("name", ["kink", "defect"])
 def test_every_demo_report_carries_the_one_geometry_record(tmp_path, name):
     config = ScenarioConfig.load(DEMOS / f"scenario_{name}.json")
-    geo = suites._geometry(config)
+    geo = config.geometry
     # the suites of a config share one record instead of holding a copy each
     assert all(run_suite(suite, config).metadata["geometry"] is geo for suite in config.suites)
     assert run(DEMOS / f"scenario_{name}.json", tmp_path, "json") == 0
@@ -274,13 +274,13 @@ def _inputs(reports):
 def test_case_inputs_follow_a_replaced_geometry(monkeypatch):
     # a suite that kept its own literal would still report the old extent
     config = ScenarioConfig.load(DEMOS / "scenario_kink.json")
-    geo = suites._geometry(config)._replace(
+    geo = config.geometry._replace(
         lax_h=2e-3, monodromy_probes=((0.0, 1.5), (0.0, 0.5)), charge_probes=((0.0, 0.6), (0.0, 0.9)),
         riccati_lambdas=(30.0, 60.0), appendix_point=(0.8, 0.4), appendix_widths=(16.0, 26.0, 36.0),
         defect_lambda=1.7, defect_h=2e-4, ms_times=(0.0, 0.9), splitting_t=0.6,
         rmatrix_sites=(300, 600), involution_sites=(300, 600, 1200),
     )
-    monkeypatch.setattr(suites, "_geometry", lambda config: geo)
+    config = config._replace(geometry=geo)
     sites = []  # the lattice sizes the checks ran on, which no case input names
     bracket, involution = suites.transition_bracket_check, suites.involution_check
     monkeypatch.setattr(suites, "transition_bracket_check", lambda *args: sites.append(args[5]) or bracket(*args))
@@ -300,8 +300,7 @@ def test_case_inputs_follow_a_replaced_geometry(monkeypatch):
     assert inputs["bracket-halving"] == {"sites": [300, 600]}
     assert inputs["bound-n600"] == {"sites": 600} and inputs["refinement-decrease"] == {"sites": [300, 600, 1200]}
     pair_geo = geo._replace(involution_pair=(0.4, 14.0))
-    monkeypatch.setattr(suites, "_geometry", lambda config: pair_geo)
-    pair_config = ScenarioConfig.load(DEMOS / "scenario_defect.json")
+    pair_config = ScenarioConfig.load(DEMOS / "scenario_defect.json")._replace(geometry=pair_geo)
     assert _inputs([run_suite("involution", pair_config)])["pair-left-bound-n600"] == {"probe": -0.4}
 
 
@@ -318,10 +317,13 @@ def test_an_error_report_carries_the_geometry_it_failed_on(tmp_path):
     assert (payload["metadata"]["geometry"]["half_width"], payload["metadata"]["geometry"]["span"]) == (5.0, 40.0)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 15: a pole of the + half-line integrand sits on the splitting path where lambda = sigma")
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP item 15: a pole of the + half-line integrand sits on the splitting path where lambda = sigma",
+)
 def test_splitting_passes_on_the_pair_whose_sigma_is_the_defect_lambda():
     # sigma is the defect suite's own lambda, read from the record, so moving that lambda keeps this pair on the pole
-    lam = suites._geometry(ScenarioConfig.from_dict(BASE)).defect_lambda
+    lam = ScenarioConfig.from_dict(BASE).geometry.defect_lambda
     config = ScenarioConfig.from_dict({**BASE, "solution": {"kind": "defect_pair", "sigma": lam, "x0": 0.3}, "numerics": {"half_width": 40.0}})
     row = next(case for case in run_suite("defect", config).cases if case.case == "Ms-splitting")
     assert row.passed, f"gap {row.gap:.3e} against {row.tolerance:.0e}"  # 1.681e+01 against 1e-05
@@ -353,10 +355,16 @@ def test_demo_scenario_passes_and_is_byte_stable(tmp_path, name):
         assert path.read_bytes() == (tmp_path / "b" / path.name).read_bytes()
 
 
-@pytest.mark.parametrize("name", ["kink", "defect"])
-def test_demo_scenario_reproduces_the_committed_reports(tmp_path, name):
-    """Refactors must keep every report byte for byte; a change of numbers on purpose regenerates these files."""
-    assert run(DEMOS / f"scenario_{name}.json", tmp_path, "csv") == 0
+@pytest.mark.parametrize(
+    "name, jobs", [("kink", 1), ("defect", 1), ("kink", 2), ("defect", 2)], ids=["kink", "defect", "kink-jobs2", "defect-jobs2"]
+)
+def test_demo_scenario_reproduces_the_committed_reports(tmp_path, monkeypatch, name, jobs):
+    """Refactors must keep every report byte for byte; a change of numbers on purpose regenerates these files.
+
+    With jobs = 2 the suites run in a real process pool, which receives the config's built fields by pickle.
+    """
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)  # a pool on any host
+    assert run(DEMOS / f"scenario_{name}.json", tmp_path, "csv", jobs) == 0
     want = sorted((REPORTS / name).iterdir())
     assert [p.name for p in sorted(tmp_path.iterdir())] == [p.name for p in want]
     for path in want:
@@ -485,7 +493,7 @@ def test_splitting_steps_reach_the_json_report_only(tmp_path):
     cfg = write_config(tmp_path, overrides={"solution": {"kind": "defect_pair", "sigma": 2.0}, "suites": ["defect"]})
     assert run(cfg, tmp_path / "json", "json") == 0
     config = ScenarioConfig.load(cfg)
-    count = default_nsteps(config.half_width, spectral(1.5, config.params), density=200.0)
+    count = default_nsteps(config.geometry.half_width, spectral(1.5, config.params), density=200.0)
     report = json.loads((tmp_path / "json" / "defect.json").read_text())
     assert report["metadata"]["splitting-steps"] == {"steps": count + count % 2, "chunk": 2**10}
     assert run(cfg, tmp_path / "csv", "csv") == 0
@@ -573,7 +581,16 @@ def test_solution_keys_the_kind_ignores_exit_2(tmp_path, capsys, solution):
 )
 def test_solution_keys_the_kind_reads_are_accepted(solution):
     config = ScenarioConfig.from_dict({**BASE, "solution": solution})
-    assert config.solution == solution
+    built = config.solution
+    assert (built.kind, built.pair.defect.sigma) == (solution["kind"], solution["sigma"])
+    if solution["kind"] == "vacuum":
+        assert built.field.kind == built.pair.left.kind == built.pair.right.kind == "vacuum"
+    else:  # the pair's Backlund kink sits at the solution's x0
+        assert (built.pair.left.kind, built.pair.right.x0) == ("vacuum", 0.3)
+    if solution["kind"] == "kink":
+        assert (built.field.v, built.field.x0, built.field.orientation) == (0.4, 0.3, -1)
+    if solution["kind"] == "defect_pair":
+        assert built.field is built.pair.right
 
 
 def test_lambda_list_and_sweep_together_exit_2(tmp_path):
@@ -608,8 +625,58 @@ def test_jobs_below_one_exit_2(tmp_path, capsys, jobs):
 def test_sigma_not_positive_exits_2(tmp_path, capsys, solution):
     cfg = write_config(tmp_path, overrides={"solution": solution, "suites": ["defect"]})
     assert run(cfg, tmp_path / "rep", "csv") == 2
-    assert "sigma must be > 0" in capsys.readouterr().err
+    assert "sigma must be positive" in capsys.readouterr().err
     assert not (tmp_path / "rep").exists()
+
+
+@pytest.mark.parametrize(
+    "sigma, reason", [(1e-5, "defect-condition residual"), (1e-9, "got 1.0"), (1e9, "got -1.0")], ids=["1e-5", "1e-9", "1e9"]
+)
+@pytest.mark.parametrize("kind", ["kink", "defect_pair"])
+def test_a_sigma_whose_pair_cannot_be_built_exits_2(tmp_path, capsys, kind, sigma, reason):
+    # the Backlund kink's velocity (1 - s^2)/(1 + s^2) rounds to +-1, or the pair misses the defect conditions
+    solution = {"kind": kind, "sigma": sigma, **({"v": 0.4} if kind == "kink" else {})}
+    cfg = write_config(tmp_path, overrides={"solution": solution, "suites": ["defect"]})
+    assert run(cfg, tmp_path / "rep", "csv") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot build the {kind} solution:") and reason in err
+    assert not (tmp_path / "rep").exists()
+
+
+def test_an_unbuildable_sigma_exits_2_when_no_suite_reads_it(tmp_path):
+    cfg = write_config(tmp_path, overrides={"solution": {"kind": "kink", "v": 0.4, "sigma": 1e-5}, "suites": ["lax-residual"]})
+    assert run(cfg, tmp_path / "rep", "csv") == 2
+    assert not (tmp_path / "rep").exists()
+
+
+@pytest.mark.parametrize(
+    "solution, reason",
+    [({"kind": "kink", "v": 0.4, "orientation": 2}, "orientation must be +1 or -1, got 2"), ({"kind": "kink", "v": 1.5}, "|v| < 1, got 1.5")],
+    ids=["orientation", "velocity"],
+)
+def test_the_kink_constructor_refuses_orientation_and_velocity(tmp_path, capsys, solution, reason):
+    cfg = write_config(tmp_path, overrides={"solution": solution, "suites": ["lax-residual"]})
+    assert run(cfg, tmp_path / "rep", "csv") == 2
+    assert reason in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()
+
+
+@pytest.mark.parametrize("name, builder, builds", [("defect", "bt_kink_from_vacuum", 1), ("kink", "make_kink", 2)], ids=["defect", "kink"])
+def test_one_run_builds_the_solution_once(tmp_path, monkeypatch, name, builder, builds):
+    # the kink demo builds its bulk kink and the appendix's mirrored kink; when every suite rebuilt the solution,
+    # one run built 5 pairs on the defect demo and 8 kinks on the kink demo
+    calls, configs, walked = [], [], []
+    build, suite, line_init = getattr(suites, builder), cli.run_suite, fields.Line.__init__
+    monkeypatch.setattr(suites, builder, lambda *args: calls.append(args) or build(*args))
+    monkeypatch.setattr(cli, "run_suite", lambda name, config: configs.append(config) or suite(name, config))
+    monkeypatch.setattr(fields.Line, "__init__", lambda line, field, *args: walked.append(field) or line_init(line, field, *args))
+    assert run(DEMOS / f"scenario_{name}.json", tmp_path, "csv") == 0
+    assert len(calls) == builds
+    (config,) = {id(c): c for c in configs}.values()  # every suite read one config
+    sol = config.solution
+    built = {id(f) for f in (sol.field, sol.pair.left, sol.pair.right)}
+    others = [f for f in walked if id(f) not in built]  # on the kink demo, the appendix's mirror
+    assert all(f.kind == "kink" and f.v == -sol.field.v for f in others) and len({id(f) for f in others}) == builds - 1
 
 
 def test_unknown_format_exits_2(tmp_path, capsys):

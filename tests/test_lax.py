@@ -74,6 +74,18 @@ def test_hat_entries_equal_the_plain_formulas_bitwise(picture, lam):
     assert np.array_equal(got[2], lam * (m / 4.0) - zeta * e_plus)
 
 
+@pytest.mark.parametrize("m, beta", [(1.0, 1.0), (1.3, -0.7), (0.5, 2.0)])
+@pytest.mark.parametrize("v", [0.4, -0.9, 0.0, None], ids=["kink0.4", "kink-0.9", "kink0", "vacuum"])
+def test_both_pictures_share_the_diagonal_bitwise(m, beta, v):
+    # pi = phi_t and Pi = -phi_x, so phi_x + pi and phi_t - Pi are one sum: only zeta tells U_hat from V_hat
+    params = ModelParams(m, beta)
+    field = make_vacuum(params) if v is None else make_kink(params, v=v, x0=0.2)
+    sp = spectral(0.7, params)
+    for sample in (field.sample(np.linspace(-6.0, 6.0, 61), 0.4), field.sample(0.3, -0.2)):
+        space, time = (hat_entries(picture, sample, sp, params) for picture in ("space", "time"))
+        assert space[0].tobytes() == time[0].tobytes()
+
+
 def test_spectral_values():
     sp = spectral(1.0, P11)
     assert sp.k0 == 0.5 and sp.k1 == 0.0
