@@ -111,23 +111,26 @@ def _line_jets(line: Line, svals: np.ndarray, deg: int):
     w is the cross derivative plus the next running derivative, phi_t + phi_x;
     the flipped w' takes the cross minus the next running derivative, which
     is phi_t - phi_x in space and phi_x - phi_t in time.  slope is the plain
-    running derivative phi_x (space) or phi_t (time).  Each field partial is
-    evaluated once; phi is real, so e_- is the conjugate of e_+, and w and w'
-    are held as float64 jets: half the memory of complex jets whose
-    imaginary parts are exactly 0, and the same chain bit for bit, since
-    _jet_mul casts a real operand to complex before it multiplies.
+    running derivative phi_x (space) or phi_t (time).  Every field partial
+    comes from one Line.partials pass, each order once (a kink evaluates u,
+    sech u and tanh u once for all of them).  phi is real, so e_- is the
+    conjugate of e_+, and w and w' are held as float64 jets: half the memory
+    of complex jets whose imaginary parts are exactly 0, and the same chain
+    bit for bit, since _jet_mul casts a real operand to complex before it
+    multiplies.
     """
     beta = line.field.params.beta
     npts = svals.size
     phi = np.zeros((npts, deg + 1), dtype=complex)
     w, w_flip = (np.zeros((npts, deg + 1)) for _ in range(2))
-    run = np.asarray(line.partial(svals, 0))
+    partials = line.partials(svals, [(0, 0)] + [order for j in range(deg + 1) for order in ((j, 1), (j + 1, 0))])
+    run = np.asarray(next(partials))
     fact = 1.0
     for j in range(deg + 1):
         if j:
             fact *= j
-        cross = np.asarray(line.partial(svals, j, 1))
-        run_next = np.asarray(line.partial(svals, j + 1))
+        cross = np.asarray(next(partials))
+        run_next = np.asarray(next(partials))
         if j == 0:
             slope = run_next
         phi[:, j] = run / fact

@@ -95,6 +95,7 @@ class ScenarioConfig(NamedTuple):
     geometry: Geometry
     tolerances: dict
     suites: list
+    ledgers: dict  # the charge ledgers built on the config, keyed by (field, picture, fixed, window); filled by the suites
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
@@ -161,7 +162,7 @@ class ScenarioConfig(NamedTuple):
             raise ConfigError("suites must name at least one suite")
         if len(set(suites)) != len(suites):
             raise ConfigError(f"suites lists a suite twice: {suites}")
-        return cls(params, built, lambdas, geometry(half_width), tolerances, list(suites))
+        return cls(params, built, lambdas, geometry(half_width), tolerances, list(suites), {})
 
     @classmethod
     def load(cls, path) -> "ScenarioConfig":

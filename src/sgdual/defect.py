@@ -79,7 +79,7 @@ __all__ = [
     "canonical_residual",
 ]
 
-PAIR_GATE = 1e-8
+PAIR_GATE = 1e-8  # relative: validate scales it by m/|beta|, as the condition terms scale
 
 
 class DefectParams(NamedTuple("DefectParams", [("sigma", float)])):
@@ -111,9 +111,11 @@ class DefectPair(NamedTuple):
         return float(max(np.max(np.abs(r1)), np.max(np.abs(r2))))
 
     def validate(self) -> "DefectPair":
+        """Refuse a pair whose condition residual exceeds PAIR_GATE m/|beta|, the scale of the conditions' terms."""
         res = self.condition_residual(np.linspace(-8.0, 8.0, 33))
-        if res > PAIR_GATE:
-            raise ValueError(f"defect-condition residual {res:.3e} exceeds gate {PAIR_GATE}")
+        gate = PAIR_GATE * self.params.m / abs(self.params.beta)
+        if res > gate:
+            raise ValueError(f"defect-condition residual {res:.3e} exceeds gate {gate:.3e} = {PAIR_GATE} m/|beta|")
         return self
 
     def parities(self) -> tuple[int, int]:

@@ -183,6 +183,11 @@ class FieldEvaluator:
         """Mixed partial d^dx/dx^dx d^dt/dt^dt of phi; accepts arrays."""
         raise NotImplementedError
 
+    def _partials(self, x, t, orders):
+        """Yield the partials of phi at each (dx, dt) of orders, in order: derivative at each; a solution may share its work across them."""
+        for dx, dt in orders:
+            yield self.derivative(x, t, dx, dt)
+
 
 class VacuumField(FieldEvaluator):
     kind = "vacuum"
@@ -221,16 +226,27 @@ class KinkField(FieldEvaluator):
         return eps * m * g * (np.asarray(x, dtype=float) - self.v * np.asarray(t, dtype=float) - self.x0)
 
     def derivative(self, x, t, dx, dt):
+        return next(self._partials(x, t, [(dx, dt)]))
+
+    def _partials(self, x, t, orders):
+        """The kink's one evaluator of partials: u, sech u and tanh u once, then each order of orders from them.
+
+        derivative is its one-order case, so each partial is the same bits
+        whichever of the two asks for it.
+        """
         eps, m, g, beta = self.orientation, self.params.m, self.gamma, self.params.beta
         u = self._u(x, t)
-        order = dx + dt
-        if order == 0:
-            return (4.0 / beta) * _arctan_exp(u)
-        factor = (eps * m * g) ** dx * (-self.v * eps * m * g) ** dt
-        s = _sech(u)
-        T = np.tanh(u)
-        # d^k/du^k phi = (2/beta) d^(k-1)/du^(k-1) sech(u) for k >= 1
-        return factor * (2.0 / beta) * _sech_deriv(order - 1, s, T)
+        s = T = None
+        for dx, dt in orders:
+            order = dx + dt
+            if order == 0:
+                yield (4.0 / beta) * _arctan_exp(u)
+                continue
+            if s is None:
+                s, T = _sech(u), np.tanh(u)
+            factor = (eps * m * g) ** dx * (-self.v * eps * m * g) ** dt
+            # d^k/du^k phi = (2/beta) d^(k-1)/du^(k-1) sech(u) for k >= 1
+            yield factor * (2.0 / beta) * _sech_deriv(order - 1, s, T)
 
     def sample(self, x, t):
         beta, m, g, eps = self.params.beta, self.params.m, self.gamma, self.orientation
@@ -277,7 +293,11 @@ class Line:
 
     def partial(self, s, run: int, cross: int = 0):
         """Partial of phi of order run along the line and cross across it."""
-        return self.field.derivative(*self.points(s), *self.pick((run, cross), (cross, run)))
+        return next(self.partials(s, [(run, cross)]))
+
+    def partials(self, s, orders):
+        """Yield the partials of phi of each order (run, cross) of orders, along the line and across it, from one field evaluation."""
+        return self.field._partials(*self.points(s), [self.pick(order, order[::-1]) for order in orders])
 
     def vacuum(self, s, phi) -> tuple[int, float]:
         """(q, offset): the vacuum 2 pi q / beta nearest to the value phi taken at s, and the distance to it.

@@ -126,25 +126,27 @@ def _stack22(a00, a01, a10, a11) -> np.ndarray:
 
 
 def _mul(a, b):
-    """Batch product a @ b of two (2, 2, n) batches; a length-1 batch broadcasts.
+    """Batch product a @ b of two (2, 2, ...) batches; a length-1 batch broadcasts.
 
     Below _ROWS matrices: two broadcast multiplications and one addition,
     which numpy runs through iteration buffers for its broadcast operands
     (131 KB at 1024 matrices, for a 65 KB result).  From _ROWS up, each
-    entry is formed on 1-D rows: a[i, 0] b[0, j] into out[i, j], a[i, 1]
-    b[1, j] into one reused row, then an in-place add, with no buffer (83 KB
-    at 1024 matrices, against 264 KB).  Its twelve calls cost more on short
-    batches (1.3-3 times the time at 256-512 matrices), break even near 1024
-    and win beyond.  Both forms multiply the same entries in the same operand
-    order, on rows in the layout of their batch, and add alike: the bits agree.
+    entry is formed on rows: a[i, 0] b[0, j] into out[i, j], a[i, 1] b[1, j]
+    into one reused row, then an in-place add, with no buffer (83 KB at 1024
+    matrices, against 264 KB).  Its twelve calls cost more on short batches
+    (1.3-3 times the time at 256-512 matrices), break even near 1024 and win
+    beyond.  A row is 1-D for a (2, 2, n) batch and keeps the leading axes of
+    a (2, 2, L, n) one.  Both forms multiply the same entries in the same
+    operand order, on rows in the layout of their batch, and add alike: the
+    bits agree.
     """
-    n = max(a.shape[-1], b.shape[-1])
-    if n < _ROWS:
+    if max(a.size, b.size) < 4 * _ROWS:
         out = a[:, :1] * b[:1]  # out[i, j] = a[i, 0] b[0, j]
         out += a[:, 1:] * b[1:]  # + a[i, 1] b[1, j]
         return out
-    out = np.empty((2, 2, n), dtype=np.result_type(a, b))
-    row = np.empty(n, dtype=out.dtype)
+    shape = (a if a.size >= b.size else b).shape[2:]
+    out = np.empty((2, 2) + shape, dtype=np.result_type(a, b))
+    row = np.empty(shape, dtype=out.dtype)
     for i in range(2):
         for j in range(2):
             entry = np.multiply(a[i, 0], b[0, j], out=out[i, j])

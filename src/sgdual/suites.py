@@ -9,7 +9,9 @@ A config is resolved once, when it is loaded: ``solution`` builds its field
 and defect pair, and ``geometry``, the one place where extents are decided,
 its ``Geometry`` record.  Every line, span, grid, probe and spectral point of
 a suite comes from that record, which each report carries under the metadata
-key ``geometry``.
+key ``geometry``.  The config also holds the charge ledgers its suites built
+(``_ledger``): the energy suite reads those of the charges suite when both
+run in one process, and builds its own otherwise, with the same bits.
 
 Skip rule: a static kink does not settle to a vacuum along t at fixed x, so
 it has no time picture.  ``_has_picture`` alone decides this; every check on
@@ -182,6 +184,21 @@ def _has_picture(rep, field, picture) -> bool:
     return False
 
 
+def _ledger(config, picture, fixed, order, window):
+    """A charge ledger of at least the order on the config's field, from the ones the config holds, or built and put there.
+
+    The entries n = -k .. k of a ledger do not depend on its order beyond k
+    (the chain levels are truncated jets), so the energy suite reads the
+    order-3 ledgers the charges suite built on its lines, bit for bit the
+    order-1 ones.
+    """
+    key = (config.solution.field, picture, fixed, window)
+    ledger = config.ledgers.get(key)
+    if ledger is None or max(ledger.entries) < order:
+        ledger = config.ledgers[key] = build_ledger(config.solution.field, picture, fixed, order, window)
+    return ledger
+
+
 def _suite_lax(config, geo) -> Report:
     rep = Report("lax-residual")
     field = config.solution.field
@@ -229,7 +246,7 @@ def _suite_charges(config, geo) -> Report:
     for (picture, name, axis), probes in zip((("space", "I", "times"), ("time", "J", "positions")), geo.charge_probes):
         if not _has_picture(rep, field, picture):
             continue
-        e0, e1 = (build_ledger(field, picture, fixed, 3, win).entries for fixed in probes)
+        e0, e1 = (_ledger(config, picture, fixed, 3, win).entries for fixed in probes)
         for n in sorted(e0):
             scale = max(1.0, abs(e0[n]))
             rep.add(f"{name}-drift-n={n}", {"order": n, axis: probes},
@@ -255,7 +272,7 @@ def _suite_energy(config, geo) -> Report:
     for picture, axis in (("space", "t"), ("time", "x")):
         if not _has_picture(rep, field, picture):
             continue
-        ident = energy_identity(field, 0.0, win, build_ledger(field, picture, 0.0, 1, win))
+        ident = energy_identity(field, 0.0, win, _ledger(config, picture, 0.0, 1, win))
         rep.add(picture, {axis: 0.0}, ident.lhs, ident.rhs, ident.relative_gap, _tol(config, "energy_gap_rel"))
     return rep
 

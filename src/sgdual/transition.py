@@ -92,13 +92,29 @@ _SLOT_CAP steps (its count, its step sizes and the _combinations block).
 The next call with that count -- in a lambda sweep, most of them -- samples
 no field and runs only the lambda half: one row scale, three cross products
 and one exponential per step.  A cold call runs the same two halves, so a
-hit returns the bits of a cold call.  monodromies does the walking: it
-steps a line's whole lambda list before it returns, so a loop over several
-lines passes it one list per line (appendix_equality_residuals likewise
-walks the space Jost lines of all its cases, then the time lines).  The
-slot holds the field by weak reference and keeps no raised error; a new
-line replaces it, a probe longer than 2^14 points (_PROBE_CAP) empties it,
-and a mesh it does not serve drops its combinations.
+hit returns the bits of a cold call.  The slot holds the field by weak
+reference and keeps no raised error; a new line replaces it, a probe longer
+than 2^14 points (_PROBE_CAP) empties it, and a mesh it does not serve
+drops its combinations.
+
+A lambda list on one line steps in batches (_walk).  monodromies walks a
+line's whole list before it returns, and appendix_equality_residuals walks
+the cases of each half-width as one list, the space Jost lines before the
+time lines.  The mesh is free of lambda, so the lambdas of a list that share
+a step count share the mesh, one node sample and one _combinations block
+(from the slot when the count is at most _SLOT_CAP).  A group steps in
+batches of at most _CHUNK lambda x steps: _su2_steps scales and shifts the
+block on a lambda axis into a (3, 3, L, n) block, takes one expm_su2 and
+one _ordered_product of the (2, 2, L, n) batch.  Every entry goes through
+the same elementwise operations as in its own call, so each result is the
+per-lambda propagate bit for bit.  A lambda alone at its count, or at a
+count above _CHUNK / 2, steps on its own, and a one-lambda list -- every
+monodromy and jost call, and so a sweep that calls monodromy per lambda --
+is propagate itself, with no extra _mesh call.  On the v = 0.4 kink (W = 40)
+a 200-lambda list, 179 of them at the count 198, peaks at 0.45 MB against
+0.14 MB per lambda (tracemalloc): one batch holds the (3, 3, 10, 198)
+block, and every mesh of the list holds only scalars and the slot's work.
+It took 12-14 ms against 32 ms per lambda (2-CPU x86-64 host).
 
 Whole-line monodromies are regularised by the plane-wave normalisers:
 E0(W)^-1 T_hat(W, -W) E0(-W) in space, and the cE0 analogue in time.  With
@@ -254,13 +270,31 @@ def _mesh(line, start, stop, sp, nsteps=None, graded=True):
     else:
         if nsteps is None:
             nsteps = default_nsteps(0.5 * work.cum[-1], sp, _GRADED_DENSITY)
-        probe, cum = work.probe, work.cum * (nsteps / work.cum[-1])
-        cum[-1] = nsteps  # the last edge is stop exactly
 
-        def steps(first, last):
-            edges = np.interp(np.arange(first, last + 1), cum, probe)
+        def steps(first, last):  # scales the monitor integral per call, so that a mesh holds no array of its own
+            cum = work.cum * (nsteps / work.cum[-1])
+            cum[-1] = nsteps  # the last edge is stop exactly
+            edges = np.interp(np.arange(first, last + 1), cum, work.probe)
             return edges[:-1], np.diff(edges)
     return nsteps, steps, work
+
+
+def _slot_combinations(line, mesh):
+    """(h, block): the step sizes and _combinations block of a mesh of at most _SLOT_CAP steps on the slot's line, from the slot or put there.
+
+    Any other mesh gets None and drops the slot's combinations, so that they
+    never add to its peak memory.  The block is the slot's own: a caller that
+    consumes it takes a copy.
+    """
+    nsteps, steps, work = mesh
+    if work is None or work is not _slot or nsteps > _SLOT_CAP:
+        if _slot is not None:
+            _slot.combos = None
+        return None
+    if work.combos is None or work.combos[0] != nsteps:
+        base, h = steps(0, nsteps)
+        work.combos = (nsteps, h, _combinations(line, base, h))
+    return work.combos[1:]
 
 
 def _chunk_products(line, mesh, sp):
@@ -268,22 +302,17 @@ def _chunk_products(line, mesh, sp):
 
     P is a batch of one.  Nothing else of a chunk outlives it, so the next
     chunk samples the field with only the mesh and the products held.  A
-    mesh of at most _SLOT_CAP steps on the slot's line takes its Magnus
-    combinations from the slot or puts them there; any other mesh drops them,
-    so that they never add to its peak memory.
+    short mesh on the slot's line takes its Magnus combinations from the slot
+    (_slot_combinations).
     """
-    nsteps, steps, work = mesh
-    if work is None or work is not _slot or nsteps > _SLOT_CAP:
-        if _slot is not None:
-            _slot.combos = None
+    nsteps, steps, _ = mesh
+    held = _slot_combinations(line, mesh)
+    if held is None:
         for first in range(0, nsteps, _CHUNK):
             base, h = steps(first, min(first + _CHUNK, nsteps))
             yield _ordered_product(_su2_steps(_combinations(line, base, h), h, line, sp)), *_extremes(h)
         return
-    if work.combos is None or work.combos[0] != nsteps:
-        base, h = steps(0, nsteps)
-        work.combos = (nsteps, h, _combinations(line, base, h))
-    _, h, combos = work.combos
+    h, combos = held
     yield _ordered_product(_su2_steps(combos.copy(), h, line, sp)), *_extremes(h)
 
 
@@ -323,18 +352,27 @@ def _add_cross(out, a, b, c):
 def _su2_steps(combos, h, line, sp):
     """Transfer matrices E_k = exp(Omega_k) of steps of sizes h as a (2, 2, n) batch, in propagation order.
 
-    combos is a _combinations block, which this call consumes.  Its rows
-    scale by (1, zeta, -zeta) into the su(2) coordinates (Im d, Re a01, Im
-    a01), and a1's Re a01 row shifts by -h lambda m/4: the only lambda in a
-    step.  In these coordinates a commutator is twice the cross product.
-    Omega is combined in place and copied out, so that the block is freed
-    before matcore.expm_su2.
+    combos is a _combinations block.  Its rows scale by (1, zeta, -zeta) into
+    the su(2) coordinates (Im d, Re a01, Im a01), and a1's Re a01 row shifts
+    by -h lambda m/4: the only lambda in a step.  In these coordinates a
+    commutator is twice the cross product.  One SpectralPoint consumes the
+    block: it is scaled and Omega combined in place, and Omega is copied out,
+    so that the block is freed before matcore.expm_su2.  A list of L points
+    leaves the block as it was and gives a (2, 2, L, n) batch: the scale and
+    the shift sit on a lambda axis before the steps, and every entry is the
+    one of its lambda's own call bit for bit, since each is formed by the
+    same elementwise operations on the same operands.
     """
     params = line.field.params
-    zeta = hat_zeta(line.picture, sp, params).real
-    combos *= np.array([[[1.0]], [[zeta]], [[-zeta]]])
+    if isinstance(sp, SpectralPoint):
+        zeta, lam = hat_zeta(line.picture, sp, params).real, sp.lam.real
+        combos *= np.array([[[1.0]], [[zeta]], [[-zeta]]])
+    else:
+        zeta = np.array([hat_zeta(line.picture, point, params).real for point in sp])
+        lam = np.array([point.lam.real for point in sp])[:, None]
+        combos = combos[:, :, None] * np.array([np.ones_like(zeta), zeta, -zeta])[:, None, :, None]
     a3, a1, a2 = combos[:, 0], combos[:, 1], combos[:, 2]
-    a1[1] -= h * (sp.lam.real * (params.m / 4.0))
+    a1[1] -= h * (lam * (params.m / 4.0))
     z = 2.0 * a3
     _add_cross(z, a1, a2, 2.0)  # 2 a3 + C1, C1 = [a1, a2]
     _add_cross(a2, a1, z, -1.0 / 30.0)  # a2 + C2, C2 = -(1/60)[a1, 2 a3 + C1]
@@ -350,6 +388,9 @@ def _su2_steps(combos, h, line, sp):
 
 def _ordered_product(e):
     """Product e[..., n-1] @ ... @ e[..., 0] of a (2, 2, n) batch by pairwise tree reduction, as a batch of one.
+
+    A (2, 2, L, n) batch gives the L products over its last axis as a
+    (2, 2, L, 1) batch, each bit for bit the product of its own (2, 2, n) row.
 
     An odd level's last entry waits aside until the level where the tree
     gives it a partner, so no level is copied to append it.
@@ -384,6 +425,11 @@ def propagate(
     mesh = _mesh(line, start, stop, sp, nsteps)
     if stop == start:
         return TransitionResult(np.eye(2, dtype=complex), 0, (0.0, 0.0))
+    return _folded(line, mesh, sp)
+
+
+def _folded(line, mesh, sp):
+    """The TransitionResult of one lambda on a mesh of _mesh: its chunk products folded on a binary-counter stack."""
     subtrees, smallest, largest = [], math.inf, 0.0  # (chunks, product) of finished subtrees, oldest first
     for product, hmin, hmax in _chunk_products(line, mesh, sp):
         chunks = 1
@@ -395,6 +441,44 @@ def propagate(
     while subtrees:
         total = _mul(total, subtrees.pop()[1])
     return TransitionResult(total[:, :, 0], mesh[0], (smallest, largest))
+
+
+def _walk(line, start, stop, sps) -> list[TransitionResult]:
+    """propagate at the default count for each lambda of sps on one line from start to stop, in order.
+
+    One lambda, or an empty interval, is propagate itself.  Otherwise the
+    lambdas are grouped by step count, and a group steps in batches of at
+    most _CHUNK lambda x steps: one _combinations block per group (from the
+    slot for a short mesh), one _su2_steps call and one _ordered_product per
+    batch.  A lambda alone in its group, or whose count fills half a chunk,
+    goes through the per-lambda fold.  Every result is propagate's bit for
+    bit; each matrix is a contiguous copy, as propagate's is.
+    """
+    if len(sps) < 2 or stop == start:
+        return [propagate(line.field, line.picture, line.fixed, start, stop, sp) for sp in sps]
+    meshes = [_mesh(line, start, stop, sp) for sp in sps]
+    groups = {}
+    for k, mesh in enumerate(meshes):
+        groups.setdefault(mesh[0], []).append(k)
+    out = [None] * len(sps)
+    for nsteps, members in groups.items():
+        size = _CHUNK // nsteps
+        if len(members) < 2 or size < 2:
+            for k in members:
+                out[k] = _folded(line, meshes[k], sps[k])
+            continue
+        held = _slot_combinations(line, meshes[members[0]])
+        if held is None:
+            base, h = meshes[members[0]][1](0, nsteps)
+            held = h, _combinations(line, base, h)
+        h, combos = held
+        extremes = _extremes(h)
+        for first in range(0, len(members), size):
+            batch = members[first : first + size]
+            products = _ordered_product(_su2_steps(combos, h, line, [sps[k] for k in batch]))
+            for k, matrix in zip(batch, np.moveaxis(products[..., 0], -1, 0)):
+                out[k] = TransitionResult(matrix.copy(), nsteps, extremes)
+    return out
 
 
 def _trajectory(field, picture, fixed, start, stop, sp, nsteps):
@@ -430,8 +514,8 @@ def monodromies(field: FieldEvaluator, picture: str, fixed: float, half_width: f
     that is not positive and finite, and NonDecayingFieldError when no vacuum
     is identifiable at the endpoints, read off the ends of the mesh probe,
     before any step; a softer miss (beyond 1e-8 but identifiable) only flags
-    the results as truncated.  The lambdas step through propagate in turn on
-    the one line, so those that share a count share the slot's mesh and nodes.
+    the results as truncated.  The lambdas step on the one line (_walk): those
+    that share a count share one mesh, one node sample and one batch.
     """
     for sp in sps:
         _check_real(sp, "propagation")
@@ -442,8 +526,7 @@ def monodromies(field: FieldEvaluator, picture: str, fixed: float, half_width: f
     work = _line_work(line, -half_width, half_width)
     dev = max(line.vacuum(work.probe[k], work.ends[k])[1] for k in (0, -1))
     out = []
-    for sp in sps:
-        core = propagate(field, picture, fixed, -half_width, half_width, sp)
+    for sp, core in zip(sps, _walk(line, -half_width, half_width, sps)):
         mat = _regularised(core.matrix, line.pick(sp.k1, sp.k0), half_width)
         out.append(Monodromy(mat, dev, dev > _ASYMPTOTE_TOL, core.step_count, core.step_range))
     return out
@@ -486,10 +569,15 @@ def jost(
     if side not in (-1, +1):
         raise ValueError("side must be -1 or +1")
     line, stop = Line.through(field, picture, x, t)
+    return _josts(line, stop, [sp], half_width, side)[0]
+
+
+def _josts(line, stop, sps, half_width, side=-1):
+    """The half-line solutions of jost at each lambda of sps, on one line from side * half_width to stop (_walk)."""
     start = side * half_width
     _check_span(start, stop, half_width)
-    res = propagate(field, picture, line.fixed, start, stop, sp)
-    return res.matrix @ line.pick(e0, ce0)(start, sp)
+    normaliser = line.pick(e0, ce0)
+    return [res.matrix @ normaliser(start, sp) for sp, res in zip(sps, _walk(line, start, stop, sps))]
 
 
 def appendix_equality_residuals(field: FieldEvaluator, x: float, t: float, cases) -> list[float]:
@@ -497,10 +585,21 @@ def appendix_equality_residuals(field: FieldEvaluator, x: float, t: float, cases
 
     Both sides solve the same pair of equations with the same boundary data
     at -infinity in x and in t, so the residual is truncation-limited.  The
-    space Jost lines are walked across all the cases before the time lines,
-    so cases that share a half-width share each line's slot.
+    space Jost lines are walked before the time lines, one half-width at a
+    time: the lambdas of the cases that share a half-width step as one list
+    (_walk), and every residual is the per-case jost one bit for bit.
     """
-    sides = [[jost(field, picture, x, t, sp, w) for sp, w in cases] for picture in ("space", "time")]
+    widths = {}  # the cases of each half-width, in order of first appearance
+    for k, (_, w) in enumerate(cases):
+        widths.setdefault(w, []).append(k)
+    sides = []
+    for picture in ("space", "time"):
+        line, stop = Line.through(field, picture, x, t)
+        side = [None] * len(cases)
+        for w, members in widths.items():
+            for k, psi in zip(members, _josts(line, stop, [cases[k][0] for k in members], w)):
+                side[k] = psi
+        sides.append(side)
     residuals = []
     for (sp, _), space_side, time_side in zip(cases, *sides):
         ph_t = np.diag([np.exp(-1j * sp.k0 * t), np.exp(1j * sp.k0 * t)])

@@ -75,20 +75,20 @@ def test_riccati_residuals_equal_one_lambda_calls_bitwise(picture):
 
 
 def test_riccati_residuals_take_the_field_partials_once_for_all_lambdas(monkeypatch):
-    partial, calls = Line.partial, []
+    partials, calls = Line.partials, []
 
-    def counting(line, s, run, cross=0):
-        calls.append((run, cross))
-        return partial(line, s, run, cross)
+    def counting(line, s, orders):
+        calls.append(list(orders))  # one jet pass, and the orders it takes
+        return partials(line, s, orders)
 
-    monkeypatch.setattr(Line, "partial", counting)
+    monkeypatch.setattr(Line, "partials", counting)
     kink, pts = make_kink(P11, v=0.4), np.linspace(-3.0, 3.0, 7)
-    counts = []
+    passes = []
     for lams in ([25.0], [25.0, 50.0, 75.0]):
         calls.clear()
         riccati_residuals(kink, "space", 0.0, 3, lams, pts)
-        counts.append(len(calls))
-    assert counts[0] == counts[1] > 0
+        passes.append(list(calls))
+    assert passes[0] == passes[1] and len(passes[0]) == 1 and len(passes[0][0]) > 0
 
 
 def test_riccati_residuals_sample_the_field_once_for_all_lambdas(monkeypatch):
@@ -304,6 +304,22 @@ def test_jet_truncation_keeps_the_lower_coefficients_bitwise():
         assert np.array_equal(_jet_mul(a[:, : k + 1], b[:, : k + 1]), mul[:, : k + 1])
         assert np.array_equal(_jet_exp(g[:, : k + 1]), exp[:, : k + 1])
         assert np.array_equal(_jet_deriv(a[:, : k + 2])[:, : k + 1], deriv[:, : k + 1])
+
+
+@pytest.mark.parametrize("picture", ["space", "time"])
+@pytest.mark.parametrize("name", ["kink", "pair-left", "pair-right"])
+def test_low_ledger_entries_do_not_depend_on_the_order_bitwise(name, picture):
+    # the energy suite reads n = -1, 0, 1 off the order-3 ledgers of the charges suite instead of building order 1
+    from sgdual.defect import DefectParams, bt_kink_from_vacuum
+
+    pair = bt_kink_from_vacuum(P11, DefectParams(2.0))
+    field = {"kink": make_kink(P11, v=0.4), "pair-left": pair.left, "pair-right": pair.right}[name]
+    window = GridWindow(40.0, 2 * math.ceil(400.0 * field.gamma) + 1)  # the suites' window at m = 1, W = 40
+    for fixed in (0.0, 0.7):
+        low, high = (build_ledger(field, picture, fixed, order, window).entries for order in (1, 3))
+        assert sorted(low) == [-1, 0, 1]
+        bits = lambda entries: [(entries[n].real.hex(), entries[n].imag.hex()) for n in (-1, 0, 1)]
+        assert bits(low) == bits(high)
 
 
 LEDGER_FIELDS = {

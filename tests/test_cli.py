@@ -371,6 +371,24 @@ def test_demo_scenario_reproduces_the_committed_reports(tmp_path, monkeypatch, n
         assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
 
 
+def test_energy_identities_report_is_the_same_alone_and_after_charges(tmp_path, monkeypatch):
+    # after charges, the energy suite reads the order-3 ledgers charges built on (space, t = 0) and (time, x = 0)
+    built, build = [], suites.build_ledger
+    monkeypatch.setattr(suites, "build_ledger", lambda *args: built.append(args[1:4]) or build(*args))
+    data = json.loads((DEMOS / "scenario_kink.json").read_text())
+    runs = []
+    for names in (["energy-identities"], ["charges", "energy-identities"]):
+        built.clear()
+        path, out = tmp_path / f"{len(names)}.json", tmp_path / f"rep{len(names)}"
+        path.write_text(json.dumps({**data, "suites": names}))
+        assert run(path, out, "csv") == 0
+        runs.append(((out / "energy-identities.csv").read_bytes(), list(built)))
+    (alone, alone_built), (after, after_built) = runs
+    assert alone == after == (REPORTS / "kink" / "energy-identities.csv").read_bytes()
+    assert alone_built == [("space", 0.0, 1), ("time", 0.0, 1)]
+    assert after_built == [("space", 0.0, 3), ("space", 0.7, 3), ("time", 0.0, 3), ("time", 1.0, 3)]
+
+
 def test_each_kink_demo_suite_stays_within_the_memory_budget():
     # the lattice checks hold one scan or one block of sites, and the splitting check one trajectory chunk, at a time;
     # with whole-lattice stacks the involution, rmatrix and defect suites peaked at 1.12, 1.02 and 0.96 MB,

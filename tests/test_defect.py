@@ -4,11 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sgdual.fields import FieldEvaluator, GridWindow, Line, ModelParams, make_vacuum, simpson_uniform
+from sgdual.fields import FieldEvaluator, GridWindow, Line, ModelParams, make_kink, make_vacuum, simpson_uniform
 from sgdual.lax import e0, hat_entries, spectral
 from sgdual.matcore import frob, inv2, scan
 from sgdual.transition import _TRAJECTORY_CHUNK, STEP_DENSITY, _combinations, _mesh, _su2_steps, default_nsteps
 from sgdual.defect import (
+    PAIR_GATE,
     DefectPair,
     DefectParams,
     L_equation_residual,
@@ -79,6 +80,24 @@ def test_pair_validation_rejects_mismatch(pair_sigma2):
     mismatched = DefectPair(pair_sigma2.left, pair_sigma2.right, P11, DefectParams(3.0))
     with pytest.raises(ValueError):
         mismatched.validate()
+
+
+@pytest.mark.parametrize("m, beta", [(1e8, 1.0), (1.0, 1e-7)], ids=["m=1e8", "beta=1e-7"])
+def test_exact_pairs_at_extreme_m_or_beta_pass_the_scaled_gate(m, beta):
+    # the condition residual scales like m/|beta|: 3.06e-8 at m = 1e8 and 1.44e-8 at beta = 1e-7, both roundoff
+    pair = bt_kink_from_vacuum(ModelParams(m, beta), DefectParams(2.0))  # validates
+    assert PAIR_GATE < pair.condition_residual(np.linspace(-8.0, 8.0, 33)) < 1e-7  # an absolute gate would refuse it
+
+
+def test_a_pair_that_misses_the_conditions_is_still_refused():
+    # sigma = 1e-5 rounds the Backlund kink's velocity: its residual is 4.1e-3 against the gate 1e-8 at m = beta = 1
+    v = (1.0 - 1e-10) / (1.0 + 1e-10)
+    pair = DefectPair(make_vacuum(P11), make_kink(P11, v=v, orientation=-1), P11, DefectParams(1e-5))
+    assert 4e-3 < pair.condition_residual(np.linspace(-8.0, 8.0, 33)) < 4.2e-3
+    with pytest.raises(ValueError, match="defect-condition residual"):
+        pair.validate()
+    with pytest.raises(ValueError, match="defect-condition residual"):
+        bt_kink_from_vacuum(P11, DefectParams(1e-5))
 
 
 def test_parities(pair_sigma2):

@@ -196,6 +196,23 @@ def test_line_derivatives_match_field_bit_for_bit(picture):
                 assert np.array_equal(np.asarray(line.partial(s, j, cross)), want)
 
 
+@pytest.mark.parametrize("picture", ["space", "time"])
+def test_one_jet_pass_gives_the_per_order_partials_bitwise(picture):
+    from sgdual.fields import FieldEvaluator, Line
+
+    s = np.linspace(-3.0, 3.0, 11)
+    orders = [(0, 0)] + [order for j in range(7) for order in ((j, 1), (j + 1, 0))]
+    fields = _line_fields() + [make_kink(ModelParams(2.0, 0.5), v=-0.7, x0=-0.4, orientation=-1)]
+    for field in fields:
+        line = Line(field, picture, 0.35)
+        x, t = line.points(s)
+        xt_orders = [line.pick(order, order[::-1]) for order in orders]
+        want = [np.asarray(field.derivative(x, t, dx, dt)).tobytes() for dx, dt in xt_orders]
+        assert [np.asarray(p).tobytes() for p in line.partials(s, orders)] == want
+        # the base class's pass, one derivative call per order, gives the same bits
+        assert [np.asarray(p).tobytes() for p in FieldEvaluator._partials(field, x, t, xt_orders)] == want
+
+
 def test_line_generator_and_normaliser_follow_the_picture():
     from sgdual.fields import Line
     from sgdual.lax import ce0, e0, hat_entries, spectral
