@@ -161,11 +161,15 @@ def _sech(u):
 
 
 def _arctan_exp(u):
-    """arctan(exp(u)), stable against overflow for large |u|."""
+    """arctan(exp(u)), stable against overflow for large |u|; each branch is evaluated only where it is selected."""
     u = np.asarray(u, dtype=float)
-    with np.errstate(over="ignore"):  # the overflowing branch is never selected
-        e = np.exp(u)
-        return np.where(u > 30.0, 0.5 * math.pi - np.exp(-u), np.where(u < -30.0, e, np.arctan(e)))
+    out = np.empty_like(u)
+    high, low = u > 30.0, u < -30.0
+    mid = ~(high | low)
+    out[high] = 0.5 * math.pi - np.exp(-u[high])
+    out[low] = np.exp(u[low])
+    out[mid] = np.arctan(np.exp(u[mid]))
+    return out
 
 
 class FieldEvaluator:

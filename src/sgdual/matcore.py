@@ -34,7 +34,7 @@ with the last output of the chunk before as its carry (the innermost
 factor of each level's first entry), and each chunk's last entry is the
 product of a binary-counter stack of block products (two of equal size
 merge as soon as both exist, the newer on the left), the discipline
-``transition.propagate`` folds its chunk products with.
+``transition._folded`` folds its chunk products with.
 
 numpy chooses the inner loop of a complex product by its operands' memory
 layout, and its loops need not round alike: the same values as a strided

@@ -59,7 +59,21 @@ by measurement: at 1.0 the space gap grows to 1.35e-8.  (A classical RK4
 update was tried first and could not reach the 1e-10 vacuum gate at sane
 step counts.)
 
-propagate generates and reduces its steps in chunks of 2^11 (_CHUNK).  Each
+One walk steps every line (_walk): propagate, monodromy and jost, and the
+lambda lists of monodromies and of appendix_equality_residuals (the cases
+of each half-width as one list, the space Jost lines before the time lines).
+A walk resolves the line's lambda-free work once, so a probe too long for
+the slot is sampled once and monodromies reads its vacuum ends off the same
+work.  The mesh is free of lambda, so the lambdas that share a step count
+share the mesh, one node sample and one _combinations block (from the slot
+when the count is at most _SLOT_CAP).  A group of two or more at a count of
+at most _CHUNK / 2 steps in batches of at most _CHUNK lambda x steps; any
+other lambda steps alone.  _su2_steps scales and shifts the block on a
+lambda axis and takes one expm_su2 of the (2, 2, L, n) batch; a lambda alone
+on a freshly sampled chunk is scaled in place, which keeps the peak of a
+one-lambda walk.  Every entry goes through the same elementwise operations
+as in its own walk, so a batched result is the lone lambda's bit for bit.
+_folded generates and reduces the steps in chunks of 2^11 (_CHUNK).  Each
 chunk is reduced by a pairwise tree, and the chunk products are folded on a
 binary-counter stack in the order of the same tree: two products of equal
 size merge as soon as both exist, and what is left at the end folds from the
@@ -68,13 +82,18 @@ over all the steps, so the product is bit for bit that single tree's,
 whatever the chunk size.  A chunk samples the field at the three nodes of
 all its steps in one Line.at call on a (3, n) array of points, combines the
 node rows into Omega in place, frees them before the exponential, and holds
-its transfer matrices in matcore's (2, 2, n) batch layout, so the numpy
-calls per chunk do not grow with n.  A W = 40 kink monodromy peaks at
-0.38 MB (tracemalloc) for any lambda, 4.9k or 98k steps alike; it grows
-with W only through its probe of about 2 m gamma W points.
+its transfer matrices in matcore's batch layout, so the numpy calls per
+chunk do not grow with n.  A W = 40 kink monodromy peaks at 0.38 MB
+(tracemalloc) for any lambda, 4.9k or 98k steps alike; it grows with W only
+through its probe of about 2 m gamma W points.  On the v = 0.4 kink a
+200-lambda list (W = 40), 179 of them at the count 198, peaks at 0.45 MB
+against 0.14 MB per lambda, and took 12-14 ms against 32 ms per lambda
+(2-CPU x86-64 host): one batch holds the (3, 3, 10, 198) block, and every
+mesh of the list holds only scalars and the walk's work.
+
 _trajectory yields Psi at every edge of its uniform mesh, 2^10 steps
-(_TRAJECTORY_CHUNK) at a time: it samples and steps a chunk as propagate
-does, and matcore.scan_chunks scans it with the last Psi of the chunk
+(_TRAJECTORY_CHUNK) at a time: it samples a chunk, steps it through the same
+_su2_steps, and matcore.scan_chunks scans it with the last Psi of the chunk
 before as the carry.  The one-piece log-depth scan gives every Psi as a
 fixed right-nested product of aligned power-of-two blocks, and a chunk of
 2^10 steps is one such block, so the streamed Psi are bit for bit those of
@@ -96,25 +115,6 @@ hit returns the bits of a cold call.  The slot holds the field by weak
 reference and keeps no raised error; a new line replaces it, a probe longer
 than 2^14 points (_PROBE_CAP) empties it, and a mesh it does not serve
 drops its combinations.
-
-A lambda list on one line steps in batches (_walk).  monodromies walks a
-line's whole list before it returns, and appendix_equality_residuals walks
-the cases of each half-width as one list, the space Jost lines before the
-time lines.  The mesh is free of lambda, so the lambdas of a list that share
-a step count share the mesh, one node sample and one _combinations block
-(from the slot when the count is at most _SLOT_CAP).  A group steps in
-batches of at most _CHUNK lambda x steps: _su2_steps scales and shifts the
-block on a lambda axis into a (3, 3, L, n) block, takes one expm_su2 and
-one _ordered_product of the (2, 2, L, n) batch.  Every entry goes through
-the same elementwise operations as in its own call, so each result is the
-per-lambda propagate bit for bit.  A lambda alone at its count, or at a
-count above _CHUNK / 2, steps on its own, and a one-lambda list -- every
-monodromy and jost call, and so a sweep that calls monodromy per lambda --
-is propagate itself, with no extra _mesh call.  On the v = 0.4 kink (W = 40)
-a 200-lambda list, 179 of them at the count 198, peaks at 0.45 MB against
-0.14 MB per lambda (tracemalloc): one batch holds the (3, 3, 10, 198)
-block, and every mesh of the list holds only scalars and the slot's work.
-It took 12-14 ms against 32 ms per lambda (2-CPU x86-64 host).
 
 Whole-line monodromies are regularised by the plane-wave normalisers:
 E0(W)^-1 T_hat(W, -W) E0(-W) in space, and the cE0 analogue in time.  With
@@ -240,28 +240,28 @@ def _line_work(line, start, stop):
     return work
 
 
-def _check_span(start, stop, half_width=None):
-    """Refuse a half-width that is not positive and finite, and a non-finite start or stop, before any probe."""
+def _check_span(start, stop, half_width=None, sps=(), nsteps=None):
+    """Refuse, before any probe, a non-real lambda of sps, a half-width that is not positive and finite, a non-finite start or stop and an nsteps that is not a positive integer."""
+    for sp in sps:
+        _check_real(sp, "propagation")
     if half_width is not None and not 0 < half_width < math.inf:
         raise ValueError(f"half-width must be positive and finite, got {half_width}")
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ValueError(f"start and stop must be finite, got {start} and {stop}")
-
-
-def _mesh(line, start, stop, sp, nsteps=None, graded=True):
-    """(nsteps, steps, work): the step count, a map steps(first, last) to the bases and sizes of steps first..last-1, and the _LineWork or None.
-
-    Graded, the edges invert the line's cumulative monitor integral, so they
-    depend on the line, the interval and the count, not on lambda; nsteps=None
-    takes the default count for the half-width (1/2) int w ds.  On a vacuum
-    (dev = 0), or with graded=False, the mesh is uniform and the size is one
-    scalar h; work is None when graded=False or the interval is empty.
-    """
-    _check_real(sp, "propagation")
-    _check_span(start, stop)
     if nsteps is not None and (isinstance(nsteps, bool) or not isinstance(nsteps, numbers.Integral) or nsteps < 1):
         raise ValueError(f"nsteps must be a positive integer, got {nsteps!r}")
-    work = _line_work(line, start, stop) if graded and stop != start else None
+
+
+def _mesh(work, start, stop, sp, nsteps=None):
+    """(nsteps, steps, work): the step count, a map steps(first, last) to the bases and sizes of steps first..last-1, and work.
+
+    work is the _LineWork of the line from start to stop, or None for a
+    uniform mesh.  Graded, the edges invert the line's cumulative monitor
+    integral, so they depend on the line, the interval and the count, not on
+    lambda; nsteps=None takes the default count for the half-width (1/2) int
+    w ds.  On a vacuum (dev = 0), or with work None, the mesh is uniform and
+    the size is one scalar h.
+    """
     if work is None or work.cum is None:
         if nsteps is None:
             nsteps = default_nsteps(0.5 * abs(stop - start), sp)
@@ -283,8 +283,8 @@ def _slot_combinations(line, mesh):
     """(h, block): the step sizes and _combinations block of a mesh of at most _SLOT_CAP steps on the slot's line, from the slot or put there.
 
     Any other mesh gets None and drops the slot's combinations, so that they
-    never add to its peak memory.  The block is the slot's own: a caller that
-    consumes it takes a copy.
+    never add to its peak memory.  The block is the slot's own, which
+    _su2_steps leaves as it was.
     """
     nsteps, steps, work = mesh
     if work is None or work is not _slot or nsteps > _SLOT_CAP:
@@ -295,25 +295,6 @@ def _slot_combinations(line, mesh):
         base, h = steps(0, nsteps)
         work.combos = (nsteps, h, _combinations(line, base, h))
     return work.combos[1:]
-
-
-def _chunk_products(line, mesh, sp):
-    """(P, hmin, hmax) for consecutive chunks of at most _CHUNK steps: the ordered product of the transfer matrices, and the extremes of |h|.
-
-    P is a batch of one.  Nothing else of a chunk outlives it, so the next
-    chunk samples the field with only the mesh and the products held.  A
-    short mesh on the slot's line takes its Magnus combinations from the slot
-    (_slot_combinations).
-    """
-    nsteps, steps, _ = mesh
-    held = _slot_combinations(line, mesh)
-    if held is None:
-        for first in range(0, nsteps, _CHUNK):
-            base, h = steps(first, min(first + _CHUNK, nsteps))
-            yield _ordered_product(_su2_steps(_combinations(line, base, h), h, line, sp)), *_extremes(h)
-        return
-    h, combos = held
-    yield _ordered_product(_su2_steps(combos.copy(), h, line, sp)), *_extremes(h)
 
 
 def _extremes(h):
@@ -349,30 +330,32 @@ def _add_cross(out, a, b, c):
     out[2] += c * (a[0] * b[1] - a[1] * b[0])
 
 
-def _su2_steps(combos, h, line, sp):
-    """Transfer matrices E_k = exp(Omega_k) of steps of sizes h as a (2, 2, n) batch, in propagation order.
+def _su2_steps(combos, h, line, sps, consume=False):
+    """Transfer matrices E_k = exp(Omega_k) of steps of sizes h at each lambda of the list sps, as a (2, 2, L, n) batch in propagation order.
 
     combos is a _combinations block.  Its rows scale by (1, zeta, -zeta) into
     the su(2) coordinates (Im d, Re a01, Im a01), and a1's Re a01 row shifts
     by -h lambda m/4: the only lambda in a step.  In these coordinates a
-    commutator is twice the cross product.  One SpectralPoint consumes the
-    block: it is scaled and Omega combined in place, and Omega is copied out,
-    so that the block is freed before matcore.expm_su2.  A list of L points
-    leaves the block as it was and gives a (2, 2, L, n) batch: the scale and
-    the shift sit on a lambda axis before the steps, and every entry is the
-    one of its lambda's own call bit for bit, since each is formed by the
-    same elementwise operations on the same operands.
+    commutator is twice the cross product.  The scale and the shift sit on a
+    lambda axis before the steps, and every entry is the one of its lambda's
+    own call bit for bit, since each is formed by the same elementwise
+    operations on the same operands.  The block is left as it was, unless
+    consume is set (only for one lambda on a block of its own): then the
+    block is scaled and Omega combined in place, and Omega is copied out, so
+    that the block is freed before matcore.expm_su2.
     """
     params = line.field.params
-    if isinstance(sp, SpectralPoint):
-        zeta, lam = hat_zeta(line.picture, sp, params).real, sp.lam.real
-        combos *= np.array([[[1.0]], [[zeta]], [[-zeta]]])
+    zetas = [hat_zeta(line.picture, sp, params).real for sp in sps]
+    # per lambda: the row scale (1, zeta, -zeta) and the shift lambda m/4, from Python floats in one array
+    coefs = np.array([(1.0, zeta, -zeta, sp.lam.real * (params.m / 4.0)) for sp, zeta in zip(sps, zetas)])
+    scale, shift = coefs.T[:3, None, :, None], coefs[:, 3:]
+    if consume:
+        combos *= scale[..., 0]
     else:
-        zeta = np.array([hat_zeta(line.picture, point, params).real for point in sp])
-        lam = np.array([point.lam.real for point in sp])[:, None]
-        combos = combos[:, :, None] * np.array([np.ones_like(zeta), zeta, -zeta])[:, None, :, None]
+        combos = (combos[:, :, None] * scale).reshape(3, 3, -1)  # the steps of each lambda in turn
     a3, a1, a2 = combos[:, 0], combos[:, 1], combos[:, 2]
-    a1[1] -= h * (lam * (params.m / 4.0))
+    shifted = a1[1].reshape(len(sps), -1)
+    shifted -= h * shift
     z = 2.0 * a3
     _add_cross(z, a1, a2, 2.0)  # 2 a3 + C1, C1 = [a1, a2]
     _add_cross(a2, a1, z, -1.0 / 30.0)  # a2 + C2, C2 = -(1/60)[a1, 2 a3 + C1]
@@ -382,8 +365,8 @@ def _su2_steps(combos, h, line, sp):
     # Omega = a1 + a3/12 + (1/240)[-20 a1 - a3 + C1, a2 + C2]
     _add_cross(a1, z, a2, 1.0 / 120.0)
     omega = a1.copy()
-    del combos, a1, a2, a3, z
-    return expm_su2(omega)
+    del combos, a1, a2, a3, z, shifted
+    return expm_su2(omega).reshape(2, 2, len(sps), -1)
 
 
 def _ordered_product(e):
@@ -393,8 +376,12 @@ def _ordered_product(e):
     (2, 2, L, 1) batch, each bit for bit the product of its own (2, 2, n) row.
 
     An odd level's last entry waits aside until the level where the tree
-    gives it a partner, so no level is copied to append it.
+    gives it a partner, so no level is copied to append it.  A batch of one
+    lambda is reduced as a (2, 2, n) batch: numpy steps the 1-D strided rows
+    of matcore._mul's row form about 40% faster than (1, n) ones.
     """
+    if e.shape[2:-1] == (1,):
+        return _ordered_product(e[:, :, 0])[:, :, None]
     carry = None
     while e.shape[-1] > 1:
         n = e.shape[-1]
@@ -421,63 +408,71 @@ def propagate(
     the defect checks always step at the default, and an explicit count is
     for refinement studies.
     """
-    line = Line(field, picture, fixed)
-    mesh = _mesh(line, start, stop, sp, nsteps)
-    if stop == start:
-        return TransitionResult(np.eye(2, dtype=complex), 0, (0.0, 0.0))
-    return _folded(line, mesh, sp)
+    _check_span(start, stop, sps=[sp], nsteps=nsteps)
+    return _walk(Line(field, picture, fixed), start, stop, [sp], nsteps)[0]
 
 
-def _folded(line, mesh, sp):
-    """The TransitionResult of one lambda on a mesh of _mesh: its chunk products folded on a binary-counter stack."""
+def _folded(line, mesh, sps, held):
+    """The TransitionResults of the lambdas of sps on a mesh of _mesh: the chunk products of each, folded on a binary-counter stack.
+
+    held is (h, block), the step sizes and _combinations block of the whole
+    mesh (the slot's or a group's), which is left as it was; or None, and then
+    each chunk of at most _CHUNK steps samples its own block and consumes it.
+    """
+    nsteps, steps, _ = mesh
     subtrees, smallest, largest = [], math.inf, 0.0  # (chunks, product) of finished subtrees, oldest first
-    for product, hmin, hmax in _chunk_products(line, mesh, sp):
+    for first in range(0, nsteps, _CHUNK) if held is None else [0]:
+        if held is None:
+            base, h = steps(first, min(first + _CHUNK, nsteps))
+            product = _ordered_product(_su2_steps(_combinations(line, base, h), h, line, sps, consume=True))
+        else:
+            h = held[0]
+            product = _ordered_product(_su2_steps(held[1], h, line, sps))
         chunks = 1
         while subtrees and subtrees[-1][0] == chunks:
             chunks, product = 2 * chunks, _mul(product, subtrees.pop()[1])
         subtrees.append((chunks, product))
+        hmin, hmax = _extremes(h)
         smallest, largest = min(smallest, hmin), max(largest, hmax)
     total = subtrees.pop()[1]
     while subtrees:
         total = _mul(total, subtrees.pop()[1])
-    return TransitionResult(total[:, :, 0], mesh[0], (smallest, largest))
+    return [TransitionResult(total[:, :, k, 0].copy(), nsteps, (smallest, largest)) for k in range(len(sps))]
 
 
-def _walk(line, start, stop, sps) -> list[TransitionResult]:
-    """propagate at the default count for each lambda of sps on one line from start to stop, in order.
+def _walk(line, start, stop, sps, nsteps=None, work=None) -> list[TransitionResult]:
+    """The TransitionResult of each lambda of sps on one line from start to stop, in order (see propagate).
 
-    One lambda, or an empty interval, is propagate itself.  Otherwise the
-    lambdas are grouped by step count, and a group steps in batches of at
-    most _CHUNK lambda x steps: one _combinations block per group (from the
-    slot for a short mesh), one _su2_steps call and one _ordered_product per
-    batch.  A lambda alone in its group, or whose count fills half a chunk,
-    goes through the per-lambda fold.  Every result is propagate's bit for
-    bit; each matrix is a contiguous copy, as propagate's is.
+    The caller has refused bad input (_check_span).  work is the line's
+    _LineWork when the caller has resolved it already; every mesh of the walk
+    reads the one work.  The lambdas are grouped by step count.  A group of
+    two or more at a count of at most _CHUNK / 2 shares one _combinations
+    block (from the slot for a short mesh) and steps in batches of at most
+    _CHUNK lambda x steps; any other lambda steps alone, in chunks.  Each
+    matrix is a contiguous copy.
     """
-    if len(sps) < 2 or stop == start:
-        return [propagate(line.field, line.picture, line.fixed, start, stop, sp) for sp in sps]
-    meshes = [_mesh(line, start, stop, sp) for sp in sps]
-    groups = {}
-    for k, mesh in enumerate(meshes):
-        groups.setdefault(mesh[0], []).append(k)
+    if stop == start:
+        return [TransitionResult(np.eye(2, dtype=complex), 0, (0.0, 0.0)) for _ in sps]
+    if work is None:
+        work = _line_work(line, start, stop)
+    if len(sps) == 1:  # a group of one; the bookkeeping below cost a per-lambda sweep 3% (2-CPU x86-64 host)
+        mesh = _mesh(work, start, stop, sps[0], nsteps)
+        return _folded(line, mesh, sps, _slot_combinations(line, mesh))
+    groups = {}  # count: (mesh, indices of the lambdas at that count)
+    for k, sp in enumerate(sps):
+        mesh = _mesh(work, start, stop, sp, nsteps)
+        groups.setdefault(mesh[0], (mesh, []))[1].append(k)
     out = [None] * len(sps)
-    for nsteps, members in groups.items():
-        size = _CHUNK // nsteps
-        if len(members) < 2 or size < 2:
-            for k in members:
-                out[k] = _folded(line, meshes[k], sps[k])
-            continue
-        held = _slot_combinations(line, meshes[members[0]])
-        if held is None:
-            base, h = meshes[members[0]][1](0, nsteps)
+    for count, (mesh, members) in groups.items():
+        held = _slot_combinations(line, mesh)
+        size = max(_CHUNK // count, 1)
+        if held is None and size > 1 and len(members) > 1:
+            base, h = mesh[1](0, count)
             held = h, _combinations(line, base, h)
-        h, combos = held
-        extremes = _extremes(h)
         for first in range(0, len(members), size):
             batch = members[first : first + size]
-            products = _ordered_product(_su2_steps(combos, h, line, [sps[k] for k in batch]))
-            for k, matrix in zip(batch, np.moveaxis(products[..., 0], -1, 0)):
-                out[k] = TransitionResult(matrix.copy(), nsteps, extremes)
+            for k, result in zip(batch, _folded(line, mesh, [sps[k] for k in batch], held)):
+                out[k] = result
     return out
 
 
@@ -491,12 +486,13 @@ def _trajectory(field, picture, fixed, start, stop, sp, nsteps):
     (matcore.scan_chunks), bit for bit the one-piece scan.
     """
     line = Line(field, picture, fixed)
-    _, steps, _ = _mesh(line, start, stop, sp, nsteps, graded=False)
+    _check_span(start, stop, sps=[sp], nsteps=nsteps)
+    _, steps, _ = _mesh(None, start, stop, sp, nsteps)
 
     def batches():
         for first in range(0, nsteps, _TRAJECTORY_CHUNK):
             base, h = steps(first, min(first + _TRAJECTORY_CHUNK, nsteps))
-            yield _su2_steps(_combinations(line, base, h), h, line, sp)
+            yield _su2_steps(_combinations(line, base, h), h, line, [sp], consume=True)[:, :, 0]
 
     head = np.eye(2, dtype=complex)[None]
     for psi in scan_chunks(batches()):
@@ -517,16 +513,14 @@ def monodromies(field: FieldEvaluator, picture: str, fixed: float, half_width: f
     the results as truncated.  The lambdas step on the one line (_walk): those
     that share a count share one mesh, one node sample and one batch.
     """
-    for sp in sps:
-        _check_real(sp, "propagation")
-    _check_span(-half_width, half_width, half_width)
+    _check_span(-half_width, half_width, half_width, sps)
     if not sps:
         return []
     line = Line(field, picture, fixed)
     work = _line_work(line, -half_width, half_width)
     dev = max(line.vacuum(work.probe[k], work.ends[k])[1] for k in (0, -1))
     out = []
-    for sp, core in zip(sps, _walk(line, -half_width, half_width, sps)):
+    for sp, core in zip(sps, _walk(line, -half_width, half_width, sps, work=work)):
         mat = _regularised(core.matrix, line.pick(sp.k1, sp.k0), half_width)
         out.append(Monodromy(mat, dev, dev > _ASYMPTOTE_TOL, core.step_count, core.step_range))
     return out
@@ -575,7 +569,7 @@ def jost(
 def _josts(line, stop, sps, half_width, side=-1):
     """The half-line solutions of jost at each lambda of sps, on one line from side * half_width to stop (_walk)."""
     start = side * half_width
-    _check_span(start, stop, half_width)
+    _check_span(start, stop, half_width, sps)
     normaliser = line.pick(e0, ce0)
     return [res.matrix @ normaliser(start, sp) for sp, res in zip(sps, _walk(line, start, stop, sps))]
 

@@ -220,10 +220,10 @@ def _splitting_with_one_piece_scans(pair, t, sp, half_width):
     def half_line(fld, side):
         start = side * half_width
         line = Line(fld, "space", t)
-        base, h = _mesh(line, start, 0.0, sp, nsteps, graded=False)[1](0, nsteps)
+        base, h = _mesh(None, start, 0.0, sp, nsteps)[1](0, nsteps)
         psi = np.empty((nsteps + 1, 2, 2), dtype=complex)
         psi[0] = np.eye(2)
-        psi[1:] = np.moveaxis(scan(_su2_steps(_combinations(line, base, h), h, line, sp)), -1, 0)
+        psi[1:] = np.moveaxis(scan(_su2_steps(_combinations(line, base, h), h, line, [sp])[:, :, 0]), -1, 0)
         grid = np.linspace(start, 0.0, nsteps + 1)
         traj = (psi.reshape(-1, 2) @ e0(start, sp)).reshape(psi.shape)
         q, p = traj[:, 1, 0] / traj[:, 0, 0], traj[:, 0, 1] / traj[:, 1, 1]

@@ -260,6 +260,27 @@ def test_arctan_exp_matches_the_masked_branches_bitwise():
     assert _arctan_exp(3.0) == np.arctan(np.exp(3.0))
 
 
+def _arctan_exp_on_every_element(u):
+    """The np.where form: every branch on the whole array, one selected per element."""
+    u = np.asarray(u, dtype=float)
+    with np.errstate(over="ignore"):
+        e = np.exp(u)
+        return np.where(u > 30.0, 0.5 * math.pi - np.exp(-u), np.where(u < -30.0, e, np.arctan(e)))
+
+
+def test_arctan_exp_evaluates_each_branch_where_selected_with_the_bits_of_the_where_form():
+    from sgdual.fields import _arctan_exp
+
+    rng = np.random.default_rng(180)
+    for n in [1, 2, 3, 7, 2049, 20001, *rng.integers(1, 20002, 30)]:
+        u = rng.uniform(-31.0, 31.0, n) if n % 2 else rng.uniform(-60.0, 60.0, n)
+        with np.errstate(over="raise"):  # a branch taken only where selected never overflows
+            got = _arctan_exp(u)
+        assert got.tobytes() == _arctan_exp_on_every_element(u).tobytes()
+    edges = np.array([-30.0, 30.0, np.nextafter(30.0, 31.0), np.nextafter(-30.0, -31.0), 710.0, -745.5, np.nan])
+    assert _arctan_exp(edges).tobytes() == _arctan_exp_on_every_element(edges).tobytes()
+
+
 def test_line_rejects_unknown_picture_at_construction():
     from sgdual.fields import Line
 

@@ -20,6 +20,7 @@ from sgdual.transition import (
     _NODES,
     _SLOT_CAP,
     _combinations,
+    _line_work,
     _mesh,
     _regularised,
     _TRAJECTORY_CHUNK,
@@ -111,12 +112,12 @@ def test_nonfinite_exponent_raises():
 
 def _su2_batch(line, base, h, sp):
     """The su(2) transfer matrices of the steps at bases base and sizes h, as a (2, 2, n) batch."""
-    return _su2_steps(_combinations(line, base, h), h, line, sp)
+    return _su2_steps(_combinations(line, base, h), h, line, [sp])[:, :, 0]
 
 
 def _sequential_loop(line, start, stop, n, graded):
     """Psi at every edge of the mesh, from one unchunked batch of its steps multiplied up one at a time."""
-    base, h = _mesh(line, start, stop, SP13, n, graded)[1](0, n)
+    base, h = _mesh(_line_work(line, start, stop) if graded else None, start, stop, SP13, n)[1](0, n)
     steps = np.moveaxis(_su2_batch(line, base, h, SP13), -1, 0)
     ref = np.empty((n + 1, 2, 2), dtype=complex)
     ref[0] = np.eye(2)
@@ -143,7 +144,7 @@ def test_trajectory_and_chunked_product_match_sequential_loop(n):
 def test_streamed_trajectory_is_bitwise_one_scan_of_all_steps(n):
     kink = make_kink(P11, v=0.4)
     line, start, stop = Line(kink, "space", 0.3), 9.0, -7.0
-    base, h = _mesh(line, start, stop, SP13, n, graded=False)[1](0, n)
+    base, h = _mesh(None, start, stop, SP13, n)[1](0, n)
     want = np.concatenate((np.eye(2, dtype=complex)[None], np.moveaxis(scan(_su2_batch(line, base, h, SP13)), -1, 0)))
     chunks = list(_trajectory(kink, "space", 0.3, start, stop, SP13, n))
     assert [len(psi) for psi in chunks] == [min(_TRAJECTORY_CHUNK, n - first) + (first == 0) for first in range(0, n, _TRAJECTORY_CHUNK)]
@@ -595,6 +596,35 @@ def test_a_wide_monodromy_keeps_its_probe_in_the_slot():
     assert probes == [(4367,)] and 4367 > _CHUNK
 
 
+@pytest.mark.parametrize("lams, samples", [([1.3], 2), ([0.5, 1.3, 2.5, 4.0, 0.25], 6)])
+def test_a_probe_too_long_for_the_slot_is_sampled_once_per_call(lams, samples):
+    # W = 1e4 probes 21824 points, above _PROBE_CAP: the vacuum check and every mesh read one probe,
+    # and each lambda samples its nodes once (counts 1625 x 3 and 1726 x 2, each above _CHUNK / 2, so none batch)
+    kink = _CountingKink(P11, KINK_V, 0.0, 1)
+    got = monodromies(kink, "space", 0.0, 1e4, [spectral(lam, P11) for lam in lams])
+    assert [shape for shape in kink.sampled if len(shape) == 1] == [(21824,)]
+    assert len(kink.sampled) == samples and transition._slot is None
+    assert all(mono.step_count > _CHUNK // 2 for mono in got)
+
+
+def test_every_walk_steps_a_list_of_spectral_points(monkeypatch):
+    # one stepper: propagate, monodromy, jost, monodromies and the trajectories of the splitting check all hand _su2_steps a list
+    kink, pair = make_kink(P11, v=KINK_V), defect.bt_kink_from_vacuum(P11, defect.DefectParams(2.0))
+    steppers, su2_steps = [], transition._su2_steps
+    monkeypatch.setattr(transition, "_su2_steps", lambda combos, h, line, sps, **kw: steppers.append(sps) or su2_steps(combos, h, line, sps, **kw))
+    calls = {
+        "propagate": lambda: propagate(kink, "time", 0.5, -6.0, 6.0, SP13, 300),
+        "monodromy": lambda: monodromy(kink, "space", 0.0, 40.0, spectral(0.05, P11)),
+        "jost": lambda: jost(kink, "space", 0.5, 0.0, SP13, 40.0),
+        "monodromies": lambda: monodromies(kink, "time", 0.3, 50.0, [spectral(lam, P11) for lam in MIXED_LAMBDAS]),
+        "defect_splitting_check": lambda: defect.defect_splitting_check(pair, 0.7, spectral(1.5, P11), 20.0),
+    }
+    for name, call in calls.items():
+        steppers.clear()
+        call()
+        assert steppers and all(isinstance(sps, list) and sps for sps in steppers), name
+
+
 def _line_of(picture):
     """The space line of the lambda sweep (t = 0, W = 40) or its time line (x = 0.3, W = 50), on a fresh counting kink."""
     fixed, half_width = (0.0, 40.0) if picture == "space" else (0.3, 50.0)
@@ -605,10 +635,10 @@ def _line_of(picture):
 def test_lambdas_that_share_a_count_share_the_mesh_and_the_nodes(picture):
     line, w = _line_of(picture)
     first, second = spectral(0.7, P11), spectral(1.3, P11)
-    n, steps, _ = _mesh(line, -w, w, first)
-    assert n <= _SLOT_CAP and _mesh(line, -w, w, second)[0] == n  # the rate is m at both
+    n, steps, _ = _mesh(_line_work(line, -w, w), -w, w, first)
+    assert n <= _SLOT_CAP and _mesh(_line_work(line, -w, w), -w, w, second)[0] == n  # the rate is m at both
     edges = steps(0, n)
-    again = _mesh(line, -w, w, second)[1](0, n)
+    again = _mesh(_line_work(line, -w, w), -w, w, second)[1](0, n)
     assert np.array_equal(edges[0], again[0]) and np.array_equal(edges[1], again[1])
     monodromy(line.field, picture, line.fixed, w, first)
     line.field.sampled.clear()
@@ -624,7 +654,7 @@ def test_lambdas_that_share_a_count_share_the_mesh_and_the_nodes(picture):
 def test_slot_entries_equal_hat_entries_bitwise(picture, lam):
     # the slot keeps the lambda-free Magnus combinations of the node data; a hit must return a cold call's bits
     line, w = _line_of(picture)
-    n, steps, work = _mesh(line, -w, w, SP13)
+    n, steps, work = _mesh(_line_work(line, -w, w), -w, w, SP13)
     monodromy(line.field, picture, line.fixed, w, SP13)
     assert transition._slot is work and work.combos[0] == n
     base, h = steps(0, n)
@@ -632,7 +662,7 @@ def test_slot_entries_equal_hat_entries_bitwise(picture, lam):
     assert work.combos[1].tobytes() == h.tobytes() and work.combos[2].tobytes() == combos.tobytes()
     sp = spectral(lam, P11)
     cold = _su2_batch(line, base, h, sp)
-    hot = _su2_steps(work.combos[2].copy(), h, line, sp)
+    hot = _su2_steps(work.combos[2], h, line, [sp])
     assert hot.tobytes() == cold.tobytes()
     assert work.combos[2].tobytes() == combos.tobytes()  # a hit leaves the slot as it was
 
@@ -700,17 +730,17 @@ def test_monodromy_batches_equal_cold_per_lambda_calls_bitwise(monkeypatch, pict
     line, w = _line_of(picture)
     sps = [spectral(lam, P11) for lam in BATCH_LISTS[name]]
     steppers, su2_steps = [], transition._su2_steps
-    monkeypatch.setattr(transition, "_su2_steps", lambda combos, h, line, sp: steppers.append(sp) or su2_steps(combos, h, line, sp))
+    monkeypatch.setattr(transition, "_su2_steps", lambda combos, h, line, sps, **kw: steppers.append(sps) or su2_steps(combos, h, line, sps, **kw))
     got = monodromies(line.field, picture, line.fixed, w, sps)
     monkeypatch.undo()
     if name == "several-batches":
         count = got[0].step_count
         assert len({mono.step_count for mono in got}) == 1 and 30 * count > 2 * _CHUNK
         assert [len(batch) for batch in steppers] == [len(sps[first : first + _CHUNK // count]) for first in range(0, 30, _CHUNK // count)]
-    else:  # 0.7 and 1.3 share a count (in time, 4 x 464 steps fill a batch); 0.05 and 4 step alone
-        batches = [batch for batch in steppers if isinstance(batch, list)]
-        assert [sp.lam.real for batch in batches for sp in batch] == [0.7, 1.3, 0.7, 1.3, 0.7]
-        assert len(batches) == line.pick(1, 2)
+    else:  # 0.7 and 1.3 share a count (in time, 4 x 464 steps fill a batch); 0.05 and 4 step alone, 0.05 in 2 chunks in time
+        batches = [[0.7, 1.3, 0.7, 1.3, 0.7]] if picture == "space" else [[0.7, 1.3, 0.7, 1.3], [0.7]]
+        alone = [[0.05], [4.0]] if picture == "space" else [[0.05], [0.05], [4.0]]
+        assert [[sp.lam.real for sp in batch] for batch in steppers] == batches + alone
     for sp, mono in zip(sps, got):
         cold = monodromy(_CountingKink(P11, KINK_V, 0.2, 1), picture, line.fixed, w, sp)
         assert mono.matrix.tobytes() == cold.matrix.tobytes()
@@ -863,7 +893,7 @@ def _matrix_magnus_steps(line, base, h, sp):
 def test_su2_steps_equal_the_matrix_magnus_oracle(picture, field, lam, start, stop, n, graded):
     fld = make_kink(P11, v=KINK_V, x0=0.2) if field == "kink" else make_vacuum(P11)
     line, sp = Line(fld, picture, 0.3), spectral(lam, P11)
-    base, h = _mesh(line, start, stop, sp, n, graded)[1](0, n)
+    base, h = _mesh(_line_work(line, start, stop) if graded else None, start, stop, sp, n)[1](0, n)
     want, size = _matrix_magnus_steps(line, base, h, sp)
     got = np.moveaxis(_su2_batch(line, base, h, sp), -1, 0)
     assert np.max(np.abs(got - want)) <= 1e-14
